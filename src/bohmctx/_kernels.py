@@ -1,10 +1,4 @@
-"""Hot trajectory-integration kernels, in two interchangeable flavors:
-numba @njit loops and vectorized pure numpy.
-
-The active backend is picked once at import: numba when importable, unless
-BOHMCTX_BACKEND forces "numpy" or "numba".  Both flavors implement the same
-contract and are compared in the test suite; `python -m bohmctx.benchmark`
-times them against each other.
+"""Hot trajectory-integration kernels, vectorized over the ensemble in numpy.
 
 All kernels integrate classical RK4 on an interpolated Bohmian velocity
 field.  Node handling: when the local density (or the branched-Gaussian
@@ -13,51 +7,11 @@ velocity and the event is counted.  Trajectories never share mutable state,
 so results are independent of thread count and scheduling.
 """
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-    from numba import prange
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-    prange = range
-
-ENV_BACKEND = "BOHMCTX_BACKEND"
-ENV_THREADS = "BOHMCTX_THREADS"
+ACTIVE_BACKEND = "numpy"  # recorded in run manifests
 
 NODE_ABS_FLOOR = 1e-300  # hard underflow floor for denominators
-
-
-def requested_backend() -> str:
-    val = os.environ.get(ENV_BACKEND, "auto").strip().lower()
-    if val not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{ENV_BACKEND} must be auto, numba or numpy (got {val!r})")
-    return val
-
-
-def resolve_backend(name: str | None = None) -> str:
-    req = requested_backend() if name is None else name
-    if req == "numpy":
-        return "numpy"
-    if req == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("BOHMCTX_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def apply_thread_cap() -> int:
-    """Apply BOHMCTX_THREADS to the numba thread pool. 0 or unset = auto."""
-    raw = os.environ.get(ENV_THREADS, "0").strip() or "0"
-    cap = int(raw)
-    if cap < 0:
-        raise ValueError(f"{ENV_THREADS} must be >= 0")
-    if HAVE_NUMBA and cap > 0:
-        numba.set_num_threads(min(cap, numba.config.NUMBA_NUM_THREADS))
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +19,8 @@ def apply_thread_cap() -> int:
 # in time between stored frames and linearly (1D) / bilinearly (2D) in space.
 # ---------------------------------------------------------------------------
 
-def _grid_rk4_1d_numpy(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel,
-                       dt, n_steps, rec_stride):
+def grid_rk4_1d(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel, dt,
+                n_steps, rec_stride):
     n = x0.shape[0]
     n_frames, nx = rho.shape
     x_max = x_min + nx * dx
@@ -78,7 +32,7 @@ def _grid_rk4_1d_numpy(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel,
     failed = np.zeros(n, dtype=np.bool_)
     exit_times = np.full(n, np.nan)
 
-    x = x0.astype(np.float64).copy()
+    x = x0.astype(np.float64)
     vprev = np.zeros(n)
     rec[:, 0] = x
     step_events = np.zeros(n, dtype=np.int64)
@@ -127,83 +81,8 @@ def _grid_rk4_1d_numpy(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel,
     return rec, reg_flags, node_counts, failed, exit_times
 
 
-def _grid_rk4_1d_loops(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel,
-                       dt, n_steps, rec_stride, rec, reg_flags, node_counts,
-                       failed, exit_times):
-    n = x0.shape[0]
-    n_frames = rho.shape[0]
-    nx = rho.shape[1]
-    x_max = x_min + nx * dx
-    for p in prange(n):
-        x = x0[p]
-        vprev = 0.0
-        rec[p, 0] = x
-        events_since_rec = 0
-        dead = False
-        k = np.empty(4)
-        for step in range(n_steps):
-            t = t0 + step * dt
-            if not dead:
-                xs = x
-                for stage in range(4):
-                    if stage == 0:
-                        xq = x
-                        tq = t
-                    elif stage == 1:
-                        xq = x + 0.5 * dt * k[0]
-                        tq = t + 0.5 * dt
-                    elif stage == 2:
-                        xq = x + 0.5 * dt * k[1]
-                        tq = t + 0.5 * dt
-                    else:
-                        xq = x + dt * k[2]
-                        tq = t + dt
-                    ft = (tq - t0) / frame_dt
-                    f0 = int(np.floor(ft + 1e-12))
-                    if f0 < 0:
-                        f0 = 0
-                    if f0 > n_frames - 2:
-                        f0 = n_frames - 2
-                    w = ft - f0
-                    s = (xq - x_min) / dx
-                    i0f = np.floor(s)
-                    frac = s - i0f
-                    i0 = int(i0f) % nx
-                    i1 = (i0 + 1) % nx
-                    rho_i = ((1 - w) * (rho[f0, i0] * (1 - frac) + rho[f0, i1] * frac)
-                             + w * (rho[f0 + 1, i0] * (1 - frac) + rho[f0 + 1, i1] * frac))
-                    g_i = ((1 - w) * (g[f0, i0] * (1 - frac) + g[f0, i1] * frac)
-                           + w * (g[f0 + 1, i0] * (1 - frac) + g[f0 + 1, i1] * frac))
-                    peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
-                    thresh = node_rel * peak
-                    if thresh < NODE_ABS_FLOOR:
-                        thresh = NODE_ABS_FLOOR
-                    if rho_i < thresh:
-                        k[stage] = vprev
-                        events_since_rec += 1
-                        node_counts[p] += 1
-                    else:
-                        k[stage] = g_i / rho_i
-                        if stage == 3:
-                            vprev = k[3]
-                x = xs + (dt / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-                if x < x_min or x >= x_max:
-                    dead = True
-                    failed[p] = True
-                    exit_times[p] = t + dt
-                    if x < x_min:
-                        x = x_min
-                    else:
-                        x = x_max - dx * 1e-9
-            if (step + 1) % rec_stride == 0:
-                r = (step + 1) // rec_stride
-                rec[p, r] = x
-                reg_flags[p, r] = events_since_rec > 0
-                events_since_rec = 0
-
-
-def _grid_rk4_2d_numpy(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, dz,
-                       node_rel, dt, n_steps, rec_stride):
+def grid_rk4_2d(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, dz,
+                node_rel, dt, n_steps, rec_stride):
     n = x0.shape[0]
     n_frames, ny, nz = rho.shape
     y_max = y_min + ny * dy
@@ -216,7 +95,7 @@ def _grid_rk4_2d_numpy(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, d
     failed = np.zeros(n, dtype=np.bool_)
     exit_times = np.full(n, np.nan)
 
-    q = x0.astype(np.float64).copy()
+    q = x0.astype(np.float64)
     vprev = np.zeros((n, 2))
     rec[:, 0, :] = q
     step_events = np.zeros(n, dtype=np.int64)
@@ -282,167 +161,70 @@ def _grid_rk4_2d_numpy(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, d
     return rec, reg_flags, node_counts, failed, exit_times
 
 
-def _grid_rk4_2d_loops(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, dz,
-                       node_rel, dt, n_steps, rec_stride, rec, reg_flags,
-                       node_counts, failed, exit_times):
-    n = x0.shape[0]
-    n_frames = rho.shape[0]
-    ny = rho.shape[1]
-    nz = rho.shape[2]
-    y_max = y_min + ny * dy
-    z_max = z_min + nz * dz
-    for p in prange(n):
-        qy = x0[p, 0]
-        qz = x0[p, 1]
-        vpy = 0.0
-        vpz = 0.0
-        rec[p, 0, 0] = qy
-        rec[p, 0, 1] = qz
-        events_since_rec = 0
-        dead = False
-        ky = np.empty(4)
-        kz = np.empty(4)
-        for step in range(n_steps):
-            t = t0 + step * dt
-            if not dead:
-                for stage in range(4):
-                    if stage == 0:
-                        yq, zq, tq = qy, qz, t
-                    elif stage == 1:
-                        yq = qy + 0.5 * dt * ky[0]
-                        zq = qz + 0.5 * dt * kz[0]
-                        tq = t + 0.5 * dt
-                    elif stage == 2:
-                        yq = qy + 0.5 * dt * ky[1]
-                        zq = qz + 0.5 * dt * kz[1]
-                        tq = t + 0.5 * dt
-                    else:
-                        yq = qy + dt * ky[2]
-                        zq = qz + dt * kz[2]
-                        tq = t + dt
-                    ft = (tq - t0) / frame_dt
-                    f0 = int(np.floor(ft + 1e-12))
-                    if f0 < 0:
-                        f0 = 0
-                    if f0 > n_frames - 2:
-                        f0 = n_frames - 2
-                    w = ft - f0
-                    sy = (yq - y_min) / dy
-                    sz = (zq - z_min) / dz
-                    j0f = np.floor(sy)
-                    i0f = np.floor(sz)
-                    fy = sy - j0f
-                    fz = sz - i0f
-                    j0 = int(j0f) % ny
-                    i0 = int(i0f) % nz
-                    j1 = (j0 + 1) % ny
-                    i1 = (i0 + 1) % nz
-                    rho_i = 0.0
-                    gy_i = 0.0
-                    gz_i = 0.0
-                    for fi in range(2):
-                        fr = f0 + fi
-                        wt = (1 - w) if fi == 0 else w
-                        if wt == 0.0:
-                            continue
-                        w00 = (1 - fy) * (1 - fz)
-                        w10 = fy * (1 - fz)
-                        w01 = (1 - fy) * fz
-                        w11 = fy * fz
-                        rho_i += wt * (rho[fr, j0, i0] * w00 + rho[fr, j1, i0] * w10
-                                       + rho[fr, j0, i1] * w01 + rho[fr, j1, i1] * w11)
-                        gy_i += wt * (gy[fr, j0, i0] * w00 + gy[fr, j1, i0] * w10
-                                      + gy[fr, j0, i1] * w01 + gy[fr, j1, i1] * w11)
-                        gz_i += wt * (gz[fr, j0, i0] * w00 + gz[fr, j1, i0] * w10
-                                      + gz[fr, j0, i1] * w01 + gz[fr, j1, i1] * w11)
-                    peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
-                    thresh = node_rel * peak
-                    if thresh < NODE_ABS_FLOOR:
-                        thresh = NODE_ABS_FLOOR
-                    if rho_i < thresh:
-                        ky[stage] = vpy
-                        kz[stage] = vpz
-                        events_since_rec += 1
-                        node_counts[p] += 1
-                    else:
-                        ky[stage] = gy_i / rho_i
-                        kz[stage] = gz_i / rho_i
-                        if stage == 3:
-                            vpy = ky[3]
-                            vpz = kz[3]
-                qy = qy + (dt / 6.0) * (ky[0] + 2 * ky[1] + 2 * ky[2] + ky[3])
-                qz = qz + (dt / 6.0) * (kz[0] + 2 * kz[1] + 2 * kz[2] + kz[3])
-                if qy < y_min or qy >= y_max or qz < z_min or qz >= z_max:
-                    dead = True
-                    failed[p] = True
-                    exit_times[p] = t + dt
-                    if qy < y_min:
-                        qy = y_min
-                    elif qy >= y_max:
-                        qy = y_max - dy * 1e-9
-                    if qz < z_min:
-                        qz = z_min
-                    elif qz >= z_max:
-                        qz = z_max - dz * 1e-9
-            if (step + 1) % rec_stride == 0:
-                r = (step + 1) // rec_stride
-                rec[p, r, 0] = qy
-                rec[p, r, 1] = qz
-                reg_flags[p, r] = events_since_rec > 0
-                events_since_rec = 0
-
-
 # ---------------------------------------------------------------------------
 # Branched-Gaussian (pointer/ancilla) kernel.  Two rigid Gaussian-product
 # branches; velocities follow from the closed-form log-derivative of each
 # branch, combined with complex branch weights evaluated in log space.
 #
-# Inputs per half-step time index ti (stage times t, t+dt/2, t+dt map to
-# 2*step, 2*step+1, 2*step+2):
-#   centers[ti, b, blk], vels[ti, b, blk]  - schedule value and velocity
-#   inv4s2[c], inv2s2[c]                   - 1/(4 sigma^2), 1/(2 sigma^2)
-#                                            per coordinate
-#   log_amp[b], amp_phase[b]               - log|c_b|, arg c_b
-#   block_id[c]                            - block index of coordinate c
+# Inputs:
+#   centers[b, blk], vels[b, blk]  - schedule value and velocity at one time
+#                                    (the kernel tables carry a leading
+#                                    half-step time index: stage times t,
+#                                    t+dt/2, t+dt map to 2*step, 2*step+1,
+#                                    2*step+2)
+#   inv4s2[c], inv2s2[c]           - 1/(4 sigma^2), 1/(2 sigma^2) per
+#                                    coordinate
+#   log_amp[b], amp_phase[b]       - log|c_b|, arg c_b
+#   block_id[c]                    - block index of coordinate c
 # ---------------------------------------------------------------------------
 
-def _pointer_rk4_numpy(q0, block_id, inv4s2, inv2s2, m_over_h, h_over_m,
-                       log_amp, amp_phase, centers, vels, node_thresh,
-                       t0, dt, n_steps, rec_stride):
+def branched_gaussian_velocity(pts, block_id, inv4s2, inv2s2, m_over_h,
+                               h_over_m, log_amp, amp_phase, centers, vels,
+                               node_thresh, vprev):
+    """Guidance velocity of every coordinate of points (n, C) at one time.
+
+    Returns (v, node): where |r_+ + r_-|^2 < node_thresh (branch moduli
+    scaled so the larger is 1) the point is flagged and takes vprev.
+    """
+    cp = centers[0, block_id]
+    cm = centers[1, block_id]
+    vp = vels[0, block_id]
+    vm = vels[1, block_id]
+    dp = pts - cp
+    dm = pts - cm
+    lam_p = log_amp[0] - np.sum(dp * dp * inv4s2, axis=1)
+    lam_m = log_amp[1] - np.sum(dm * dm * inv4s2, axis=1)
+    th_p = amp_phase[0] + m_over_h * np.sum(vp * dp, axis=1)
+    th_m = amp_phase[1] + m_over_h * np.sum(vm * dm, axis=1)
+    lam_max = np.maximum(lam_p, lam_m)
+    rp = np.exp(lam_p - lam_max) * np.exp(1j * th_p)
+    rm = np.exp(lam_m - lam_max) * np.exp(1j * th_m)
+    s = rp + rm
+    node = (s.real * s.real + s.imag * s.imag) < node_thresh
+    w = rp / np.where(node, 1.0, s)
+    lp = -dp * inv2s2 + 1j * (m_over_h * vp)
+    lm = -dm * inv2s2 + 1j * (m_over_h * vm)
+    v = h_over_m * (w[:, None] * lp + (1.0 - w)[:, None] * lm).imag
+    return np.where(node[:, None], vprev, v), node
+
+
+def pointer_rk4(q0, block_id, inv4s2, inv2s2, m_over_h, h_over_m, log_amp,
+                amp_phase, centers, vels, node_thresh, dt, n_steps, rec_stride):
     n, n_coord = q0.shape
     n_rec = n_steps // rec_stride + 1
     rec = np.empty((n, n_rec, n_coord), dtype=np.float64)
     reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
     node_counts = np.zeros(n, dtype=np.int64)
 
-    q = q0.astype(np.float64).copy()
+    q = q0.astype(np.float64)
     vprev = np.zeros((n, n_coord))
     rec[:, 0, :] = q
     step_events = np.zeros(n, dtype=np.int64)
 
     def stage(qq, ti):
-        cp = centers[ti, 0, block_id]
-        cm = centers[ti, 1, block_id]
-        vp = vels[ti, 0, block_id]
-        vm = vels[ti, 1, block_id]
-        dp = qq - cp
-        dm = qq - cm
-        lam_p = log_amp[0] - np.sum(dp * dp * inv4s2, axis=1)
-        lam_m = log_amp[1] - np.sum(dm * dm * inv4s2, axis=1)
-        th_p = amp_phase[0] + m_over_h * np.sum(vp * dp, axis=1)
-        th_m = amp_phase[1] + m_over_h * np.sum(vm * dm, axis=1)
-        lam_max = np.maximum(lam_p, lam_m)
-        rp = np.exp(lam_p - lam_max) * np.exp(1j * th_p)
-        rm = np.exp(lam_m - lam_max) * np.exp(1j * th_m)
-        s = rp + rm
-        s_abs2 = s.real * s.real + s.imag * s.imag
-        node = s_abs2 < node_thresh
-        w = rp / np.where(node, 1.0, s)
-        lp = -dp * inv2s2 + 1j * (m_over_h * vp)
-        lm = -dm * inv2s2 + 1j * (m_over_h * vm)
-        v = h_over_m * (w[:, None] * lp + (1.0 - w)[:, None] * lm).imag
-        v = np.where(node[:, None], vprev, v)
-        return v, node
+        return branched_gaussian_velocity(
+            qq, block_id, inv4s2, inv2s2, m_over_h, h_over_m, log_amp,
+            amp_phase, centers[ti], vels[ti], node_thresh, vprev)
 
     for step in range(n_steps):
         i2 = 2 * step
@@ -461,170 +243,3 @@ def _pointer_rk4_numpy(q0, block_id, inv4s2, inv2s2, m_over_h, h_over_m,
             reg_flags[:, r] = step_events > 0
             step_events[:] = 0
     return rec, reg_flags, node_counts
-
-
-def _pointer_rk4_loops(q0, block_id, inv4s2, inv2s2, m_over_h, h_over_m,
-                       log_amp, amp_phase, centers, vels, node_thresh,
-                       t0, dt, n_steps, rec_stride, rec, reg_flags, node_counts):
-    n = q0.shape[0]
-    n_coord = q0.shape[1]
-    for p in prange(n):
-        q = q0[p].copy()
-        vprev = np.zeros(n_coord)
-        qs = np.empty(n_coord)
-        ks = np.empty((4, n_coord))
-        rec[p, 0, :] = q
-        events_since_rec = 0
-        for step in range(n_steps):
-            i2 = 2 * step
-            for stage in range(4):
-                if stage == 0:
-                    ti = i2
-                    for c in range(n_coord):
-                        qs[c] = q[c]
-                elif stage == 1:
-                    ti = i2 + 1
-                    for c in range(n_coord):
-                        qs[c] = q[c] + 0.5 * dt * ks[0, c]
-                elif stage == 2:
-                    ti = i2 + 1
-                    for c in range(n_coord):
-                        qs[c] = q[c] + 0.5 * dt * ks[1, c]
-                else:
-                    ti = i2 + 2
-                    for c in range(n_coord):
-                        qs[c] = q[c] + dt * ks[2, c]
-                lam_p = log_amp[0]
-                lam_m = log_amp[1]
-                th_p = amp_phase[0]
-                th_m = amp_phase[1]
-                for c in range(n_coord):
-                    blk = block_id[c]
-                    dp = qs[c] - centers[ti, 0, blk]
-                    dm = qs[c] - centers[ti, 1, blk]
-                    lam_p -= dp * dp * inv4s2[c]
-                    lam_m -= dm * dm * inv4s2[c]
-                    th_p += m_over_h * vels[ti, 0, blk] * dp
-                    th_m += m_over_h * vels[ti, 1, blk] * dm
-                lam_max = lam_p if lam_p > lam_m else lam_m
-                ap = np.exp(lam_p - lam_max)
-                am = np.exp(lam_m - lam_max)
-                rp_re = ap * np.cos(th_p)
-                rp_im = ap * np.sin(th_p)
-                rm_re = am * np.cos(th_m)
-                rm_im = am * np.sin(th_m)
-                s_re = rp_re + rm_re
-                s_im = rp_im + rm_im
-                s_abs2 = s_re * s_re + s_im * s_im
-                if s_abs2 < node_thresh:
-                    for c in range(n_coord):
-                        ks[stage, c] = vprev[c]
-                    events_since_rec += 1
-                    node_counts[p] += 1
-                else:
-                    w_re = (rp_re * s_re + rp_im * s_im) / s_abs2
-                    w_im = (rp_im * s_re - rp_re * s_im) / s_abs2
-                    for c in range(n_coord):
-                        blk = block_id[c]
-                        lp_re = -(qs[c] - centers[ti, 0, blk]) * inv2s2[c]
-                        lp_im = m_over_h * vels[ti, 0, blk]
-                        lm_re = -(qs[c] - centers[ti, 1, blk]) * inv2s2[c]
-                        lm_im = m_over_h * vels[ti, 1, blk]
-                        # Im[w lp + (1-w) lm]
-                        vim = (w_re * lp_im + w_im * lp_re
-                               + (1.0 - w_re) * lm_im - w_im * lm_re)
-                        ks[stage, c] = h_over_m * vim
-                    if stage == 3:
-                        for c in range(n_coord):
-                            vprev[c] = ks[3, c]
-            for c in range(n_coord):
-                q[c] = q[c] + (dt / 6.0) * (ks[0, c] + 2 * ks[1, c]
-                                            + 2 * ks[2, c] + ks[3, c])
-            if (step + 1) % rec_stride == 0:
-                r = (step + 1) // rec_stride
-                for c in range(n_coord):
-                    rec[p, r, c] = q[c]
-                reg_flags[p, r] = events_since_rec > 0
-                events_since_rec = 0
-
-
-# ---------------------------------------------------------------------------
-# Backend assembly.  The numba wrappers allocate outputs in Python and hand
-# arrays to the jitted loops so both flavors share one calling convention.
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _grid_rk4_1d_jit = numba.njit(cache=True, parallel=True)(_grid_rk4_1d_loops)
-    _grid_rk4_2d_jit = numba.njit(cache=True, parallel=True)(_grid_rk4_2d_loops)
-    _pointer_rk4_jit = numba.njit(cache=True, parallel=True)(_pointer_rk4_loops)
-
-
-def _grid_rk4_1d_numba(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel,
-                       dt, n_steps, rec_stride):
-    n = x0.shape[0]
-    n_rec = n_steps // rec_stride + 1
-    rec = np.empty((n, n_rec), dtype=np.float64)
-    reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
-    node_counts = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=np.bool_)
-    exit_times = np.full(n, np.nan)
-    _grid_rk4_1d_jit(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel,
-                     dt, n_steps, rec_stride, rec, reg_flags, node_counts,
-                     failed, exit_times)
-    return rec, reg_flags, node_counts, failed, exit_times
-
-
-def _grid_rk4_2d_numba(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, dz,
-                       node_rel, dt, n_steps, rec_stride):
-    n = x0.shape[0]
-    n_rec = n_steps // rec_stride + 1
-    rec = np.empty((n, n_rec, 2), dtype=np.float64)
-    reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
-    node_counts = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=np.bool_)
-    exit_times = np.full(n, np.nan)
-    _grid_rk4_2d_jit(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, dz,
-                     node_rel, dt, n_steps, rec_stride, rec, reg_flags,
-                     node_counts, failed, exit_times)
-    return rec, reg_flags, node_counts, failed, exit_times
-
-
-def _pointer_rk4_numba(q0, block_id, inv4s2, inv2s2, m_over_h, h_over_m,
-                       log_amp, amp_phase, centers, vels, node_thresh,
-                       t0, dt, n_steps, rec_stride):
-    n, n_coord = q0.shape
-    n_rec = n_steps // rec_stride + 1
-    rec = np.empty((n, n_rec, n_coord), dtype=np.float64)
-    reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
-    node_counts = np.zeros(n, dtype=np.int64)
-    _pointer_rk4_jit(q0, block_id, inv4s2, inv2s2, m_over_h, h_over_m,
-                     log_amp, amp_phase, centers, vels, node_thresh,
-                     t0, dt, n_steps, rec_stride, rec, reg_flags, node_counts)
-    return rec, reg_flags, node_counts
-
-
-_BACKENDS = {
-    "numpy": {
-        "grid_rk4_1d": _grid_rk4_1d_numpy,
-        "grid_rk4_2d": _grid_rk4_2d_numpy,
-        "pointer_rk4": _pointer_rk4_numpy,
-    },
-}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = {
-        "grid_rk4_1d": _grid_rk4_1d_numba,
-        "grid_rk4_2d": _grid_rk4_2d_numba,
-        "pointer_rk4": _pointer_rk4_numba,
-    }
-
-ACTIVE_BACKEND = resolve_backend()
-
-
-def get_kernels(backend: str | None = None) -> dict:
-    """Kernel table for the active (or an explicitly named) backend."""
-    return _BACKENDS[resolve_backend(backend) if backend else ACTIVE_BACKEND]
-
-
-grid_rk4_1d = get_kernels()["grid_rk4_1d"]
-grid_rk4_2d = get_kernels()["grid_rk4_2d"]
-pointer_rk4 = get_kernels()["pointer_rk4"]

@@ -2,8 +2,8 @@
 
 Subcommands: beam-splitter, stern-gerlach, optical-sg, ancilla, born-check.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
-Environment: BOHMCTX_THREADS caps ensemble parallelism (0 = auto),
-BOHMCTX_BACKEND selects the kernel flavor (auto | numba | numpy).
+Outputs are byte-identical for a given config and seed, whatever the
+thread count of the numerical libraries.
 """
 
 import argparse

@@ -112,12 +112,19 @@ def overlap(a: FieldLike, b: FieldLike) -> complex:
     if isinstance(a, SpinorField):
         if not a.grid.same_as(b.grid):
             raise ConfigError("overlap requires a shared grid")
-        acc = (np.vdot(a.up.values, b.up.values)
-               + np.vdot(a.down.values, b.down.values))
+        acc = (_vdot(a.up.values, b.up.values)
+               + _vdot(a.down.values, b.down.values))
         return complex(acc * a.grid.cell_volume)
     if not a.grid.same_as(b.grid):
         raise ConfigError("overlap requires a shared grid")
-    return complex(np.vdot(a.values, b.values) * a.grid.cell_volume)
+    return complex(_vdot(a.values, b.values) * a.grid.cell_volume)
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum(conj(a) * b) as a numpy reduction: np.vdot goes through BLAS,
+    whose threaded dot product sums in an order that depends on the thread
+    count, which would make outputs depend on OPENBLAS_NUM_THREADS."""
+    return np.sum(np.conj(a) * b)
 
 
 def position_expectation(f: FieldLike) -> np.ndarray:

@@ -119,14 +119,12 @@ def _as_points(x, dims: int) -> np.ndarray:
     return pts
 
 
-def _evaluate(state: FieldLike, model: str, x, units: UnitsConfig,
-              with_flags: bool):
-    grid = state.grid
+def _evaluate(grid: SpatialGrid, rho: np.ndarray, g, x, with_flags: bool):
+    """v = G / rho interpolated at point(s) x, density floored at nodes."""
     pts = _as_points(x, grid.dims)
     for i in range(grid.dims):
         if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
             raise ConfigError("evaluation point outside the grid domain")
-    rho, g = current_and_density(state, model, units)
     peak = float(rho.max())
     rho_i = _interp(grid, rho, pts)
     flags = rho_i < NODE_DENSITY_REL * peak
@@ -148,13 +146,15 @@ def velocity_scalar(field: ComplexField, x, units: UnitsConfig = DEFAULT_UNITS,
     Near nodes (density below 1e-12 of peak) the density is floored and the
     result flagged when with_flags=True; no error is raised.
     """
-    return _evaluate(field, VelocityModel.SCALAR, x, units, with_flags)
+    rho, g = current_and_density(field, VelocityModel.SCALAR, units)
+    return _evaluate(field.grid, rho, g, x, with_flags)
 
 
 def velocity_spinor(spinor: SpinorField, x, units: UnitsConfig = DEFAULT_UNITS,
                     with_flags: bool = False):
     """Convective spinor velocity hbar Im(Psi^dag grad Psi)/(m Psi^dag Psi)."""
-    return _evaluate(spinor, VelocityModel.SPINOR, x, units, with_flags)
+    rho, g = current_and_density(spinor, VelocityModel.SPINOR, units)
+    return _evaluate(spinor.grid, rho, g, x, with_flags)
 
 
 def gordon_velocity(spinor: SpinorField, x, units: UnitsConfig = DEFAULT_UNITS,
@@ -162,28 +162,8 @@ def gordon_velocity(spinor: SpinorField, x, units: UnitsConfig = DEFAULT_UNITS,
     """In-plane Gordon correction (hbar/2m)(d_z s_x, -d_y s_x)/rho on a 2D
     grid.  This is only the correction; add it to velocity_spinor for the
     full spin-corrected flow."""
-    grid = spinor.grid
-    if grid.dims != 2:
-        raise ConfigError("the Gordon term is only defined on 2D (y, z) grids")
-    pts = _as_points(x, 2)
-    for i in range(2):
-        if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
-            raise ConfigError("evaluation point outside the grid domain")
-    rho = spinor.density()
-    g_y, g_z = gordon_current(spinor, units)
-    peak = float(rho.max())
-    rho_i = _interp(grid, rho, pts)
-    flags = rho_i < NODE_DENSITY_REL * peak
-    rho_safe = np.maximum(rho_i, NODE_DENSITY_REL * peak)
-    v = np.stack([_interp(grid, g_y, pts) / rho_safe,
-                  _interp(grid, g_z, pts) / rho_safe], axis=1)
-    squeeze = np.asarray(x).ndim <= 1
-    if squeeze and v.shape[0] == 1:
-        v = v[0]
-        flags = bool(flags[0])
-    if with_flags:
-        return v, flags
-    return v
+    return _evaluate(spinor.grid, spinor.density(),
+                     gordon_current(spinor, units), x, with_flags)
 
 
 @dataclass

@@ -108,7 +108,7 @@ class BlockModel:
                         [b.count for b in self.blocks])
         return sig, 1.0 / (4.0 * sig ** 2), 1.0 / (2.0 * sig ** 2)
 
-    # -- log weights and velocities (reference numpy implementation) --------
+    # -- log weights and velocities ----------------------------------------
 
     def log_branch_weights(self, points: np.ndarray, t: float) -> np.ndarray:
         """log w_b = log(|c_b|^2 |Phi_b|^2) at configuration points (n, C);
@@ -127,17 +127,18 @@ class BlockModel:
         return out
 
     def velocities(self, points: np.ndarray, t: float) -> np.ndarray:
-        """Closed-form guidance velocity for every coordinate at time t."""
+        """Closed-form guidance velocity for every coordinate at time t
+        (0 at branch-sum nodes); the RK4 kernel evaluates the same formula."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ts = np.array([t])
         centers, vels = self.schedule_tables(ts)
         block_id = self.coordinate_blocks()
         _, inv4s2, inv2s2 = self._per_coord()
         log_amp, amp_phase = self.amplitude_parts()
-        v, _node = _stage_velocity(
+        v, _node = _kernels.branched_gaussian_velocity(
             pts, block_id, inv4s2, inv2s2,
             self.units.mass / self.units.hbar, self.units.hbar / self.units.mass,
-            log_amp, amp_phase, centers[0], vels[0], POINTER_NODE_THRESH, None)
+            log_amp, amp_phase, centers[0], vels[0], POINTER_NODE_THRESH, 0.0)
         return v
 
     def amplitude_parts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,35 +146,6 @@ class BlockModel:
                             for c in self.amplitudes])
         amp_phase = np.array([float(np.angle(c)) for c in self.amplitudes])
         return log_amp, amp_phase
-
-
-def _stage_velocity(pts, block_id, inv4s2, inv2s2, m_over_h, h_over_m,
-                    log_amp, amp_phase, centers, vels, node_thresh, vprev):
-    """Single-time velocity evaluation shared with the numpy kernel path."""
-    cp = centers[0, block_id]
-    cm = centers[1, block_id]
-    vp = vels[0, block_id]
-    vm = vels[1, block_id]
-    dp = pts - cp
-    dm = pts - cm
-    lam_p = log_amp[0] - np.sum(dp * dp * inv4s2, axis=1)
-    lam_m = log_amp[1] - np.sum(dm * dm * inv4s2, axis=1)
-    th_p = amp_phase[0] + m_over_h * np.sum(vp * dp, axis=1)
-    th_m = amp_phase[1] + m_over_h * np.sum(vm * dm, axis=1)
-    lam_max = np.maximum(lam_p, lam_m)
-    rp = np.exp(lam_p - lam_max) * np.exp(1j * th_p)
-    rm = np.exp(lam_m - lam_max) * np.exp(1j * th_m)
-    s = rp + rm
-    node = (s.real ** 2 + s.imag ** 2) < node_thresh
-    w = rp / np.where(node, 1.0, s)
-    lp = -dp * inv2s2 + 1j * (m_over_h * vp)
-    lm = -dm * inv2s2 + 1j * (m_over_h * vm)
-    v = h_over_m * (w[:, None] * lp + (1.0 - w)[:, None] * lm).imag
-    if vprev is not None:
-        v = np.where(node[:, None], vprev, v)
-    else:
-        v = np.where(node[:, None], 0.0, v)
-    return v, node
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +497,7 @@ class PointerEnsembleResult:
 
 
 def integrate_pointer_ensemble(model, initial: np.ndarray, dt: float,
-                               record_stride: int = 1,
-                               backend: str | None = None) -> PointerEnsembleResult:
+                               record_stride: int = 1) -> PointerEnsembleResult:
     """RK4-integrate every configuration over [0, T] under the closed-form
     velocity field."""
     bm = _resolve_model(model)
@@ -547,12 +518,10 @@ def integrate_pointer_ensemble(model, initial: np.ndarray, dt: float,
     _, inv4s2, inv2s2 = bm._per_coord()
     log_amp, amp_phase = bm.amplitude_parts()
 
-    kernels = _kernels.get_kernels(backend)
-    _kernels.apply_thread_cap()
-    rec, flags, counts = kernels["pointer_rk4"](
-        q0.copy(), block_id, inv4s2, inv2s2,
+    rec, flags, counts = _kernels.pointer_rk4(
+        q0, block_id, inv4s2, inv2s2,
         bm.units.mass / bm.units.hbar, bm.units.hbar / bm.units.mass,
         log_amp, amp_phase, centers, vels, POINTER_NODE_THRESH,
-        0.0, dt, n_steps, record_stride)
+        dt, n_steps, record_stride)
     times = dt * record_stride * np.arange(rec.shape[1])
     return PointerEnsembleResult(times, rec, flags, counts)

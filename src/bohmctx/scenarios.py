@@ -65,10 +65,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
     k = cfg.splitter_momentum
     a_r, a_l = cfg.amplitude_right, cfg.amplitude_left
-    plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k), units)
-    minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k), units)
-    psi0_vals = a_r * plus.values + a_l * minus.values
-    psi0 = ComplexField(grid, psi0_vals / norm(ComplexField(grid, psi0_vals)))
+    plus, minus, psi0 = _bs_initial(cfg, grid, units)
 
     free = PotentialSpec.free()
     total = propagate(psi0, free, cfg.dt, cfg.n_steps, units,
@@ -99,8 +96,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     x0 = sample.positions[:, 0]
     median = _density_median(grid, psi0.density())
 
-    stacks = _build_stacks_from_frames(total.frames, times, VelocityModel.SCALAR,
-                                       units)
+    stacks = build_stacks(total.frames, times, VelocityModel.SCALAR, units)
     frame_dt = float(times[1] - times[0])
     stride = cfg.record_stride if cfg.record_stride > 0 \
         else max(int(round(frame_dt / cfg.dt_traj)), 1)
@@ -209,6 +205,17 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     return report
 
 
+def _bs_initial(cfg, grid, units) -> tuple[ComplexField, ComplexField,
+                                            ComplexField]:
+    """Right- and left-moving packets and their normalized superposition
+    a_r plus + a_l minus."""
+    k = cfg.splitter_momentum
+    plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k), units)
+    minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k), units)
+    vals = cfg.amplitude_right * plus.values + cfg.amplitude_left * minus.values
+    return plus, minus, ComplexField(grid, vals / norm(ComplexField(grid, vals)))
+
+
 def _packet_center_width(frames) -> tuple[np.ndarray, np.ndarray]:
     centers = np.empty(len(frames))
     widths = np.empty(len(frames))
@@ -235,10 +242,6 @@ def _density_median(grid: SpatialGrid, rho: np.ndarray) -> float:
 def _log_density_at(grid: SpatialGrid, rho: np.ndarray, x: float) -> float:
     val = float(_interp(grid, rho, np.array([[x]]))[0])
     return math.log(max(val, 1e-300))
-
-
-def _build_stacks_from_frames(frames, times, model, units) -> VelocityStacks:
-    return build_stacks(frames, times, model, units)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +320,8 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
         prop = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
                          frame_stride=cfg.frame_stride)
         _sg_check_separation(cfg, prop.final)
-        stacks = _build_stacks_from_frames(prop.frames, prop.times,
-                                           VelocityModel.SPINOR, units)
+        stacks = build_stacks(prop.frames, prop.times, VelocityModel.SPINOR,
+                              units)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1] for tr in trajs])
         outcomes = _sg_outcome_labels(prop.final, ends, cfg.ratio_threshold)
@@ -665,16 +668,12 @@ def run_born_check(cfg: ScenarioConfig, n: int,
     if isinstance(cfg, BeamSplitterConfig):
         grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width,
                                 cfg.grid_half_width)
-        k = cfg.splitter_momentum
-        plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k), units)
-        minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k), units)
-        vals = (plus.values + minus.values) / math.sqrt(2.0)
-        psi0 = ComplexField(grid, vals / norm(ComplexField(grid, vals)))
+        _, _, psi0 = _bs_initial(cfg, grid, units)
         prop = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
                          frame_stride=cfg.frame_stride)
         sample = sample_equilibrium(psi0, n, cfg.seed)
-        stacks = _build_stacks_from_frames(prop.frames, prop.times,
-                                           VelocityModel.SCALAR, units)
+        stacks = build_stacks(prop.frames, prop.times, VelocityModel.SCALAR,
+                              units)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1, 0] for tr in trajs])
         ks = born_rule_ks(ends, grid_cdf(grid.axis(0),
@@ -690,8 +689,8 @@ def run_born_check(cfg: ScenarioConfig, n: int,
                          cfg.dt, cfg.n_steps, units,
                          frame_stride=cfg.frame_stride)
         sample = sample_equilibrium(spinor0, n, cfg.seed)
-        stacks = _build_stacks_from_frames(prop.frames, prop.times,
-                                           VelocityModel.SPINOR, units)
+        stacks = build_stacks(prop.frames, prop.times, VelocityModel.SPINOR,
+                              units)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1, 0] for tr in trajs])
         ks = born_rule_ks(ends, grid_cdf(grid.axis(0),

@@ -2,7 +2,7 @@
 
 Classical RK4 on the interpolated velocity field; linear interpolation in
 time between frames, linear/bilinear in space.  Integration is delegated
-to the active kernel backend (numba or numpy); every trajectory is
+to the vectorized numpy kernels in `_kernels`; every trajectory is
 independent, so results are identical for any thread count.
 """
 
@@ -51,8 +51,8 @@ def integrate_trajectories(frames: list[FieldLike], times: np.ndarray,
 
 
 def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
-                          dt_traj: float, record_stride: int = 1,
-                          backend: str | None = None) -> list[Trajectory]:
+                          dt_traj: float, record_stride: int = 1
+                          ) -> list[Trajectory]:
     grid = stacks.grid
     frame_dt = stacks.frame_dt
     if dt_traj <= 0:
@@ -76,17 +76,15 @@ def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
         if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
             raise ConfigError("initial position outside the grid domain")
 
-    kernels = _kernels.get_kernels(backend)
-    _kernels.apply_thread_cap()
     if grid.dims == 1:
-        rec, flags, counts, failed, exits = kernels["grid_rk4_1d"](
-            pts[:, 0].copy(), stacks.rho, stacks.g[0], stacks.peaks,
+        rec, flags, counts, failed, exits = _kernels.grid_rk4_1d(
+            pts[:, 0], stacks.rho, stacks.g[0], stacks.peaks,
             t0, frame_dt, grid.x_min[0], grid.dx[0], NODE_DENSITY_REL,
             dt_traj, n_steps, record_stride)
         rec = rec[:, :, None]
     else:
-        rec, flags, counts, failed, exits = kernels["grid_rk4_2d"](
-            pts.copy(), stacks.rho, stacks.g[0], stacks.g[1], stacks.peaks,
+        rec, flags, counts, failed, exits = _kernels.grid_rk4_2d(
+            pts, stacks.rho, stacks.g[0], stacks.g[1], stacks.peaks,
             t0, frame_dt, grid.x_min[0], grid.dx[0], grid.x_min[1], grid.dx[1],
             NODE_DENSITY_REL, dt_traj, n_steps, record_stride)
 

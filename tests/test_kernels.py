@@ -1,10 +1,9 @@
-"""Backend equivalence: the numba kernels and the pure-numpy fallback must
-implement the same contract."""
+"""The RK4 kernels against hand-written steps over the model's own velocity
+field, and their recording grid."""
 
 import numpy as np
 import pytest
 
-from bohmctx import _kernels
 from bohmctx import GaussianPacketSpec, PotentialSpec, make_gaussian, propagate
 from bohmctx.config import OpticalSGConfig
 from bohmctx.grids import SpatialGrid
@@ -12,9 +11,6 @@ from bohmctx.guidance import VelocityModel, build_stacks
 from bohmctx.pointer import integrate_pointer_ensemble, sample_model_equilibrium
 from bohmctx.scenarios import build_optical_sg_model
 from bohmctx.trajectories import integrate_over_stacks
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba not available")
 
 
 @pytest.fixture(scope="module")
@@ -25,85 +21,24 @@ def stacks_1d():
     return build_stacks(prop.frames, prop.times, VelocityModel.SCALAR)
 
 
-@pytest.fixture(scope="module")
-def stacks_2d():
-    grid = SpatialGrid.plane(96, (-12.0, 12.0), 96, (-12.0, 12.0))
-    psi = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0.4, -0.3)))
-    prop = propagate(psi, PotentialSpec.free(), 0.01, 60, frame_stride=2)
-    return build_stacks(prop.frames, prop.times, VelocityModel.SCALAR)
-
-
-@needs_numba
-def test_grid_1d_backends_agree(stacks_1d):
-    rng = np.random.default_rng(1)
-    x0 = rng.normal(0.0, 1.0, 200)
-    a = integrate_over_stacks(stacks_1d, x0, 0.005, backend="numba")
-    b = integrate_over_stacks(stacks_1d, x0, 0.005, backend="numpy")
-    pa = np.stack([t.points for t in a])
-    pb = np.stack([t.points for t in b])
-    assert np.abs(pa - pb).max() <= 1e-9
-    assert [t.node_regularization_events for t in a] \
-        == [t.node_regularization_events for t in b]
-
-
-@needs_numba
-def test_grid_2d_backends_agree(stacks_2d):
-    rng = np.random.default_rng(2)
-    q0 = rng.normal(0.0, 1.0, (100, 2))
-    a = integrate_over_stacks(stacks_2d, q0, 0.005, backend="numba")
-    b = integrate_over_stacks(stacks_2d, q0, 0.005, backend="numpy")
-    pa = np.stack([t.points for t in a])
-    pb = np.stack([t.points for t in b])
-    assert np.abs(pa - pb).max() <= 1e-9
-
-
-@needs_numba
-def test_pointer_backends_agree_one_step():
+def test_pointer_one_step_matches_hand_rk4():
     # a single RK4 step has no room for decision-boundary amplification, so
-    # the two implementations must match to rounding
+    # the kernel must match a step built from BlockModel.velocities to rounding
     model = build_optical_sg_model(OpticalSGConfig(), 16).block_model()
     init = sample_model_equilibrium(model, 100, seed=4)
-    a = integrate_pointer_ensemble(model, init, model.T, backend="numba")
-    b = integrate_pointer_ensemble(model, init, model.T, backend="numpy")
-    assert np.abs(a.positions - b.positions).max() <= 1e-12
-    assert np.array_equal(a.node_counts, b.node_counts)
-
-
-@needs_numba
-def test_pointer_backends_agree_full_run():
-    # full-horizon comparison on a tame model (weak branch feedback keeps
-    # near-boundary runs from amplifying rounding differences)
-    cfg = OpticalSGConfig(displacement=0.5, system_separation=0.0)
-    model = build_optical_sg_model(cfg, 4).block_model()
-    init = sample_model_equilibrium(model, 80, seed=5)
-    a = integrate_pointer_ensemble(model, init, 0.0025, record_stride=10,
-                                   backend="numba")
-    b = integrate_pointer_ensemble(model, init, 0.0025, record_stride=10,
-                                   backend="numpy")
-    assert np.abs(a.positions - b.positions).max() <= 1e-8
-    assert np.array_equal(a.node_counts, b.node_counts)
-
-
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_BACKEND, "cuda")
-    with pytest.raises(ValueError):
-        _kernels.requested_backend()
-
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_THREADS, "-2")
-    with pytest.raises(ValueError):
-        _kernels.apply_thread_cap()
-    monkeypatch.setenv(_kernels.ENV_THREADS, "2")
-    assert _kernels.apply_thread_cap() == 2
+    T = model.T
+    k1 = model.velocities(init, 0.0)
+    k2 = model.velocities(init + 0.5 * T * k1, 0.5 * T)
+    k3 = model.velocities(init + 0.5 * T * k2, 0.5 * T)
+    k4 = model.velocities(init + T * k3, T)
+    expected = init + (T / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    res = integrate_pointer_ensemble(model, init, T)
+    assert res.positions.shape == (100, 2, 17)
+    assert np.array_equal(res.positions[:, 0], init)
+    assert np.abs(res.positions[:, 1] - expected).max() <= 1e-12
 
 
 def test_record_stride_times(stacks_1d):
     trajs = integrate_over_stacks(stacks_1d, np.array([0.3]), 0.005,
                                   record_stride=20)
     assert np.allclose(trajs[0].times, 0.1 * np.arange(11))
-
-
-def test_numpy_backend_always_available():
-    kernels = _kernels.get_kernels("numpy")
-    assert set(kernels) == {"grid_rk4_1d", "grid_rk4_2d", "pointer_rk4"}

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bohmctx import ConfigError, SeparationError
+from bohmctx import (ConfigError, GaussianPacketSpec, SeparationError,
+                     make_gaussian, scenarios)
 from bohmctx.analysis import determinant_attribution, predictor_accuracy
 from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
                             OpticalSGConfig, SternGerlachConfig)
@@ -162,6 +163,35 @@ def test_born_check_grid_scenario():
     res = run_born_check(SternGerlachConfig(seed=3), 500)
     assert res["scenario"] == "stern_gerlach"
     assert res["ks"] < 0.08  # loose bound at n=500; tight one in acceptance
+
+
+def test_born_check_uses_configured_beam_splitter_state(monkeypatch):
+    # born-check must propagate the same initial state as the run, built
+    # from amplitude_right/amplitude_left: here the right-moving packet alone
+    class Stop(Exception):
+        pass
+
+    def first_state(run):
+        seen = []
+
+        def fake_propagate(state, *args, **kwargs):
+            seen.append(state)
+            raise Stop
+
+        monkeypatch.setattr(scenarios, "propagate", fake_propagate)
+        with pytest.raises(Stop):
+            run()
+        return seen[0]
+
+    cfg = BeamSplitterConfig(n=10, seed=1, amplitude_right=1.0,
+                             amplitude_left=0.0)
+    checked = first_state(lambda: run_born_check(cfg, 10))
+    ran = first_state(lambda: run_beam_splitter(cfg))
+    grid = checked.grid
+    right = make_gaussian(grid, GaussianPacketSpec.make(
+        0.0, cfg.sigma, cfg.splitter_momentum))
+    assert np.abs(checked.values - right.values).max() < 1e-12
+    assert np.array_equal(checked.values, ran.values)
 
 
 def test_attribution_from_optical_report():
