@@ -1,11 +1,17 @@
 """Hot trajectory-integration kernels, vectorized over the ensemble in numpy.
 
-All kernels integrate classical RK4 on an interpolated Bohmian velocity
-field.  Node handling: when the local density (or the branched-Gaussian
+All kernels integrate classical RK4.  The grid kernels follow an
+interpolated Bohmian velocity field, one coordinate per trajectory and
+dimension.  The pointer kernel follows the closed-form velocity of the
+branched-Gaussian model, where all coordinates of a block move together, so
+it integrates one coordinate per block (the block mean) whatever the block
+sizes.  Node handling: when the local density (or the branched-Gaussian
 denominator) falls below threshold, the trajectory reuses its last finite
 velocity and the event is counted.  Trajectories never share mutable state,
 so results are independent of thread count and scheduling.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,84 +168,136 @@ def grid_rk4_2d(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, dz,
 
 
 # ---------------------------------------------------------------------------
-# Branched-Gaussian (pointer/ancilla) kernel.  Two rigid Gaussian-product
-# branches; velocities follow from the closed-form log-derivative of each
-# branch, combined with complex branch weights evaluated in log space.
+# Block-collective pointer kernel.  Two rigid Gaussian-product branches over
+# coordinate blocks (block k: n_k coordinates of width sigma_k, branch centers
+# c_bk(t) moving at v_bk(t)).  In the guidance velocity the q_c terms cancel,
+# so every coordinate of block k moves with one velocity
 #
-# Inputs:
-#   centers[b, blk], vels[b, blk]  - schedule value and velocity at one time
-#                                    (the kernel tables carry a leading
-#                                    half-step time index: stage times t,
-#                                    t+dt/2, t+dt map to 2*step, 2*step+1,
-#                                    2*step+2)
-#   inv4s2[c], inv2s2[c]           - 1/(4 sigma^2), 1/(2 sigma^2) per
-#                                    coordinate
-#   log_amp[b], amp_phase[b]       - log|c_b|, arg c_b
-#   block_id[c]                    - block index of coordinate c
+#   v_k = (hbar/m) Im(w) (c_+k - c_-k) / (2 sigma_k^2)
+#         + Re(w) v_+k + (1 - Re w) v_-k,         w = r_+ / (r_+ + r_-),
+#
+# and the branch weight w depends on q only through the block means m_k:
+#
+#   lambda_+ - lambda_- = log|c_+/c_-|
+#                         - sum_k n_k [(m_k - c_+k)^2 - (m_k - c_-k)^2] / (4 sigma_k^2)
+#   theta_+ - theta_-   = arg(c_+/c_-)
+#                         + (m/hbar) sum_k n_k [v_+k (m_k - c_+k) - v_-k (m_k - c_-k)]
+#
+# with r_b = exp(lambda_b + i theta_b).  Those sums equal the per-coordinate
+# ones exactly (the within-block spread is common to both branches), so the
+# ensemble integrates the (n, n_blocks) block means; each coordinate keeps
+# its t = 0 offset from its block mean.  Both gaps are affine in m; with the
+# midpoints h_k = (c_+k + c_-k)/2 they read gaps = base + sum_k coef_k (m_k - h_k)
+# (the first because (m-c_+)^2 - (m-c_-)^2 = 2 (c_- - c_+)(m - h)), and
+# `block_tables` tabulates h, coef, base and the velocity terms once per
+# time so that an RK4 stage costs a few operations on (n, n_blocks) arrays.
+# The kernel tables carry a leading half-step time index: stage times t,
+# t+dt/2, t+dt map to 2*step, 2*step+1, 2*step+2.
 # ---------------------------------------------------------------------------
 
-def branched_gaussian_velocity(pts, block_id, inv4s2, inv2s2, m_over_h,
-                               h_over_m, log_amp, amp_phase, centers, vels,
-                               node_thresh, vprev):
-    """Guidance velocity of every coordinate of points (n, C) at one time.
+class BlockTables(NamedTuple):
+    """Per-time coefficients of the block ODE; leading axis time."""
+    mid: np.ndarray   # (nt, nb) branch-center midpoints h_k
+    coef: np.ndarray  # (nt, nb, 2) d(lambda gap, theta gap) / d m_k
+    base: np.ndarray  # (nt, 2) the two gaps at m = h
+    pull: np.ndarray  # (nt, nb) (hbar/m) (c_+k - c_-k) / (2 sigma_k^2)
+    dv: np.ndarray    # (nt, nb) v_+k - v_-k
+    vm: np.ndarray    # (nt, nb) v_-k
+
+
+def block_tables(centers, vels, counts, sigma2, log_amp, amp_phase, m_over_h,
+                 h_over_m) -> BlockTables:
+    """Tables from centers[t, b, k] and vels[t, b, k] (branch b = +, -),
+    block sizes counts[k] and widths sigma2[k] = sigma_k^2, and the branch
+    amplitudes as log|c_b| and arg c_b."""
+    cp, cm = centers[:, 0], centers[:, 1]
+    vp, vm = vels[:, 0], vels[:, 1]
+    dc = cp - cm
+    coef = np.stack([counts * dc / (2.0 * sigma2),
+                     m_over_h * counts * (vp - vm)], axis=-1)
+    phase = (amp_phase[0] - amp_phase[1]) \
+        - 0.5 * m_over_h * np.sum(counts * (vp + vm) * dc, axis=-1)
+    base = np.stack([np.full(len(cp), log_amp[0] - log_amp[1]), phase],
+                    axis=-1)
+    return BlockTables(0.5 * (cp + cm), coef, base,
+                       h_over_m * dc / (2.0 * sigma2), vp - vm, vm)
+
+
+def branch_gaps(means, tab: BlockTables, ti):
+    """(lambda_+ - lambda_-, theta_+ - theta_-), each (n,), at block means
+    (n, nb), time index ti."""
+    d = means - tab.mid[ti]
+    coef = tab.coef[ti]
+    lam = tab.base[ti, 0] + d[:, 0] * coef[0, 0]
+    theta = tab.base[ti, 1] + d[:, 0] * coef[0, 1]
+    for k in range(1, d.shape[1]):  # a few blocks: cheaper than a reduction
+        lam = lam + d[:, k] * coef[k, 0]
+        theta = theta + d[:, k] * coef[k, 1]
+    return lam, theta
+
+
+def block_velocity(means, tab: BlockTables, ti, node_thresh, vprev):
+    """Guidance velocity (n, nb) of every block at block means (n, nb).
 
     Returns (v, node): where |r_+ + r_-|^2 < node_thresh (branch moduli
-    scaled so the larger is 1) the point is flagged and takes vprev.
+    scaled so the larger is 1) the point is flagged and takes vprev.  With
+    a = exp(-|lambda gap|) that sum is (1 - a)^2 + 4 a cos^2(theta gap / 2),
+    which keeps its relative accuracy next to a node.
     """
-    cp = centers[0, block_id]
-    cm = centers[1, block_id]
-    vp = vels[0, block_id]
-    vm = vels[1, block_id]
-    dp = pts - cp
-    dm = pts - cm
-    lam_p = log_amp[0] - np.sum(dp * dp * inv4s2, axis=1)
-    lam_m = log_amp[1] - np.sum(dm * dm * inv4s2, axis=1)
-    th_p = amp_phase[0] + m_over_h * np.sum(vp * dp, axis=1)
-    th_m = amp_phase[1] + m_over_h * np.sum(vm * dm, axis=1)
-    lam_max = np.maximum(lam_p, lam_m)
-    rp = np.exp(lam_p - lam_max) * np.exp(1j * th_p)
-    rm = np.exp(lam_m - lam_max) * np.exp(1j * th_m)
-    s = rp + rm
-    node = (s.real * s.real + s.imag * s.imag) < node_thresh
-    w = rp / np.where(node, 1.0, s)
-    lp = -dp * inv2s2 + 1j * (m_over_h * vp)
-    lm = -dm * inv2s2 + 1j * (m_over_h * vm)
-    v = h_over_m * (w[:, None] * lp + (1.0 - w)[:, None] * lm).imag
-    return np.where(node[:, None], vprev, v), node
+    lam, theta = branch_gaps(means, tab, ti)
+    neg = -np.abs(lam)
+    a = np.exp(neg)
+    one_minus_a = -np.expm1(neg)
+    half = 0.5 * theta
+    ch = np.cos(half)
+    a_ch = a * ch
+    a_cos = 2.0 * a_ch * ch                   # a (1 + cos theta)
+    den = one_minus_a * one_minus_a + 2.0 * a_cos
+    node = den < node_thresh
+    any_node = node.any()
+    inv = 1.0 / (np.where(node, 1.0, den) if any_node else den)
+    im_w = 2.0 * a_ch * np.sin(half) * inv   # a sin theta / den
+    re_w = np.where(lam >= 0, one_minus_a + a_cos,
+                    a_cos - a * one_minus_a) * inv
+    v = (im_w[:, None] * tab.pull[ti] + re_w[:, None] * tab.dv[ti]
+         + tab.vm[ti])
+    if any_node:
+        v = np.where(node[:, None], vprev, v)
+    return v, node
 
 
-def pointer_rk4(q0, block_id, inv4s2, inv2s2, m_over_h, h_over_m, log_amp,
-                amp_phase, centers, vels, node_thresh, dt, n_steps, rec_stride):
-    n, n_coord = q0.shape
+def block_rk4(m0, tab: BlockTables, node_thresh, dt, n_steps, rec_stride):
+    """RK4 of the block means m0 (n, nb) over tables at half-step times;
+    returns the recorded means (n, n_rec, nb), per-record node flags and
+    per-trajectory node counts."""
+    n, nb = m0.shape
     n_rec = n_steps // rec_stride + 1
-    rec = np.empty((n, n_rec, n_coord), dtype=np.float64)
+    rec = np.empty((n, n_rec, nb), dtype=np.float64)
     reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
     node_counts = np.zeros(n, dtype=np.int64)
 
-    q = q0.astype(np.float64)
-    vprev = np.zeros((n, n_coord))
-    rec[:, 0, :] = q
+    m = m0.astype(np.float64)
+    vprev = np.zeros((n, nb))
+    rec[:, 0, :] = m
     step_events = np.zeros(n, dtype=np.int64)
-
-    def stage(qq, ti):
-        return branched_gaussian_velocity(
-            qq, block_id, inv4s2, inv2s2, m_over_h, h_over_m, log_amp,
-            amp_phase, centers[ti], vels[ti], node_thresh, vprev)
+    half_dt = 0.5 * dt
 
     for step in range(n_steps):
         i2 = 2 * step
-        k1, n1 = stage(q, i2)
-        k2, n2 = stage(q + 0.5 * dt * k1, i2 + 1)
-        k3, n3 = stage(q + 0.5 * dt * k2, i2 + 1)
-        k4, n4 = stage(q + dt * k3, i2 + 2)
+        k1, n1 = block_velocity(m, tab, i2, node_thresh, vprev)
+        k2, n2 = block_velocity(m + half_dt * k1, tab, i2 + 1, node_thresh,
+                                vprev)
+        k3, n3 = block_velocity(m + half_dt * k2, tab, i2 + 1, node_thresh,
+                                vprev)
+        k4, n4 = block_velocity(m + dt * k3, tab, i2 + 2, node_thresh, vprev)
         nodes = n1.astype(np.int64) + n2 + n3 + n4
         step_events += nodes
         node_counts += nodes
         vprev = np.where(n4[:, None], vprev, k4)
-        q = q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        m = m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if (step + 1) % rec_stride == 0:
             r = (step + 1) // rec_stride
-            rec[:, r, :] = q
+            rec[:, r, :] = m
             reg_flags[:, r] = step_events > 0
             step_events[:] = 0
     return rec, reg_flags, node_counts

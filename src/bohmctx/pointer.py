@@ -11,10 +11,20 @@ runs in log space, which keeps N = 64 products well away from underflow.
 The same machinery supports extra coordinate blocks (used by the ancilla
 chain driver), so the model is internally a list of blocks; the two-block
 (system + apparatus) configuration is the pointer model proper.
+
+Within a block the branch factors differ only in their centers and
+velocities, so the guidance velocity is the same for every coordinate of a
+block and the branch weights depend on a configuration only through its
+block means.  The ensemble integrator therefore solves the (n, n_blocks)
+ODE of the block means (`_kernels.block_rk4`); every coordinate keeps its
+t = 0 offset from its block mean, and positions are rebuilt as
+q(t) = q0 + (m(t) - m(0))[block_id] only when asked for.  Classification
+reads the log-weight gap straight from the block means.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +118,27 @@ class BlockModel:
                         [b.count for b in self.blocks])
         return sig, 1.0 / (4.0 * sig ** 2), 1.0 / (2.0 * sig ** 2)
 
+    def block_tables(self, ts: np.ndarray) -> _kernels.BlockTables:
+        """Coefficients of the block-mean ODE at times ts."""
+        centers, vels = self.schedule_tables(ts)
+        log_amp, amp_phase = self.amplitude_parts()
+        return _kernels.block_tables(
+            centers, vels, np.array([float(b.count) for b in self.blocks]),
+            np.array([b.sigma ** 2 for b in self.blocks]), log_amp, amp_phase,
+            self.units.mass / self.units.hbar, self.units.hbar / self.units.mass)
+
+    def block_means(self, points: np.ndarray) -> np.ndarray:
+        """Mean of each block's coordinates, (n, C) -> (n, n_blocks); an
+        empty block has mean 0."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.n_coords:
+            raise ConfigError(f"configurations must have {self.n_coords} coordinates")
+        out = np.zeros((pts.shape[0], len(self.blocks)))
+        for k, sl in enumerate(self.block_slices().values()):
+            if sl.stop > sl.start:
+                out[:, k] = pts[:, sl].mean(axis=1)
+        return out
+
     # -- log weights and velocities ----------------------------------------
 
     def log_branch_weights(self, points: np.ndarray, t: float) -> np.ndarray:
@@ -126,23 +157,23 @@ class BlockModel:
             out[:, b] = log_amp2 + log_norm - 2.0 * np.sum(d * d * inv4s2, axis=1)
         return out
 
+    def log_weight_gap(self, means: np.ndarray, t: float) -> np.ndarray:
+        """log(w_+ / w_-) at configurations given by their block means
+        (n, n_blocks); twice the kernel's log-modulus gap."""
+        tab = self.block_tables(np.array([t]))
+        return 2.0 * _kernels.branch_gaps(np.atleast_2d(means), tab, 0)[0]
+
     def velocities(self, points: np.ndarray, t: float) -> np.ndarray:
         """Closed-form guidance velocity for every coordinate at time t
-        (0 at branch-sum nodes); the RK4 kernel evaluates the same formula."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ts = np.array([t])
-        centers, vels = self.schedule_tables(ts)
-        block_id = self.coordinate_blocks()
-        _, inv4s2, inv2s2 = self._per_coord()
-        log_amp, amp_phase = self.amplitude_parts()
-        v, _node = _kernels.branched_gaussian_velocity(
-            pts, block_id, inv4s2, inv2s2,
-            self.units.mass / self.units.hbar, self.units.hbar / self.units.mass,
-            log_amp, amp_phase, centers[0], vels[0], POINTER_NODE_THRESH, 0.0)
-        return v
+        (0 at branch-sum nodes): the kernel's block velocity at the block
+        means, given to each coordinate of the block."""
+        v, _node = _kernels.block_velocity(
+            self.block_means(points), self.block_tables(np.array([t])), 0,
+            POINTER_NODE_THRESH, 0.0)
+        return v[:, self.coordinate_blocks()]
 
     def amplitude_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        log_amp = np.array([math.log(abs(c)) if abs(c) > 0 else -1e308
+        log_amp = np.array([math.log(abs(c)) if abs(c) > 0 else -math.inf
                             for c in self.amplitudes])
         amp_phase = np.array([float(np.angle(c)) for c in self.amplitudes])
         return log_amp, amp_phase
@@ -247,8 +278,7 @@ def apparatus_overlap(t: float, model) -> float:
     """omega(t)^N, evaluated as exp(N log omega) so the exponent law is
     exact by construction.  Underflows to 0.0 for large N; use
     log_apparatus_overlap when the exponent itself is needed."""
-    log_val = log_apparatus_overlap(t, model)
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+    return _exp_overlap(log_apparatus_overlap(t, model))
 
 
 def log_apparatus_overlap(t: float, model) -> float:
@@ -258,20 +288,27 @@ def log_apparatus_overlap(t: float, model) -> float:
     return blk.count * _log_gaussian_pair_overlap(blk, t, bm.units)
 
 
-def system_overlap(t: float, model) -> float:
-    """|<phi_+|phi_->| of the system factors at time t."""
+def system_overlap(t, model):
+    """|<phi_+|phi_->| of the system factors at time t (a float or an
+    array of times)."""
     bm = _resolve_model(model)
     blk = _find_block(bm, "system")
     return _gaussian_pair_overlap(blk, t, bm.units)
 
 
-def block_overlap(t: float, model, name: str) -> float:
-    """omega_block(t)^count for an arbitrary named block."""
-    log_val = log_block_overlap(t, model, name)
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+def block_overlap(t, model, name: str):
+    """omega_block(t)^count for an arbitrary named block (t a float or an
+    array of times)."""
+    return _exp_overlap(log_block_overlap(t, model, name))
 
 
-def log_block_overlap(t: float, model, name: str) -> float:
+def _exp_overlap(log_val):
+    """exp(log_val), flushed to 0.0 below exp's normal range."""
+    out = np.where(log_val > -745.0, np.exp(log_val), 0.0)
+    return out if out.ndim else float(out)
+
+
+def log_block_overlap(t, model, name: str):
     bm = _resolve_model(model)
     blk = _find_block(bm, name)
     return blk.count * _log_gaussian_pair_overlap(blk, t, bm.units)
@@ -284,19 +321,22 @@ def _find_block(bm: BlockModel, name: str) -> CoordinateBlock:
     raise ConfigError(f"model has no block named {name!r}")
 
 
-def _log_gaussian_pair_overlap(blk: CoordinateBlock, t: float,
-                               units: UnitsConfig) -> float:
+def _log_gaussian_pair_overlap(blk: CoordinateBlock, t,
+                               units: UnitsConfig):
     """log |<G_+|G_->| for two equal-width Gaussians with plane-wave phases:
-    -(dc)^2/(8 sigma^2) - (dk)^2 sigma^2 / 2."""
-    dc = float(blk.centers[0].value(t) - blk.centers[1].value(t))
-    dv = float(blk.centers[0].velocity(t) - blk.centers[1].velocity(t))
+    -(dc)^2/(8 sigma^2) - (dk)^2 sigma^2 / 2.  t is a float or an array of
+    times."""
+    dc = blk.centers[0].value(t) - blk.centers[1].value(t)
+    dv = blk.centers[0].velocity(t) - blk.centers[1].velocity(t)
     dk = units.mass * dv / units.hbar
     s2 = blk.sigma ** 2
-    return -(dc * dc) / (8.0 * s2) - 0.5 * dk * dk * s2
+    out = -(dc * dc) / (8.0 * s2) - 0.5 * dk * dk * s2
+    return out if np.ndim(out) else float(out)
 
 
-def _gaussian_pair_overlap(blk, t, units) -> float:
-    return math.exp(_log_gaussian_pair_overlap(blk, t, units))
+def _gaussian_pair_overlap(blk, t, units):
+    out = np.exp(_log_gaussian_pair_overlap(blk, t, units))
+    return out if np.ndim(out) else float(out)
 
 
 def complex_pair_overlap(blk: CoordinateBlock, t: float,
@@ -375,11 +415,17 @@ def classify_outcome(trajectory: Trajectory, model, t: float | None = None,
 def classify_point(point: np.ndarray, t: float, model,
                    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> str:
     bm = _resolve_model(model)
-    lw = bm.log_branch_weights(np.atleast_2d(point), t)[0]
-    gap = lw[0] - lw[1]
-    if abs(gap) < math.log(ratio_threshold):
-        return UNRESOLVED
-    return bm.labels[0] if gap > 0 else bm.labels[1]
+    gap = bm.log_weight_gap(bm.block_means(point), t)
+    return labels_from_log_ratio(gap, bm.labels, ratio_threshold)[0]
+
+
+def labels_from_log_ratio(log_ratio: np.ndarray, labels: tuple[str, str],
+                          ratio_threshold: float) -> list[str]:
+    """labels[0] where log_ratio >= log(ratio_threshold), labels[1] where
+    it is <= -log(ratio_threshold), "unresolved" in between."""
+    log_ratio = np.asarray(log_ratio)
+    return np.where(np.abs(log_ratio) < math.log(ratio_threshold), UNRESOLVED,
+                    np.where(log_ratio > 0, labels[0], labels[1])).tolist()
 
 
 def predictor_system(x0: float, model) -> str:
@@ -484,24 +530,43 @@ def sample_model_equilibrium(model, n: int, seed: int,
 
 @dataclass
 class PointerEnsembleResult:
+    """Recorded block means of an ensemble.  Positions are rebuilt from
+    them as q0 + (m(t) - m(0))[block_id], only when asked for."""
     times: np.ndarray
-    positions: np.ndarray  # (n, n_rec, C)
+    initial: np.ndarray    # (n, C) configurations at t = 0
+    block_id: np.ndarray   # (C,) block index of each coordinate
+    means: np.ndarray      # (n, n_rec, n_blocks)
     reg_flags: np.ndarray  # (n, n_rec)
     node_counts: np.ndarray  # (n,)
 
+    def final_points(self) -> np.ndarray:
+        """(n, C) positions at the last recorded time."""
+        shift = self.means[:, -1] - self.means[:, 0]
+        return self.initial + shift[:, self.block_id]
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(n, n_rec, C) positions of every trajectory at every record."""
+        shift = self.means - self.means[:, :1]
+        return self.initial[:, None, :] + shift[:, :, self.block_id]
+
     def trajectories(self) -> list[Trajectory]:
-        return [Trajectory(self.times, self.positions[i],
+        """One Trajectory per configuration, positions rebuilt one
+        trajectory at a time."""
+        shift = self.means - self.means[:, :1]
+        return [Trajectory(self.times,
+                           self.initial[i] + shift[i][:, self.block_id],
                            node_regularization_events=int(self.node_counts[i]),
                            regularized_flags=self.reg_flags[i])
-                for i in range(self.positions.shape[0])]
+                for i in range(self.initial.shape[0])]
 
 
 def integrate_pointer_ensemble(model, initial: np.ndarray, dt: float,
                                record_stride: int = 1) -> PointerEnsembleResult:
     """RK4-integrate every configuration over [0, T] under the closed-form
-    velocity field."""
+    velocity field, as the ODE of its block means."""
     bm = _resolve_model(model)
-    q0 = np.atleast_2d(np.asarray(initial, dtype=float))
+    q0 = np.array(initial, dtype=float, ndmin=2)
     if q0.shape[1] != bm.n_coords:
         raise ConfigError(f"initial configurations must have {bm.n_coords} coordinates")
     if dt <= 0:
@@ -513,15 +578,9 @@ def integrate_pointer_ensemble(model, initial: np.ndarray, dt: float,
         raise ConfigError("record_stride must divide the step count")
 
     half_times = np.arange(2 * n_steps + 1) * (0.5 * dt)
-    centers, vels = bm.schedule_tables(half_times)
-    block_id = bm.coordinate_blocks()
-    _, inv4s2, inv2s2 = bm._per_coord()
-    log_amp, amp_phase = bm.amplitude_parts()
-
-    rec, flags, counts = _kernels.pointer_rk4(
-        q0, block_id, inv4s2, inv2s2,
-        bm.units.mass / bm.units.hbar, bm.units.hbar / bm.units.mass,
-        log_amp, amp_phase, centers, vels, POINTER_NODE_THRESH,
+    means, flags, node_counts = _kernels.block_rk4(
+        bm.block_means(q0), bm.block_tables(half_times), POINTER_NODE_THRESH,
         dt, n_steps, record_stride)
-    times = dt * record_stride * np.arange(rec.shape[1])
-    return PointerEnsembleResult(times, rec, flags, counts)
+    times = dt * record_stride * np.arange(means.shape[1])
+    return PointerEnsembleResult(times, q0, bm.coordinate_blocks(), means,
+                                 flags, node_counts)

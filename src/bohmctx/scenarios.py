@@ -21,10 +21,12 @@ from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
 from .grids import SpatialGrid
 from .guidance import (VelocityModel, VelocityStacks, build_stacks,
                        current_and_density, _interp)
+# classify_point is no longer called here; the name stays because
+# perfbench/tracer.py wraps it in this module
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       UNRESOLVED, classify_point, integrate_pointer_ensemble,
-                      predictor_block_sum, predictor_system,
-                      sample_model_equilibrium)
+                      labels_from_log_ratio, predictor_block_sum,
+                      predictor_system, sample_model_equilibrium)
 from .propagation import PotentialSpec, propagate
 from .report import EnsembleReport
 from .sampling import sample_equilibrium
@@ -109,17 +111,10 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     x_at_sep = np.array([tr.points[sep_rec, 0] for tr in trajs])
 
     # outcome: the detector whose branch contains the trajectory at t_sep
-    rho_p_sep = comp_p.frames[sep_idx].density() * a_r ** 2
-    rho_m_sep = comp_m.frames[sep_idx].density() * a_l ** 2
-    log_thresh = math.log(cfg.ratio_threshold)
-    outcomes = []
-    for xs in x_at_sep:
-        lp = _log_density_at(grid, rho_p_sep, xs)
-        lm = _log_density_at(grid, rho_m_sep, xs)
-        if abs(lp - lm) < log_thresh:
-            outcomes.append(UNRESOLVED)
-        else:
-            outcomes.append("D1" if lp > lm else "D2")
+    outcomes = _dominant_density_labels(
+        grid, comp_p.frames[sep_idx].density() * a_r ** 2,
+        comp_m.frames[sep_idx].density() * a_l ** 2, x_at_sep[:, None],
+        ("D1", "D2"), cfg.ratio_threshold)
 
     # detector stage: two-branch pointer model on [t_sep, t_end], system
     # factors tracking the separated packets (rigid width), detector
@@ -152,9 +147,9 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     det_init = np.column_stack([x_at_sep, y0])
     det_res = integrate_pointer_ensemble(det_model, det_init, cfg.dt_traj,
                                          record_stride=stride)
-    det_labels = [classify_point(det_res.positions[i, -1], det_tau, det_model,
-                                 cfg.ratio_threshold)
-                  for i in range(cfg.n)]
+    det_labels = labels_from_log_ratio(
+        det_model.log_weight_gap(det_res.means[:, -1], det_tau),
+        det_model.labels, cfg.ratio_threshold)
     agree = [o == d for o, d in zip(outcomes, det_labels)
              if o != UNRESOLVED and d != UNRESOLVED]
 
@@ -187,9 +182,9 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
         initial_block_sums={"apparatus": y0.sum(axis=1)},
         overlap_series={"t": times, "system_spatial": bhatt,
                         "system_inner": inner,
-                        "detector": np.array([pointer.block_overlap(
-                            max(t - t_sep, 0.0), det_model, "apparatus")
-                            for t in times])},
+                        "detector": pointer.block_overlap(
+                            np.maximum(times - t_sep, 0.0), det_model,
+                            "apparatus")},
         node_counts=node_counts,
         audits={"crossing_violations": crossings,
                 "branch_jumps_after_separation": jumps,
@@ -239,9 +234,15 @@ def _density_median(grid: SpatialGrid, rho: np.ndarray) -> float:
     return float(np.interp(0.5, cdf, edges))
 
 
-def _log_density_at(grid: SpatialGrid, rho: np.ndarray, x: float) -> float:
-    val = float(_interp(grid, rho, np.array([[x]]))[0])
-    return math.log(max(val, 1e-300))
+def _dominant_density_labels(grid: SpatialGrid, rho_a: np.ndarray,
+                             rho_b: np.ndarray, points: np.ndarray,
+                             labels: tuple[str, str],
+                             ratio_threshold: float) -> list[str]:
+    """labels[0] or labels[1] by which branch density dominates at each
+    point (m, dims) by at least ratio_threshold, else "unresolved"."""
+    log_a = np.log(np.maximum(_interp(grid, rho_a, points), 1e-300))
+    log_b = np.log(np.maximum(_interp(grid, rho_b, points), 1e-300))
+    return labels_from_log_ratio(log_a - log_b, labels, ratio_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +270,10 @@ def _sg_initial_1d(cfg, grid, units) -> SpinorField:
 def _sg_outcome_labels(final: SpinorField, points: np.ndarray,
                        ratio_threshold: float) -> list[str]:
     """Spin label from the dominant spinor component at each endpoint."""
-    grid = final.grid
-    rho_u = final.up.density()
-    rho_d = final.down.density()
-    log_thresh = math.log(ratio_threshold)
-    out = []
-    pts = np.atleast_2d(points)
-    for p in pts:
-        lu = math.log(max(float(_interp(grid, rho_u, p[None, :])[0]), 1e-300))
-        ld = math.log(max(float(_interp(grid, rho_d, p[None, :])[0]), 1e-300))
-        if abs(lu - ld) < log_thresh:
-            out.append(UNRESOLVED)
-        else:
-            out.append("+" if lu > ld else "-")
-    return out
+    return _dominant_density_labels(final.grid, final.up.density(),
+                                    final.down.density(),
+                                    np.atleast_2d(points), ("+", "-"),
+                                    ratio_threshold)
 
 
 def _sg_check_separation(cfg, final: SpinorField) -> None:
@@ -492,15 +483,13 @@ def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
                           scenario: str) -> EnsembleReport:
     init = sample_model_equilibrium(model, n, seed)
     res = integrate_pointer_ensemble(model, init, dt, record_stride)
-    T = model.T
-    outcomes = [classify_point(res.positions[i, -1], T, model, ratio_threshold)
-                for i in range(n)]
+    gap = model.log_weight_gap(res.means[:, -1], model.T)
+    outcomes = labels_from_log_ratio(gap, model.labels, ratio_threshold)
     # sensitivity of the unresolved fraction to the classification threshold
-    sensitivity = {}
-    for factor in (0.1, 1.0, 10.0):
-        labels = [classify_point(res.positions[i, -1], T, model,
-                                 ratio_threshold * factor) for i in range(n)]
-        sensitivity[f"x{factor:g}"] = labels.count(UNRESOLVED) / n
+    sensitivity = {
+        f"x{factor:g}": int(np.count_nonzero(
+            np.abs(gap) < math.log(ratio_threshold * factor))) / n
+        for factor in (0.1, 1.0, 10.0)}
     slices = model.block_slices()
     predictions = {"system": [predictor_system(init[i, 0], model)
                               for i in range(n)]}
@@ -512,11 +501,9 @@ def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
                                  for i in range(n)]
 
     ts = res.times
-    series = {"t": ts,
-              "system": np.array([pointer.system_overlap(t, model) for t in ts])}
+    series = {"t": ts, "system": pointer.system_overlap(ts, model)}
     for blk in model.blocks[1:]:
-        series[blk.name] = np.array(
-            [pointer.block_overlap(t, model, blk.name) for t in ts])
+        series[blk.name] = pointer.block_overlap(ts, model, blk.name)
 
     report = EnsembleReport(
         scenario=scenario, seed=seed, n_runs=n,
@@ -708,7 +695,7 @@ def run_born_check(cfg: ScenarioConfig, n: int,
 def _pointer_born_check(model: BlockModel, cfg, n: int, name: str) -> dict:
     init = sample_model_equilibrium(model, n, cfg.seed)
     res = integrate_pointer_ensemble(model, init, cfg.dt_traj, cfg.record_stride)
-    ends = res.positions[:, -1, 0]
+    ends = res.final_points()[:, 0]
     xs, dens = pointer.x_marginal_density(model, model.T)
     ks = born_rule_ks(ends, grid_cdf(xs, dens, float(xs[1] - xs[0])))
     return {"scenario": name, "n": n, "ks": ks}

@@ -1,15 +1,23 @@
 """The RK4 kernels against hand-written steps over the model's own velocity
-field, and their recording grid."""
+field, the block-collective pointer velocity against the directly evaluated
+two-branch wavefunction, and the kernels' recording grid."""
+
+import math
 
 import numpy as np
 import pytest
 
 from bohmctx import GaussianPacketSpec, PotentialSpec, make_gaussian, propagate
-from bohmctx.config import OpticalSGConfig
+from bohmctx import _kernels
+from bohmctx.config import AncillaChainConfig, OpticalSGConfig
 from bohmctx.grids import SpatialGrid
 from bohmctx.guidance import VelocityModel, build_stacks
-from bohmctx.pointer import integrate_pointer_ensemble, sample_model_equilibrium
-from bohmctx.scenarios import build_optical_sg_model
+from bohmctx.pointer import (POINTER_NODE_THRESH, BlockModel, CoordinateBlock,
+                             integrate_pointer_ensemble,
+                             sample_model_equilibrium)
+from bohmctx.scenarios import (build_ancilla_model, build_optical_sg_model,
+                               run_optical_sg)
+from bohmctx.schedules import PiecewiseLinear
 from bohmctx.trajectories import integrate_over_stacks
 
 
@@ -42,3 +50,132 @@ def test_record_stride_times(stacks_1d):
     trajs = integrate_over_stacks(stacks_1d, np.array([0.3]), 0.005,
                                   record_stride=20)
     assert np.allclose(trajs[0].times, 0.1 * np.arange(11))
+
+
+# -- block-collective pointer kernel ------------------------------------------
+
+def _random_model(rng, counts=(1, 2, 4), shift=2.0, weights=(0.2, 0.8)):
+    """Three blocks with random widths, ramps (moving the centers by up to
+    `shift`) and complex amplitudes (|c_+|^2 drawn from `weights`)."""
+    blocks = []
+    for k, count in enumerate(counts):
+        sigma = rng.uniform(0.6, 1.4)
+        t_on, t_off = sorted(rng.uniform(0.0, 1.0, 2))
+        start = rng.uniform(-0.5, 0.5)
+        ramps = tuple(PiecewiseLinear.ramp(t_on, t_off + 0.05,
+                                           start + rng.uniform(-shift, shift),
+                                           start=start) for _ in range(2))
+        blocks.append(CoordinateBlock(f"b{k}", count, sigma, ramps))
+    p = rng.uniform(*weights)
+    amps = (math.sqrt(w) * complex(math.cos(a), math.sin(a))
+            for w, a in zip((p, 1 - p), rng.uniform(-math.pi, math.pi, 2)))
+    return BlockModel(tuple(blocks), tuple(amps), ("+", "-"), 1.0)
+
+
+def _oracle_velocity(model, q, t):
+    """(hbar/m) Im(grad Psi / Psi) of the two-branch product wavefunction,
+    evaluated directly (no log space, no block means) at points q (n, C)."""
+    k = model.units.mass / model.units.hbar
+    psi = np.zeros(q.shape[0], dtype=complex)
+    grad = np.zeros(q.shape, dtype=complex)
+    for b, amp in enumerate(model.amplitudes):
+        phi = np.full(q.shape[0], amp, dtype=complex)
+        dlog = np.empty(q.shape, dtype=complex)
+        col = 0
+        for blk in model.blocks:
+            c = float(blk.centers[b].value(t))
+            v = float(blk.centers[b].velocity(t))
+            for _ in range(blk.count):
+                d = q[:, col] - c
+                phi *= ((2 * np.pi * blk.sigma ** 2) ** -0.25
+                        * np.exp(-d * d / (4 * blk.sigma ** 2) + 1j * k * v * d))
+                dlog[:, col] = -d / (2 * blk.sigma ** 2) + 1j * k * v
+                col += 1
+        psi += phi
+        grad += phi[:, None] * dlog
+    return (grad / psi[:, None]).imag / k
+
+
+def test_block_velocity_matches_wavefunction_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        model = _random_model(rng)
+        t = rng.uniform(0.0, 1.0)
+        centers, _ = model.schedule_tables(np.array([t]))
+        mix = centers[0, rng.integers(0, 2, size=7)]  # near either branch
+        q = (mix[:, model.coordinate_blocks()]
+             + rng.normal(0.0, 1.0, (7, model.n_coords)))
+        want = _oracle_velocity(model, q, t)
+        got = model.velocities(q, t)
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_block_rk4_matches_per_coordinate_rk4():
+    # 40 steps of the block kernel against RK4 of every coordinate under the
+    # oracle velocity, on a non-stiff configuration: strongly overlapping
+    # branches of unequal weight keep trajectories away from branch-sum
+    # nodes, where rounding differences would be amplified
+    model = _random_model(np.random.default_rng(5), counts=(1, 3, 2),
+                          shift=0.5, weights=(0.85, 0.95))
+    q = np.random.default_rng(6).normal(0.0, 1.0, (20, model.n_coords))
+    dt = 0.025
+    expected = q.copy()
+    for step in range(40):
+        t = step * dt
+        k1 = _oracle_velocity(model, expected, t)
+        k2 = _oracle_velocity(model, expected + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = _oracle_velocity(model, expected + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = _oracle_velocity(model, expected + dt * k3, t + dt)
+        expected = expected + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    res = integrate_pointer_ensemble(model, q, dt, record_stride=40)
+    assert np.abs(res.final_points() - expected).max() <= 1e-10
+
+
+def test_within_block_deviations_are_conserved():
+    model = build_ancilla_model(AncillaChainConfig(N_prime=5, N=7))
+    init = sample_model_equilibrium(model, 30, seed=2)
+    res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=10)
+    pos = res.positions
+    assert pos.shape == (30, len(res.times), model.n_coords)
+    for sl in model.block_slices().values():
+        dev = pos[:, :, sl] - pos[:, :, sl].mean(axis=2, keepdims=True)
+        dev0 = init[:, None, sl] - init[:, None, sl].mean(axis=2, keepdims=True)
+        assert np.abs(dev - dev0).max() <= 1e-12
+    assert np.abs(model.block_means(pos.reshape(-1, model.n_coords))
+                  - res.means.reshape(-1, 3)).max() <= 1e-12
+    assert np.array_equal(res.final_points(), pos[:, -1])
+    assert np.array_equal(res.trajectories()[4].points, pos[4])
+
+
+def test_node_is_flagged_and_keeps_previous_velocity():
+    # opposite amplitudes, mirror-image schedules: the origin is a node of
+    # the branch sum at every time
+    s = 1 / math.sqrt(2)
+    ramp = PiecewiseLinear.ramp(0.0, 0.5, 2.0)
+    model = BlockModel(
+        (CoordinateBlock("system", 1, 1.0, (PiecewiseLinear.constant(1.0),
+                                            PiecewiseLinear.constant(-1.0))),
+         CoordinateBlock("apparatus", 3, 1.0, (ramp, ramp.scaled(-1.0)))),
+        (complex(s), complex(-s)), ("+", "-"), 1.0)
+    tab = model.block_tables(np.array([0.3]))
+    means = np.array([[0.0, 0.0], [0.4, -0.2]])
+    vprev = np.array([[0.25, -1.5], [7.0, 7.0]])
+    v, node = _kernels.block_velocity(means, tab, 0, POINTER_NODE_THRESH,
+                                      vprev)
+    assert node.tolist() == [True, False]
+    assert np.array_equal(v[0], vprev[0])
+    assert np.all(np.isfinite(v[1])) and not np.array_equal(v[1], vprev[1])
+
+    init = np.array([np.zeros(4), [0.4, 0.1, -0.3, 0.0]])
+    res = integrate_pointer_ensemble(model, init, 0.01, record_stride=10)
+    assert res.node_counts.tolist() == [4 * 100, 0]
+    assert res.reg_flags[0, 1:].all() and not res.reg_flags[1].any()
+    assert np.array_equal(res.final_points()[0], init[0])
+
+
+def test_optical_sg_large_apparatus():
+    # N = 512 costs what N = 1 costs: one coordinate per block
+    report = run_optical_sg(OpticalSGConfig(N_sweep=[512], n=60, seed=3))
+    acc = report.sub_reports[0].accuracies()["apparatus"]
+    assert acc.n_resolved >= 55
+    assert acc.fraction >= 0.99
