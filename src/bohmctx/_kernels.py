@@ -226,14 +226,9 @@ def block_tables(centers, vels, counts, sigma2, log_amp, amp_phase, m_over_h,
 def branch_gaps(means, tab: BlockTables, ti):
     """(lambda_+ - lambda_-, theta_+ - theta_-), each (n,), at block means
     (n, nb), time index ti."""
-    d = means - tab.mid[ti]
-    coef = tab.coef[ti]
-    lam = tab.base[ti, 0] + d[:, 0] * coef[0, 0]
-    theta = tab.base[ti, 1] + d[:, 0] * coef[0, 1]
-    for k in range(1, d.shape[1]):  # a few blocks: cheaper than a reduction
-        lam = lam + d[:, k] * coef[k, 0]
-        theta = theta + d[:, k] * coef[k, 1]
-    return lam, theta
+    gaps = tab.base[ti] + np.einsum("nk,kj->nj", means - tab.mid[ti],
+                                    tab.coef[ti])
+    return gaps[:, 0], gaps[:, 1]
 
 
 def block_velocity(means, tab: BlockTables, ti, node_thresh, vprev):
@@ -254,16 +249,13 @@ def block_velocity(means, tab: BlockTables, ti, node_thresh, vprev):
     a_cos = 2.0 * a_ch * ch                   # a (1 + cos theta)
     den = one_minus_a * one_minus_a + 2.0 * a_cos
     node = den < node_thresh
-    any_node = node.any()
-    inv = 1.0 / (np.where(node, 1.0, den) if any_node else den)
+    inv = 1.0 / np.where(node, 1.0, den)
     im_w = 2.0 * a_ch * np.sin(half) * inv   # a sin theta / den
     re_w = np.where(lam >= 0, one_minus_a + a_cos,
                     a_cos - a * one_minus_a) * inv
     v = (im_w[:, None] * tab.pull[ti] + re_w[:, None] * tab.dv[ti]
          + tab.vm[ti])
-    if any_node:
-        v = np.where(node[:, None], vprev, v)
-    return v, node
+    return np.where(node[:, None], vprev, v), node
 
 
 def block_rk4(m0, tab: BlockTables, node_thresh, dt, n_steps, rec_stride):

@@ -157,10 +157,18 @@ class BlockModel:
             out[:, b] = log_amp2 + log_norm - 2.0 * np.sum(d * d * inv4s2, axis=1)
         return out
 
+    @cached_property
+    def _tables_by_time(self) -> dict:
+        return {}
+
     def log_weight_gap(self, means: np.ndarray, t: float) -> np.ndarray:
         """log(w_+ / w_-) at configurations given by their block means
-        (n, n_blocks); twice the kernel's log-modulus gap."""
-        tab = self.block_tables(np.array([t]))
+        (n, n_blocks); twice the kernel's log-modulus gap.  The tables of
+        each time are built once per model, so classifying an ensemble one
+        point at a time does not rebuild them."""
+        tab = self._tables_by_time.get(t)
+        if tab is None:
+            tab = self._tables_by_time[t] = self.block_tables(np.array([t]))
         return 2.0 * _kernels.branch_gaps(np.atleast_2d(means), tab, 0)[0]
 
     def velocities(self, points: np.ndarray, t: float) -> np.ndarray:

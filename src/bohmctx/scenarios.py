@@ -21,8 +21,6 @@ from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
 from .grids import SpatialGrid
 from .guidance import (VelocityModel, VelocityStacks, build_stacks,
                        current_and_density, _interp)
-# classify_point is no longer called here; the name stays because
-# perfbench/tracer.py wraps it in this module
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       UNRESOLVED, classify_point, integrate_pointer_ensemble,
                       labels_from_log_ratio, predictor_block_sum,
@@ -147,9 +145,8 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     det_init = np.column_stack([x_at_sep, y0])
     det_res = integrate_pointer_ensemble(det_model, det_init, cfg.dt_traj,
                                          record_stride=stride)
-    det_labels = labels_from_log_ratio(
-        det_model.log_weight_gap(det_res.means[:, -1], det_tau),
-        det_model.labels, cfg.ratio_threshold)
+    det_labels = [classify_point(p, det_tau, det_model, cfg.ratio_threshold)
+                  for p in det_res.final_points()]
     agree = [o == d for o, d in zip(outcomes, det_labels)
              if o != UNRESOLVED and d != UNRESOLVED]
 
@@ -483,13 +480,15 @@ def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
                           scenario: str) -> EnsembleReport:
     init = sample_model_equilibrium(model, n, seed)
     res = integrate_pointer_ensemble(model, init, dt, record_stride)
-    gap = model.log_weight_gap(res.means[:, -1], model.T)
-    outcomes = labels_from_log_ratio(gap, model.labels, ratio_threshold)
+    ends = res.final_points()
+    T = model.T
+    outcomes = [classify_point(p, T, model, ratio_threshold) for p in ends]
     # sensitivity of the unresolved fraction to the classification threshold
-    sensitivity = {
-        f"x{factor:g}": int(np.count_nonzero(
-            np.abs(gap) < math.log(ratio_threshold * factor))) / n
-        for factor in (0.1, 1.0, 10.0)}
+    sensitivity = {}
+    for factor in (0.1, 1.0, 10.0):
+        labels = [classify_point(p, T, model, ratio_threshold * factor)
+                  for p in ends]
+        sensitivity[f"x{factor:g}"] = labels.count(UNRESOLVED) / n
     slices = model.block_slices()
     predictions = {"system": [predictor_system(init[i, 0], model)
                               for i in range(n)]}
