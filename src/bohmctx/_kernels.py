@@ -1,16 +1,19 @@
 """Hot trajectory-integration kernels, vectorized over the ensemble in numpy.
 
-All kernels integrate classical RK4.  The grid kernels follow an
-interpolated Bohmian velocity field, one coordinate per trajectory and
-dimension.  The pointer kernel follows the closed-form velocity of the
-branched-Gaussian model, where all coordinates of a block move together, so
-it integrates one coordinate per block (the block mean) whatever the block
-sizes.  Node handling: when the local density (or the branched-Gaussian
+All kernels integrate classical RK4.  The grid kernel follows an
+interpolated Bohmian velocity field in 1D or 2D, one coordinate per
+trajectory and dimension; each RK4 stage builds the flat indices of the
+cell corners in the two bracketing frames once and gathers each stored
+field with one `take`.  The pointer kernel follows the closed-form velocity
+of the branched-Gaussian model, where all coordinates of a block move
+together, so it integrates one coordinate per block (the block mean)
+whatever the block sizes.  Node handling: when the local density (or the branched-Gaussian
 denominator) falls below threshold, the trajectory reuses its last finite
 velocity and the event is counted.  Trajectories never share mutable state,
 so results are independent of thread count and scheduling.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,147 +24,104 @@ NODE_ABS_FLOOR = 1e-300  # hard underflow floor for denominators
 
 
 # ---------------------------------------------------------------------------
-# Grid-frame kernels: velocity v = G/rho with G and rho linearly interpolated
+# Grid-frame kernel: velocity v = G/rho with G and rho linearly interpolated
 # in time between stored frames and linearly (1D) / bilinearly (2D) in space.
+# Every field is one contiguous (F, *grid) stack.  A stage builds the flat
+# indices of the 2**dims cell corners in frames f0 and f0 + 1, and their
+# interpolation weights, once; each field is then one `take` and one
+# weighted sum over those corners.
 # ---------------------------------------------------------------------------
 
-def grid_rk4_1d(x0, rho, g, peaks, t0, frame_dt, x_min, dx, node_rel, dt,
-                n_steps, rec_stride):
-    n = x0.shape[0]
-    n_frames, nx = rho.shape
-    x_max = x_min + nx * dx
-    n_rec = n_steps // rec_stride + 1
+def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
+                  node_rel):
+    """Velocity (dims, n) at points q (dims, n) and time t, and node flags.
 
-    rec = np.empty((n, n_rec), dtype=np.float64)
+    fields = (rho, G_0, ..., G_dims-1), each (F, *grid.shape) and
+    C-contiguous, with frame peaks (F,) of rho; lo and step (dims, 1) are
+    the grid's x_min and dx (periodic axes).  Where the interpolated rho
+    falls below node_rel times the interpolated peak, the point takes vprev.
+    """
+    dims, n = q.shape
+    n_frames, *shape = fields[0].shape
+    ft = (t - t0) / frame_dt
+    f0 = min(max(math.floor(ft + 1e-12), 0), n_frames - 2)
+    w = ft - f0
+    s = (q - lo) / step
+    i0 = np.floor(s)
+    frac = s - i0
+    i0 = i0.astype(np.int64)
+    # flat offsets within a frame (C order) of the 2**dims cell corners and
+    # their weights, one axis of length 2 (lower, upper) per grid axis
+    for ax, n_ax in enumerate(shape):
+        lower = i0[ax] % n_ax
+        corners = np.array([lower, (lower + 1) % n_ax])
+        weights = np.array([1 - frac[ax], frac[ax]])
+        if ax == 0:
+            idx, wts = corners, weights
+        else:
+            idx = idx[..., None, :] * n_ax + corners
+            wts = wts[..., None, :] * weights
+    # the same corners in frames f0 and f0 + 1, weighted linearly in time
+    size = fields[0][0].size
+    idx = np.concatenate([idx + f0 * size, idx + (f0 + 1) * size])
+    wts = np.concatenate([(1 - w) * wts, w * wts])
+    idx, wts = idx.reshape(-1, n), wts.reshape(-1, n)
+    rho_i, *g_i = [(f.take(idx) * wts).sum(axis=0) for f in fields]
+    peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
+    node = rho_i < max(node_rel * peak, NODE_ABS_FLOOR)
+    v = np.array(g_i) / np.where(node, 1.0, rho_i)
+    return np.where(node, vprev, v), node
+
+
+def grid_rk4(q0, fields, peaks, t0, frame_dt, lo, step, node_rel, dt,
+             n_steps, rec_stride):
+    """RK4 of points q0 (n, dims) under `grid_velocity`.
+
+    Returns the recorded points (n, n_rec, dims), per-record node flags,
+    per-trajectory node counts, failure flags and exit times.  A trajectory
+    that leaves the grid is clamped inside it, marked failed and no longer
+    moved.
+    """
+    n, dims = q0.shape
+    lo = np.asarray(lo, dtype=np.float64).reshape(dims, 1)
+    step = np.asarray(step, dtype=np.float64).reshape(dims, 1)
+    hi = lo + np.reshape(fields[0].shape[1:], (dims, 1)) * step
+    n_rec = n_steps // rec_stride + 1
+    args = (fields, peaks, t0, frame_dt, lo, step, node_rel)
+
+    rec = np.empty((n, n_rec, dims), dtype=np.float64)
     reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
     node_counts = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=np.bool_)
     exit_times = np.full(n, np.nan)
 
-    x = x0.astype(np.float64)
-    vprev = np.zeros(n)
-    rec[:, 0] = x
+    # coordinates on the leading axis, so each one is a contiguous row
+    q = np.ascontiguousarray(q0.T, dtype=np.float64)
+    vprev = np.zeros((dims, n))
+    rec[:, 0, :] = q.T
     step_events = np.zeros(n, dtype=np.int64)
 
-    def velocity(xq, t):
-        ft = (t - t0) / frame_dt
-        f0 = min(max(int(np.floor(ft + 1e-12)), 0), n_frames - 2)
-        w = ft - f0
-        s = (xq - x_min) / dx
-        i0 = np.floor(s).astype(np.int64)
-        frac = s - i0
-        i0 = i0 % nx
-        i1 = (i0 + 1) % nx
-        rho_i = ((1 - w) * (rho[f0, i0] * (1 - frac) + rho[f0, i1] * frac)
-                 + w * (rho[f0 + 1, i0] * (1 - frac) + rho[f0 + 1, i1] * frac))
-        g_i = ((1 - w) * (g[f0, i0] * (1 - frac) + g[f0, i1] * frac)
-               + w * (g[f0 + 1, i0] * (1 - frac) + g[f0 + 1, i1] * frac))
-        peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
-        node = rho_i < max(node_rel * peak, NODE_ABS_FLOOR)
-        v = np.where(node, vprev, g_i / np.where(node, 1.0, rho_i))
-        return v, node
-
-    for step in range(n_steps):
-        t = t0 + step * dt
+    for i in range(n_steps):
+        t = t0 + i * dt
         alive = ~failed
-        k1, n1 = velocity(x, t)
-        k2, n2 = velocity(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3, n3 = velocity(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4, n4 = velocity(x + dt * k3, t + dt)
-        nodes = (n1.astype(np.int64) + n2 + n3 + n4)
-        step_events += np.where(alive, nodes, 0)
-        node_counts += np.where(alive, nodes, 0)
+        k1, n1 = grid_velocity(q, t, vprev, *args)
+        k2, n2 = grid_velocity(q + 0.5 * dt * k1, t + 0.5 * dt, vprev, *args)
+        k3, n3 = grid_velocity(q + 0.5 * dt * k2, t + 0.5 * dt, vprev, *args)
+        k4, n4 = grid_velocity(q + dt * k3, t + dt, vprev, *args)
+        nodes = np.where(alive, n1.astype(np.int64) + n2 + n3 + n4, 0)
+        step_events += nodes
+        node_counts += nodes
         vprev = np.where(n4 | ~alive, vprev, k4)
-        x_new = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = np.where(alive, x_new, x)
-        out = alive & ((x < x_min) | (x >= x_max))
+        q_new = q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        q = np.where(alive, q_new, q)
+        out = alive & np.any((q < lo) | (q >= hi), axis=0)
         if np.any(out):
             failed |= out
             exit_times[out] = t + dt
-            x = np.where(out, np.clip(x, x_min, x_max - dx * 1e-9), x)
-        if (step + 1) % rec_stride == 0:
-            r = (step + 1) // rec_stride
-            rec[:, r] = x
-            reg_flags[:, r] = step_events > 0
-            step_events[:] = 0
-    return rec, reg_flags, node_counts, failed, exit_times
-
-
-def grid_rk4_2d(x0, rho, gy, gz, peaks, t0, frame_dt, y_min, dy, z_min, dz,
-                node_rel, dt, n_steps, rec_stride):
-    n = x0.shape[0]
-    n_frames, ny, nz = rho.shape
-    y_max = y_min + ny * dy
-    z_max = z_min + nz * dz
-    n_rec = n_steps // rec_stride + 1
-
-    rec = np.empty((n, n_rec, 2), dtype=np.float64)
-    reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
-    node_counts = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=np.bool_)
-    exit_times = np.full(n, np.nan)
-
-    q = x0.astype(np.float64)
-    vprev = np.zeros((n, 2))
-    rec[:, 0, :] = q
-    step_events = np.zeros(n, dtype=np.int64)
-
-    def bilinear(arr, j0, j1, i0, i1, fy, fz):
-        return (arr[j0, i0] * (1 - fy) * (1 - fz) + arr[j1, i0] * fy * (1 - fz)
-                + arr[j0, i1] * (1 - fy) * fz + arr[j1, i1] * fy * fz)
-
-    def velocity(qq, t):
-        ft = (t - t0) / frame_dt
-        f0 = min(max(int(np.floor(ft + 1e-12)), 0), n_frames - 2)
-        w = ft - f0
-        sy = (qq[:, 0] - y_min) / dy
-        sz = (qq[:, 1] - z_min) / dz
-        j0 = np.floor(sy).astype(np.int64)
-        i0 = np.floor(sz).astype(np.int64)
-        fy = sy - j0
-        fz = sz - i0
-        j0 = j0 % ny
-        i0 = i0 % nz
-        j1 = (j0 + 1) % ny
-        i1 = (i0 + 1) % nz
-        out = np.empty((n, 2))
-        rho_i = ((1 - w) * bilinear(rho[f0], j0, j1, i0, i1, fy, fz)
-                 + w * bilinear(rho[f0 + 1], j0, j1, i0, i1, fy, fz))
-        gy_i = ((1 - w) * bilinear(gy[f0], j0, j1, i0, i1, fy, fz)
-                + w * bilinear(gy[f0 + 1], j0, j1, i0, i1, fy, fz))
-        gz_i = ((1 - w) * bilinear(gz[f0], j0, j1, i0, i1, fy, fz)
-                + w * bilinear(gz[f0 + 1], j0, j1, i0, i1, fy, fz))
-        peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
-        node = rho_i < np.maximum(node_rel * peak, NODE_ABS_FLOOR)
-        den = np.where(node, 1.0, rho_i)
-        out[:, 0] = np.where(node, vprev[:, 0], gy_i / den)
-        out[:, 1] = np.where(node, vprev[:, 1], gz_i / den)
-        return out, node
-
-    for step in range(n_steps):
-        t = t0 + step * dt
-        alive = ~failed
-        k1, n1 = velocity(q, t)
-        k2, n2 = velocity(q + 0.5 * dt * k1, t + 0.5 * dt)
-        k3, n3 = velocity(q + 0.5 * dt * k2, t + 0.5 * dt)
-        k4, n4 = velocity(q + dt * k3, t + dt)
-        nodes = (n1.astype(np.int64) + n2 + n3 + n4)
-        step_events += np.where(alive, nodes, 0)
-        node_counts += np.where(alive, nodes, 0)
-        keep = (n4 | ~alive)[:, None]
-        vprev = np.where(keep, vprev, k4)
-        q_new = q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q = np.where(alive[:, None], q_new, q)
-        out_now = alive & ((q[:, 0] < y_min) | (q[:, 0] >= y_max)
-                           | (q[:, 1] < z_min) | (q[:, 1] >= z_max))
-        if np.any(out_now):
-            failed |= out_now
-            exit_times[out_now] = t + dt
-            q[:, 0] = np.clip(q[:, 0], y_min, y_max - dy * 1e-9)
-            q[:, 1] = np.clip(q[:, 1], z_min, z_max - dz * 1e-9)
-        if (step + 1) % rec_stride == 0:
-            r = (step + 1) // rec_stride
-            rec[:, r, :] = q
+            q = np.where(out, np.clip(q, lo, hi - step * 1e-9), q)
+        if (i + 1) % rec_stride == 0:
+            r = (i + 1) // rec_stride
+            rec[:, r, :] = q.T
             reg_flags[:, r] = step_events > 0
             step_events[:] = 0
     return rec, reg_flags, node_counts, failed, exit_times

@@ -7,12 +7,13 @@ thread count of the numerical libraries.
 """
 
 import argparse
-import csv
 import json
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, _kernels, analysis, svgplot
 from .config import (ScenarioConfig, config_from_mapping, load_config,
@@ -195,13 +196,12 @@ def _attributable(report: EnsembleReport) -> bool:
 
 def _write_overlaps_csv(path: Path, series: dict) -> None:
     names = [k for k in series if k != "t"]
-    ts = series["t"]
+    columns = [np.asarray(series[k], dtype=float).tolist()
+               for k in ("t", *names)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *names])
-        for i, t in enumerate(ts):
-            writer.writerow([repr(float(t)),
-                             *(repr(float(series[k][i])) for k in names)])
+        fh.write(",".join(["t", *names]) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in zip(*columns))
 
 
 def _write_plots(report: EnsembleReport, out_dir: Path) -> list[Path]:

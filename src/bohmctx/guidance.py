@@ -1,7 +1,9 @@
 """Bohmian velocity fields over grid wavefunctions.
 
-Per frame we differentiate the wavefunction spectrally once and keep the
-probability density rho and the velocity-current G (with v = G / rho):
+Per frame we differentiate the wavefunction spectrally once (one scipy.fft
+transform pair over the grid axes, batched over the spinor components and
+the gradient axes) and keep the probability density rho and the
+velocity-current G (with v = G / rho):
 
     scalar:  rho = |psi|^2,            G = (hbar/m) Im(psi* grad psi)
     spinor:  rho = |u|^2 + |d|^2,      G = (hbar/m) Im(u* grad u + d* grad d)
@@ -32,15 +34,20 @@ class VelocityModel:
     ALL = (SCALAR, SPINOR, SPINOR_GORDON)
 
 
-def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> list[np.ndarray]:
-    ft = np.fft.fftn(values)
-    grads = []
+def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Gradient of values (..., *grid.shape) over the grid axes, stacked
+    (dims, ..., *grid.shape); leading axes are batched through one
+    transform pair."""
+    from scipy import fft
+
+    axes = tuple(range(-grid.dims, 0))
+    ft = fft.fftn(values, axes=axes)
+    ik = []
     for ax in range(grid.dims):
-        k = grid.wavenumbers(ax)
         shape = [1] * grid.dims
-        shape[ax] = len(k)
-        grads.append(np.fft.ifftn(1j * k.reshape(shape) * ft))
-    return grads
+        shape[ax] = grid.n_points[ax]
+        ik.append(1j * grid.wavenumbers(ax).reshape(shape) * ft)
+    return fft.ifftn(np.stack(ik), axes=axes, overwrite_x=True)
 
 
 def current_and_density(state: FieldLike, model: str,
@@ -54,9 +61,9 @@ def current_and_density(state: FieldLike, model: str,
             raise ConfigError("scalar guidance cannot consume spinor frames")
         u, d = state.up.values, state.down.values
         rho = np.abs(u) ** 2 + np.abs(d) ** 2
-        gu = _spectral_gradient(u, grid)
-        gd = _spectral_gradient(d, grid)
-        g = [scale * (np.conj(u) * gu[ax] + np.conj(d) * gd[ax]).imag
+        grads = _spectral_gradient(np.stack([u, d]), grid)
+        g = [scale * (np.conj(u) * grads[ax, 0]
+                      + np.conj(d) * grads[ax, 1]).imag
              for ax in range(grid.dims)]
         if model == VelocityModel.SPINOR_GORDON:
             g_y, g_z = gordon_current(state, units)

@@ -20,7 +20,7 @@ from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
                      spatial_overlap, GaussianPacketSpec)
 from .grids import SpatialGrid
 from .guidance import (VelocityModel, VelocityStacks, build_stacks,
-                       current_and_density, _interp)
+                       current_and_density, gordon_current, _interp)
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       UNRESOLVED, classify_point, integrate_pointer_ensemble,
                       labels_from_log_ratio, predictor_block_sum,
@@ -256,12 +256,33 @@ def run_stern_gerlach(cfg: SternGerlachConfig, units: UnitsConfig = DEFAULT_UNIT
     return _run_stern_gerlach_1d(cfg, units)
 
 
-def _sg_initial_1d(cfg, grid, units) -> SpinorField:
+def _sg_initial_1d(cfg, units) -> SpinorField:
+    grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
     g = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0), units)
     beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
     up = ComplexField(grid, cfg.alpha * g.values)
     down = ComplexField(grid, beta * g.values)
     return SpinorField(up, down)
+
+
+def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
+                     units) -> tuple:
+    """Propagation result and convective velocity stacks of the 1D run
+    under the given field gradient."""
+    pot = PotentialSpec.linear_spin_dependent(gradient, cfg.offset)
+    prop = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
+                     frame_stride=cfg.frame_stride)
+    return prop, build_stacks(prop.frames, prop.times, VelocityModel.SPINOR,
+                              units)
+
+
+def _sg_z_cdf(final: SpinorField):
+    """CDF of the final density's marginal on z, the last grid axis."""
+    grid = final.grid
+    rho = final.density()
+    if grid.dims == 2:
+        rho = rho.sum(axis=0)
+    return grid_cdf(grid.axis(grid.dims - 1), rho, grid.dx[-1])
 
 
 def _sg_outcome_labels(final: SpinorField, points: np.ndarray,
@@ -298,18 +319,13 @@ def _sg_check_separation(cfg, final: SpinorField) -> None:
 
 def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
                           ) -> EnsembleReport:
-    grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
-    spinor0 = _sg_initial_1d(cfg, grid, units)
+    spinor0 = _sg_initial_1d(cfg, units)
     sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
     z0 = sample.positions[:, 0]
 
     def one_run(gradient: float):
-        pot = PotentialSpec.linear_spin_dependent(gradient, cfg.offset)
-        prop = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
-                         frame_stride=cfg.frame_stride)
+        prop, stacks = _sg_propagate_1d(cfg, spinor0, gradient, units)
         _sg_check_separation(cfg, prop.final)
-        stacks = build_stacks(prop.frames, prop.times, VelocityModel.SPINOR,
-                              units)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1] for tr in trajs])
         outcomes = _sg_outcome_labels(prop.final, ends, cfg.ratio_threshold)
@@ -332,8 +348,7 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
     swapped = all(o == _flip(t) for o, t, _, _ in both) if both else True
     same_side = all((e > 0) == (te > 0) for _, _, e, te in both) if both else True
 
-    ks = _maybe_ks(ends[:, 0], grid_cdf(grid.axis(0),
-                                        prop.final.density(), grid.dx[0]))
+    ks = _maybe_ks(ends[:, 0], _sg_z_cdf(prop.final))
     crossings = analysis.audit_trajectories(trajs)
     node_counts = np.array([tr.node_regularization_events for tr in trajs])
 
@@ -361,10 +376,11 @@ def _flip(label: str) -> str:
     return "-" if label == "+" else "+"
 
 
-def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
-                          ) -> EnsembleReport:
-    """(y, z) grid with the Gordon velocity correction available; stacks are
-    built frame-by-frame during propagation to bound memory."""
+def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
+    """Initial spinor, final state, branch overlap series and the velocity
+    stacks with and without the Gordon term on the (y, z) grid.  The stacks
+    are filled frame by frame during propagation to bound memory, from one
+    spinor current/density pass per frame plus the spin-curl current."""
     grid = SpatialGrid.plane(cfg.grid_n_y, (-cfg.grid_half_width_y, cfg.grid_half_width_y),
                              cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
     g2 = make_gaussian(grid, GaussianPacketSpec.make(
@@ -387,11 +403,10 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
         f = step // cfg.frame_stride
         times[f] = t
         r, cur = current_and_density(state, VelocityModel.SPINOR, units)
-        _, cur_g = current_and_density(state, VelocityModel.SPINOR_GORDON, units)
         rho[f] = r
-        for ax in range(2):
+        for ax, curl in enumerate(gordon_current(state, units)):
             g_conv[ax][f] = cur[ax]
-            g_gordon[ax][f] = cur_g[ax]
+            g_gordon[ax][f] = cur[ax] + curl
         branch_overlap[f] = abs(overlap(state.up, state.down)) \
             / max(norm(state.up) * norm(state.down), 1e-300)
         if step == cfg.n_steps:
@@ -399,12 +414,19 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
 
     propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
               frame_stride=cfg.frame_stride, observer=observer)
-    final = finals[0]
-    _sg_check_separation(cfg, final)
-
     peaks = rho.reshape(n_frames, -1).max(axis=1)
-    stacks_off = VelocityStacks(grid, times, rho, g_conv, peaks)
-    stacks_on = VelocityStacks(grid, times, rho, g_gordon, peaks)
+    return (spinor0, finals[0], branch_overlap,
+            VelocityStacks(grid, times, rho, g_gordon, peaks),
+            VelocityStacks(grid, times, rho, g_conv, peaks))
+
+
+def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
+                          ) -> EnsembleReport:
+    """(y, z) grid; trajectories follow the flow with the Gordon term, and
+    the same initial positions under the flow without it are the audit."""
+    spinor0, final, branch_overlap, stacks_on, stacks_off = \
+        _sg_setup_2d(cfg, units)
+    _sg_check_separation(cfg, final)
 
     sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
     z0 = sample.positions[:, 1]
@@ -423,15 +445,14 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
     both = [(o, f, e, fe) for o, f, e, fe
             in zip(outcomes, outcomes_off, ends_on[:, 1], ends_off[:, 1])
             if o != UNRESOLVED and f != UNRESOLVED]
-    z_final_ref = grid_cdf(grid.axis(1), final.density().sum(axis=0), grid.dx[1])
-    ks = _maybe_ks(ends_on[:, 1], z_final_ref)
+    ks = _maybe_ks(ends_on[:, 1], _sg_z_cdf(final))
     node_counts = np.array([tr.node_regularization_events for tr in trajs_on])
 
     report = EnsembleReport(
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=z0,
-        overlap_series={"t": times, "branch": branch_overlap},
+        overlap_series={"t": stacks_on.times, "branch": branch_overlap},
         node_counts=node_counts,
         audits={"equivariance_ks": ks,
                 "failed_trajectories": sum(1 for tr in trajs_on if tr.failed),
@@ -666,22 +687,17 @@ def run_born_check(cfg: ScenarioConfig, n: int,
                                          prop.final.density(), grid.dx[0]))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
-        grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width,
-                                cfg.grid_half_width)
-        spinor0 = _sg_initial_1d(cfg, grid, units)
-        prop = propagate(spinor0,
-                         PotentialSpec.linear_spin_dependent(cfg.gradient,
-                                                             cfg.offset),
-                         cfg.dt, cfg.n_steps, units,
-                         frame_stride=cfg.frame_stride)
+        if cfg.gordon:
+            spinor0, final, _, stacks, _ = _sg_setup_2d(cfg, units)
+        else:
+            spinor0 = _sg_initial_1d(cfg, units)
+            prop, stacks = _sg_propagate_1d(cfg, spinor0, cfg.gradient, units)
+            final = prop.final
         sample = sample_equilibrium(spinor0, n, cfg.seed)
-        stacks = build_stacks(prop.frames, prop.times, VelocityModel.SPINOR,
-                              units)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
-        ends = np.array([tr.points[-1, 0] for tr in trajs])
-        ks = born_rule_ks(ends, grid_cdf(grid.axis(0),
-                                         prop.final.density(), grid.dx[0]))
-        return {"scenario": "stern_gerlach", "n": n, "ks": ks}
+        ends = np.array([tr.points[-1, -1] for tr in trajs])
+        return {"scenario": "stern_gerlach", "n": n,
+                "ks": born_rule_ks(ends, _sg_z_cdf(final))}
     if isinstance(cfg, OpticalSGConfig):
         model = build_optical_sg_model(cfg, int(cfg.N_sweep[-1]), units).block_model()
         return _pointer_born_check(model, cfg, n, "optical_sg")

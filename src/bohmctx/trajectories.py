@@ -6,7 +6,6 @@ to the vectorized numpy kernels in `_kernels`; every trajectory is
 independent, so results are identical for any thread count.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,17 +75,10 @@ def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
         if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
             raise ConfigError("initial position outside the grid domain")
 
-    if grid.dims == 1:
-        rec, flags, counts, failed, exits = _kernels.grid_rk4_1d(
-            pts[:, 0], stacks.rho, stacks.g[0], stacks.peaks,
-            t0, frame_dt, grid.x_min[0], grid.dx[0], NODE_DENSITY_REL,
-            dt_traj, n_steps, record_stride)
-        rec = rec[:, :, None]
-    else:
-        rec, flags, counts, failed, exits = _kernels.grid_rk4_2d(
-            pts, stacks.rho, stacks.g[0], stacks.g[1], stacks.peaks,
-            t0, frame_dt, grid.x_min[0], grid.dx[0], grid.x_min[1], grid.dx[1],
-            NODE_DENSITY_REL, dt_traj, n_steps, record_stride)
+    rec, flags, counts, failed, exits = _kernels.grid_rk4(
+        pts, (stacks.rho, *stacks.g), stacks.peaks, t0, frame_dt,
+        grid.x_min, grid.dx, NODE_DENSITY_REL, dt_traj, n_steps,
+        record_stride)
 
     rec_times = t0 + dt_traj * record_stride * np.arange(rec.shape[1])
     out = []
@@ -109,19 +101,25 @@ def endpoints(trajectories: list[Trajectory], axis: int = 0) -> np.ndarray:
 def write_trajectories_csv(path, trajectories: list[Trajectory],
                            coord_names: list[str] | None = None,
                            stride: int = 1) -> None:
-    """CSV schema: trajectory_id, t, <coordinates...>, regularized_flag."""
+    """CSV schema: trajectory_id, t, <coordinates...>, regularized_flag.
+
+    Values are written with repr, so they read back exactly; rows end in
+    CRLF, as the csv module writes them.  One write per trajectory keeps
+    memory flat in the table size."""
     if not trajectories:
         raise ConfigError("no trajectories to write")
     dims = trajectories[0].points.shape[1]
     names = coord_names or ([f"c{i}" for i in range(dims)] if dims > 2
                             else (["x"] if dims == 1 else ["y", "z"]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trajectory_id", "t", *names, "regularized_flag"])
+        fh.write(",".join(["trajectory_id", "t", *names, "regularized_flag"])
+                 + "\r\n")
         for tid, traj in enumerate(trajectories):
-            flags = traj.regularized_flags
-            for r in range(0, len(traj.times), stride):
-                flag = int(bool(flags[r])) if flags is not None else 0
-                writer.writerow([tid, repr(float(traj.times[r])),
-                                 *(repr(float(v)) for v in traj.points[r]),
-                                 flag])
+            times = traj.times[::stride].tolist()
+            points = traj.points[::stride].tolist()
+            flags = (["0"] * len(times) if traj.regularized_flags is None
+                     else ["1" if f else "0"
+                           for f in traj.regularized_flags[::stride].tolist()])
+            fh.write("".join(
+                f"{tid},{t!r},{','.join(map(repr, p))},{f}\r\n"
+                for t, p, f in zip(times, points, flags)))

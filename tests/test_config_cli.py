@@ -1,11 +1,14 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bohmctx import ConfigError
+from bohmctx.cli import _write_overlaps_csv
 from bohmctx.config import (CONFIG_TYPES, DEFAULTS, config_from_mapping,
                             config_to_mapping, load_config, parse_config_text,
                             serialize_config)
@@ -188,3 +191,19 @@ def test_cli_born_check(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["born_check"]["n"] >= 2000
     assert summary["born_check"]["ks"] < 0.05
+
+
+def test_overlaps_csv_matches_csv_module(tmp_path):
+    rng = np.random.default_rng(4)
+    series = {"t": np.linspace(0.0, 1.0, 7), "system": rng.random(7),
+              "apparatus": list(rng.random(7) * 1e-300)}
+    _write_overlaps_csv(tmp_path / "got.csv", series)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "system", "apparatus"])
+        for i, t in enumerate(series["t"]):
+            writer.writerow([repr(float(t)),
+                             *(repr(float(series[k][i]))
+                               for k in ("system", "apparatus"))])
+    assert (tmp_path / "got.csv").read_bytes() \
+        == (tmp_path / "want.csv").read_bytes()

@@ -11,7 +11,8 @@ from bohmctx import GaussianPacketSpec, PotentialSpec, make_gaussian, propagate
 from bohmctx import _kernels
 from bohmctx.config import AncillaChainConfig, OpticalSGConfig
 from bohmctx.grids import SpatialGrid
-from bohmctx.guidance import VelocityModel, build_stacks
+from bohmctx.guidance import (NODE_DENSITY_REL, VelocityModel, _interp,
+                              build_stacks)
 from bohmctx.pointer import (POINTER_NODE_THRESH, BlockModel, CoordinateBlock,
                              integrate_pointer_ensemble,
                              sample_model_equilibrium)
@@ -50,6 +51,65 @@ def test_record_stride_times(stacks_1d):
     trajs = integrate_over_stacks(stacks_1d, np.array([0.3]), 0.005,
                                   record_stride=20)
     assert np.allclose(trajs[0].times, 0.1 * np.arange(11))
+
+
+# -- grid kernel ---------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [
+    SpatialGrid.line(64, -4.0, 4.0),
+    SpatialGrid.plane(64, (-4.0, 4.0), 96, (-6.0, 6.0)),
+], ids=["1d", "2d"])
+def test_grid_stage_velocity_matches_interp(grid):
+    # the flat-gather stage velocity against G/rho, each interpolated in
+    # time between the bilinear (linear) `_interp` values of two frames
+    rng = np.random.default_rng(grid.dims)
+    n_frames, t0, frame_dt = 5, 0.3, 0.25
+    shape = (n_frames,) + grid.shape
+    rho = rng.uniform(0.5, 1.5, shape)
+    g = [rng.standard_normal(shape) for _ in range(grid.dims)]
+    peaks = rho.reshape(n_frames, -1).max(axis=1)
+    lo = np.reshape(grid.x_min, (-1, 1))
+    step = np.reshape(grid.dx, (-1, 1))
+    inside = rng.uniform(grid.x_min, grid.x_max, (20, grid.dims))
+    # the last cell on each axis interpolates across the periodic wrap
+    last = rng.uniform(np.subtract(grid.x_max, grid.dx), grid.x_max,
+                       (6, grid.dims))
+    mixed = np.column_stack([inside[:6, 0], last[:, -1]]) if grid.dims == 2 \
+        else last[:0]
+    pts = np.concatenate([inside, last, mixed])
+    vprev = np.full((grid.dims, len(pts)), 99.0)
+    for ft in (0.0, 1.0, 1.5, 2.37, 3.0, n_frames - 1.0):
+        t = t0 + ft * frame_dt
+        f0 = min(int(np.floor(ft + 1e-12)), n_frames - 2)
+        w = ft - f0
+
+        def expect(arr):
+            return ((1 - w) * _interp(grid, arr[f0], pts)
+                    + w * _interp(grid, arr[f0 + 1], pts))
+
+        v, node = _kernels.grid_velocity(pts.T, t, vprev, (rho, *g), peaks,
+                                         t0, frame_dt, lo, step,
+                                         NODE_DENSITY_REL)
+        want = np.array([expect(gi) for gi in g]) / expect(rho)
+        assert not node.any()
+        assert np.abs(v - want).max() <= 1e-12
+
+
+def test_grid_stage_velocity_node_keeps_vprev():
+    grid = SpatialGrid.plane(64, (-4.0, 4.0), 64, (-4.0, 4.0))
+    rho = np.ones((2,) + grid.shape)
+    rho[:, 10, 20] = 0.0  # a density zero at one grid node in both frames
+    g = [np.ones_like(rho), np.ones_like(rho)]
+    pts = np.array([[grid.axis(0)[10], grid.axis(1)[20]], [0.1, 0.2]])
+    vprev = np.array([[0.25, 7.0], [-1.5, 7.0]])
+    v, node = _kernels.grid_velocity(pts.T, 0.5, vprev, (rho, *g),
+                                     np.ones(2), 0.0, 1.0,
+                                     np.reshape(grid.x_min, (-1, 1)),
+                                     np.reshape(grid.dx, (-1, 1)),
+                                     NODE_DENSITY_REL)
+    assert node.tolist() == [True, False]
+    assert np.array_equal(v[:, 0], vprev[:, 0])
+    assert np.abs(v[:, 1] - 1.0).max() <= 1e-12
 
 
 # -- block-collective pointer kernel ------------------------------------------

@@ -6,9 +6,12 @@ import pytest
 from bohmctx import (ConfigError, GaussianPacketSpec, SeparationError,
                      make_gaussian, scenarios)
 from bohmctx.analysis import determinant_attribution, predictor_accuracy
+from bohmctx.guidance import VelocityModel, build_stacks
+from bohmctx.propagation import PotentialSpec, propagate
 from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
                             OpticalSGConfig, SternGerlachConfig)
 from bohmctx.report import _plain
+from bohmctx.units import DEFAULT_UNITS
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
@@ -163,6 +166,39 @@ def test_born_check_grid_scenario():
     res = run_born_check(SternGerlachConfig(seed=3), 500)
     assert res["scenario"] == "stern_gerlach"
     assert res["ks"] < 0.08  # loose bound at n=500; tight one in acceptance
+
+
+def _small_gordon_config(n):
+    return SternGerlachConfig(gordon=True, n=n, seed=3, grid_n_y=64,
+                              grid_n_z=256, dt=0.008, n_steps=250)
+
+
+def test_sg_2d_setup_stacks_match_build_stacks():
+    # the one-pass observer (spinor current plus the spin-curl term) fills
+    # the same stacks as build_stacks over stored frames, Gordon on and off
+    cfg = _small_gordon_config(10)
+    spinor0, final, _, on, off = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    prop = propagate(spinor0, PotentialSpec.linear_spin_dependent(
+        cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
+        frame_stride=cfg.frame_stride)
+    assert np.array_equal(final.up.values, prop.final.up.values)
+    for stacks, model in ((on, VelocityModel.SPINOR_GORDON),
+                          (off, VelocityModel.SPINOR)):
+        ref = build_stacks(prop.frames, prop.times, model)
+        assert np.array_equal(stacks.times, ref.times)
+        assert np.array_equal(stacks.peaks, ref.peaks)
+        for got, want in zip((stacks.rho, *stacks.g), (ref.rho, *ref.g)):
+            for f in range(len(ref.times)):
+                scale = np.abs(want[f]).max()
+                assert np.abs(got[f] - want[f]).max() <= 1e-12 * scale
+
+
+def test_born_check_gordon_matches_run():
+    # born-check of a Gordon config integrates the run's 2D Gordon-on flow
+    cfg = _small_gordon_config(100)
+    run = run_stern_gerlach(cfg)
+    checked = run_born_check(cfg, 100)
+    assert checked["ks"] == run.audits["equivariance_ks"]
 
 
 def test_born_check_uses_configured_beam_splitter_state(monkeypatch):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -8,7 +10,9 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
 from bohmctx.analysis import audit_trajectories, grid_cdf
 from bohmctx.guidance import VelocityModel, build_stacks
 from bohmctx.sampling import EquilibriumSample
-from bohmctx.trajectories import integrate_over_stacks, endpoints
+from bohmctx.trajectories import (Trajectory, endpoints,
+                                  integrate_over_stacks,
+                                  write_trajectories_csv)
 
 
 def plane_wave_frames(grid, k, t_final, n_frames):
@@ -109,3 +113,36 @@ def test_2d_trajectories_free_gaussian():
                                    VelocityModel.SCALAR, init, dt_traj=0.005)
     # the packet center rides at (0.5, -0.5); the center trajectory follows
     assert np.abs(trajs[0].points[-1] - np.array([0.5, -0.5])).max() <= 1e-3
+
+
+def _csv_module_reference(path, trajectories, stride):
+    """The table written row by row through the csv module."""
+    names = ["x"] if trajectories[0].points.shape[1] == 1 else \
+        [f"c{i}" for i in range(trajectories[0].points.shape[1])]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trajectory_id", "t", *names, "regularized_flag"])
+        for tid, traj in enumerate(trajectories):
+            flags = traj.regularized_flags
+            for r in range(0, len(traj.times), stride):
+                flag = int(bool(flags[r])) if flags is not None else 0
+                writer.writerow([tid, repr(float(traj.times[r])),
+                                 *(repr(float(v)) for v in traj.points[r]),
+                                 flag])
+
+
+@pytest.mark.parametrize("dims", [1, 3])
+def test_trajectories_csv_matches_csv_module(tmp_path, dims):
+    rng = np.random.default_rng(dims)
+    trajs = []
+    for i in range(4):
+        pts = rng.standard_normal((11, dims)) * 10.0 ** rng.integers(-9, 9)
+        pts[2, 0] = np.nan if i == 1 else -0.0
+        flags = None if i == 2 else rng.random(11) < 0.4
+        trajs.append(Trajectory(0.1 * np.arange(11), pts,
+                                regularized_flags=flags))
+    for stride in (1, 3):
+        write_trajectories_csv(tmp_path / "got.csv", trajs, stride=stride)
+        _csv_module_reference(tmp_path / "want.csv", trajs, stride)
+        assert (tmp_path / "got.csv").read_bytes() \
+            == (tmp_path / "want.csv").read_bytes()
