@@ -87,12 +87,6 @@ def _cfg(scenario: str, key: str):
 
 
 @dataclass
-class OutputOptions:
-    trajectory_stride: int = OUTPUT_DEFAULTS["trajectory_stride"]
-    born_check_n: int = OUTPUT_DEFAULTS["born_check_n"]
-
-
-@dataclass
 class BeamSplitterConfig:
     scenario: str = "beam_splitter"
     seed: int = _cfg("beam_splitter", "seed")

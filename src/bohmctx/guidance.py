@@ -42,12 +42,12 @@ def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
     axes = tuple(range(-grid.dims, 0))
     ft = fft.fftn(values, axes=axes)
-    ik = []
+    ik = np.empty((grid.dims,) + ft.shape, dtype=ft.dtype)
     for ax in range(grid.dims):
         shape = [1] * grid.dims
         shape[ax] = grid.n_points[ax]
-        ik.append(1j * grid.wavenumbers(ax).reshape(shape) * ft)
-    return fft.ifftn(np.stack(ik), axes=axes, overwrite_x=True)
+        np.multiply(1j * grid.wavenumbers(ax).reshape(shape), ft, out=ik[ax])
+    return fft.ifftn(ik, axes=axes, overwrite_x=True)
 
 
 def current_and_density(state: FieldLike, model: str,

@@ -1,6 +1,5 @@
-"""Analytic branched-Gaussian measurement model in (1+N)-dimensional
-configuration space: one system coordinate x and N apparatus coordinates
-y_j, with exactly two branches.
+"""Analytic branched-Gaussian measurement model: a system coordinate x
+and blocks of apparatus-like coordinates, with exactly two branches.
 
 Each branch is a product of rigid normalized Gaussians with prescribed
 center schedules.  Every factor carries the local plane-wave phase
@@ -8,9 +7,15 @@ exp(i m cdot(t) (q - c(t)) / hbar), so the single-branch guidance velocity
 of each coordinate is exactly its center velocity.  All branch arithmetic
 runs in log space, which keeps N = 64 products well away from underflow.
 
-The same machinery supports extra coordinate blocks (used by the ancilla
-chain driver), so the model is internally a list of blocks; the two-block
-(system + apparatus) configuration is the pointer model proper.
+The one model type is BlockModel, a list of named coordinate blocks, and
+every function here takes one.  PointerModelConfig builds the pointer
+model proper from two Branch records: a "system" block of one coordinate
+and an "apparatus" block of N; the ancilla chain scenario adds a third block.
+The Gaussian pair overlap of one coordinate (complex_pair_overlap) feeds
+the overlap series and the x-marginal, and the x-marginal
+(x_marginal_density) is also the density the sampler inverts.  Both
+position predictors read the side of a sum against where branch + ends
+(_sum_predictor).
 
 Within a block the branch factors differ only in their centers and
 velocities, so the guidance velocity is the same for every coordinate of a
@@ -191,37 +196,25 @@ class BlockModel:
 # The pointer model proper (system + N-coordinate apparatus).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointerModelConfig:
-    N: int
-    apparatus_sigma: float
-    ramp: PiecewiseLinear  # a(t), apparatus displacement; a(0) = 0
-    branches: tuple[Branch, Branch]
-    T: float
-    units: UnitsConfig = DEFAULT_UNITS
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ConfigError("apparatus particle count must be >= 0")
-        if not self.apparatus_sigma > 0:
-            raise ConfigError("apparatus_sigma must be positive")
-        if abs(float(self.ramp.value(0.0))) > 1e-12:
-            raise ConfigError("the apparatus ramp must start at a(0) = 0")
-        a2 = sum(abs(b.amplitude) ** 2 for b in self.branches)
-        if abs(a2 - 1.0) > 1e-9:
-            raise ConfigError("branch amplitudes must satisfy |c+|^2+|c-|^2 = 1")
-
-    def block_model(self) -> BlockModel:
-        bp, bm = self.branches
-        system = CoordinateBlock("system", 1, bp.system_sigma,
-                                 (bp.system_center, bm.system_center))
-        if bp.system_sigma != bm.system_sigma:
-            raise ConfigError("branches must share one system sigma")
-        apparatus = CoordinateBlock(
-            "apparatus", self.N, self.apparatus_sigma,
-            (self.ramp.scaled(bp.apparatus_sign), self.ramp.scaled(bm.apparatus_sign)))
-        return BlockModel((system, apparatus), (bp.amplitude, bm.amplitude),
-                          (bp.label, bm.label), self.T, self.units)
+def PointerModelConfig(N: int, apparatus_sigma: float, ramp: PiecewiseLinear,
+                       branches: tuple[Branch, Branch], T: float,
+                       units: UnitsConfig = DEFAULT_UNITS) -> BlockModel:
+    """The pointer model proper as a BlockModel: a "system" block of one
+    coordinate following each branch's system schedule, and an "apparatus"
+    block of N coordinates displaced by apparatus_sign * ramp(t), with
+    ramp(0) = 0."""
+    if abs(float(ramp.value(0.0))) > 1e-12:
+        raise ConfigError("the apparatus ramp must start at a(0) = 0")
+    plus, minus = branches
+    if plus.system_sigma != minus.system_sigma:
+        raise ConfigError("branches must share one system sigma")
+    system = CoordinateBlock("system", 1, plus.system_sigma,
+                             (plus.system_center, minus.system_center))
+    apparatus = CoordinateBlock(
+        "apparatus", N, apparatus_sigma,
+        (ramp.scaled(plus.apparatus_sign), ramp.scaled(minus.apparatus_sign)))
+    return BlockModel((system, apparatus), (plus.amplitude, minus.amplitude),
+                      (plus.label, minus.label), T, units)
 
 
 @dataclass(frozen=True)
@@ -243,11 +236,7 @@ def _as_flat(config, model: BlockModel) -> np.ndarray:
     return flat
 
 
-def _resolve_model(model) -> BlockModel:
-    return model.block_model() if isinstance(model, PointerModelConfig) else model
-
-
-def branch_local_weight(config, t: float, model) -> np.ndarray:
+def branch_local_weight(config, t: float, model: BlockModel) -> np.ndarray:
     """Per-branch local weights w_b = |c_b|^2 |Phi_b(config, t)|^2.
 
     Computed in log space; the returned weights may underflow to 0.0 but are
@@ -256,55 +245,47 @@ def branch_local_weight(config, t: float, model) -> np.ndarray:
     return np.exp(branch_local_log_weight(config, t, model))
 
 
-def branch_local_log_weight(config, t: float, model) -> np.ndarray:
-    bm = _resolve_model(model)
-    flat = _as_flat(config, bm)
-    return bm.log_branch_weights(flat[None, :], t)[0]
+def branch_local_log_weight(config, t: float, model: BlockModel) -> np.ndarray:
+    return model.log_branch_weights(_as_flat(config, model)[None, :], t)[0]
 
 
-def pointer_velocity(config, t: float, model) -> np.ndarray:
+def pointer_velocity(config, t: float, model: BlockModel) -> np.ndarray:
     """Guidance velocity of every coordinate (x first, then y_j)."""
-    bm = _resolve_model(model)
-    flat = _as_flat(config, bm)
-    return bm.velocities(flat[None, :], t)[0]
+    return model.velocities(_as_flat(config, model)[None, :], t)[0]
 
 
-def single_coordinate_overlap(t: float, model) -> float:
+def single_coordinate_overlap(t: float, model: BlockModel) -> float:
     """|<g_+|g_->| for one apparatus coordinate at time t."""
-    bm = _resolve_model(model)
-    blk = _find_block(bm, "apparatus")
-    return _gaussian_pair_overlap(blk, t, bm.units)
+    return float(np.exp(log_single_coordinate_overlap(t, model)))
 
 
-def log_single_coordinate_overlap(t: float, model) -> float:
-    bm = _resolve_model(model)
-    blk = _find_block(bm, "apparatus")
-    return _log_gaussian_pair_overlap(blk, t, bm.units)
+def log_single_coordinate_overlap(t: float, model: BlockModel) -> float:
+    blk = _find_block(model, "apparatus")
+    return complex_pair_overlap(blk, t, model.units)[0]
 
 
-def apparatus_overlap(t: float, model) -> float:
+def apparatus_overlap(t: float, model: BlockModel) -> float:
     """omega(t)^N, evaluated as exp(N log omega) so the exponent law is
     exact by construction.  Underflows to 0.0 for large N; use
     log_apparatus_overlap when the exponent itself is needed."""
     return _exp_overlap(log_apparatus_overlap(t, model))
 
 
-def log_apparatus_overlap(t: float, model) -> float:
+def log_apparatus_overlap(t: float, model: BlockModel) -> float:
     """log(omega(t)^N) = N log omega(t), exactly."""
-    bm = _resolve_model(model)
-    blk = _find_block(bm, "apparatus")
-    return blk.count * _log_gaussian_pair_overlap(blk, t, bm.units)
+    return log_block_overlap(t, model, "apparatus")
 
 
-def system_overlap(t, model):
+def system_overlap(t, model: BlockModel):
     """|<phi_+|phi_->| of the system factors at time t (a float or an
     array of times)."""
-    bm = _resolve_model(model)
-    blk = _find_block(bm, "system")
-    return _gaussian_pair_overlap(blk, t, bm.units)
+    log_mag, _ = complex_pair_overlap(_find_block(model, "system"), t,
+                                      model.units)
+    out = np.exp(log_mag)
+    return out if out.ndim else float(out)
 
 
-def block_overlap(t, model, name: str):
+def block_overlap(t, model: BlockModel, name: str):
     """omega_block(t)^count for an arbitrary named block (t a float or an
     array of times)."""
     return _exp_overlap(log_block_overlap(t, model, name))
@@ -316,54 +297,38 @@ def _exp_overlap(log_val):
     return out if out.ndim else float(out)
 
 
-def log_block_overlap(t, model, name: str):
-    bm = _resolve_model(model)
-    blk = _find_block(bm, name)
-    return blk.count * _log_gaussian_pair_overlap(blk, t, bm.units)
+def log_block_overlap(t, model: BlockModel, name: str):
+    blk = _find_block(model, name)
+    return blk.count * complex_pair_overlap(blk, t, model.units)[0]
 
 
-def _find_block(bm: BlockModel, name: str) -> CoordinateBlock:
-    for blk in bm.blocks:
+def _find_block(model: BlockModel, name: str) -> CoordinateBlock:
+    for blk in model.blocks:
         if blk.name == name:
             return blk
     raise ConfigError(f"model has no block named {name!r}")
 
 
-def _log_gaussian_pair_overlap(blk: CoordinateBlock, t,
-                               units: UnitsConfig):
-    """log |<G_+|G_->| for two equal-width Gaussians with plane-wave phases:
-    -(dc)^2/(8 sigma^2) - (dk)^2 sigma^2 / 2.  t is a float or an array of
-    times."""
-    dc = blk.centers[0].value(t) - blk.centers[1].value(t)
-    dv = blk.centers[0].velocity(t) - blk.centers[1].velocity(t)
-    dk = units.mass * dv / units.hbar
+def complex_pair_overlap(blk: CoordinateBlock, t, units: UnitsConfig):
+    """<g_-|g_+> for one coordinate of a block, two equal-width Gaussians
+    with plane-wave phases, as (log magnitude, phase):
+    log magnitude -(dc)^2/(8 sigma^2) - (dk)^2 sigma^2 / 2 and phase
+    -kbar dc, with dc = c_+ - c_-, dk = k_+ - k_- and kbar their mean
+    momentum.  t is a float or an array of times."""
+    c_p, c_m = blk.centers[0].value(t), blk.centers[1].value(t)
+    v_p, v_m = blk.centers[0].velocity(t), blk.centers[1].velocity(t)
+    dc = c_p - c_m
+    dk = units.mass * (v_p - v_m) / units.hbar
+    kbar = 0.5 * units.mass * (v_p + v_m) / units.hbar
     s2 = blk.sigma ** 2
-    out = -(dc * dc) / (8.0 * s2) - 0.5 * dk * dk * s2
-    return out if np.ndim(out) else float(out)
+    log_mag = -(dc * dc) / (8.0 * s2) - 0.5 * dk * dk * s2
+    phase = -kbar * dc
+    if np.ndim(log_mag):
+        return log_mag, phase
+    return float(log_mag), float(phase)
 
 
-def _gaussian_pair_overlap(blk, t, units):
-    out = np.exp(_log_gaussian_pair_overlap(blk, t, units))
-    return out if np.ndim(out) else float(out)
-
-
-def complex_pair_overlap(blk: CoordinateBlock, t: float,
-                         units: UnitsConfig) -> tuple[float, float]:
-    """<g_-|g_+> for one coordinate of a block, as (log magnitude, phase)."""
-    c1 = float(blk.centers[1].value(t))
-    c2 = float(blk.centers[0].value(t))
-    k1 = units.mass * float(blk.centers[1].velocity(t)) / units.hbar
-    k2 = units.mass * float(blk.centers[0].velocity(t)) / units.hbar
-    d = c1 - c2
-    dk = k2 - k1
-    cbar = 0.5 * (c1 + c2)
-    s2 = blk.sigma ** 2
-    log_mag = -(d * d) / (8.0 * s2) - 0.5 * dk * dk * s2
-    phase = dk * cbar + k1 * c1 - k2 * c2
-    return log_mag, phase
-
-
-def x_marginal_density(model, t: float, n_points: int = 4096,
+def x_marginal_density(model: BlockModel, t: float, n_points: int = 4096,
                        pad_sigmas: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
     """Exact x-marginal of |Psi(t)|^2 on a fine grid, cross term included.
 
@@ -372,12 +337,11 @@ def x_marginal_density(model, t: float, n_points: int = 4096,
     with kappa the product of <g_-|g_+> over all non-system coordinates,
     accumulated in log form so large blocks underflow gracefully to zero.
     """
-    bm = _resolve_model(model)
-    sys_blk = bm.blocks[0]
+    sys_blk = model.blocks[0]
     log_mag = 0.0
     phase = 0.0
-    for blk in bm.blocks[1:]:
-        lm, ph = complex_pair_overlap(blk, t, bm.units)
+    for blk in model.blocks[1:]:
+        lm, ph = complex_pair_overlap(blk, t, model.units)
         log_mag += blk.count * lm
         phase += blk.count * ph
     kappa = math.exp(log_mag) * complex(math.cos(phase), math.sin(phase)) \
@@ -389,13 +353,13 @@ def x_marginal_density(model, t: float, n_points: int = 4096,
     lo = min(cs) - pad_sigmas * sig
     hi = max(cs) + pad_sigmas * sig
     xs = np.linspace(lo, hi, n_points, endpoint=False)
-    kf = bm.units.mass / bm.units.hbar
+    kf = model.units.mass / model.units.hbar
     phis = []
     for c, v in zip(cs, vs):
         d = xs - c
         phis.append((2 * np.pi * sig ** 2) ** -0.25
                     * np.exp(-d * d / (4 * sig ** 2) + 1j * kf * v * d))
-    cp, cm = bm.amplitudes
+    cp, cm = model.amplitudes
     dens = (abs(cp) ** 2 * np.abs(phis[0]) ** 2
             + abs(cm) ** 2 * np.abs(phis[1]) ** 2
             + 2.0 * (cp * np.conj(cm) * phis[0] * np.conj(phis[1]) * kappa).real)
@@ -408,23 +372,22 @@ def x_marginal_density(model, t: float, n_points: int = 4096,
 # Outcome classification and the two position predictors.
 # ---------------------------------------------------------------------------
 
-def classify_outcome(trajectory: Trajectory, model, t: float | None = None,
+def classify_outcome(trajectory: Trajectory, model: BlockModel,
+                     t: float | None = None,
                      ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> str:
     """Branch label with the larger local weight at time t (default: the
     final time), or "unresolved" when the ratio is below threshold."""
-    bm = _resolve_model(model)
     if t is None:
         t = float(trajectory.times[-1])
     idx = int(np.argmin(np.abs(trajectory.times - t)))
     point = trajectory.points[idx]
-    return classify_point(point, t, bm, ratio_threshold)
+    return classify_point(point, t, model, ratio_threshold)
 
 
-def classify_point(point: np.ndarray, t: float, model,
+def classify_point(point: np.ndarray, t: float, model: BlockModel,
                    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> str:
-    bm = _resolve_model(model)
-    gap = bm.log_weight_gap(bm.block_means(point), t)
-    return labels_from_log_ratio(gap, bm.labels, ratio_threshold)[0]
+    gap = model.log_weight_gap(model.block_means(point), t)
+    return labels_from_log_ratio(gap, model.labels, ratio_threshold)[0]
 
 
 def labels_from_log_ratio(log_ratio: np.ndarray, labels: tuple[str, str],
@@ -436,100 +399,74 @@ def labels_from_log_ratio(log_ratio: np.ndarray, labels: tuple[str, str],
                     np.where(log_ratio > 0, labels[0], labels[1])).tolist()
 
 
-def predictor_system(x0: float, model) -> str:
+def predictor_system(x0: float, model: BlockModel) -> str:
     """Branch predicted from the sign of x0 about the initial system
     midpoint, oriented by which schedule ends higher (ties pick branch +)."""
-    bm = _resolve_model(model)
-    blk = _find_block(bm, "system")
+    blk = _find_block(model, "system")
     mid = 0.5 * float(blk.centers[0].value(0.0) + blk.centers[1].value(0.0))
-    if x0 == mid:
-        return UNRESOLVED
-    end_gap = float(blk.centers[0].value(bm.T) - blk.centers[1].value(bm.T))
-    plus_is_high = end_gap >= 0.0
-    high = x0 > mid
-    return bm.labels[0] if (high == plus_is_high) else bm.labels[1]
+    return _sum_predictor(x0 - mid, blk, model)
 
 
-def predictor_apparatus(y0: np.ndarray, model) -> str:
+def predictor_apparatus(y0: np.ndarray, model: BlockModel) -> str:
     """Branch predicted from sign(sum y_j0), oriented by the apparatus
     displacement direction of each branch."""
-    bm = _resolve_model(model)
-    blk = _find_block(bm, "apparatus")
-    return _sum_predictor(np.asarray(y0, dtype=float), blk, bm)
+    return predictor_block_sum(y0, model, "apparatus")
 
 
-def predictor_block_sum(q0: np.ndarray, model, name: str) -> str:
-    bm = _resolve_model(model)
-    return _sum_predictor(np.asarray(q0, dtype=float), _find_block(bm, name), bm)
+def predictor_block_sum(q0: np.ndarray, model: BlockModel, name: str) -> str:
+    return _sum_predictor(np.asarray(q0, dtype=float), _find_block(model, name),
+                          model)
 
 
-def _sum_predictor(q0: np.ndarray, blk: CoordinateBlock, bm: BlockModel) -> str:
+def _sum_predictor(q0: np.ndarray, blk: CoordinateBlock, model: BlockModel) -> str:
+    """labels[0] when sum(q0) lies on the side where branch + ends, labels[1]
+    on the other side (ties in the end positions pick branch +),
+    "unresolved" at zero."""
     total = float(np.sum(q0))
     if total == 0.0:
         return UNRESOLVED
-    end_gap = float(blk.centers[0].value(bm.T) - blk.centers[1].value(bm.T))
+    end_gap = float(blk.centers[0].value(model.T) - blk.centers[1].value(model.T))
     plus_is_high = end_gap >= 0.0
-    return bm.labels[0] if ((total > 0) == plus_is_high) else bm.labels[1]
+    return model.labels[0] if ((total > 0) == plus_is_high) else model.labels[1]
 
 
 # ---------------------------------------------------------------------------
 # Equilibrium sampling and ensemble integration for the analytic model.
 # ---------------------------------------------------------------------------
 
-SAMPLING_GRID_POINTS = 4096
-SAMPLING_PAD_SIGMAS = 10.0
-
-
-def sample_model_equilibrium(model, n: int, seed: int,
+def sample_model_equilibrium(model: BlockModel, n: int, seed: int,
                              t: float = 0.0) -> np.ndarray:
     """Draw (n, C) initial configurations from |Psi(., t=0)|^2.
 
     Requires every multi-coordinate block to have branch-independent factors
     at t = 0 (centers equal and velocities zero), which holds for ramps with
     a(0) = 0; those coordinates are exact Gaussians.  The system coordinate
-    is sampled from the exact 1D superposition density on a fine grid.
+    is sampled from the exact x-marginal on its fine grid
+    (x_marginal_density at t = 0).
     """
-    bm = _resolve_model(model)
     if n < 1:
         raise ConfigError("sample count must be >= 1")
     if t != 0.0:
         raise ConfigError("equilibrium sampling is defined at t = 0")
-    sys_blk = bm.blocks[0]
-    if sys_blk.count != 1:
+    if model.blocks[0].count != 1:
         raise ConfigError("the first block must be the single system coordinate")
-    for blk in bm.blocks[1:]:
+    for blk in model.blocks[1:]:
         c0 = float(blk.centers[0].value(0.0)), float(blk.centers[1].value(0.0))
         v0 = float(blk.centers[0].velocity(0.0)), float(blk.centers[1].velocity(0.0))
         if abs(c0[0] - c0[1]) > 1e-12 or abs(v0[0]) > 1e-12 or abs(v0[1]) > 1e-12:
             raise ConfigError(
                 f"block {blk.name!r} factors must coincide at t=0 for sampling")
 
-    # exact x density |c+ phi+ + c- phi-|^2 tabulated on a fine grid
-    c_p = float(sys_blk.centers[0].value(0.0))
-    c_m = float(sys_blk.centers[1].value(0.0))
-    v_p = float(sys_blk.centers[0].velocity(0.0))
-    v_m = float(sys_blk.centers[1].velocity(0.0))
-    sig = sys_blk.sigma
-    lo = min(c_p, c_m) - SAMPLING_PAD_SIGMAS * sig
-    hi = max(c_p, c_m) + SAMPLING_PAD_SIGMAS * sig
-    xs = np.linspace(lo, hi, SAMPLING_GRID_POINTS, endpoint=False)
+    xs, dens = x_marginal_density(model, 0.0)
     dx = xs[1] - xs[0]
-    kf = bm.units.mass / bm.units.hbar
-    psi = np.zeros_like(xs, dtype=np.complex128)
-    for amp, c, v in ((bm.amplitudes[0], c_p, v_p), (bm.amplitudes[1], c_m, v_m)):
-        d = xs - c
-        psi += amp * (2 * np.pi * sig ** 2) ** -0.25 \
-            * np.exp(-d * d / (4 * sig ** 2) + 1j * kf * v * d)
-    masses = np.abs(psi) ** 2 * dx
-
-    out = np.empty((n, bm.n_coords))
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
+    cdf = np.concatenate([[0.0], np.cumsum(dens * dx)])
     cdf /= cdf[-1]
+    out = np.empty((n, model.n_coords))
     for i in range(n):
         rng = np.random.default_rng((int(seed), int(i)))
-        out[i, 0] = inverse_cdf_sample(cdf, lo, dx, rng.random())
+        out[i, 0] = inverse_cdf_sample(cdf, xs[0], dx, rng.random())
         col = 1
-        for blk in bm.blocks[1:]:
+        for blk in model.blocks[1:]:
             center = float(blk.centers[0].value(0.0))
             out[i, col:col + blk.count] = center + blk.sigma * rng.standard_normal(blk.count)
             col += blk.count
@@ -569,26 +506,27 @@ class PointerEnsembleResult:
                 for i in range(self.initial.shape[0])]
 
 
-def integrate_pointer_ensemble(model, initial: np.ndarray, dt: float,
-                               record_stride: int = 1) -> PointerEnsembleResult:
+def integrate_pointer_ensemble(model: BlockModel, initial: np.ndarray,
+                               dt: float, record_stride: int = 1
+                               ) -> PointerEnsembleResult:
     """RK4-integrate every configuration over [0, T] under the closed-form
     velocity field, as the ODE of its block means."""
-    bm = _resolve_model(model)
     q0 = np.array(initial, dtype=float, ndmin=2)
-    if q0.shape[1] != bm.n_coords:
-        raise ConfigError(f"initial configurations must have {bm.n_coords} coordinates")
+    if q0.shape[1] != model.n_coords:
+        raise ConfigError(
+            f"initial configurations must have {model.n_coords} coordinates")
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    n_steps = int(round(bm.T / dt))
-    if abs(n_steps * dt - bm.T) > 1e-9 * max(1.0, bm.T):
+    n_steps = int(round(model.T / dt))
+    if abs(n_steps * dt - model.T) > 1e-9 * max(1.0, model.T):
         raise ConfigError("dt must divide the total time")
     if n_steps % record_stride != 0:
         raise ConfigError("record_stride must divide the step count")
 
     half_times = np.arange(2 * n_steps + 1) * (0.5 * dt)
     means, flags, node_counts = _kernels.block_rk4(
-        bm.block_means(q0), bm.block_tables(half_times), POINTER_NODE_THRESH,
-        dt, n_steps, record_stride)
+        model.block_means(q0), model.block_tables(half_times),
+        POINTER_NODE_THRESH, dt, n_steps, record_stride)
     times = dt * record_stride * np.arange(means.shape[1])
-    return PointerEnsembleResult(times, q0, bm.coordinate_blocks(), means,
+    return PointerEnsembleResult(times, q0, model.coordinate_blocks(), means,
                                  flags, node_counts)

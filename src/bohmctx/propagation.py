@@ -60,10 +60,6 @@ class PropagationResult:
     times: np.ndarray | None = None
     frames: list[FieldLike] = field(default_factory=list)
 
-    @property
-    def frame_dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.times is not None and len(self.times) > 1 else 0.0
-
 
 def _component_potentials(potential: PotentialSpec, state: FieldLike,
                           grid: SpatialGrid, units: UnitsConfig
@@ -123,8 +119,8 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
     n_steps is 0.  If frame_stride is given, a snapshot is kept every
     frame_stride steps (including step 0 and the final step, so frame_stride
     must divide n_steps).  An observer callable, if given, is invoked at the
-    same capture times with (step_index, t, state) and can be used instead of
-    storing frames.
+    same capture times with (step_index, t, state) instead of storing
+    frames: the result then holds only the final state.
     """
     if n_steps < 0:
         raise ConfigError("n_steps must be >= 0")
@@ -156,11 +152,11 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
         st = snapshot()
         if support_guard:
             check_support_guard(st, step, band)
-        if frame_stride is not None:
-            times.append(step * dt)
-            frames.append(st)
         if observer is not None:
             observer(step, step * dt, st)
+        elif frame_stride is not None:
+            times.append(step * dt)
+            frames.append(st)
 
     frames: list[FieldLike] = []
     times: list[float] = []
@@ -184,7 +180,7 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
         capture(n_steps)  # guard check and observer on the final state only
 
     result = PropagationResult(final=snapshot())
-    if frame_stride is not None:
+    if frame_stride is not None and observer is None:
         result.times = np.asarray(times)
         result.frames = frames
     return result

@@ -84,14 +84,3 @@ def sample_equilibrium(source: FieldLike, n: int, seed: int) -> EquilibriumSampl
         out[:, ax] = np.clip(out[:, ax], grid.x_min[ax],
                              grid.x_max[ax] - 1e-9 * grid.dx[ax])
     return EquilibriumSample(out, seed, "marginal_conditional_2d")
-
-
-def sample_density_1d(x0: float, dx: float, cell_masses: np.ndarray, n: int,
-                      seed: int, stream_offset: int = 0) -> np.ndarray:
-    """Inverse-CDF sampling from an arbitrary tabulated 1D density."""
-    cdf = _cell_cdf(cell_masses)
-    out = np.empty(n)
-    for i in range(n):
-        u = _stream(seed, stream_offset + i).random()
-        out[i] = inverse_cdf_sample(cdf, x0, dx, u)
-    return out

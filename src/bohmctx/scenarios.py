@@ -62,14 +62,11 @@ def run_scenario(cfg: ScenarioConfig, units: UnitsConfig = DEFAULT_UNITS
 def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNITS
                       ) -> EnsembleReport:
     cfg.validate()
-    grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
     k = cfg.splitter_momentum
     a_r, a_l = cfg.amplitude_right, cfg.amplitude_left
-    plus, minus, psi0 = _bs_initial(cfg, grid, units)
+    grid, plus, minus, psi0, total, stacks = _bs_setup(cfg, units)
 
     free = PotentialSpec.free()
-    total = propagate(psi0, free, cfg.dt, cfg.n_steps, units,
-                      frame_stride=cfg.frame_stride)
     comp_p = propagate(plus, free, cfg.dt, cfg.n_steps, units,
                        frame_stride=cfg.frame_stride)
     comp_m = propagate(minus, free, cfg.dt, cfg.n_steps, units,
@@ -96,7 +93,6 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     x0 = sample.positions[:, 0]
     median = _density_median(grid, psi0.density())
 
-    stacks = build_stacks(total.frames, times, VelocityModel.SCALAR, units)
     frame_dt = float(times[1] - times[0])
     stride = cfg.record_stride if cfg.record_stride > 0 \
         else max(int(round(frame_dt / cfg.dt_traj)), 1)
@@ -197,15 +193,20 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     return report
 
 
-def _bs_initial(cfg, grid, units) -> tuple[ComplexField, ComplexField,
-                                            ComplexField]:
-    """Right- and left-moving packets and their normalized superposition
-    a_r plus + a_l minus."""
+def _bs_setup(cfg: BeamSplitterConfig, units: UnitsConfig) -> tuple:
+    """Grid, right- and left-moving packets, their normalized superposition
+    psi0 = a_r plus + a_l minus, the free propagation of psi0 and its SCALAR
+    velocity stacks: the setup shared by the run and born-check."""
+    grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
     k = cfg.splitter_momentum
     plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k), units)
     minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k), units)
     vals = cfg.amplitude_right * plus.values + cfg.amplitude_left * minus.values
-    return plus, minus, ComplexField(grid, vals / norm(ComplexField(grid, vals)))
+    psi0 = ComplexField(grid, vals / norm(ComplexField(grid, vals)))
+    total = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
+                      frame_stride=cfg.frame_stride)
+    stacks = build_stacks(total.frames, total.times, VelocityModel.SCALAR, units)
+    return grid, plus, minus, psi0, total, stacks
 
 
 def _packet_center_width(frames) -> tuple[np.ndarray, np.ndarray]:
@@ -379,8 +380,9 @@ def _flip(label: str) -> str:
 def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
     """Initial spinor, final state, branch overlap series and the velocity
     stacks with and without the Gordon term on the (y, z) grid.  The stacks
-    are filled frame by frame during propagation to bound memory, from one
-    spinor current/density pass per frame plus the spin-curl current."""
+    are filled frame by frame by a propagation observer, so no frame is
+    kept, from one spinor current/density pass per frame plus the
+    spin-curl current."""
     grid = SpatialGrid.plane(cfg.grid_n_y, (-cfg.grid_half_width_y, cfg.grid_half_width_y),
                              cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
     g2 = make_gaussian(grid, GaussianPacketSpec.make(
@@ -396,7 +398,6 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
     g_conv = [np.empty(shape), np.empty(shape)]
     g_gordon = [np.empty(shape), np.empty(shape)]
     times = np.empty(n_frames)
-    finals: list[SpinorField] = []
     branch_overlap = np.empty(n_frames)
 
     def observer(step, t, state):
@@ -409,13 +410,11 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
             g_gordon[ax][f] = cur[ax] + curl
         branch_overlap[f] = abs(overlap(state.up, state.down)) \
             / max(norm(state.up) * norm(state.down), 1e-300)
-        if step == cfg.n_steps:
-            finals.append(state)
 
-    propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
-              frame_stride=cfg.frame_stride, observer=observer)
+    final = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
+                      frame_stride=cfg.frame_stride, observer=observer).final
     peaks = rho.reshape(n_frames, -1).max(axis=1)
-    return (spinor0, finals[0], branch_overlap,
+    return (spinor0, final, branch_overlap,
             VelocityStacks(grid, times, rho, g_gordon, peaks),
             VelocityStacks(grid, times, rho, g_conv, peaks))
 
@@ -474,7 +473,7 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
 # ---------------------------------------------------------------------------
 
 def build_optical_sg_model(cfg: OpticalSGConfig, N: int,
-                           units: UnitsConfig = DEFAULT_UNITS) -> PointerModelConfig:
+                           units: UnitsConfig = DEFAULT_UNITS) -> BlockModel:
     half0 = 0.5 * cfg.initial_separation
     half = 0.5 * cfg.system_separation
 
@@ -546,7 +545,7 @@ def run_optical_sg(cfg: OpticalSGConfig, units: UnitsConfig = DEFAULT_UNITS
     cfg.validate()
     subs = []
     for N in cfg.N_sweep:
-        model = build_optical_sg_model(cfg, int(N), units).block_model()
+        model = build_optical_sg_model(cfg, int(N), units)
         rep = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
                                     cfg.record_stride, cfg.ratio_threshold,
                                     "optical_sg")
@@ -673,14 +672,8 @@ def run_born_check(cfg: ScenarioConfig, n: int,
     """Endpoint-vs-density KS diagnostic for any scenario config."""
     cfg.validate()
     if isinstance(cfg, BeamSplitterConfig):
-        grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width,
-                                cfg.grid_half_width)
-        _, _, psi0 = _bs_initial(cfg, grid, units)
-        prop = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
-                         frame_stride=cfg.frame_stride)
+        grid, _, _, psi0, prop, stacks = _bs_setup(cfg, units)
         sample = sample_equilibrium(psi0, n, cfg.seed)
-        stacks = build_stacks(prop.frames, prop.times, VelocityModel.SCALAR,
-                              units)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1, 0] for tr in trajs])
         ks = born_rule_ks(ends, grid_cdf(grid.axis(0),
@@ -699,7 +692,7 @@ def run_born_check(cfg: ScenarioConfig, n: int,
         return {"scenario": "stern_gerlach", "n": n,
                 "ks": born_rule_ks(ends, _sg_z_cdf(final))}
     if isinstance(cfg, OpticalSGConfig):
-        model = build_optical_sg_model(cfg, int(cfg.N_sweep[-1]), units).block_model()
+        model = build_optical_sg_model(cfg, int(cfg.N_sweep[-1]), units)
         return _pointer_born_check(model, cfg, n, "optical_sg")
     if isinstance(cfg, AncillaChainConfig):
         model = build_ancilla_model(cfg, units=units)

@@ -56,6 +56,3 @@ class PiecewiseLinear:
 
     def scaled(self, factor: float) -> "PiecewiseLinear":
         return PiecewiseLinear(self.knots, tuple(factor * v for v in self.values))
-
-    def shifted(self, offset: float) -> "PiecewiseLinear":
-        return PiecewiseLinear(self.knots, tuple(offset + v for v in self.values))

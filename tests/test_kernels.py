@@ -33,7 +33,7 @@ def stacks_1d():
 def test_pointer_one_step_matches_hand_rk4():
     # a single RK4 step has no room for decision-boundary amplification, so
     # the kernel must match a step built from BlockModel.velocities to rounding
-    model = build_optical_sg_model(OpticalSGConfig(), 16).block_model()
+    model = build_optical_sg_model(OpticalSGConfig(), 16)
     init = sample_model_equilibrium(model, 100, seed=4)
     T = model.T
     k1 = model.velocities(init, 0.0)

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from bohmctx import ConfigError
-from bohmctx.pointer import (Branch, ConfigPoint, PointerModelConfig,
+from bohmctx.pointer import (BlockModel, Branch, ConfigPoint,
+                             CoordinateBlock, PointerModelConfig,
                              UNRESOLVED, apparatus_overlap,
                              branch_local_log_weight, branch_local_weight,
                              classify_point, classify_outcome,
@@ -104,12 +105,11 @@ def test_deep_branch_velocity_matches_schedule():
     assert np.allclose(v[1:], 4.0, rtol=1e-6)
 
     def log_psi(qq):
-        bm = model.block_model()
-        centers, vels = bm.schedule_tables(np.array([t]))
-        block_id = bm.coordinate_blocks()
-        sig, inv4s2, _ = bm._per_coord()
+        centers, vels = model.schedule_tables(np.array([t]))
+        block_id = model.coordinate_blocks()
+        sig, inv4s2, _ = model._per_coord()
         total = 0.0 + 0.0j
-        for b, amp in enumerate(bm.amplitudes):
+        for b, amp in enumerate(model.amplitudes):
             d = qq - centers[0, b, block_id]
             lam = math.log(abs(amp)) - np.sum(d * d * inv4s2)
             th = np.sum(vels[0, b, block_id] * d)
@@ -346,23 +346,103 @@ def test_monotone_apparatus_dominance():
     assert all(abs(s - 0.5) <= 0.08 for s in sys_accs)
 
 
-def test_ramp_must_start_at_zero():
-    branches = (
-        Branch("+", 1.0, PiecewiseLinear.constant(0.0), 1.0, +1.0),
-        Branch("-", 0.0, PiecewiseLinear.constant(0.0), 1.0, -1.0),
-    )
-    with pytest.raises(ConfigError):
-        PointerModelConfig(N=2, apparatus_sigma=1.0,
-                           ramp=PiecewiseLinear.constant(1.0),
-                           branches=branches, T=1.0)
+def _pointer_model(N=2, apparatus_sigma=1.0, ramp=None, amps=(1.0, 0.0),
+                   system_sigmas=(1.0, 1.0), signs=(+1.0, -1.0)):
+    branches = tuple(Branch(label, amp, PiecewiseLinear.constant(0.0), s, e)
+                     for label, amp, s, e
+                     in zip("+-", amps, system_sigmas, signs))
+    return PointerModelConfig(
+        N=N, apparatus_sigma=apparatus_sigma,
+        ramp=ramp or PiecewiseLinear.ramp(0.0, 0.5, 1.0),
+        branches=branches, T=1.0)
 
 
-def test_amplitudes_must_normalize():
-    branches = (
-        Branch("+", 1.0, PiecewiseLinear.constant(0.0), 1.0, +1.0),
-        Branch("-", 1.0, PiecewiseLinear.constant(0.0), 1.0, -1.0),
-    )
+@pytest.mark.parametrize("bad", [
+    dict(N=-1),
+    dict(apparatus_sigma=0.0),
+    dict(system_sigmas=(0.0, 0.0)),
+    dict(ramp=PiecewiseLinear.constant(1.0)),
+    dict(system_sigmas=(1.0, 2.0)),
+    dict(amps=(1.0, 1.0)),
+    dict(signs=(+1.0, 0.5)),
+], ids=["N_negative", "apparatus_sigma", "system_sigma", "ramp_start",
+        "one_system_sigma", "amplitudes", "apparatus_sign"])
+def test_pointer_model_config_rejects(bad):
+    assert isinstance(_pointer_model(), BlockModel)
     with pytest.raises(ConfigError):
-        PointerModelConfig(N=2, apparatus_sigma=1.0,
-                           ramp=PiecewiseLinear.ramp(0.0, 0.5, 1.0),
-                           branches=branches, T=1.0)
+        _pointer_model(**bad)
+
+
+def test_x_marginal_density_matches_superposition_at_t0():
+    # the density the sampler inverts: at t = 0 the apparatus factors
+    # coincide, so the x-marginal is |c+ phi+ + c- phi-|^2 of the system
+    # factors alone; here with moving packets and a relative amplitude phase
+    sigma = 0.8
+    branches = (
+        Branch("+", 0.6, PiecewiseLinear((-1.0, 1.0), (-0.5, 1.5)), sigma,
+               +1.0),
+        Branch("-", 0.8j, PiecewiseLinear((-1.0, 1.0), (0.7, -1.3)), sigma,
+               -1.0),
+    )
+    model = PointerModelConfig(N=3, apparatus_sigma=1.0,
+                               ramp=PiecewiseLinear.ramp(0.0, 0.5, 2.0),
+                               branches=branches, T=1.0)
+    xs, dens = x_marginal_density(model, 0.0)
+    assert xs[0] == pytest.approx(-0.3 - 10 * sigma)
+    psi = np.zeros(xs.shape, dtype=complex)
+    for amp, c, v in ((0.6, 0.5, 1.0), (0.8j, -0.3, -1.0)):
+        d = xs - c
+        psi += amp * (2 * np.pi * sigma ** 2) ** -0.25 \
+            * np.exp(-d * d / (4 * sigma ** 2) + 1j * v * d)
+    ref = np.abs(psi) ** 2
+    ref /= ref.sum() * (xs[1] - xs[0])
+    assert np.abs(dens - ref).max() <= 1e-13 * ref.max()
+
+
+def test_x_marginal_density_matches_quadrature_over_apparatus():
+    # one apparatus coordinate whose branch factors move apart with unequal
+    # momenta, so the cross term carries the overlap magnitude and its
+    # phase: the x-marginal against |Psi(x, y)|^2 summed over a fine y grid
+    sigma, t = 0.8, 0.5
+    model = BlockModel(
+        (CoordinateBlock("system", 1, sigma,
+                         (PiecewiseLinear((-1.0, 1.0), (-0.5, 1.5)),
+                          PiecewiseLinear((-1.0, 1.0), (0.7, -1.3)))),
+         CoordinateBlock("apparatus", 1, 1.0,
+                         (PiecewiseLinear((0.0, 2.0), (0.0, 3.0)),
+                          PiecewiseLinear((0.0, 2.0), (0.0, 1.0))))),
+        (0.6, 0.8j), ("+", "-"), 2.0)
+    xs, dens = x_marginal_density(model, t, n_points=512)
+    ys, dy = np.linspace(-12.0, 14.0, 1041, retstep=True)
+
+    def gauss(q, center, velocity, s):
+        d = q - center
+        return (2 * np.pi * s ** 2) ** -0.25 \
+            * np.exp(-d * d / (4 * s ** 2) + 1j * velocity * d)
+
+    # at t = 0.5: system centers 1.0 / -0.8 moving at +1 / -1, apparatus
+    # centers 0.75 / 0.25 moving at 1.5 / 0.5
+    psi = (0.6 * gauss(xs, 1.0, 1.0, sigma)[:, None]
+           * gauss(ys, 0.75, 1.5, 1.0)[None, :]
+           + 0.8j * gauss(xs, -0.8, -1.0, sigma)[:, None]
+           * gauss(ys, 0.25, 0.5, 1.0)[None, :])
+    ref = np.sum(np.abs(psi) ** 2, axis=1) * dy
+    ref /= ref.sum() * (xs[1] - xs[0])
+    assert np.abs(dens - ref).max() <= 1e-10 * ref.max()
+
+
+def test_predictor_system_inverted_schedules():
+    # the + system packet starts above the midpoint 0.5 and ends below the
+    # - packet, so a start above the midpoint predicts "-"
+    branches = (
+        Branch("+", 1 / math.sqrt(2),
+               PiecewiseLinear.ramp(0.0, 1.0, -3.0, start=1.5), 1.0, +1.0),
+        Branch("-", 1 / math.sqrt(2),
+               PiecewiseLinear.ramp(0.0, 1.0, 3.0, start=-0.5), 1.0, -1.0),
+    )
+    model = PointerModelConfig(N=2, apparatus_sigma=1.0,
+                               ramp=PiecewiseLinear.ramp(0.0, 0.5, 2.0),
+                               branches=branches, T=1.0)
+    assert predictor_system(0.5, model) == UNRESOLVED
+    assert predictor_system(0.6, model) == "-"
+    assert predictor_system(0.4, model) == "+"

@@ -176,3 +176,32 @@ def test_batched_propagation_matches_per_component_reference(line_grid):
                                 [-base, base], grid, 0.005, 80)
     for got, want in zip((res.final.up.values, res.final.down.values), ref):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_observer_replaces_frame_storage():
+    # a 2D spinor run with an observer keeps no frames, yet makes the
+    # observer calls of a stored-frame run and ends in the same state
+    grid = SpatialGrid.plane(64, (-12.0, 12.0), 96, (-16.0, 16.0))
+    g = make_gaussian(grid, GaussianPacketSpec.make((0.0, 0.0), (1.0, 1.0),
+                                                    (0.0, 0.0)))
+    sp = SpinorField(ComplexField(grid, 0.6 * g.values),
+                     ComplexField(grid, 0.8 * g.values))
+    pot = PotentialSpec.linear_spin_dependent(2.0)
+    calls = []
+
+    def observer(step, t, state):
+        calls.append((step, t, state.up.values.copy(),
+                      state.down.values.copy()))
+
+    watched = propagate(sp, pot, 0.01, 40, frame_stride=10, observer=observer)
+    stored = propagate(sp, pot, 0.01, 40, frame_stride=10)
+    assert watched.frames == [] and watched.times is None
+    assert [(s, t) for s, t, _, _ in calls] \
+        == [(10 * i, 10 * i * 0.01) for i in range(5)]
+    for (_, t, up, down), frame, t_frame in zip(calls, stored.frames,
+                                                 stored.times):
+        assert t == t_frame
+        assert np.array_equal(up, frame.up.values)
+        assert np.array_equal(down, frame.down.values)
+    assert np.array_equal(watched.final.up.values, stored.final.up.values)
+    assert np.array_equal(watched.final.down.values, stored.final.down.values)
