@@ -13,6 +13,12 @@ Point evaluations interpolate the precomputed rho/G fields (linear in 1D,
 bilinear in 2D) and divide once, so states with a uniform phase gradient
 keep an exactly uniform velocity.  The Gordon term exists only on 2D
 (y, z) grids; the out-of-plane curl component is discarded.
+
+These are the general 2D formulas.  The Stern-Gerlach Gordon run does not
+call them on 2D frames: its state is a product phi(y) chi(z), and
+scenarios._sg_setup_2d builds the same stacks from 1D factor tables.
+build_stacks over 2D frames with these formulas is the test reference for
+that product form.
 """
 
 from dataclasses import dataclass
@@ -81,7 +87,8 @@ def current_and_density(state: FieldLike, model: str,
 
 def gordon_current(state: SpinorField, units: UnitsConfig = DEFAULT_UNITS
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane spin-curl current (G_y, G_z) = (hbar/2m)(d_z s_x, -d_y s_x)."""
+    """In-plane spin-curl current (G_y, G_z) = (hbar/2m)(d_z s_x, -d_y s_x)
+    of any 2D spinor; behind gordon_velocity and the SPINOR_GORDON model."""
     grid = state.grid
     if grid.dims != 2:
         raise ConfigError("the Gordon term is only defined on 2D (y, z) grids")

@@ -20,7 +20,7 @@ from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
                      spatial_overlap, GaussianPacketSpec)
 from .grids import SpatialGrid
 from .guidance import (VelocityModel, VelocityStacks, build_stacks,
-                       current_and_density, gordon_current, _interp)
+                       current_and_density, _interp, _spectral_gradient)
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       UNRESOLVED, classify_point, integrate_pointer_ensemble,
                       labels_from_log_ratio, predictor_block_sum,
@@ -379,41 +379,80 @@ def _flip(label: str) -> str:
 
 def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
     """Initial spinor, final state, branch overlap series and the velocity
-    stacks with and without the Gordon term on the (y, z) grid.  The stacks
-    are filled frame by frame by a propagation observer, so no frame is
-    kept, from one spinor current/density pass per frame plus the
-    spin-curl current."""
+    stacks with and without the Gordon term on the (y, z) grid.
+
+    The state is a product for every config: the initial spinor is
+    g(y) g(z) (alpha, beta) and the spin-dependent potential acts on z
+    alone, so psi_s(y, z, t) = phi(y, t) chi_s(z, t).  The free scalar
+    phi(y) and the spinor chi(z) are propagated on their own 1D axes, and
+    their observers fill per-frame 1D tables: P = |phi|^2, J_phi from y;
+    R, J_chi and S = 2 Re(chi_up* chi_down) from z.  P' and S' are the
+    spectral gradients of the sampled P and S, as the 2D spin-curl current
+    differentiates the sampled s_x = P S.  The stacks are their outer
+    products:
+
+        rho = P R,  G_y = J_phi R [+ (hbar/2m) P S'],
+                    G_z = P J_chi [- (hbar/2m) P' S]   (Gordon term)
+
+    The 2D support guard ratio of a product density is the larger of the
+    two factor ratios, and a product is finite exactly when both factors
+    are, so the guard and the finiteness check of each 1D propagation stop
+    the run exactly when the 2D checks would (the y factor is checked
+    first).  The general 2D formulas (`current_and_density`,
+    `gordon_current`) are the test reference for this product form.
+    """
     grid = SpatialGrid.plane(cfg.grid_n_y, (-cfg.grid_half_width_y, cfg.grid_half_width_y),
                              cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
+    y_grid = SpatialGrid.line(cfg.grid_n_y, -cfg.grid_half_width_y, cfg.grid_half_width_y)
+    z_grid = SpatialGrid.line(cfg.grid_n_z, -cfg.grid_half_width_z, cfg.grid_half_width_z)
     g2 = make_gaussian(grid, GaussianPacketSpec.make(
         (0.0, 0.0), (cfg.sigma_y, cfg.sigma), (0.0, 0.0)), units)
     beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
     spinor0 = SpinorField(ComplexField(grid, cfg.alpha * g2.values),
                           ComplexField(grid, beta * g2.values))
-    pot = PotentialSpec.linear_spin_dependent(cfg.gradient, cfg.offset)
+    phi0 = make_gaussian(y_grid, GaussianPacketSpec.make(0.0, cfg.sigma_y, 0.0), units)
+    g_z = make_gaussian(z_grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0), units)
+    chi0 = SpinorField(ComplexField(z_grid, cfg.alpha * g_z.values),
+                       ComplexField(z_grid, beta * g_z.values))
 
     n_frames = cfg.n_steps // cfg.frame_stride + 1
-    shape = (n_frames,) + grid.shape
-    rho = np.empty(shape)
-    g_conv = [np.empty(shape), np.empty(shape)]
-    g_gordon = [np.empty(shape), np.empty(shape)]
     times = np.empty(n_frames)
+    P, J_phi = (np.empty((n_frames, cfg.grid_n_y)) for _ in range(2))
+    R, J_chi, S = (np.empty((n_frames, cfg.grid_n_z)) for _ in range(3))
     branch_overlap = np.empty(n_frames)
 
-    def observer(step, t, state):
+    def y_observer(step, t, state):
         f = step // cfg.frame_stride
         times[f] = t
-        r, cur = current_and_density(state, VelocityModel.SPINOR, units)
-        rho[f] = r
-        for ax, curl in enumerate(gordon_current(state, units)):
-            g_conv[ax][f] = cur[ax]
-            g_gordon[ax][f] = cur[ax] + curl
+        P[f], (J_phi[f],) = current_and_density(state, VelocityModel.SCALAR, units)
+
+    def z_observer(step, t, state):
+        f = step // cfg.frame_stride
+        R[f], (J_chi[f],) = current_and_density(state, VelocityModel.SPINOR, units)
+        S[f] = 2.0 * (np.conj(state.up.values) * state.down.values).real
         branch_overlap[f] = abs(overlap(state.up, state.down)) \
             / max(norm(state.up) * norm(state.down), 1e-300)
 
-    final = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
-                      frame_stride=cfg.frame_stride, observer=observer).final
-    peaks = rho.reshape(n_frames, -1).max(axis=1)
+    phi = propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
+                    frame_stride=cfg.frame_stride, observer=y_observer).final
+    chi = propagate(chi0, PotentialSpec.linear_spin_dependent(cfg.gradient, cfg.offset),
+                    cfg.dt, cfg.n_steps, units,
+                    frame_stride=cfg.frame_stride, observer=z_observer).final
+    final = SpinorField(ComplexField(grid, np.outer(phi.values, chi.up.values)),
+                        ComplexField(grid, np.outer(phi.values, chi.down.values)))
+
+    pref = units.hbar / (2.0 * units.mass)
+    dP = _spectral_gradient(P.astype(np.complex128), y_grid)[0].real
+    dS = _spectral_gradient(S.astype(np.complex128), z_grid)[0].real
+    # each broadcast product is written straight into its stack, and the
+    # Gordon-on stacks add the convective ones in place: no 2D temporaries
+    rho = P[:, :, None] * R[:, None, :]
+    g_conv = [J_phi[:, :, None] * R[:, None, :], P[:, :, None] * J_chi[:, None, :]]
+    g_gordon = [P[:, :, None] * (pref * dS)[:, None, :],
+                dP[:, :, None] * (-pref * S)[:, None, :]]
+    for on, off in zip(g_gordon, g_conv):
+        on += off
+    peaks = P.max(axis=1) * R.max(axis=1)
     return (spinor0, final, branch_overlap,
             VelocityStacks(grid, times, rho, g_gordon, peaks),
             VelocityStacks(grid, times, rho, g_conv, peaks))

@@ -202,16 +202,15 @@ def test_acceptance_7_attribution(pre_separated_run, optical_sweep):
 
 def test_acceptance_8_ancilla_regimes(ancilla_sweep):
     table = ancilla_sweep.audits["regime_table"]
-    FIXTURE_DIR.mkdir(exist_ok=True)
-    with open(FIXTURE_DIR / "ancilla_regime_table.json", "w") as fh:
-        json.dump(table, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    with open(FIXTURE_DIR / "ancilla_regime_table.json") as fh:
+        committed = json.load(fh)
+    matches = json.loads(json.dumps(table)) == committed
     verdicts = {row["verdict"] for row in table}
     needed = {"S_determined", "mixed", "M_determined"}
-    ok = needed <= verdicts
+    ok = needed <= verdicts and matches
     _report(8, "ancilla chain spans all three regimes", ok,
-            f"verdicts found: {sorted(verdicts)}; table regenerated at "
-            f"tests/fixtures/ancilla_regime_table.json")
+            f"verdicts found: {sorted(verdicts)}; table matches "
+            f"tests/fixtures/ancilla_regime_table.json: {matches}")
 
 
 # -- criterion 9: determinism --------------------------------------------------------

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from bohmctx import (ConfigError, GaussianPacketSpec, SeparationError,
-                     make_gaussian, scenarios)
+from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
+                     SeparationError, SpatialGrid, SpinorField,
+                     SupportGuardViolation, make_gaussian, norm, overlap,
+                     scenarios)
 from bohmctx.analysis import determinant_attribution, predictor_accuracy
 from bohmctx.guidance import VelocityModel, build_stacks
 from bohmctx.propagation import PotentialSpec, propagate
@@ -173,24 +175,74 @@ def _small_gordon_config(n):
                               grid_n_z=256, dt=0.008, n_steps=250)
 
 
-def test_sg_2d_setup_stacks_match_build_stacks():
-    # the one-pass observer (spinor current plus the spin-curl term) fills
-    # the same stacks as build_stacks over stored frames, Gordon on and off
-    cfg = _small_gordon_config(10)
-    spinor0, final, _, on, off = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+def _assert_sg_2d_setup_matches_2d_run(cfg):
+    # the factorised setup (1D y and z propagations, stacks as outer
+    # products) reproduces the 2D propagation and build_stacks over its
+    # stored frames, Gordon on and off, to rounding: each field within
+    # 1e-12 of its maximum over all frames
+    spinor0, final, branch, on, off = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
     prop = propagate(spinor0, PotentialSpec.linear_spin_dependent(
         cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
-    assert np.array_equal(final.up.values, prop.final.up.values)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert close(final.up.values, prop.final.up.values)
+    assert close(final.down.values, prop.final.down.values)
+    want_branch = [abs(overlap(f.up, f.down)) / (norm(f.up) * norm(f.down))
+                   for f in prop.frames]
+    assert np.abs(branch - want_branch).max() <= 1e-12
     for stacks, model in ((on, VelocityModel.SPINOR_GORDON),
                           (off, VelocityModel.SPINOR)):
         ref = build_stacks(prop.frames, prop.times, model)
         assert np.array_equal(stacks.times, ref.times)
-        assert np.array_equal(stacks.peaks, ref.peaks)
+        assert close(stacks.peaks, ref.peaks)
         for got, want in zip((stacks.rho, *stacks.g), (ref.rho, *ref.g)):
-            for f in range(len(ref.times)):
-                scale = np.abs(want[f]).max()
-                assert np.abs(got[f] - want[f]).max() <= 1e-12 * scale
+            assert close(got, want)
+    return on, off
+
+
+def test_sg_2d_setup_stacks_match_build_stacks():
+    _assert_sg_2d_setup_matches_2d_run(_small_gordon_config(10))
+
+
+def test_sg_2d_product_form_with_spin_coherence():
+    # alpha != beta and a generic phase: s_x = P S is nonzero and both
+    # Gordon terms (P S' on y, P' S on z) carry weight
+    cfg = _small_gordon_config(10)
+    cfg.alpha, cfg.beta, cfg.spinor_phase = 0.6, 0.8, 0.7
+    on, off = _assert_sg_2d_setup_matches_2d_run(cfg)
+    for ax in range(2):
+        assert np.abs(on.g[ax] - off.g[ax]).max() > 1e-3 * np.abs(off.g[ax]).max()
+
+
+@pytest.mark.parametrize("narrow", [dict(sigma_y=0.5, grid_half_width_y=12.0),
+                                    dict(grid_half_width_z=14.0)],
+                         ids=["y", "z"])
+def test_sg_2d_support_guard_fires_at_the_2d_step(narrow):
+    # the 2D guard ratio of P R is the larger of the factor ratios, so the
+    # factorised setup stops at the capture where the 2D propagation does
+    cfg = _small_gordon_config(10)
+    for key, value in narrow.items():
+        setattr(cfg, key, value)
+    with pytest.raises(SupportGuardViolation) as factorised:
+        scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    grid = SpatialGrid.plane(
+        cfg.grid_n_y, (-cfg.grid_half_width_y, cfg.grid_half_width_y),
+        cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
+    g2 = make_gaussian(grid, GaussianPacketSpec.make(
+        (0.0, 0.0), (cfg.sigma_y, cfg.sigma), (0.0, 0.0)))
+    beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
+    spinor0 = SpinorField(ComplexField(grid, cfg.alpha * g2.values),
+                          ComplexField(grid, beta * g2.values))
+    with pytest.raises(SupportGuardViolation) as full:
+        propagate(spinor0, PotentialSpec.linear_spin_dependent(
+            cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
+            frame_stride=cfg.frame_stride)
+    assert 0 < full.value.step < cfg.n_steps
+    assert factorised.value.step == full.value.step
+    assert factorised.value.ratio == pytest.approx(full.value.ratio, rel=1e-9)
 
 
 def test_born_check_gordon_matches_run():
