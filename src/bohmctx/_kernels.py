@@ -1,16 +1,25 @@
 """Hot trajectory-integration kernels, vectorized over the ensemble in numpy.
 
-All kernels integrate classical RK4.  The grid kernel follows an
-interpolated Bohmian velocity field in 1D or 2D, one coordinate per
-trajectory and dimension; each RK4 stage builds the flat indices of the
-cell corners in the two bracketing frames once and gathers each stored
-field with one `take`.  The pointer kernel follows the closed-form velocity
-of the branched-Gaussian model, where all coordinates of a block move
-together, so it integrates one coordinate per block (the block mean)
-whatever the block sizes.  Node handling: when the local density (or the branched-Gaussian
-denominator) falls below threshold, the trajectory reuses its last finite
-velocity and the event is counted.  Trajectories never share mutable state,
-so results are independent of thread count and scheduling.
+All kernels integrate classical RK4.  The grid kernel `grid_rk4` owns the
+RK4 loop, the clamping of trajectories that leave the grid, node counting
+and recording, and takes its stage velocity as a parameter:
+
+- `grid_velocity` interpolates stored (F, *grid) density and current
+  stacks in 1D or 2D; each RK4 stage builds the flat indices of the cell
+  corners in the two bracketing frames once and gathers each stored field
+  with one `take`.
+- `product_velocity` serves a product state phi(y) chi(z) on a 2D grid
+  from per-frame 1D tables of each factor, so no 2D stack is ever built;
+  a per-point Gordon weight lets one call integrate the flows with and
+  without the spin-curl term side by side.
+
+The pointer kernel follows the closed-form velocity of the branched-Gaussian
+model, where all coordinates of a block move together, so it integrates one
+coordinate per block (the block mean) whatever the block sizes.  Node
+handling: when the local density (or the branched-Gaussian denominator)
+falls below threshold, the trajectory reuses its last finite velocity and
+the event is counted.  Trajectories never share mutable state, so results
+are independent of thread count and scheduling.
 """
 
 import math
@@ -24,28 +33,42 @@ NODE_ABS_FLOOR = 1e-300  # hard underflow floor for denominators
 
 
 # ---------------------------------------------------------------------------
-# Grid-frame kernel: velocity v = G/rho with G and rho linearly interpolated
-# in time between stored frames and linearly (1D) / bilinearly (2D) in space.
-# Every field is one contiguous (F, *grid) stack.  A stage builds the flat
-# indices of the 2**dims cell corners in frames f0 and f0 + 1, and their
-# interpolation weights, once; each field is then one `take` and one
-# weighted sum over those corners.
+# Grid kernel: velocity v = G/rho with G and rho linearly interpolated in
+# time between stored frames and linearly (1D) / bilinearly (2D) in space.
+# Both stage velocities take (q, t, vprev, *tables, t0, frame_dt, lo, step,
+# node_rel), with q (dims, n) and lo, step (dims, 1) the grid's x_min and
+# dx (periodic axes).
 # ---------------------------------------------------------------------------
+
+def _bracket(t, t0, frame_dt, n_frames):
+    """Lower bracketing frame f0 of time t and the weight w of f0 + 1."""
+    ft = (t - t0) / frame_dt
+    f0 = min(max(math.floor(ft + 1e-12), 0), n_frames - 2)
+    return f0, ft - f0
+
+
+def _guided(rho_i, g_i, peaks, f0, w, node_rel, vprev):
+    """v = G / rho, and node flags: where rho falls below node_rel times
+    the time-interpolated frame peak, the point takes vprev."""
+    peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
+    node = rho_i < max(node_rel * peak, NODE_ABS_FLOOR)
+    v = np.array(g_i) / np.where(node, 1.0, rho_i)
+    return np.where(node, vprev, v), node
+
 
 def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
                   node_rel):
     """Velocity (dims, n) at points q (dims, n) and time t, and node flags.
 
     fields = (rho, G_0, ..., G_dims-1), each (F, *grid.shape) and
-    C-contiguous, with frame peaks (F,) of rho; lo and step (dims, 1) are
-    the grid's x_min and dx (periodic axes).  Where the interpolated rho
-    falls below node_rel times the interpolated peak, the point takes vprev.
+    C-contiguous, with frame peaks (F,) of rho.  A stage builds the flat
+    indices of the 2**dims cell corners in frames f0 and f0 + 1, and their
+    interpolation weights, once; each field is then one `take` and one
+    weighted sum over those corners.
     """
     dims, n = q.shape
     n_frames, *shape = fields[0].shape
-    ft = (t - t0) / frame_dt
-    f0 = min(max(math.floor(ft + 1e-12), 0), n_frames - 2)
-    w = ft - f0
+    f0, w = _bracket(t, t0, frame_dt, n_frames)
     s = (q - lo) / step
     i0 = np.floor(s)
     frac = s - i0
@@ -67,15 +90,55 @@ def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
     wts = np.concatenate([(1 - w) * wts, w * wts])
     idx, wts = idx.reshape(-1, n), wts.reshape(-1, n)
     rho_i, *g_i = [(f.take(idx) * wts).sum(axis=0) for f in fields]
-    peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
-    node = rho_i < max(node_rel * peak, NODE_ABS_FLOOR)
-    v = np.array(g_i) / np.where(node, 1.0, rho_i)
-    return np.where(node, vprev, v), node
+    return _guided(rho_i, g_i, peaks, f0, w, node_rel, vprev)
 
 
-def grid_rk4(q0, fields, peaks, t0, frame_dt, lo, step, node_rel, dt,
-             n_steps, rec_stride):
-    """RK4 of points q0 (n, dims) under `grid_velocity`.
+def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
+                     frame_dt, lo, step, node_rel):
+    """Velocity (2, n) at points q (2, n) = (y, z) and time t of a product
+    state phi(y) chi(z) on a 2D grid, and node flags.
+
+    y_tab (F, 3, ny) holds P = |phi|^2, J_phi and -(hbar/2m) P' per frame;
+    z_tab (F, 4, nz) holds R, J_chi, S = 2 Re(chi_up* chi_down) and
+    (hbar/2m) S'; peaks (F,) is max P * max R.  Each table is linearly
+    interpolated in space at frames f0 and f0 + 1; per frame
+
+        rho = P R,  G_y = J_phi R + g P (hbar/2m) S',
+                    G_z = P J_chi - g (hbar/2m) P' S
+
+    with the per-point Gordon weight g = gordon (n,) (1 with the spin-curl
+    term, 0 without), and those are interpolated linearly in time.  The
+    bilinear interpolation of a product stack is the product of the two
+    linear interpolations, so this equals `grid_velocity` over the 2D
+    stacks up to rounding.
+    """
+    f0, w = _bracket(t, t0, frame_dt, len(peaks))
+    s = (q - lo) / step
+    i0 = np.floor(s)
+    frac = s - i0
+    one_minus = 1 - frac
+    n_ax = np.array([[y_tab.shape[-1]], [z_tab.shape[-1]]])
+    lower = i0.astype(np.int64) % n_ax
+    upper = (lower + 1) % n_ax
+    # periodic linear interpolation of each table at frames f0 and f0 + 1:
+    # y (2, 3, n) = P, J_phi, -(hbar/2m) P'; z (2, 4, n) = R, J_chi, S,
+    # (hbar/2m) S'
+    y, z = [tab[f0:f0 + 2].take(lower[ax], axis=-1) * one_minus[ax]
+            + tab[f0:f0 + 2].take(upper[ax], axis=-1) * frac[ax]
+            for ax, tab in enumerate((y_tab, z_tab))]
+    pz = y[:, 0:1] * z             # P R, P J_chi, P S, P (hbar/2m) S'
+    yz = y[:, 1:3] * z[:, 0:3:2]   # J_phi R, -(hbar/2m) P' S
+    pz[:, 2] = yz[:, 0] + gordon * pz[:, 3]   # G_y
+    pz[:, 1] += gordon * yz[:, 1]             # G_z
+    rho_i, g_z, g_y = (1 - w) * pz[0, :3] + w * pz[1, :3]
+    return _guided(rho_i, (g_y, g_z), peaks, f0, w, node_rel, vprev)
+
+
+def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
+             rec_stride):
+    """RK4 of points q0 (n, dims) under the stage velocity
+    `velocity(q, t, vprev, *args)` on the periodic grid of `shape` cells
+    of size step (dims, 1) from lo (dims, 1).
 
     Returns the recorded points (n, n_rec, dims), per-record node flags,
     per-trajectory node counts, failure flags and exit times.  A trajectory
@@ -83,11 +146,8 @@ def grid_rk4(q0, fields, peaks, t0, frame_dt, lo, step, node_rel, dt,
     moved.
     """
     n, dims = q0.shape
-    lo = np.asarray(lo, dtype=np.float64).reshape(dims, 1)
-    step = np.asarray(step, dtype=np.float64).reshape(dims, 1)
-    hi = lo + np.reshape(fields[0].shape[1:], (dims, 1)) * step
+    hi = lo + np.reshape(shape, (dims, 1)) * step
     n_rec = n_steps // rec_stride + 1
-    args = (fields, peaks, t0, frame_dt, lo, step, node_rel)
 
     rec = np.empty((n, n_rec, dims), dtype=np.float64)
     reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
@@ -104,10 +164,10 @@ def grid_rk4(q0, fields, peaks, t0, frame_dt, lo, step, node_rel, dt,
     for i in range(n_steps):
         t = t0 + i * dt
         alive = ~failed
-        k1, n1 = grid_velocity(q, t, vprev, *args)
-        k2, n2 = grid_velocity(q + 0.5 * dt * k1, t + 0.5 * dt, vprev, *args)
-        k3, n3 = grid_velocity(q + 0.5 * dt * k2, t + 0.5 * dt, vprev, *args)
-        k4, n4 = grid_velocity(q + dt * k3, t + dt, vprev, *args)
+        k1, n1 = velocity(q, t, vprev, *args)
+        k2, n2 = velocity(q + 0.5 * dt * k1, t + 0.5 * dt, vprev, *args)
+        k3, n3 = velocity(q + 0.5 * dt * k2, t + 0.5 * dt, vprev, *args)
+        k4, n4 = velocity(q + dt * k3, t + dt, vprev, *args)
         nodes = np.where(alive, n1.astype(np.int64) + n2 + n3 + n4, 0)
         step_events += nodes
         node_counts += nodes

@@ -8,9 +8,10 @@ thread count of the numerical libraries.
 
 import argparse
 import json
+import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,12 @@ SUBCOMMANDS = {
 }
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (1e6 bytes);
+    ru_maxrss is in KiB on Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 @dataclass
 class RunManifest:
     config_text: str
@@ -38,6 +45,7 @@ class RunManifest:
     version: str
     duration_seconds: float
     outputs: list
+    peak_rss_mb: float = field(default_factory=_peak_rss_mb)
 
     def to_dict(self) -> dict:
         return {
@@ -47,6 +55,7 @@ class RunManifest:
             "duration_seconds": self.duration_seconds,
             "backend": _kernels.ACTIVE_BACKEND,
             "outputs": list(self.outputs),
+            "peak_rss_mb": self.peak_rss_mb,
         }
 
 

@@ -14,11 +14,12 @@ bilinear in 2D) and divide once, so states with a uniform phase gradient
 keep an exactly uniform velocity.  The Gordon term exists only on 2D
 (y, z) grids; the out-of-plane curl component is discarded.
 
-These are the general 2D formulas.  The Stern-Gerlach Gordon run does not
-call them on 2D frames: its state is a product phi(y) chi(z), and
-scenarios._sg_setup_2d builds the same stacks from 1D factor tables.
-build_stacks over 2D frames with these formulas is the test reference for
-that product form.
+These are the general 2D formulas.  The Stern-Gerlach Gordon run never
+builds 2D fields from them: its state is a product phi(y) chi(z), so
+scenarios._sg_setup_2d keeps per-frame 1D tables of each factor
+(`ProductTables`) and `_kernels.product_velocity` forms rho and G from
+them at each point.  build_stacks over the frames of a 2D propagation with
+these formulas is the test reference for that product form.
 """
 
 from dataclasses import dataclass
@@ -189,9 +190,17 @@ class VelocityStacks:
     g: list[np.ndarray]  # dims arrays, each (F, *grid.shape)
     peaks: np.ndarray  # (F,)
 
-    @property
-    def frame_dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+
+@dataclass
+class ProductTables:
+    """Per-frame 1D tables of a product state phi(y) chi(z) on a 2D (y, z)
+    grid, read by `_kernels.product_velocity`."""
+    grid: SpatialGrid
+    times: np.ndarray
+    y: np.ndarray      # (F, 3, ny): P = |phi|^2, J_phi, -(hbar/2m) P'
+    z: np.ndarray      # (F, 4, nz): R, J_chi, S = 2 Re(chi_up* chi_down),
+    #                    (hbar/2m) S'
+    peaks: np.ndarray  # (F,) max P * max R, the peak of rho = P R
 
 
 def build_stacks(frames: list[FieldLike], times: np.ndarray, model: str,

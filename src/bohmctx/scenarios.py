@@ -19,7 +19,7 @@ from .errors import ConfigError, SeparationError
 from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
                      spatial_overlap, GaussianPacketSpec)
 from .grids import SpatialGrid
-from .guidance import (VelocityModel, VelocityStacks, build_stacks,
+from .guidance import (ProductTables, VelocityModel, build_stacks,
                        current_and_density, _interp, _spectral_gradient)
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       UNRESOLVED, classify_point, integrate_pointer_ensemble,
@@ -29,7 +29,7 @@ from .propagation import PotentialSpec, propagate
 from .report import EnsembleReport
 from .sampling import sample_equilibrium
 from .schedules import PiecewiseLinear
-from .trajectories import integrate_over_stacks
+from .trajectories import integrate_over_stacks, integrate_product_flows
 from .units import UnitsConfig, DEFAULT_UNITS
 
 
@@ -378,8 +378,9 @@ def _flip(label: str) -> str:
 
 
 def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
-    """Initial spinor, final state, branch overlap series and the velocity
-    stacks with and without the Gordon term on the (y, z) grid.
+    """Initial spinor, final state, branch overlap series and the per-frame
+    1D tables that give the velocity with and without the Gordon term on
+    the (y, z) grid.
 
     The state is a product for every config: the initial spinor is
     g(y) g(z) (alpha, beta) and the spin-dependent potential acts on z
@@ -388,8 +389,8 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
     their observers fill per-frame 1D tables: P = |phi|^2, J_phi from y;
     R, J_chi and S = 2 Re(chi_up* chi_down) from z.  P' and S' are the
     spectral gradients of the sampled P and S, as the 2D spin-curl current
-    differentiates the sampled s_x = P S.  The stacks are their outer
-    products:
+    differentiates the sampled s_x = P S.  `_kernels.product_velocity`
+    forms the 2D fields from these tables at each point:
 
         rho = P R,  G_y = J_phi R [+ (hbar/2m) P S'],
                     G_z = P J_chi [- (hbar/2m) P' S]   (Gordon term)
@@ -417,19 +418,21 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
 
     n_frames = cfg.n_steps // cfg.frame_stride + 1
     times = np.empty(n_frames)
-    P, J_phi = (np.empty((n_frames, cfg.grid_n_y)) for _ in range(2))
-    R, J_chi, S = (np.empty((n_frames, cfg.grid_n_z)) for _ in range(3))
+    y_tab = np.empty((n_frames, 3, cfg.grid_n_y))  # P, J_phi, -(hbar/2m) P'
+    z_tab = np.empty((n_frames, 4, cfg.grid_n_z))  # R, J_chi, S, (hbar/2m) S'
     branch_overlap = np.empty(n_frames)
 
     def y_observer(step, t, state):
         f = step // cfg.frame_stride
         times[f] = t
-        P[f], (J_phi[f],) = current_and_density(state, VelocityModel.SCALAR, units)
+        y_tab[f, 0], (y_tab[f, 1],) = current_and_density(
+            state, VelocityModel.SCALAR, units)
 
     def z_observer(step, t, state):
         f = step // cfg.frame_stride
-        R[f], (J_chi[f],) = current_and_density(state, VelocityModel.SPINOR, units)
-        S[f] = 2.0 * (np.conj(state.up.values) * state.down.values).real
+        z_tab[f, 0], (z_tab[f, 1],) = current_and_density(
+            state, VelocityModel.SPINOR, units)
+        z_tab[f, 2] = 2.0 * (np.conj(state.up.values) * state.down.values).real
         branch_overlap[f] = abs(overlap(state.up, state.down)) \
             / max(norm(state.up) * norm(state.down), 1e-300)
 
@@ -442,34 +445,26 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
                         ComplexField(grid, np.outer(phi.values, chi.down.values)))
 
     pref = units.hbar / (2.0 * units.mass)
-    dP = _spectral_gradient(P.astype(np.complex128), y_grid)[0].real
-    dS = _spectral_gradient(S.astype(np.complex128), z_grid)[0].real
-    # each broadcast product is written straight into its stack, and the
-    # Gordon-on stacks add the convective ones in place: no 2D temporaries
-    rho = P[:, :, None] * R[:, None, :]
-    g_conv = [J_phi[:, :, None] * R[:, None, :], P[:, :, None] * J_chi[:, None, :]]
-    g_gordon = [P[:, :, None] * (pref * dS)[:, None, :],
-                dP[:, :, None] * (-pref * S)[:, None, :]]
-    for on, off in zip(g_gordon, g_conv):
-        on += off
-    peaks = P.max(axis=1) * R.max(axis=1)
+    y_tab[:, 2] = -pref * _spectral_gradient(
+        y_tab[:, 0].astype(np.complex128), y_grid)[0].real
+    z_tab[:, 3] = pref * _spectral_gradient(
+        z_tab[:, 2].astype(np.complex128), z_grid)[0].real
+    peaks = y_tab[:, 0].max(axis=1) * z_tab[:, 0].max(axis=1)
     return (spinor0, final, branch_overlap,
-            VelocityStacks(grid, times, rho, g_gordon, peaks),
-            VelocityStacks(grid, times, rho, g_conv, peaks))
+            ProductTables(grid, times, y_tab, z_tab, peaks))
 
 
 def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
                           ) -> EnsembleReport:
     """(y, z) grid; trajectories follow the flow with the Gordon term, and
     the same initial positions under the flow without it are the audit."""
-    spinor0, final, branch_overlap, stacks_on, stacks_off = \
-        _sg_setup_2d(cfg, units)
+    spinor0, final, branch_overlap, tables = _sg_setup_2d(cfg, units)
     _sg_check_separation(cfg, final)
 
     sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
     z0 = sample.positions[:, 1]
-    trajs_on = integrate_over_stacks(stacks_on, sample.positions, cfg.dt_traj)
-    trajs_off = integrate_over_stacks(stacks_off, sample.positions, cfg.dt_traj)
+    trajs_on, trajs_off = integrate_product_flows(
+        tables, sample.positions, cfg.dt_traj, gordon=(1.0, 0.0))
     ends_on = np.array([tr.points[-1] for tr in trajs_on])
     ends_off = np.array([tr.points[-1] for tr in trajs_off])
     outcomes = _sg_outcome_labels(final, ends_on, cfg.ratio_threshold)
@@ -490,7 +485,7 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=z0,
-        overlap_series={"t": stacks_on.times, "branch": branch_overlap},
+        overlap_series={"t": tables.times, "branch": branch_overlap},
         node_counts=node_counts,
         audits={"equivariance_ks": ks,
                 "failed_trajectories": sum(1 for tr in trajs_on if tr.failed),
@@ -720,13 +715,16 @@ def run_born_check(cfg: ScenarioConfig, n: int,
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
         if cfg.gordon:
-            spinor0, final, _, stacks, _ = _sg_setup_2d(cfg, units)
+            spinor0, final, _, tables = _sg_setup_2d(cfg, units)
+            sample = sample_equilibrium(spinor0, n, cfg.seed)
+            (trajs,) = integrate_product_flows(
+                tables, sample.positions, cfg.dt_traj, gordon=(1.0,))
         else:
             spinor0 = _sg_initial_1d(cfg, units)
             prop, stacks = _sg_propagate_1d(cfg, spinor0, cfg.gradient, units)
             final = prop.final
-        sample = sample_equilibrium(spinor0, n, cfg.seed)
-        trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
+            sample = sample_equilibrium(spinor0, n, cfg.seed)
+            trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1, -1] for tr in trajs])
         return {"scenario": "stern_gerlach", "n": n,
                 "ks": born_rule_ks(ends, _sg_z_cdf(final))}

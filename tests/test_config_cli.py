@@ -107,6 +107,7 @@ def test_cli_stern_gerlach_outputs(tmp_path):
     assert set(manifest["outputs"]) == {"summary.json", "trajectories.csv",
                                         "overlaps.csv"}
     assert manifest["duration_seconds"] > 0
+    assert manifest["peak_rss_mb"] > 0
     # trajectory rows: one per (trajectory, stored time) plus the header
     lines = (out / "trajectories.csv").read_text().strip().splitlines()
     header = lines[0].split(",")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SupportGuardViolation, make_gaussian, norm, overlap,
                      scenarios)
 from bohmctx.analysis import determinant_attribution, predictor_accuracy
-from bohmctx.guidance import VelocityModel, build_stacks
+from bohmctx import _kernels
+from bohmctx.guidance import (NODE_DENSITY_REL, VelocityModel, _interp,
+                              build_stacks)
 from bohmctx.propagation import PotentialSpec, propagate
 from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
                             OpticalSGConfig, SternGerlachConfig)
 from bohmctx.report import _plain
+from bohmctx.sampling import sample_equilibrium
 from bohmctx.units import DEFAULT_UNITS
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
+from bohmctx.trajectories import integrate_over_stacks, integrate_product_flows
 
 
 # -- beam splitter ------------------------------------------------------------
@@ -175,35 +180,84 @@ def _small_gordon_config(n):
                               grid_n_z=256, dt=0.008, n_steps=250)
 
 
-def _assert_sg_2d_setup_matches_2d_run(cfg):
-    # the factorised setup (1D y and z propagations, stacks as outer
-    # products) reproduces the 2D propagation and build_stacks over its
-    # stored frames, Gordon on and off, to rounding: each field within
-    # 1e-12 of its maximum over all frames
-    spinor0, final, branch, on, off = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+def _sg_2d_reference(cfg):
+    """The factorised setup of cfg and the 2D propagation of its initial
+    spinor."""
+    spinor0, final, branch, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
     prop = propagate(spinor0, PotentialSpec.linear_spin_dependent(
         cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
+    return (spinor0, final, branch, tables), prop
 
-    def close(got, want):
-        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    assert close(final.up.values, prop.final.up.values)
-    assert close(final.down.values, prop.final.down.values)
+def _close(got, want):
+    """got within 1e-12 of the largest |want|."""
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _assert_sg_2d_setup_matches_2d_run(cfg):
+    # the factorised setup (1D y and z propagations, per-frame 1D tables)
+    # reproduces the 2D propagation, and product_velocity over its tables
+    # matches grid_velocity over build_stacks of the 2D frames, Gordon on
+    # (weight 1) and off (weight 0), with the same node flags.  The 2D
+    # reference rounds to its frame peak, not to the local density, so the
+    # velocity error is weighted by rho / peak (an error in the current)
+    # and must be within 1e-12 of the largest velocity over both flows and
+    # all times.  Returns the velocities {weight: [(2, m) per time]}.
+    (spinor0, final, branch, tables), prop = _sg_2d_reference(cfg)
+    assert _close(final.up.values, prop.final.up.values)
+    assert _close(final.down.values, prop.final.down.values)
     want_branch = [abs(overlap(f.up, f.down)) / (norm(f.up) * norm(f.down))
                    for f in prop.frames]
     assert np.abs(branch - want_branch).max() <= 1e-12
-    for stacks, model in ((on, VelocityModel.SPINOR_GORDON),
-                          (off, VelocityModel.SPINOR)):
+    assert np.array_equal(tables.times, prop.times)
+
+    grid = tables.grid
+    rng = np.random.default_rng(5)
+    inside = rng.uniform(grid.x_min, grid.x_max, (20, 2))
+    # the last cell on each axis interpolates across the periodic wrap
+    last = rng.uniform(np.subtract(grid.x_max, grid.dx), grid.x_max, (6, 2))
+    pts = np.concatenate([
+        inside, last, np.column_stack([inside[:6, 0], last[:, 1]]),
+        np.column_stack([last[:, 0], inside[:6, 1]]),
+        sample_equilibrium(spinor0, 40, 1).positions,   # the packet at t0
+        sample_equilibrium(final, 40, 2).positions])    # both branches at T
+    lo, step = np.reshape(grid.x_min, (2, 1)), np.reshape(grid.dx, (2, 1))
+    t0, frame_dt = tables.times[0], tables.times[1] - tables.times[0]
+    n_frames = len(tables.times)
+    vprev = np.full((2, len(pts)), 99.0)
+    got, want = {}, {}
+    for weight, model in ((1.0, VelocityModel.SPINOR_GORDON),
+                          (0.0, VelocityModel.SPINOR)):
         ref = build_stacks(prop.frames, prop.times, model)
-        assert np.array_equal(stacks.times, ref.times)
-        assert close(stacks.peaks, ref.peaks)
-        for got, want in zip((stacks.rho, *stacks.g), (ref.rho, *ref.g)):
-            assert close(got, want)
-    return on, off
+        assert _close(tables.peaks, ref.peaks)
+        got[weight], want[weight] = [], []
+        for ft in (0.0, 0.5, 7.3, 25.0, n_frames - 1.5, n_frames - 1.0):
+            t = t0 + ft * frame_dt
+            v, node = _kernels.product_velocity(
+                pts.T, t, vprev, tables.y, tables.z, tables.peaks,
+                np.full(len(pts), weight), t0, frame_dt, lo, step,
+                NODE_DENSITY_REL)
+            v_ref, node_ref = _kernels.grid_velocity(
+                pts.T, t, vprev, (ref.rho, *ref.g), ref.peaks, t0, frame_dt,
+                lo, step, NODE_DENSITY_REL)
+            assert np.array_equal(node, node_ref)
+            assert node.any() and not node.all()
+            f0 = min(int(np.floor(ft + 1e-12)), n_frames - 2)
+            w = ft - f0
+            rho = ((1 - w) * _interp(grid, ref.rho[f0], pts)
+                   + w * _interp(grid, ref.rho[f0 + 1], pts))
+            peak = (1 - w) * ref.peaks[f0] + w * ref.peaks[f0 + 1]
+            got[weight].append(v[:, ~node])
+            want[weight].append((v_ref[:, ~node], rho[~node] / peak))
+    v_max = max(np.abs(v).max() for flow in want.values() for v, _ in flow)
+    for weight in got:
+        for v, (v_ref, rel_rho) in zip(got[weight], want[weight]):
+            assert (np.abs(v - v_ref) * rel_rho).max() <= 1e-12 * v_max
+    return got
 
 
-def test_sg_2d_setup_stacks_match_build_stacks():
+def test_sg_2d_setup_velocities_match_build_stacks():
     _assert_sg_2d_setup_matches_2d_run(_small_gordon_config(10))
 
 
@@ -212,9 +266,53 @@ def test_sg_2d_product_form_with_spin_coherence():
     # Gordon terms (P S' on y, P' S on z) carry weight
     cfg = _small_gordon_config(10)
     cfg.alpha, cfg.beta, cfg.spinor_phase = 0.6, 0.8, 0.7
-    on, off = _assert_sg_2d_setup_matches_2d_run(cfg)
+    v = _assert_sg_2d_setup_matches_2d_run(cfg)
+    on, off = np.concatenate(v[1.0], axis=1), np.concatenate(v[0.0], axis=1)
     for ax in range(2):
-        assert np.abs(on.g[ax] - off.g[ax]).max() > 1e-3 * np.abs(off.g[ax]).max()
+        assert np.abs(on[ax] - off[ax]).max() > 1e-3 * np.abs(off[ax]).max()
+
+
+def test_sg_2d_product_flows_match_2d_stack_flows():
+    # both flows of one product-table kernel call against integrate_over_stacks
+    # over the 2D propagation's stacks, from the same initial points
+    cfg = _small_gordon_config(40)
+    cfg.alpha, cfg.beta, cfg.spinor_phase = 0.6, 0.8, 0.7
+    (spinor0, _, _, tables), prop = _sg_2d_reference(cfg)
+    sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
+    flows = integrate_product_flows(tables, sample.positions, cfg.dt_traj,
+                                    gordon=(1.0, 0.0))
+    for trajs, model in zip(flows, (VelocityModel.SPINOR_GORDON,
+                                    VelocityModel.SPINOR)):
+        ref = integrate_over_stacks(
+            build_stacks(prop.frames, prop.times, model), sample.positions,
+            cfg.dt_traj)
+        assert len(trajs) == len(ref) == cfg.n
+        ends = np.array([tr.endpoint for tr in trajs])
+        want = np.array([tr.endpoint for tr in ref])
+        assert np.abs(ends - want).max() <= 1e-12
+        assert [tr.node_regularization_events for tr in trajs] \
+            == [tr.node_regularization_events for tr in ref]
+        assert not any(tr.failed for tr in trajs)
+    ends_on, ends_off = (np.array([tr.endpoint for tr in f]) for f in flows)
+    assert np.abs(ends_on - ends_off).max() > 1e-3
+
+
+def test_sg_2d_setup_and_flows_hold_no_2d_stack():
+    # the setup and the two-flow integration together allocate less than
+    # one (F, ny, nz) float64 array, the size of each former 2D stack
+    cfg = _small_gordon_config(100)
+    stack_bytes = ((cfg.n_steps // cfg.frame_stride + 1)
+                   * cfg.grid_n_y * cfg.grid_n_z * 8)
+    tracemalloc.start()
+    try:
+        spinor0, _, _, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+        sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
+        integrate_product_flows(tables, sample.positions, cfg.dt_traj,
+                                gordon=(1.0, 0.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 @pytest.mark.parametrize("narrow", [dict(sigma_y=0.5, grid_half_width_y=12.0),
