@@ -117,6 +117,7 @@ class BeamSplitterConfig:
         _require(abs(self.amplitude_right ** 2 + self.amplitude_left ** 2 - 1.0)
                  <= 1e-6, "splitter amplitudes must be normalized")
         _require(self.dt > 0 and self.n_steps > 0, "dt and n_steps must be positive")
+        _require_frame_stride(self)
 
 
 @dataclass
@@ -151,6 +152,8 @@ class SternGerlachConfig:
                  "spinor amplitudes must satisfy alpha^2 + beta^2 = 1")
         _require(self.gradient != 0.0, "gradient must be nonzero")
         _require(self.sigma > 0, "sigma must be positive")
+        _require(self.n_steps > 0, "n_steps must be positive")
+        _require_frame_stride(self)
 
 
 @dataclass
@@ -235,6 +238,13 @@ ScenarioConfig = (BeamSplitterConfig | SternGerlachConfig
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+def _require_frame_stride(cfg) -> None:
+    """The grid drivers size their per-frame arrays from
+    n_steps // frame_stride + 1 before propagating."""
+    _require(cfg.frame_stride >= 1 and cfg.n_steps % cfg.frame_stride == 0,
+             "frame_stride must be >= 1 and divide n_steps")
 
 
 # ---------------------------------------------------------------------------

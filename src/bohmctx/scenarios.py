@@ -8,6 +8,8 @@ the quantization axis; pointer scenarios use their branch labels "+"/"-".
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,13 +21,17 @@ from .errors import ConfigError, SeparationError
 from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
                      spatial_overlap, GaussianPacketSpec)
 from .grids import SpatialGrid
-from .guidance import (ProductTables, VelocityModel, build_stacks,
-                       current_and_density, _interp, _spectral_gradient)
+# build_stacks is not called here; it stays importable from this module
+# because perfbench/tracer.py wraps scenarios.build_stacks
+from .guidance import (ProductTables, VelocityModel, VelocityStacks,
+                       build_stacks, current_and_density, _interp,
+                       _spectral_gradient)
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       UNRESOLVED, classify_point, integrate_pointer_ensemble,
                       labels_from_log_ratio, predictor_block_sum,
                       predictor_system, sample_model_equilibrium)
-from .propagation import PotentialSpec, propagate
+from .propagation import (PotentialSpec, _boundary_band_mask,
+                          check_support_guard, propagate)
 from .report import EnsembleReport
 from .sampling import sample_equilibrium
 from .schedules import PiecewiseLinear
@@ -64,28 +70,10 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     cfg.validate()
     k = cfg.splitter_momentum
     a_r, a_l = cfg.amplitude_right, cfg.amplitude_left
-    grid, plus, minus, psi0, total, stacks = _bs_setup(cfg, units)
-
-    free = PotentialSpec.free()
-    comp_p = propagate(plus, free, cfg.dt, cfg.n_steps, units,
-                       frame_stride=cfg.frame_stride)
-    comp_m = propagate(minus, free, cfg.dt, cfg.n_steps, units,
-                       frame_stride=cfg.frame_stride)
-
-    times = total.times
-    bhatt = np.array([spatial_overlap(a, b)
-                      for a, b in zip(comp_p.frames, comp_m.frames)])
-    inner = np.array([abs(overlap(a, b))
-                      for a, b in zip(comp_p.frames, comp_m.frames)])
-    centers_p, widths = _packet_center_width(comp_p.frames)
-    centers_m, _ = _packet_center_width(comp_m.frames)
-    separated = ((np.abs(centers_p - centers_m) >= cfg.separation_sigmas * widths)
-                 & (bhatt < cfg.spatial_overlap_threshold))
-    if not np.any(separated):
-        raise SeparationError(
-            "packets never satisfied the separation and overlap thresholds; "
-            "increase flight time or momentum")
-    sep_idx = int(np.argmax(separated))
+    grid, plus, minus, psi0, final, stacks = _bs_setup(cfg, units)
+    branches = _bs_branch_series(cfg, plus, minus, units)
+    times = stacks.times
+    sep_idx = branches.sep_idx
     t_sep = float(times[sep_idx])
     t_end = float(times[-1])
 
@@ -106,16 +94,16 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
 
     # outcome: the detector whose branch contains the trajectory at t_sep
     outcomes = _dominant_density_labels(
-        grid, comp_p.frames[sep_idx].density() * a_r ** 2,
-        comp_m.frames[sep_idx].density() * a_l ** 2, x_at_sep[:, None],
+        grid, branches.rho_plus * a_r ** 2,
+        branches.rho_minus * a_l ** 2, x_at_sep[:, None],
         ("D1", "D2"), cfg.ratio_threshold)
 
     # detector stage: two-branch pointer model on [t_sep, t_end], system
     # factors tracking the separated packets (rigid width), detector
     # coordinates sampled fresh around zero displacement.
     det_tau = t_end - t_sep
-    c_sep = float(centers_p[sep_idx])
-    sig_sep = float(widths[sep_idx])
+    c_sep = float(branches.center_plus[sep_idx])
+    sig_sep = float(branches.width[sep_idx])
     det_model = BlockModel(
         blocks=(
             CoordinateBlock("system", 1, sig_sep,
@@ -162,8 +150,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
         if len(seg) and np.any(seg != seg[0]):
             jumps += 1
     ks = _maybe_ks(np.array([tr.points[-1, 0] for tr in trajs]),
-                   grid_cdf(grid.axis(0), total.frames[-1].density(),
-                            grid.dx[0]))
+                   grid_cdf(grid.axis(0), final.density(), grid.dx[0]))
 
     node_counts = np.array([tr.node_regularization_events for tr in trajs]) \
         + det_res.node_counts
@@ -173,8 +160,8 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
         outcomes=outcomes, predictions=predictions,
         initial_system=x0,
         initial_block_sums={"apparatus": y0.sum(axis=1)},
-        overlap_series={"t": times, "system_spatial": bhatt,
-                        "system_inner": inner,
+        overlap_series={"t": times, "system_spatial": branches.bhattacharyya,
+                        "system_inner": branches.inner,
                         "detector": pointer.block_overlap(
                             np.maximum(times - t_sep, 0.0), det_model,
                             "apparatus")},
@@ -195,31 +182,111 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
 
 def _bs_setup(cfg: BeamSplitterConfig, units: UnitsConfig) -> tuple:
     """Grid, right- and left-moving packets, their normalized superposition
-    psi0 = a_r plus + a_l minus, the free propagation of psi0 and its SCALAR
-    velocity stacks: the setup shared by the run and born-check."""
+    psi0 = a_r plus + a_l minus, the final state of its free propagation and
+    its SCALAR velocity stacks, filled frame by frame: the setup shared by
+    the run and born-check."""
     grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
     k = cfg.splitter_momentum
     plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k), units)
     minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k), units)
     vals = cfg.amplitude_right * plus.values + cfg.amplitude_left * minus.values
     psi0 = ComplexField(grid, vals / norm(ComplexField(grid, vals)))
-    total = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
-                      frame_stride=cfg.frame_stride)
-    stacks = build_stacks(total.frames, total.times, VelocityModel.SCALAR, units)
-    return grid, plus, minus, psi0, total, stacks
+    stacks, fill = _stack_observer(cfg, grid, VelocityModel.SCALAR, units)
+    final = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
+                      frame_stride=cfg.frame_stride, observer=fill).final
+    return grid, plus, minus, psi0, final, stacks
 
 
-def _packet_center_width(frames) -> tuple[np.ndarray, np.ndarray]:
-    centers = np.empty(len(frames))
-    widths = np.empty(len(frames))
-    for i, f in enumerate(frames):
-        rho = f.density()
-        x = f.grid.axis(0)
-        w = rho / rho.sum()
-        mu = float(np.sum(w * x))
-        centers[i] = mu
-        widths[i] = math.sqrt(float(np.sum(w * (x - mu) ** 2)))
-    return centers, widths
+@dataclass
+class _BranchSeries:
+    """Per-frame series of the two beam-splitter branch packets and their
+    densities at the first separated frame."""
+    bhattacharyya: np.ndarray  # spatial_overlap(plus, minus)
+    inner: np.ndarray          # |<plus|minus>|
+    center_plus: np.ndarray
+    center_minus: np.ndarray
+    width: np.ndarray          # of the plus packet
+    sep_idx: int = -1
+    rho_plus: np.ndarray | None = None
+    rho_minus: np.ndarray | None = None
+
+
+def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
+                      minus: ComplexField, units: UnitsConfig) -> _BranchSeries:
+    """Propagate both branch packets in one batched pair and record their
+    overlaps, centres and width per frame.  Separation is the first frame
+    where the centres are separation_sigmas widths apart and the
+    Bhattacharyya coefficient is below spatial_overlap_threshold.
+
+    Each branch is checked by the support guard on its own: the guard on
+    the summed density would compare a leaking branch against the other
+    branch's peak as well."""
+    n_frames = cfg.n_steps // cfg.frame_stride + 1
+    series = _BranchSeries(*(np.empty(n_frames) for _ in range(5)))
+    band = _boundary_band_mask(plus.grid)
+    x = plus.grid.axis(0)
+
+    def observer(step, t, pair):
+        check_support_guard(pair.up, step, band)
+        check_support_guard(pair.down, step, band)
+        f = step // cfg.frame_stride
+        rho_p, rho_m = pair.up.density(), pair.down.density()
+        series.bhattacharyya[f] = spatial_overlap(pair.up, pair.down)
+        series.inner[f] = abs(overlap(pair.up, pair.down))
+        series.center_plus[f], series.width[f] = _center_width(rho_p, x)
+        series.center_minus[f], _ = _center_width(rho_m, x)
+        if (series.sep_idx < 0
+                and abs(series.center_plus[f] - series.center_minus[f])
+                >= cfg.separation_sigmas * series.width[f]
+                and series.bhattacharyya[f] < cfg.spatial_overlap_threshold):
+            series.sep_idx, series.rho_plus, series.rho_minus = f, rho_p, rho_m
+
+    propagate(SpinorField(plus, minus), PotentialSpec.free(), cfg.dt,
+              cfg.n_steps, units, frame_stride=cfg.frame_stride,
+              support_guard=False, observer=observer)
+    if series.sep_idx < 0:
+        raise SeparationError(
+            "packets never satisfied the separation and overlap thresholds; "
+            "increase flight time or momentum")
+    return series
+
+
+def _stack_observer(cfg, grid: SpatialGrid, model: str,
+                    units: UnitsConfig) -> tuple[VelocityStacks, Callable]:
+    """Velocity stacks for the frames of a propagation of cfg (one every
+    cfg.frame_stride steps) and the `propagate` observer that fills them
+    with current_and_density, as build_stacks does over stored frames.
+    The observer returns the frame index."""
+    n_frames = cfg.n_steps // cfg.frame_stride + 1
+    shape = (n_frames,) + grid.shape
+    stacks = VelocityStacks(grid, np.empty(n_frames), np.empty(shape),
+                            [np.empty(shape) for _ in range(grid.dims)],
+                            np.empty(n_frames))
+
+    def fill(step, t, state) -> int:
+        f = step // cfg.frame_stride
+        rho, g = current_and_density(state, model, units)
+        stacks.times[f] = t
+        stacks.rho[f] = rho
+        for ax in range(grid.dims):
+            stacks.g[ax][f] = g[ax]
+        stacks.peaks[f] = rho.max()
+        return f
+
+    return stacks, fill
+
+
+def _center_width(rho: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of the density rho sampled on x."""
+    w = rho / rho.sum()
+    mu = float(np.sum(w * x))
+    return mu, math.sqrt(float(np.sum(w * (x - mu) ** 2)))
+
+
+def _branch_overlap(state: SpinorField) -> float:
+    """|<up|down>| over the product of the component norms."""
+    return abs(overlap(state.up, state.down)) \
+        / max(norm(state.up) * norm(state.down), 1e-300)
 
 
 def _density_median(grid: SpatialGrid, rho: np.ndarray) -> float:
@@ -268,13 +335,19 @@ def _sg_initial_1d(cfg, units) -> SpinorField:
 
 def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
                      units) -> tuple:
-    """Propagation result and convective velocity stacks of the 1D run
-    under the given field gradient."""
+    """Final state, convective velocity stacks and branch overlap series
+    of the 1D run under the given field gradient."""
+    stacks, fill = _stack_observer(cfg, spinor0.grid, VelocityModel.SPINOR,
+                                   units)
+    branch_overlap = np.empty(len(stacks.times))
+
+    def observer(step, t, state):
+        branch_overlap[fill(step, t, state)] = _branch_overlap(state)
+
     pot = PotentialSpec.linear_spin_dependent(gradient, cfg.offset)
-    prop = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
-                     frame_stride=cfg.frame_stride)
-    return prop, build_stacks(prop.frames, prop.times, VelocityModel.SPINOR,
-                              units)
+    final = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
+                      frame_stride=cfg.frame_stride, observer=observer).final
+    return final, stacks, branch_overlap
 
 
 def _sg_z_cdf(final: SpinorField):
@@ -304,11 +377,7 @@ def _sg_check_separation(cfg, final: SpinorField) -> None:
         rho = comp.density()
         if final.grid.dims == 2:
             rho = rho.sum(axis=0)
-        zs = final.grid.axis(axis)
-        w = rho / rho.sum()
-        mu = float(np.sum(w * zs))
-        sd = math.sqrt(float(np.sum(w * (zs - mu) ** 2)))
-        stats.append((mu, sd))
+        stats.append(_center_width(rho, final.grid.axis(axis)))
     gap = abs(stats[0][0] - stats[1][0])
     width = max(stats[0][1], stats[1][1])
     if gap < cfg.separation_sigmas * width:
@@ -325,18 +394,16 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
     z0 = sample.positions[:, 0]
 
     def one_run(gradient: float):
-        prop, stacks = _sg_propagate_1d(cfg, spinor0, gradient, units)
-        _sg_check_separation(cfg, prop.final)
+        final, stacks, branch_overlap = _sg_propagate_1d(cfg, spinor0,
+                                                         gradient, units)
+        _sg_check_separation(cfg, final)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1] for tr in trajs])
-        outcomes = _sg_outcome_labels(prop.final, ends, cfg.ratio_threshold)
-        branch_overlap = np.array([abs(overlap(f.up, f.down))
-                                   / max(norm(f.up) * norm(f.down), 1e-300)
-                                   for f in prop.frames])
-        return prop, trajs, ends, outcomes, branch_overlap
+        outcomes = _sg_outcome_labels(final, ends, cfg.ratio_threshold)
+        return final, stacks.times, trajs, ends, outcomes, branch_overlap
 
-    prop, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
-    _, twin_trajs, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
+    final, times, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
+    _, _, twin_trajs, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
 
     spin_for_upper = "+" if cfg.gradient > 0 else "-"
     predictions = {"system": [
@@ -349,7 +416,7 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
     swapped = all(o == _flip(t) for o, t, _, _ in both) if both else True
     same_side = all((e > 0) == (te > 0) for _, _, e, te in both) if both else True
 
-    ks = _maybe_ks(ends[:, 0], _sg_z_cdf(prop.final))
+    ks = _maybe_ks(ends[:, 0], _sg_z_cdf(final))
     crossings = analysis.audit_trajectories(trajs)
     node_counts = np.array([tr.node_regularization_events for tr in trajs])
 
@@ -357,7 +424,7 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=z0,
-        overlap_series={"t": prop.times, "branch": branch_overlap},
+        overlap_series={"t": times, "branch": branch_overlap},
         node_counts=node_counts,
         audits={"crossing_violations": crossings,
                 "equivariance_ks": ks,
@@ -433,8 +500,7 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
         z_tab[f, 0], (z_tab[f, 1],) = current_and_density(
             state, VelocityModel.SPINOR, units)
         z_tab[f, 2] = 2.0 * (np.conj(state.up.values) * state.down.values).real
-        branch_overlap[f] = abs(overlap(state.up, state.down)) \
-            / max(norm(state.up) * norm(state.down), 1e-300)
+        branch_overlap[f] = _branch_overlap(state)
 
     phi = propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
                     frame_stride=cfg.frame_stride, observer=y_observer).final
@@ -706,12 +772,12 @@ def run_born_check(cfg: ScenarioConfig, n: int,
     """Endpoint-vs-density KS diagnostic for any scenario config."""
     cfg.validate()
     if isinstance(cfg, BeamSplitterConfig):
-        grid, _, _, psi0, prop, stacks = _bs_setup(cfg, units)
+        grid, _, _, psi0, final, stacks = _bs_setup(cfg, units)
         sample = sample_equilibrium(psi0, n, cfg.seed)
         trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1, 0] for tr in trajs])
-        ks = born_rule_ks(ends, grid_cdf(grid.axis(0),
-                                         prop.final.density(), grid.dx[0]))
+        ks = born_rule_ks(ends, grid_cdf(grid.axis(0), final.density(),
+                                         grid.dx[0]))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
         if cfg.gordon:
@@ -721,8 +787,8 @@ def run_born_check(cfg: ScenarioConfig, n: int,
                 tables, sample.positions, cfg.dt_traj, gordon=(1.0,))
         else:
             spinor0 = _sg_initial_1d(cfg, units)
-            prop, stacks = _sg_propagate_1d(cfg, spinor0, cfg.gradient, units)
-            final = prop.final
+            final, stacks, _ = _sg_propagate_1d(cfg, spinor0, cfg.gradient,
+                                                units)
             sample = sample_equilibrium(spinor0, n, cfg.seed)
             trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1, -1] for tr in trajs])

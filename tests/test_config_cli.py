@@ -78,6 +78,18 @@ def test_invalid_values_rejected():
                              "beta": 0.9})
 
 
+@pytest.mark.parametrize("mapping", [
+    {"scenario": "beam_splitter", "frame_stride": 0},
+    {"scenario": "beam_splitter", "frame_stride": 7},
+    {"scenario": "stern_gerlach", "frame_stride": 0},
+    {"scenario": "stern_gerlach", "n_steps": 0},
+], ids=["bs_stride_0", "bs_stride_7", "sg_stride_0", "sg_no_steps"])
+def test_frame_stride_rejected_unless_it_divides_n_steps(mapping):
+    # the grid drivers size their per-frame arrays from the frame stride
+    with pytest.raises(ConfigError):
+        config_from_mapping(mapping)
+
+
 def test_defaults_table_covers_dataclasses():
     for name, cls in CONFIG_TYPES.items():
         cfg = cls()

@@ -8,6 +8,7 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SeparationError, SpatialGrid, SpinorField,
                      SupportGuardViolation, make_gaussian, norm, overlap,
                      scenarios)
+from bohmctx.fields import spatial_overlap
 from bohmctx.analysis import determinant_attribution, predictor_accuracy
 from bohmctx import _kernels
 from bohmctx.guidance import (NODE_DENSITY_REL, VelocityModel, _interp,
@@ -50,6 +51,109 @@ def test_beam_splitter_separation_failure():
                              dt_traj=0.001)
     with pytest.raises(SeparationError):
         run_beam_splitter(cfg)
+
+
+def _small_beam_splitter_config(**kw):
+    return BeamSplitterConfig(n=20, seed=1, grid_n=512, dt_traj=0.0005, **kw)
+
+
+def test_beam_splitter_setup_stacks_equal_build_stacks():
+    # the observer-filled SCALAR stacks are bitwise those of build_stacks
+    # over the stored frames of the same propagation
+    cfg = _small_beam_splitter_config()
+    _, _, _, psi0, final, stacks = scenarios._bs_setup(cfg, DEFAULT_UNITS)
+    prop = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
+                     frame_stride=cfg.frame_stride)
+    ref = build_stacks(prop.frames, prop.times, VelocityModel.SCALAR)
+    assert np.array_equal(final.values, prop.final.values)
+    for got, want in ((stacks.times, ref.times), (stacks.rho, ref.rho),
+                      (stacks.g[0], ref.g[0]), (stacks.peaks, ref.peaks)):
+        assert np.array_equal(got, want)
+
+
+def test_beam_splitter_branch_series_equal_separate_propagations():
+    # the batched (plus, minus) pair gives bitwise the series of the two
+    # packets propagated one by one, with the per-frame formulas over them
+    cfg = _small_beam_splitter_config()
+    _, plus, minus, _, _, _ = scenarios._bs_setup(cfg, DEFAULT_UNITS)
+    got = scenarios._bs_branch_series(cfg, plus, minus, DEFAULT_UNITS)
+    frames = [propagate(packet, PotentialSpec.free(), cfg.dt, cfg.n_steps,
+                        frame_stride=cfg.frame_stride).frames
+              for packet in (plus, minus)]
+
+    def center_width(f):
+        x = f.grid.axis(0)
+        w = f.density() / f.density().sum()
+        mu = float(np.sum(w * x))
+        return mu, np.sqrt(float(np.sum(w * (x - mu) ** 2)))
+
+    bhatt = np.array([spatial_overlap(a, b) for a, b in zip(*frames)])
+    inner = np.array([abs(overlap(a, b)) for a, b in zip(*frames)])
+    c_p, width = np.array([center_width(f) for f in frames[0]]).T
+    c_m, _ = np.array([center_width(f) for f in frames[1]]).T
+    separated = ((np.abs(c_p - c_m) >= cfg.separation_sigmas * width)
+                 & (bhatt < cfg.spatial_overlap_threshold))
+    sep_idx = int(np.argmax(separated))
+    assert separated[sep_idx] and 0 < sep_idx < len(bhatt) - 1
+    for series, want in ((got.bhattacharyya, bhatt), (got.inner, inner),
+                         (got.center_plus, c_p), (got.center_minus, c_m),
+                         (got.width, width)):
+        assert np.array_equal(series, want)
+    assert got.sep_idx == sep_idx
+    assert np.array_equal(got.rho_plus, frames[0][sep_idx].density())
+    assert np.array_equal(got.rho_minus, frames[1][sep_idx].density())
+
+
+def test_beam_splitter_propagates_twice_without_frames(monkeypatch):
+    # two propagate calls (superposition, batched branch pair), each with an
+    # observer, so no frame list is kept; the peak traced allocation stays
+    # below two float64 (F, grid_n) arrays, where stored frames (16 bytes
+    # per cell each) of three propagations reach about 67 bytes per cell.
+    # dt_traj at the frame step keeps the traced run short; the stacks and
+    # frames, not the trajectories, set the peak
+    cfg = _small_beam_splitter_config()
+    cfg.dt_traj = cfg.dt
+    calls = []
+    real = scenarios.propagate
+
+    def counting_propagate(*args, **kwargs):
+        calls.append(kwargs.get("observer"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "propagate", counting_propagate)
+    n_frames = cfg.n_steps // cfg.frame_stride + 1
+    tracemalloc.start()
+    try:
+        run_beam_splitter(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2 and all(obs is not None for obs in calls)
+    assert peak < 32 * n_frames * cfg.grid_n
+
+
+def test_beam_splitter_support_guard_on_each_branch():
+    # too narrow a domain stops the run and born-check; the pair's guard
+    # checks each branch alone, so it stops at the step and ratio of the
+    # right-moving packet's own guarded propagation
+    cfg = _small_beam_splitter_config(grid_half_width=14.0)
+    with pytest.raises(SupportGuardViolation):
+        run_beam_splitter(cfg)
+    with pytest.raises(SupportGuardViolation):
+        run_born_check(cfg, 10)
+    grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width,
+                            cfg.grid_half_width)
+    plus, minus = (make_gaussian(grid, GaussianPacketSpec.make(
+        0.0, cfg.sigma, k)) for k in (cfg.splitter_momentum,
+                                      -cfg.splitter_momentum))
+    with pytest.raises(SupportGuardViolation) as pair:
+        scenarios._bs_branch_series(cfg, plus, minus, DEFAULT_UNITS)
+    with pytest.raises(SupportGuardViolation) as alone:
+        propagate(plus, PotentialSpec.free(), cfg.dt, cfg.n_steps,
+                  frame_stride=cfg.frame_stride)
+    assert 0 < alone.value.step < cfg.n_steps
+    assert pair.value.step == alone.value.step
+    assert pair.value.ratio == alone.value.ratio
 
 
 # -- Stern-Gerlach -------------------------------------------------------------
@@ -167,6 +271,25 @@ def test_seed_reproducibility_bitwise():
 def test_run_scenario_dispatch():
     rep = run_scenario(SternGerlachConfig(n=30, seed=1))
     assert rep.scenario == "stern_gerlach"
+
+
+def test_sg_1d_stacks_and_branch_overlap_equal_stored_frames():
+    cfg = SternGerlachConfig(n=10, seed=3, grid_n=512)
+    spinor0 = scenarios._sg_initial_1d(cfg, DEFAULT_UNITS)
+    final, stacks, branch = scenarios._sg_propagate_1d(
+        cfg, spinor0, cfg.gradient, DEFAULT_UNITS)
+    prop = propagate(spinor0, PotentialSpec.linear_spin_dependent(
+        cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
+        frame_stride=cfg.frame_stride)
+    ref = build_stacks(prop.frames, prop.times, VelocityModel.SPINOR)
+    want = [abs(overlap(f.up, f.down)) / max(norm(f.up) * norm(f.down), 1e-300)
+            for f in prop.frames]
+    assert np.array_equal(final.up.values, prop.final.up.values)
+    assert np.array_equal(final.down.values, prop.final.down.values)
+    for got, ref_arr in ((stacks.times, ref.times), (stacks.rho, ref.rho),
+                         (stacks.g[0], ref.g[0]), (stacks.peaks, ref.peaks),
+                         (branch, want)):
+        assert np.array_equal(got, ref_arr)
 
 
 def test_born_check_grid_scenario():
