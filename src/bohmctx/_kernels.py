@@ -2,12 +2,17 @@
 
 All kernels integrate classical RK4.  The grid kernel `grid_rk4` owns the
 RK4 loop, the clamping of trajectories that leave the grid, node counting
-and recording, and takes its stage velocity as a parameter:
+and recording, and takes its stage velocity as a parameter.  It is a
+generator that can be resumed frame by frame, so the ensemble can be
+integrated while a propagation produces the frames: each step waits until
+the frames that bracket its last stage time are present.  Its stage
+velocities:
 
-- `grid_velocity` interpolates stored (F, *grid) density and current
-  stacks in 1D or 2D; each RK4 stage builds the flat indices of the cell
-  corners in the two bracketing frames once and gathers each stored field
-  with one `take`.
+- `grid_velocity` interpolates density and current stacks in 1D or 2D
+  that hold frame f in slot f % S: all F frames (S = F), or a ring of the
+  last S frames of a running propagation.  Each RK4 stage builds the flat
+  indices of the cell corners in the two bracketing frames once and
+  gathers each stored field with one `take`.
 - `product_velocity` serves a product state phi(y) chi(z) on a 2D grid
   from per-frame 1D tables of each factor, so no 2D stack is ever built;
   a per-point Gordon weight lets one call integrate the flows with and
@@ -60,15 +65,16 @@ def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
                   node_rel):
     """Velocity (dims, n) at points q (dims, n) and time t, and node flags.
 
-    fields = (rho, G_0, ..., G_dims-1), each (F, *grid.shape) and
-    C-contiguous, with frame peaks (F,) of rho.  A stage builds the flat
-    indices of the 2**dims cell corners in frames f0 and f0 + 1, and their
-    interpolation weights, once; each field is then one `take` and one
-    weighted sum over those corners.
+    fields = (rho, G_0, ..., G_dims-1), each (S, *grid.shape) and
+    C-contiguous with frame f in slot f % S, and peaks (F,) holds the peak
+    of rho in every frame.  A stage builds the flat indices of the 2**dims
+    cell corners in frames f0 and f0 + 1, and their interpolation weights,
+    once; each field is then one `take` and one weighted sum over those
+    corners.
     """
     dims, n = q.shape
-    n_frames, *shape = fields[0].shape
-    f0, w = _bracket(t, t0, frame_dt, n_frames)
+    slots, *shape = fields[0].shape
+    f0, w = _bracket(t, t0, frame_dt, len(peaks))
     s = (q - lo) / step
     i0 = np.floor(s)
     frac = s - i0
@@ -86,7 +92,8 @@ def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
             wts = wts[..., None, :] * weights
     # the same corners in frames f0 and f0 + 1, weighted linearly in time
     size = fields[0][0].size
-    idx = np.concatenate([idx + f0 * size, idx + (f0 + 1) * size])
+    idx = np.concatenate([idx + f0 % slots * size,
+                          idx + (f0 + 1) % slots * size])
     wts = np.concatenate([(1 - w) * wts, w * wts])
     idx, wts = idx.reshape(-1, n), wts.reshape(-1, n)
     rho_i, *g_i = [(f.take(idx) * wts).sum(axis=0) for f in fields]
@@ -135,15 +142,22 @@ def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
 
 
 def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
-             rec_stride):
+             rec_stride, frame_dt, n_frames):
     """RK4 of points q0 (n, dims) under the stage velocity
     `velocity(q, t, vprev, *args)` on the periodic grid of `shape` cells
-    of size step (dims, 1) from lo (dims, 1).
+    of size step (dims, 1) from lo (dims, 1), over n_frames frames
+    frame_dt apart from t0.
 
-    Returns the recorded points (n, n_rec, dims), per-record node flags,
-    per-trajectory node counts, failure flags and exit times.  A trajectory
-    that leaves the grid is clamped inside it, marked failed and no longer
-    moved.
+    A generator: primed with next(), it is sent the index of the last
+    frame present and runs every step whose stages read no later frame.
+    The k4 stage at a step's end reads the frames that bracket t + dt, so
+    the steps trail the newest frame by up to two frames.  It then yields
+    the first frame that the next step reads, the oldest one that must
+    still be stored, and once the last step is done it returns the
+    recorded points (n, n_rec, dims), per-record node flags,
+    per-trajectory node counts, failure flags and exit times.  A
+    trajectory that leaves the grid is clamped inside it, marked failed
+    and no longer moved.
     """
     n, dims = q0.shape
     hi = lo + np.reshape(shape, (dims, 1)) * step
@@ -161,8 +175,11 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
     rec[:, 0, :] = q.T
     step_events = np.zeros(n, dtype=np.int64)
 
+    ready = yield
     for i in range(n_steps):
         t = t0 + i * dt
+        while _bracket(t + dt, t0, frame_dt, n_frames)[0] + 1 > ready:
+            ready = yield _bracket(t, t0, frame_dt, n_frames)[0]
         alive = ~failed
         k1, n1 = velocity(q, t, vprev, *args)
         k2, n2 = velocity(q + 0.5 * dt * k1, t + 0.5 * dt, vprev, *args)

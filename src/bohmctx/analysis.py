@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
 
@@ -40,19 +39,6 @@ def grid_cdf(x_cells: np.ndarray, density: np.ndarray, dx: float):
 
     def cdf(x):
         return np.interp(np.asarray(x, dtype=float), edges, cum)
-    return cdf
-
-
-def gaussian_mixture_cdf(weights, centers, sigmas):
-    w = np.asarray(weights, dtype=float)
-    w = w / w.sum()
-    c = np.asarray(centers, dtype=float)
-    s = np.asarray(sigmas, dtype=float)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(w[None, :] * ndtr((x[:, None] - c[None, :]) / s[None, :]),
-                      axis=1)
     return cdf
 
 

@@ -110,6 +110,12 @@ class BeamSplitterConfig:
     spatial_overlap_threshold: float = _cfg("beam_splitter", "spatial_overlap_threshold")
     ratio_threshold: float = _cfg("beam_splitter", "ratio_threshold")
 
+    def trajectory_steps(self) -> tuple[int, int]:
+        """(grid RK4 steps, steps per recorded point) of the run."""
+        return trajectory_steps(self.dt_traj, self.dt * self.frame_stride,
+                                self.n_steps * self.dt,
+                                max(self.record_stride, 0))
+
     def validate(self):
         _require(self.n >= 1, "ensemble size must be >= 1")
         _require(self.sigma > 0, "sigma must be positive")
@@ -118,6 +124,7 @@ class BeamSplitterConfig:
                  <= 1e-6, "splitter amplitudes must be normalized")
         _require(self.dt > 0 and self.n_steps > 0, "dt and n_steps must be positive")
         _require_frame_stride(self)
+        self.trajectory_steps()
 
 
 @dataclass
@@ -146,6 +153,11 @@ class SternGerlachConfig:
     grid_half_width_z: float = _cfg("stern_gerlach", "grid_half_width_z")
     sigma_y: float = _cfg("stern_gerlach", "sigma_y")
 
+    def trajectory_steps(self) -> tuple[int, int]:
+        """(grid RK4 steps, steps per recorded point) of a run."""
+        return trajectory_steps(self.dt_traj, self.dt * self.frame_stride,
+                                self.n_steps * self.dt)
+
     def validate(self):
         _require(self.n >= 1, "ensemble size must be >= 1")
         _require(abs(self.alpha ** 2 + self.beta ** 2 - 1.0) <= 1e-6,
@@ -154,6 +166,7 @@ class SternGerlachConfig:
         _require(self.sigma > 0, "sigma must be positive")
         _require(self.n_steps > 0, "n_steps must be positive")
         _require_frame_stride(self)
+        self.trajectory_steps()
 
 
 @dataclass
@@ -245,6 +258,25 @@ def _require_frame_stride(cfg) -> None:
     n_steps // frame_stride + 1 before propagating."""
     _require(cfg.frame_stride >= 1 and cfg.n_steps % cfg.frame_stride == 0,
              "frame_stride must be >= 1 and divide n_steps")
+
+
+def trajectory_steps(dt_traj: float, frame_dt: float, span: float,
+                     record_stride: int = 1) -> tuple[int, int]:
+    """(steps, record_stride) of a grid RK4 of step dt_traj over frames
+    frame_dt apart that span `span`, checked before anything is
+    propagated: dt_traj must be positive, at most frame_dt and divide the
+    span, and record_stride must divide the step count.  record_stride 0
+    records a point once per frame, every round(frame_dt / dt_traj) steps.
+    """
+    _require(dt_traj > 0, "dt_traj must be positive")
+    _require(dt_traj <= frame_dt * (1 + 1e-9),
+             "dt_traj must not exceed the frame spacing")
+    n_steps = int(round(span / dt_traj))
+    _require(abs(n_steps * dt_traj - span) <= 1e-9 * max(1.0, span),
+             "dt_traj must divide the frame span")
+    stride = record_stride or max(int(round(frame_dt / dt_traj)), 1)
+    _require(n_steps % stride == 0, "record_stride must divide the step count")
+    return n_steps, stride
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ these formulas is the test reference for that product form.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .errors import ConfigError
 from .fields import ComplexField, SpinorField, FieldLike
@@ -45,8 +46,6 @@ def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Gradient of values (..., *grid.shape) over the grid axes, stacked
     (dims, ..., *grid.shape); leading axes are batched through one
     transform pair."""
-    from scipy import fft
-
     axes = tuple(range(-grid.dims, 0))
     ft = fft.fftn(values, axes=axes)
     ik = np.empty((grid.dims,) + ft.shape, dtype=ft.dtype)
@@ -183,11 +182,13 @@ def gordon_velocity(spinor: SpinorField, x, units: UnitsConfig = DEFAULT_UNITS,
 
 @dataclass
 class VelocityStacks:
-    """Per-frame rho and current fields, stacked for the kernels."""
+    """Per-frame rho and current fields, stacked for the kernels with
+    frame f in slot f % S: S = F when every frame is stored (build_stacks),
+    a few slots while a propagation runs (trajectories.FrameStream)."""
     grid: SpatialGrid
-    times: np.ndarray
-    rho: np.ndarray    # (F, *grid.shape)
-    g: list[np.ndarray]  # dims arrays, each (F, *grid.shape)
+    times: np.ndarray  # (F,)
+    rho: np.ndarray    # (S, *grid.shape)
+    g: list[np.ndarray]  # dims arrays, each (S, *grid.shape)
     peaks: np.ndarray  # (F,)
 
 

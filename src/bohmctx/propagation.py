@@ -8,8 +8,6 @@ show the usual O(dt^2) global accuracy.
 The components of a spinor are held as one (C, *grid.shape) array: one
 stacked half kick, and one scipy.fft transform pair over the spatial axes
 per step, batched over the components and run on a single worker.
-scipy.fft is imported on first use, so runs that never propagate a grid
-state do not load it.
 
 Boundaries are periodic.  A support guard (on by default) aborts when the
 density within 10 grid cells of any boundary exceeds 1e-8 of the frame
@@ -21,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import fft
 
 from .errors import ConfigError, PropagationBlowup, SupportGuardViolation
 from .fields import ComplexField, SpinorField, FieldLike
@@ -129,8 +128,6 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
     if frame_stride is not None:
         if frame_stride < 1 or n_steps % frame_stride != 0:
             raise ConfigError("frame_stride must be >= 1 and divide n_steps")
-
-    from scipy import fft
 
     grid = state.grid
     spinor = isinstance(state, SpinorField)

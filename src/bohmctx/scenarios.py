@@ -21,11 +21,10 @@ from .errors import ConfigError, SeparationError
 from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
                      spatial_overlap, GaussianPacketSpec)
 from .grids import SpatialGrid
-# build_stacks is not called here; it stays importable from this module
-# because perfbench/tracer.py wraps scenarios.build_stacks
-from .guidance import (ProductTables, VelocityModel, VelocityStacks,
-                       build_stacks, current_and_density, _interp,
-                       _spectral_gradient)
+# build_stacks and integrate_over_stacks are not called here; they stay
+# importable from this module because perfbench/tracer.py wraps them
+from .guidance import (ProductTables, VelocityModel, build_stacks,
+                       current_and_density, _interp, _spectral_gradient)
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       UNRESOLVED, classify_point, integrate_pointer_ensemble,
                       labels_from_log_ratio, predictor_block_sum,
@@ -35,7 +34,8 @@ from .propagation import (PotentialSpec, _boundary_band_mask,
 from .report import EnsembleReport
 from .sampling import sample_equilibrium
 from .schedules import PiecewiseLinear
-from .trajectories import integrate_over_stacks, integrate_product_flows
+from .trajectories import (FrameStream, integrate_over_stacks,
+                           integrate_product_flows)
 from .units import UnitsConfig, DEFAULT_UNITS
 
 
@@ -70,33 +70,20 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     cfg.validate()
     k = cfg.splitter_momentum
     a_r, a_l = cfg.amplitude_right, cfg.amplitude_left
-    grid, plus, minus, psi0, final, stacks = _bs_setup(cfg, units)
+    grid, plus, minus, psi0 = _bs_setup(cfg, units)
+    # the branch pair first: its separation, and the record and detector
+    # checks that depend on it, fail before the superposition propagates
     branches = _bs_branch_series(cfg, plus, minus, units)
-    times = stacks.times
+    times = _frame_times(cfg)
     sep_idx = branches.sep_idx
     t_sep = float(times[sep_idx])
     t_end = float(times[-1])
 
-    sample = sample_equilibrium(psi0, cfg.n, cfg.seed)
-    x0 = sample.positions[:, 0]
-    median = _density_median(grid, psi0.density())
-
-    frame_dt = float(times[1] - times[0])
-    stride = cfg.record_stride if cfg.record_stride > 0 \
-        else max(int(round(frame_dt / cfg.dt_traj)), 1)
-    trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj,
-                                  record_stride=stride)
+    _, stride = cfg.trajectory_steps()
     rec_dt = cfg.dt_traj * stride
     sep_rec = int(round((t_sep - times[0]) / rec_dt))
     if abs(sep_rec * rec_dt + times[0] - t_sep) > 1e-9:
         raise ConfigError("record grid must contain the separation time")
-    x_at_sep = np.array([tr.points[sep_rec, 0] for tr in trajs])
-
-    # outcome: the detector whose branch contains the trajectory at t_sep
-    outcomes = _dominant_density_labels(
-        grid, branches.rho_plus * a_r ** 2,
-        branches.rho_minus * a_l ** 2, x_at_sep[:, None],
-        ("D1", "D2"), cfg.ratio_threshold)
 
     # detector stage: two-branch pointer model on [t_sep, t_end], system
     # factors tracking the separated packets (rigid width), detector
@@ -121,6 +108,18 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
         labels=("D1", "D2"), T=det_tau, units=units)
     if det_tau <= cfg.detector_ramp_duration:
         raise ConfigError("detector ramp does not fit between separation and T")
+
+    sample = sample_equilibrium(psi0, cfg.n, cfg.seed)
+    x0 = sample.positions[:, 0]
+    median = _density_median(grid, psi0.density())
+    final, trajs = _bs_propagate(cfg, psi0, sample.positions, stride, units)
+    x_at_sep = np.array([tr.points[sep_rec, 0] for tr in trajs])
+
+    # outcome: the detector whose branch contains the trajectory at t_sep
+    outcomes = _dominant_density_labels(
+        grid, branches.rho_plus * a_r ** 2,
+        branches.rho_minus * a_l ** 2, x_at_sep[:, None],
+        ("D1", "D2"), cfg.ratio_threshold)
 
     y0 = np.empty((cfg.n, cfg.detector_count))
     for i in range(cfg.n):
@@ -181,20 +180,28 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
 
 
 def _bs_setup(cfg: BeamSplitterConfig, units: UnitsConfig) -> tuple:
-    """Grid, right- and left-moving packets, their normalized superposition
-    psi0 = a_r plus + a_l minus, the final state of its free propagation and
-    its SCALAR velocity stacks, filled frame by frame: the setup shared by
-    the run and born-check."""
+    """Grid, right- and left-moving packets and their normalized
+    superposition psi0 = a_r plus + a_l minus: the setup shared by the run
+    and born-check."""
     grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
     k = cfg.splitter_momentum
     plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k), units)
     minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k), units)
     vals = cfg.amplitude_right * plus.values + cfg.amplitude_left * minus.values
     psi0 = ComplexField(grid, vals / norm(ComplexField(grid, vals)))
-    stacks, fill = _stack_observer(cfg, grid, VelocityModel.SCALAR, units)
+    return grid, plus, minus, psi0
+
+
+def _bs_propagate(cfg: BeamSplitterConfig, psi0: ComplexField,
+                  positions: np.ndarray, record_stride: int,
+                  units: UnitsConfig) -> tuple:
+    """Final state of the free propagation of psi0 and the trajectories
+    from positions under its SCALAR flow, integrated while it propagates."""
+    stream, feed = _stream_observer(cfg, psi0.grid, positions, record_stride,
+                                    VelocityModel.SCALAR, units)
     final = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
-                      frame_stride=cfg.frame_stride, observer=fill).final
-    return grid, plus, minus, psi0, final, stacks
+                      frame_stride=cfg.frame_stride, observer=feed).final
+    return final, stream.flow.trajectories
 
 
 @dataclass
@@ -251,29 +258,30 @@ def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
     return series
 
 
-def _stack_observer(cfg, grid: SpatialGrid, model: str,
-                    units: UnitsConfig) -> tuple[VelocityStacks, Callable]:
-    """Velocity stacks for the frames of a propagation of cfg (one every
-    cfg.frame_stride steps) and the `propagate` observer that fills them
-    with current_and_density, as build_stacks does over stored frames.
-    The observer returns the frame index."""
-    n_frames = cfg.n_steps // cfg.frame_stride + 1
-    shape = (n_frames,) + grid.shape
-    stacks = VelocityStacks(grid, np.empty(n_frames), np.empty(shape),
-                            [np.empty(shape) for _ in range(grid.dims)],
-                            np.empty(n_frames))
+def _frame_times(cfg) -> np.ndarray:
+    """Times of the frames of a propagation of cfg, one every
+    cfg.frame_stride steps, as `propagate` passes them to its observer."""
+    return np.arange(cfg.n_steps // cfg.frame_stride + 1) \
+        * cfg.frame_stride * cfg.dt
 
-    def fill(step, t, state) -> int:
+
+def _stream_observer(cfg, grid: SpatialGrid, positions: np.ndarray,
+                     record_stride: int, model: str, units: UnitsConfig
+                     ) -> tuple[FrameStream, Callable]:
+    """A FrameStream that integrates the ensemble from positions over the
+    frames of a propagation of cfg, and the `propagate` observer that
+    feeds it each frame's current_and_density.  The observer returns the
+    frame index."""
+    stream = FrameStream(grid, _frame_times(cfg), positions, cfg.dt_traj,
+                         record_stride)
+
+    def feed(step, t, state) -> int:
         f = step // cfg.frame_stride
         rho, g = current_and_density(state, model, units)
-        stacks.times[f] = t
-        stacks.rho[f] = rho
-        for ax in range(grid.dims):
-            stacks.g[ax][f] = g[ax]
-        stacks.peaks[f] = rho.max()
+        stream.add(f, rho, g)
         return f
 
-    return stacks, fill
+    return stream, feed
 
 
 def _center_width(rho: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -334,20 +342,22 @@ def _sg_initial_1d(cfg, units) -> SpinorField:
 
 
 def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
+                     positions: np.ndarray, record_stride: int,
                      units) -> tuple:
-    """Final state, convective velocity stacks and branch overlap series
-    of the 1D run under the given field gradient."""
-    stacks, fill = _stack_observer(cfg, spinor0.grid, VelocityModel.SPINOR,
-                                   units)
-    branch_overlap = np.empty(len(stacks.times))
+    """Final state, trajectories from positions under the convective flow
+    (integrated while it propagates) and branch overlap series of the 1D
+    run under the given field gradient."""
+    stream, feed = _stream_observer(cfg, spinor0.grid, positions,
+                                    record_stride, VelocityModel.SPINOR, units)
+    branch_overlap = np.empty(len(stream.stacks.times))
 
     def observer(step, t, state):
-        branch_overlap[fill(step, t, state)] = _branch_overlap(state)
+        branch_overlap[feed(step, t, state)] = _branch_overlap(state)
 
     pot = PotentialSpec.linear_spin_dependent(gradient, cfg.offset)
     final = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
                       frame_stride=cfg.frame_stride, observer=observer).final
-    return final, stacks, branch_overlap
+    return final, stream.flow.trajectories, branch_overlap
 
 
 def _sg_z_cdf(final: SpinorField):
@@ -394,16 +404,15 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
     z0 = sample.positions[:, 0]
 
     def one_run(gradient: float):
-        final, stacks, branch_overlap = _sg_propagate_1d(cfg, spinor0,
-                                                         gradient, units)
+        final, trajs, branch_overlap = _sg_propagate_1d(
+            cfg, spinor0, gradient, sample.positions, 1, units)
         _sg_check_separation(cfg, final)
-        trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
         ends = np.array([tr.points[-1] for tr in trajs])
         outcomes = _sg_outcome_labels(final, ends, cfg.ratio_threshold)
-        return final, stacks.times, trajs, ends, outcomes, branch_overlap
+        return final, trajs, ends, outcomes, branch_overlap
 
-    final, times, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
-    _, _, twin_trajs, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
+    final, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
+    _, twin_trajs, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
 
     spin_for_upper = "+" if cfg.gradient > 0 else "-"
     predictions = {"system": [
@@ -424,7 +433,7 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=z0,
-        overlap_series={"t": times, "branch": branch_overlap},
+        overlap_series={"t": _frame_times(cfg), "branch": branch_overlap},
         node_counts=node_counts,
         audits={"crossing_violations": crossings,
                 "equivariance_ks": ks,
@@ -771,10 +780,13 @@ def run_born_check(cfg: ScenarioConfig, n: int,
                    units: UnitsConfig = DEFAULT_UNITS) -> dict:
     """Endpoint-vs-density KS diagnostic for any scenario config."""
     cfg.validate()
+    # only the endpoints are compared, so only they are recorded
     if isinstance(cfg, BeamSplitterConfig):
-        grid, _, _, psi0, final, stacks = _bs_setup(cfg, units)
+        grid, _, _, psi0 = _bs_setup(cfg, units)
         sample = sample_equilibrium(psi0, n, cfg.seed)
-        trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
+        steps, _ = cfg.trajectory_steps()
+        final, trajs = _bs_propagate(cfg, psi0, sample.positions, steps,
+                                     units)
         ends = np.array([tr.points[-1, 0] for tr in trajs])
         ks = born_rule_ks(ends, grid_cdf(grid.axis(0), final.density(),
                                          grid.dx[0]))
@@ -787,10 +799,10 @@ def run_born_check(cfg: ScenarioConfig, n: int,
                 tables, sample.positions, cfg.dt_traj, gordon=(1.0,))
         else:
             spinor0 = _sg_initial_1d(cfg, units)
-            final, stacks, _ = _sg_propagate_1d(cfg, spinor0, cfg.gradient,
-                                                units)
             sample = sample_equilibrium(spinor0, n, cfg.seed)
-            trajs = integrate_over_stacks(stacks, sample.positions, cfg.dt_traj)
+            steps, _ = cfg.trajectory_steps()
+            final, trajs, _ = _sg_propagate_1d(cfg, spinor0, cfg.gradient,
+                                               sample.positions, steps, units)
         ends = np.array([tr.points[-1, -1] for tr in trajs])
         return {"scenario": "stern_gerlach", "n": n,
                 "ks": born_rule_ks(ends, _sg_z_cdf(final))}

@@ -1,10 +1,18 @@
-"""Ensemble Bohmian trajectory integration over stored propagation frames.
+"""Ensemble Bohmian trajectory integration over propagation frames.
 
 Classical RK4 on the interpolated velocity field; linear interpolation in
-time between frames, linear/bilinear in space.  The field comes either
-from stored (F, *grid) stacks (`integrate_over_stacks`) or, for a product
-state phi(y) chi(z), from per-frame 1D tables of the factors
+time between frames, linear/bilinear in space.  The field comes from
+(S, *grid) density and current stacks that hold frame f in slot f % S, or,
+for a product state phi(y) chi(z), from per-frame 1D tables of the factors
 (`integrate_product_flows`, several Gordon weights in one kernel call).
+
+A `GridFlow` is one ensemble's integration; it advances through every RK4
+step that the frames present so far cover.  Over stored stacks
+(`integrate_over_stacks`, S = F) it runs to the end at once.  A
+`FrameStream` holds a ring of FRAME_SLOTS frames, fed one frame at a time
+by a propagation's observer, and advances its flow whenever the ring is
+full, so a run integrates its trajectories while it propagates and
+stores no (F, *grid) stack.  Either way each trajectory does the same arithmetic.
 Integration is delegated to the vectorized numpy kernels in `_kernels`;
 every trajectory is independent, so results are identical for any thread
 count.
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .config import trajectory_steps
 from .errors import ConfigError
 from .fields import FieldLike
 from .grids import SpatialGrid
@@ -22,6 +31,16 @@ from .guidance import (NODE_DENSITY_REL, ProductTables, VelocityStacks,
                        build_stacks)
 from .sampling import EquilibriumSample
 from .units import UnitsConfig, DEFAULT_UNITS
+
+# Frames a FrameStream keeps.  A step reads the frames from the one below
+# its start to the one above its end: three consecutive frames while
+# dt_traj <= frame spacing, four for a step up to the 1e-9 tolerance above
+# it whose start rounds just below a frame.  The flow advances only when a
+# slot it still reads is needed, so it runs in chunks of about
+# FRAME_SLOTS - 3 frames: advancing after every frame, alternating the
+# RK4 with each propagation step, cost about 8 % more CPU time in the
+# beam splitter's grid stage.
+FRAME_SLOTS = 16
 
 
 @dataclass
@@ -58,10 +77,13 @@ def integrate_trajectories(frames: list[FieldLike], times: np.ndarray,
 def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
                           dt_traj: float, record_stride: int = 1
                           ) -> list[Trajectory]:
-    """One trajectory per initial position under the interpolated stacks."""
-    return _integrate_grid(stacks.grid, stacks.times, positions, dt_traj,
-                           record_stride, _kernels.grid_velocity,
-                           ((stacks.rho, *stacks.g), stacks.peaks))
+    """One trajectory per initial position under the interpolated stacks,
+    which hold every frame."""
+    flow = GridFlow(stacks.grid, stacks.times, positions, dt_traj,
+                    record_stride, _kernels.grid_velocity,
+                    ((stacks.rho, *stacks.g), stacks.peaks))
+    flow.advance(len(stacks.times) - 1)
+    return flow.trajectories
 
 
 def integrate_product_flows(tables: ProductTables, positions: np.ndarray,
@@ -74,56 +96,102 @@ def integrate_product_flows(tables: ProductTables, positions: np.ndarray,
     pts = np.asarray(positions, dtype=float)
     n = len(pts)
     weights = np.repeat(np.asarray(gordon, dtype=float), n)
-    trajs = _integrate_grid(tables.grid, tables.times,
-                            np.tile(pts, (len(gordon), 1)), dt_traj, 1,
-                            _kernels.product_velocity,
-                            (tables.y, tables.z, tables.peaks, weights))
+    flow = GridFlow(tables.grid, tables.times,
+                    np.tile(pts, (len(gordon), 1)), dt_traj, 1,
+                    _kernels.product_velocity,
+                    (tables.y, tables.z, tables.peaks, weights))
+    flow.advance(len(tables.times) - 1)
+    trajs = flow.trajectories
     return [trajs[k * n:(k + 1) * n] for k in range(len(gordon))]
 
 
-def _integrate_grid(grid: SpatialGrid, times: np.ndarray,
-                    positions: np.ndarray, dt_traj: float,
-                    record_stride: int, velocity, tables: tuple
-                    ) -> list[Trajectory]:
-    """Check the step and the initial positions against the frame times
-    and the grid, run `_kernels.grid_rk4` under the stage velocity
-    `velocity(q, t, vprev, *tables, t0, frame_dt, lo, step, node_rel)` and
-    wrap each row as a Trajectory."""
-    frame_dt = float(times[1] - times[0])
-    if dt_traj <= 0:
-        raise ConfigError("dt_traj must be positive")
-    if dt_traj > frame_dt * (1 + 1e-9):
-        raise ConfigError("dt_traj must not exceed the frame spacing")
-    t0 = float(times[0])
-    t_end = float(times[-1])
-    n_steps = int(round((t_end - t0) / dt_traj))
-    if abs(n_steps * dt_traj - (t_end - t0)) > 1e-9 * max(1.0, t_end - t0):
-        raise ConfigError("dt_traj must divide the frame span")
-    if n_steps % record_stride != 0:
-        raise ConfigError("record_stride must divide the step count")
+class GridFlow:
+    """The grid RK4 of one ensemble under the stage velocity
+    `velocity(q, t, vprev, *tables, t0, frame_dt, lo, step, node_rel)`
+    over frames at `times`, advanced as the frames become available.
 
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.shape[1] != grid.dims:
-        raise ConfigError("initial positions do not match the grid dimension")
-    for i in range(grid.dims):
-        if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
-            raise ConfigError("initial position outside the grid domain")
+    The step and the initial positions are checked against the frame
+    times and the grid on construction.  `trajectories` is None until the
+    last step is done, then one Trajectory per initial position."""
 
-    lo = np.reshape(np.asarray(grid.x_min, dtype=np.float64), (grid.dims, 1))
-    step = np.reshape(np.asarray(grid.dx, dtype=np.float64), (grid.dims, 1))
-    rec, flags, counts, failed, exits = _kernels.grid_rk4(
-        pts, velocity,
-        (*tables, t0, frame_dt, lo, step, NODE_DENSITY_REL),
-        lo, step, grid.shape, t0, dt_traj, n_steps, record_stride)
+    def __init__(self, grid: SpatialGrid, times: np.ndarray,
+                 positions: np.ndarray, dt_traj: float, record_stride: int,
+                 velocity, tables: tuple):
+        frame_dt = float(times[1] - times[0])
+        t0 = float(times[0])
+        n_steps, _ = trajectory_steps(dt_traj, frame_dt,
+                                      float(times[-1]) - t0, record_stride)
+        pts = np.asarray(positions, dtype=float)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, 1)
+        if pts.shape[1] != grid.dims:
+            raise ConfigError("initial positions do not match the grid dimension")
+        for i in range(grid.dims):
+            if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
+                raise ConfigError("initial position outside the grid domain")
 
-    rec_times = t0 + dt_traj * record_stride * np.arange(rec.shape[1])
-    return [Trajectory(times=rec_times, points=rec[i],
-                       node_regularization_events=int(counts[i]),
-                       regularized_flags=flags[i], failed=bool(failed[i]),
-                       exit_time=float(exits[i]) if failed[i] else None)
-            for i in range(rec.shape[0])]
+        lo = np.reshape(np.asarray(grid.x_min, dtype=np.float64), (grid.dims, 1))
+        step = np.reshape(np.asarray(grid.dx, dtype=np.float64), (grid.dims, 1))
+        self._rk4 = _kernels.grid_rk4(
+            pts, velocity,
+            (*tables, t0, frame_dt, lo, step, NODE_DENSITY_REL),
+            lo, step, grid.shape, t0, dt_traj, n_steps, record_stride,
+            frame_dt, len(times))
+        next(self._rk4)
+        self._t0, self._rec_dt = t0, dt_traj * record_stride
+        self.first_needed = 0  # first frame that the next step reads
+        self.trajectories: list[Trajectory] | None = None
+
+    def advance(self, ready: int) -> None:
+        """Run every step whose stages read no frame after `ready`."""
+        try:
+            self.first_needed = self._rk4.send(ready)
+        except StopIteration as done:
+            rec, flags, counts, failed, exits = done.value
+            rec_times = self._t0 + self._rec_dt * np.arange(rec.shape[1])
+            self.trajectories = [
+                Trajectory(times=rec_times, points=rec[i],
+                           node_regularization_events=int(counts[i]),
+                           regularized_flags=flags[i], failed=bool(failed[i]),
+                           exit_time=float(exits[i]) if failed[i] else None)
+                for i in range(rec.shape[0])]
+
+
+class FrameStream:
+    """Velocity stacks of FRAME_SLOTS frames, written frame by frame by a
+    propagation's observer, and the GridFlow that integrates the ensemble
+    over them while they arrive."""
+
+    def __init__(self, grid: SpatialGrid, times: np.ndarray,
+                 positions: np.ndarray, dt_traj: float, record_stride: int):
+        shape = (FRAME_SLOTS,) + grid.shape
+        self.stacks = VelocityStacks(
+            grid, np.asarray(times, dtype=float), np.empty(shape),
+            [np.empty(shape) for _ in range(grid.dims)],
+            np.empty(len(times)))
+        self.flow = GridFlow(grid, self.stacks.times, positions, dt_traj,
+                             record_stride, _kernels.grid_velocity,
+                             ((self.stacks.rho, *self.stacks.g),
+                              self.stacks.peaks))
+
+    def add(self, f: int, rho: np.ndarray, g: list[np.ndarray]) -> None:
+        """Store frame f (density rho, currents g) over frame
+        f - FRAME_SLOTS.  If the flow still reads that frame, it first runs
+        every step that frames up to f - 1 cover; with the last frame it
+        runs to the end."""
+        if f - FRAME_SLOTS >= self.flow.first_needed:
+            self.flow.advance(f - 1)
+            if f - FRAME_SLOTS >= self.flow.first_needed:
+                raise RuntimeError(f"frame {f} would overwrite a frame "
+                                   "that the trajectory integration "
+                                   "still reads")
+        slot = f % FRAME_SLOTS
+        self.stacks.rho[slot] = rho
+        for ax, g_ax in enumerate(g):
+            self.stacks.g[ax][slot] = g_ax
+        self.stacks.peaks[f] = rho.max()
+        if f == len(self.stacks.times) - 1:
+            self.flow.advance(f)
 
 
 def endpoints(trajectories: list[Trajectory], axis: int = 0) -> np.ndarray:

@@ -25,3 +25,14 @@ def harmonic_width(t, sigma0=1.0, hbar=1.0, m=1.0, omega=1.0):
     return np.sqrt(sigma0 ** 2 * np.cos(omega * t) ** 2
                    + (hbar / (2 * m * sigma0 * omega)) ** 2
                    * np.sin(omega * t) ** 2)
+
+
+def assert_same_trajectories(got, want):
+    """Two ensembles of Trajectory objects agree bitwise."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in ((a.times, b.times), (a.points, b.points),
+                     (a.regularized_flags, b.regularized_flags)):
+            assert np.array_equal(x, y)
+        assert (a.node_regularization_events, a.failed, a.exit_time) \
+            == (b.node_regularization_events, b.failed, b.exit_time)

@@ -6,8 +6,22 @@ from bohmctx import ConfigError
 from bohmctx.analysis import (AccuracyResult, AttributionThresholds,
                               INDETERMINATE, MIXED, M_DETERMINED,
                               S_DETERMINED, accuracy, attribute, born_rule_ks,
-                              crossing_audit, gaussian_mixture_cdf, grid_cdf,
-                              ks_statistic, wilson_interval)
+                              crossing_audit, grid_cdf, ks_statistic,
+                              wilson_interval)
+
+
+def gaussian_mixture_cdf(weights, centers, sigmas):
+    """CDF of a Gaussian mixture: the oracle for grid_cdf."""
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    c = np.asarray(centers, dtype=float)
+    s = np.asarray(sigmas, dtype=float)
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.sum(w[None, :] * ndtr((x[:, None] - c[None, :]) / s[None, :]),
+                      axis=1)
+    return cdf
 
 
 # -- KS -----------------------------------------------------------------------

@@ -90,6 +90,41 @@ def test_frame_stride_rejected_unless_it_divides_n_steps(mapping):
         config_from_mapping(mapping)
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({"scenario": "beam_splitter", "dt_traj": 0.0}, "positive"),
+    ({"scenario": "beam_splitter", "dt_traj": 0.003}, "frame spacing"),
+    ({"scenario": "beam_splitter", "dt_traj": 0.0015}, "divide the frame span"),
+    ({"scenario": "beam_splitter", "record_stride": 3}, "record_stride"),
+    ({"scenario": "beam_splitter", "dt_traj": 2 / 1875}, "record_stride"),
+    ({"scenario": "stern_gerlach", "dt_traj": 0.011}, "frame spacing"),
+    ({"scenario": "stern_gerlach", "gordon": True, "dt_traj": 0.003},
+     "divide the frame span"),
+], ids=["bs_zero", "bs_above_frame_dt", "bs_not_dividing", "bs_record_stride",
+        "bs_frame_record_stride", "sg_above_frame_dt", "sg_2d_not_dividing"])
+def test_trajectory_step_rejected_by_validate(mapping, message):
+    # frames 0.002 (beam splitter) and 0.01 (Stern-Gerlach) apart over
+    # T = 2; the default beam-splitter record stride is the steps per
+    # frame, round(1.875) = 2 at dt_traj 2 / 1875, which does not divide
+    # the 1875 steps
+    with pytest.raises(ConfigError, match=message):
+        config_from_mapping(mapping)
+
+
+def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
+                                                        monkeypatch, capsys):
+    from bohmctx import cli, scenarios
+
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagate called")
+
+    monkeypatch.setattr(scenarios, "propagate", no_propagation)
+    cfg_path = tmp_path / "bs.cfg"
+    cfg_path.write_text("scenario = beam_splitter\ndt_traj = 0.003\n")
+    assert cli.main(["beam-splitter", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "dt_traj must not exceed the frame spacing" in capsys.readouterr().err
+
+
 def test_defaults_table_covers_dataclasses():
     for name, cls in CONFIG_TYPES.items():
         cfg = cls()

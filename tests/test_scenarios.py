@@ -19,10 +19,12 @@ from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
 from bohmctx.report import _plain
 from bohmctx.sampling import sample_equilibrium
 from bohmctx.units import DEFAULT_UNITS
+from conftest import assert_same_trajectories
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
-from bohmctx.trajectories import integrate_over_stacks, integrate_product_flows
+from bohmctx.trajectories import (GridFlow, integrate_over_stacks,
+                                  integrate_product_flows)
 
 
 # -- beam splitter ------------------------------------------------------------
@@ -54,28 +56,76 @@ def test_beam_splitter_separation_failure():
 
 
 def _small_beam_splitter_config(**kw):
-    return BeamSplitterConfig(n=20, seed=1, grid_n=512, dt_traj=0.0005, **kw)
+    return BeamSplitterConfig(**{"n": 20, "seed": 1, "grid_n": 512,
+                                 "dt_traj": 0.0005, **kw})
 
 
-def test_beam_splitter_setup_stacks_equal_build_stacks():
-    # the observer-filled SCALAR stacks are bitwise those of build_stacks
-    # over the stored frames of the same propagation
-    cfg = _small_beam_splitter_config()
-    _, _, _, psi0, final, stacks = scenarios._bs_setup(cfg, DEFAULT_UNITS)
+@pytest.mark.parametrize("kw", [
+    {},
+    # frames 5 steps apart, 2.5 trajectory steps per frame, every 5th
+    # step recorded
+    dict(frame_stride=5, dt_traj=0.004, record_stride=5),
+], ids=["small", "frame_stride_5"])
+def test_beam_splitter_streamed_trajectories_equal_stored_stacks(kw):
+    # the trajectories integrated while the superposition propagates are
+    # bitwise those of integrate_over_stacks over build_stacks of the
+    # stored frames of the same propagation, at the run's record stride
+    cfg = _small_beam_splitter_config(**kw)
+    _, _, _, psi0 = scenarios._bs_setup(cfg, DEFAULT_UNITS)
+    positions = sample_equilibrium(psi0, cfg.n, cfg.seed).positions
+    _, stride = cfg.trajectory_steps()
+    assert stride > 1
+    final, trajs = scenarios._bs_propagate(cfg, psi0, positions, stride,
+                                           DEFAULT_UNITS)
     prop = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                      frame_stride=cfg.frame_stride)
-    ref = build_stacks(prop.frames, prop.times, VelocityModel.SCALAR)
+    ref = integrate_over_stacks(
+        build_stacks(prop.frames, prop.times, VelocityModel.SCALAR),
+        positions, cfg.dt_traj, record_stride=stride)
     assert np.array_equal(final.values, prop.final.values)
-    for got, want in ((stacks.times, ref.times), (stacks.rho, ref.rho),
-                      (stacks.g[0], ref.g[0]), (stacks.peaks, ref.peaks)):
-        assert np.array_equal(got, want)
+    assert_same_trajectories(trajs, ref)
+
+
+@pytest.mark.parametrize("case", ["separation", "record_grid", "ramp"])
+def test_beam_splitter_separation_checks_precede_the_grid_flow(
+        case, monkeypatch):
+    # the branch pair propagates first, so a failed separation, a record
+    # grid that misses the separation time and a detector ramp longer than
+    # the detector stage all stop the run before any grid RK4 step
+    cfg, error, match = {
+        "separation": (BeamSplitterConfig(n=10, seed=1, n_steps=60,
+                                          frame_stride=1, dt_traj=0.001),
+                       SeparationError, "never satisfied"),
+        "record_grid": (_small_beam_splitter_config(record_stride=1000),
+                        ConfigError, "record grid"),
+        "ramp": (_small_beam_splitter_config(detector_ramp_duration=1.9),
+                 ConfigError, "detector ramp"),
+    }[case]
+    advances = []
+    real = GridFlow.advance
+
+    def counting_advance(self, ready):
+        advances.append(ready)
+        real(self, ready)
+
+    monkeypatch.setattr(GridFlow, "advance", counting_advance)
+    with pytest.raises(error, match=match):
+        run_beam_splitter(cfg)
+    assert advances == []
+    # the counter sees the RK4 advance of a run that passes those checks,
+    # through to the last frame
+    cfg = _small_beam_splitter_config()
+    cfg.dt_traj = cfg.dt
+    run_beam_splitter(cfg)
+    assert len(advances) > 1
+    assert advances[-1] == cfg.n_steps // cfg.frame_stride
 
 
 def test_beam_splitter_branch_series_equal_separate_propagations():
     # the batched (plus, minus) pair gives bitwise the series of the two
     # packets propagated one by one, with the per-frame formulas over them
     cfg = _small_beam_splitter_config()
-    _, plus, minus, _, _, _ = scenarios._bs_setup(cfg, DEFAULT_UNITS)
+    _, plus, minus, _ = scenarios._bs_setup(cfg, DEFAULT_UNITS)
     got = scenarios._bs_branch_series(cfg, plus, minus, DEFAULT_UNITS)
     frames = [propagate(packet, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                         frame_stride=cfg.frame_stride).frames
@@ -130,6 +180,25 @@ def test_beam_splitter_propagates_twice_without_frames(monkeypatch):
         tracemalloc.stop()
     assert len(calls) == 2 and all(obs is not None for obs in calls)
     assert peak < 32 * n_frames * cfg.grid_n
+
+
+@pytest.mark.parametrize("cfg", [
+    BeamSplitterConfig(n=20, seed=1, grid_n=512, dt_traj=0.002),
+    SternGerlachConfig(n=10, seed=3, grid_n=512),
+], ids=["beam_splitter", "stern_gerlach_1d"])
+def test_grid_run_holds_no_frame_stack(cfg):
+    # the 1D grid runs integrate while they propagate, from a ring of a few
+    # frames: the peak traced allocation of a whole run stays below one
+    # float64 (F, grid_n) array, where the density and current stacks
+    # alone would take two
+    n_frames = cfg.n_steps // cfg.frame_stride + 1
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_frames * cfg.grid_n
 
 
 def test_beam_splitter_support_guard_on_each_branch():
@@ -273,23 +342,29 @@ def test_run_scenario_dispatch():
     assert rep.scenario == "stern_gerlach"
 
 
-def test_sg_1d_stacks_and_branch_overlap_equal_stored_frames():
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["run", "twin"])
+def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
+        sign):
+    # each of the twin runs integrates its trajectories while it
+    # propagates, bitwise as integrate_over_stacks over build_stacks of the
+    # stored frames
     cfg = SternGerlachConfig(n=10, seed=3, grid_n=512)
     spinor0 = scenarios._sg_initial_1d(cfg, DEFAULT_UNITS)
-    final, stacks, branch = scenarios._sg_propagate_1d(
-        cfg, spinor0, cfg.gradient, DEFAULT_UNITS)
+    positions = sample_equilibrium(spinor0, cfg.n, cfg.seed).positions
+    final, trajs, branch = scenarios._sg_propagate_1d(
+        cfg, spinor0, sign * cfg.gradient, positions, 1, DEFAULT_UNITS)
     prop = propagate(spinor0, PotentialSpec.linear_spin_dependent(
-        cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
+        sign * cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
-    ref = build_stacks(prop.frames, prop.times, VelocityModel.SPINOR)
+    ref = integrate_over_stacks(
+        build_stacks(prop.frames, prop.times, VelocityModel.SPINOR),
+        positions, cfg.dt_traj)
     want = [abs(overlap(f.up, f.down)) / max(norm(f.up) * norm(f.down), 1e-300)
             for f in prop.frames]
     assert np.array_equal(final.up.values, prop.final.up.values)
     assert np.array_equal(final.down.values, prop.final.down.values)
-    for got, ref_arr in ((stacks.times, ref.times), (stacks.rho, ref.rho),
-                         (stacks.g[0], ref.g[0]), (stacks.peaks, ref.peaks),
-                         (branch, want)):
-        assert np.array_equal(got, ref_arr)
+    assert np.array_equal(branch, want)
+    assert_same_trajectories(trajs, ref)
 
 
 def test_born_check_grid_scenario():
@@ -476,14 +551,19 @@ def test_born_check_gordon_matches_run():
 
 def test_born_check_uses_configured_beam_splitter_state(monkeypatch):
     # born-check must propagate the same initial state as the run, built
-    # from amplitude_right/amplitude_left: here the right-moving packet alone
+    # from amplitude_right/amplitude_left: here the right-moving packet
+    # alone.  The run propagates the branch pair (a SpinorField) first.
     class Stop(Exception):
         pass
+
+    real = scenarios.propagate
 
     def first_state(run):
         seen = []
 
         def fake_propagate(state, *args, **kwargs):
+            if isinstance(state, SpinorField):
+                return real(state, *args, **kwargs)
             seen.append(state)
             raise Stop
 

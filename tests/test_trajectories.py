@@ -8,11 +8,12 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      PotentialSpec, SpatialGrid, make_gaussian, propagate,
                      sample_equilibrium, integrate_trajectories)
 from bohmctx.analysis import audit_trajectories, grid_cdf
-from bohmctx.guidance import VelocityModel, build_stacks
+from bohmctx.guidance import VelocityModel, build_stacks, current_and_density
 from bohmctx.sampling import EquilibriumSample
-from bohmctx.trajectories import (Trajectory, endpoints,
+from bohmctx.trajectories import (FrameStream, Trajectory, endpoints,
                                   integrate_over_stacks,
                                   write_trajectories_csv)
+from conftest import assert_same_trajectories
 
 
 def plane_wave_frames(grid, k, t_final, n_frames):
@@ -93,6 +94,34 @@ def test_domain_exit_marks_failed(line_grid):
                                    dt_traj=0.01)
     assert trajs[0].failed
     assert trajs[0].exit_time is not None and trajs[0].exit_time > 0
+
+
+@pytest.mark.parametrize("dt_traj, record_stride", [(0.01, 1), (0.004, 5)],
+                         ids=["frame_step", "2.5_steps_per_frame"])
+def test_frame_stream_equals_stored_stacks_past_the_grid_edge(
+        line_grid, dt_traj, record_stride):
+    # a fast packet carries some trajectories out of the grid; integrated
+    # while the frames (5 steps apart) arrive, they fail, are clamped and
+    # get their exit times bitwise as over the stored stacks
+    psi = make_gaussian(line_grid, GaussianPacketSpec.make(10.0, 1.0, 8.0))
+    dt, n_steps, frame_stride = 0.002, 500, 5
+    positions = np.array([[8.0], [10.0], [12.0], [13.0], [14.0]])
+    times = np.arange(n_steps // frame_stride + 1) * frame_stride * dt
+    stream = FrameStream(line_grid, times, positions, dt_traj, record_stride)
+
+    def feed(step, t, state):
+        rho, g = current_and_density(state, VelocityModel.SCALAR)
+        stream.add(step // frame_stride, rho, g)
+
+    propagate(psi, PotentialSpec.free(), dt, n_steps,
+              frame_stride=frame_stride, support_guard=False, observer=feed)
+    prop = propagate(psi, PotentialSpec.free(), dt, n_steps,
+                     frame_stride=frame_stride, support_guard=False)
+    ref = integrate_over_stacks(
+        build_stacks(prop.frames, prop.times, VelocityModel.SCALAR),
+        positions, dt_traj, record_stride)
+    assert 0 < sum(tr.failed for tr in ref) < len(ref)
+    assert_same_trajectories(stream.flow.trajectories, ref)
 
 
 def test_dt_exceeding_frame_spacing_rejected(line_grid, unit_gaussian):
