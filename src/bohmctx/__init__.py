@@ -9,14 +9,11 @@ from .grids import SpatialGrid
 from .fields import (ComplexField, SpinorField, GaussianPacketSpec,
                      make_gaussian, norm, overlap)
 from .propagation import PotentialSpec, propagate
-from .guidance import (VelocityModel, velocity_scalar, velocity_spinor,
-                       gordon_velocity)
+from .guidance import VelocityModel
 from .sampling import EquilibriumSample, sample_equilibrium
-from .trajectories import Trajectory, integrate_trajectories
-from .pointer import (Branch, PointerModelConfig, ConfigPoint,
-                      branch_local_weight, pointer_velocity,
-                      apparatus_overlap, system_overlap, classify_outcome,
-                      predictor_system, predictor_apparatus)
+from .trajectories import Trajectory
+from .pointer import (Branch, PointerModelConfig, system_overlap,
+                      predictor_system)
 from .report import EnsembleReport
 from .errors import (BohmctxError, ConfigError, NumericalFailure,
                      SupportGuardViolation, SeparationError)
@@ -24,12 +21,9 @@ from .errors import (BohmctxError, ConfigError, NumericalFailure,
 __all__ = [
     "UnitsConfig", "DEFAULT_UNITS", "SpatialGrid", "ComplexField",
     "SpinorField", "GaussianPacketSpec", "make_gaussian", "norm", "overlap",
-    "PotentialSpec", "propagate", "VelocityModel", "velocity_scalar",
-    "velocity_spinor", "gordon_velocity", "EquilibriumSample",
-    "sample_equilibrium", "Trajectory", "integrate_trajectories", "Branch",
-    "PointerModelConfig", "ConfigPoint", "branch_local_weight",
-    "pointer_velocity", "apparatus_overlap", "system_overlap",
-    "classify_outcome", "predictor_system", "predictor_apparatus",
-    "EnsembleReport", "BohmctxError", "ConfigError", "NumericalFailure",
-    "SupportGuardViolation", "SeparationError",
+    "PotentialSpec", "propagate", "VelocityModel", "EquilibriumSample",
+    "sample_equilibrium", "Trajectory", "Branch", "PointerModelConfig",
+    "system_overlap", "predictor_system", "EnsembleReport", "BohmctxError",
+    "ConfigError", "NumericalFailure", "SupportGuardViolation",
+    "SeparationError",
 ]

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ConfigError
 
+UNRESOLVED = "unresolved"  # the outcome label of a run no branch claims
 MIN_KS_SAMPLES = 100
 WILSON_Z = 1.959963984540054  # 95% two-sided
 
@@ -78,12 +79,11 @@ class AccuracyResult:
         return self.n_resolved == 0
 
 
-def accuracy(outcomes: list[str], predictions: list[str],
-             unresolved: str = "unresolved") -> AccuracyResult:
+def accuracy(outcomes: list[str], predictions: list[str]) -> AccuracyResult:
     """Fraction of resolved runs where the prediction matches the outcome."""
     if len(outcomes) != len(predictions):
         raise ConfigError("outcomes and predictions must align")
-    pairs = [(o, p) for o, p in zip(outcomes, predictions) if o != unresolved]
+    pairs = [(o, p) for o, p in zip(outcomes, predictions) if o != UNRESOLVED]
     if not pairs:
         return AccuracyResult(float("nan"), float("nan"), 0)
     hits = sum(1 for o, p in pairs if o == p)
@@ -104,7 +104,7 @@ def predictor_accuracy(report, predictor_name: str) -> AccuracyResult:
 # 1D no-crossing audit
 # ---------------------------------------------------------------------------
 
-def crossing_audit(positions: np.ndarray, times: np.ndarray | None = None) -> int:
+def crossing_audit(positions: np.ndarray) -> int:
     """Count trajectory pairs whose relative 1D order differs anywhere from
     their order at the first time.  positions has shape (n_traj, n_times).
 
@@ -130,12 +130,14 @@ def crossing_audit(positions: np.ndarray, times: np.ndarray | None = None) -> in
     return int(np.count_nonzero(bad[iu]))
 
 
-def audit_trajectories(trajectories, axis: int = 0) -> int:
+def audit_trajectories(trajectories) -> int:
+    """crossing_audit of the first coordinate of trajectories that share
+    one time base."""
     times0 = trajectories[0].times
     for tr in trajectories:
         if len(tr.times) != len(times0) or not np.allclose(tr.times, times0):
             raise ConfigError("trajectories must share one time base")
-    pos = np.stack([tr.points[:, axis] for tr in trajectories])
+    pos = np.stack([tr.points[:, 0] for tr in trajectories])
     return crossing_audit(pos)
 
 

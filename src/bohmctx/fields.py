@@ -158,31 +158,3 @@ def spatial_overlap(a: ComplexField, b: ComplexField) -> float:
     acc = np.sum(np.sqrt(a.density() * b.density())) * a.grid.cell_volume
     return float(acc / np.sqrt(na2 * nb2))
 
-
-def write_text(f: FieldLike, path) -> None:
-    """Plain-text dump (coordinates plus re/im columns) for debugging."""
-    if isinstance(f, SpinorField):
-        cols = [*f.grid.meshes, f.up.values.real, f.up.values.imag,
-                f.down.values.real, f.down.values.imag]
-        names = _coord_names(f.grid) + ["up_re", "up_im", "down_re", "down_im"]
-    else:
-        cols = [*f.grid.meshes, f.values.real, f.values.imag]
-        names = _coord_names(f.grid) + ["re", "im"]
-    flat = np.column_stack([np.ravel(c) for c in cols])
-    header = " ".join(names)
-    np.savetxt(path, flat, header=header, fmt="%.17g")
-
-
-def read_text(path, grid: SpatialGrid) -> FieldLike:
-    data = np.loadtxt(path)
-    ncoord = grid.dims
-    if data.shape[1] == ncoord + 4:
-        up = (data[:, ncoord] + 1j * data[:, ncoord + 1]).reshape(grid.shape)
-        dn = (data[:, ncoord + 2] + 1j * data[:, ncoord + 3]).reshape(grid.shape)
-        return SpinorField(ComplexField(grid, up), ComplexField(grid, dn))
-    vals = (data[:, ncoord] + 1j * data[:, ncoord + 1]).reshape(grid.shape)
-    return ComplexField(grid, vals)
-
-
-def _coord_names(grid: SpatialGrid) -> list[str]:
-    return ["x"] if grid.dims == 1 else ["y", "z"]

@@ -9,10 +9,13 @@ velocity-current G (with v = G / rho):
     spinor:  rho = |u|^2 + |d|^2,      G = (hbar/m) Im(u* grad u + d* grad d)
     gordon:  adds (hbar/2m) (d_z s_x, -d_y s_x) with s_x = 2 Re(u* d)
 
-Point evaluations interpolate the precomputed rho/G fields (linear in 1D,
-bilinear in 2D) and divide once, so states with a uniform phase gradient
-keep an exactly uniform velocity.  The Gordon term exists only on 2D
-(y, z) grids; the out-of-plane curl component is discarded.
+The velocity at a point is G / rho with both fields interpolated there
+(linear in 1D, bilinear in 2D, then one division), so states with a
+uniform phase gradient keep an exactly uniform velocity.  The trajectory
+kernels do that interpolation on the stacks (`_kernels.grid_velocity`);
+`_interp` here serves the outcome labels, which compare two densities at
+the trajectory endpoints.  The Gordon term exists only on 2D (y, z) grids;
+the out-of-plane curl component is discarded.
 
 These are the general 2D formulas.  The Stern-Gerlach Gordon run never
 builds 2D fields from them: its state is a product phi(y) chi(z), so
@@ -28,7 +31,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import ConfigError
-from .fields import ComplexField, SpinorField, FieldLike
+from .fields import SpinorField, FieldLike
 from .grids import SpatialGrid
 from .units import UnitsConfig, DEFAULT_UNITS
 
@@ -88,7 +91,7 @@ def current_and_density(state: FieldLike, model: str,
 def gordon_current(state: SpinorField, units: UnitsConfig = DEFAULT_UNITS
                    ) -> tuple[np.ndarray, np.ndarray]:
     """In-plane spin-curl current (G_y, G_z) = (hbar/2m)(d_z s_x, -d_y s_x)
-    of any 2D spinor; behind gordon_velocity and the SPINOR_GORDON model."""
+    of any 2D spinor; the extra term of the SPINOR_GORDON model."""
     grid = state.grid
     if grid.dims != 2:
         raise ConfigError("the Gordon term is only defined on 2D (y, z) grids")
@@ -120,64 +123,6 @@ def _interp(grid: SpatialGrid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
     i1 = (i0 + 1) % grid.n_points[1]
     return (arr[j0, i0] * (1 - fy) * (1 - fz) + arr[j1, i0] * fy * (1 - fz)
             + arr[j0, i1] * (1 - fy) * fz + arr[j1, i1] * fy * fz)
-
-
-def _as_points(x, dims: int) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if dims == 1 else pts.reshape(1, -1)
-    if pts.shape[1] != dims:
-        raise ConfigError(f"points must have {dims} coordinates")
-    return pts
-
-
-def _evaluate(grid: SpatialGrid, rho: np.ndarray, g, x, with_flags: bool):
-    """v = G / rho interpolated at point(s) x, density floored at nodes."""
-    pts = _as_points(x, grid.dims)
-    for i in range(grid.dims):
-        if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
-            raise ConfigError("evaluation point outside the grid domain")
-    peak = float(rho.max())
-    rho_i = _interp(grid, rho, pts)
-    flags = rho_i < NODE_DENSITY_REL * peak
-    rho_safe = np.maximum(rho_i, NODE_DENSITY_REL * peak)  # regularized floor
-    v = np.stack([_interp(grid, gi, pts) / rho_safe for gi in g], axis=1)
-    squeeze = np.asarray(x).ndim <= 1
-    if squeeze and v.shape[0] == 1:
-        v = v[0]
-        flags = bool(flags[0])
-    if with_flags:
-        return v, flags
-    return v
-
-
-def velocity_scalar(field: ComplexField, x, units: UnitsConfig = DEFAULT_UNITS,
-                    with_flags: bool = False):
-    """Guidance velocity v = (hbar/m) Im(grad psi / psi) at point(s) x.
-
-    Near nodes (density below 1e-12 of peak) the density is floored and the
-    result flagged when with_flags=True; no error is raised.
-    """
-    rho, g = current_and_density(field, VelocityModel.SCALAR, units)
-    return _evaluate(field.grid, rho, g, x, with_flags)
-
-
-def velocity_spinor(spinor: SpinorField, x, units: UnitsConfig = DEFAULT_UNITS,
-                    with_flags: bool = False):
-    """Convective spinor velocity hbar Im(Psi^dag grad Psi)/(m Psi^dag Psi)."""
-    rho, g = current_and_density(spinor, VelocityModel.SPINOR, units)
-    return _evaluate(spinor.grid, rho, g, x, with_flags)
-
-
-def gordon_velocity(spinor: SpinorField, x, units: UnitsConfig = DEFAULT_UNITS,
-                    with_flags: bool = False):
-    """In-plane Gordon correction (hbar/2m)(d_z s_x, -d_y s_x)/rho on a 2D
-    grid.  This is only the correction; add it to velocity_spinor for the
-    full spin-corrected flow."""
-    return _evaluate(spinor.grid, spinor.density(),
-                     gordon_current(spinor, units), x, with_flags)
 
 
 @dataclass

@@ -24,7 +24,9 @@ block means.  The ensemble integrator therefore solves the (n, n_blocks)
 ODE of the block means (`_kernels.block_rk4`); every coordinate keeps its
 t = 0 offset from its block mean, and positions are rebuilt as
 q(t) = q0 + (m(t) - m(0))[block_id] only when asked for.  Classification
-reads the log-weight gap straight from the block means.
+reads the log-weight gap straight from the block means
+(`BlockModel.log_weight_gap`), and `BlockModel.velocities` gives each
+coordinate its block's velocity; neither has a per-coordinate form.
 """
 
 import math
@@ -34,13 +36,12 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from .analysis import UNRESOLVED
 from .errors import ConfigError
 from .schedules import PiecewiseLinear
 from .sampling import inverse_cdf_sample
 from .trajectories import Trajectory
 from .units import UnitsConfig, DEFAULT_UNITS
-
-UNRESOLVED = "unresolved"
 DEFAULT_RATIO_THRESHOLD = 1e6
 POINTER_NODE_THRESH = 1e-24  # on |r_+ + r_-|^2 with max branch modulus 1
 
@@ -118,11 +119,6 @@ class BlockModel:
                 vels[:, b, k] = blk.centers[b].velocity(ts)
         return centers, vels
 
-    def _per_coord(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sig = np.repeat([b.sigma for b in self.blocks],
-                        [b.count for b in self.blocks])
-        return sig, 1.0 / (4.0 * sig ** 2), 1.0 / (2.0 * sig ** 2)
-
     def block_tables(self, ts: np.ndarray) -> _kernels.BlockTables:
         """Coefficients of the block-mean ODE at times ts."""
         centers, vels = self.schedule_tables(ts)
@@ -145,22 +141,6 @@ class BlockModel:
         return out
 
     # -- log weights and velocities ----------------------------------------
-
-    def log_branch_weights(self, points: np.ndarray, t: float) -> np.ndarray:
-        """log w_b = log(|c_b|^2 |Phi_b|^2) at configuration points (n, C);
-        includes the Gaussian normalization constants."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        centers, _ = self.schedule_tables(np.array([t]))
-        block_id = self.coordinate_blocks()
-        sig, inv4s2, _ = self._per_coord()
-        log_norm = float(np.sum(-0.5 * np.log(2.0 * np.pi * sig ** 2)))
-        out = np.empty((pts.shape[0], 2))
-        for b in range(2):
-            amp = abs(self.amplitudes[b])
-            log_amp2 = 2.0 * math.log(amp) if amp > 0 else -math.inf
-            d = pts - centers[0, b, block_id]
-            out[:, b] = log_amp2 + log_norm - 2.0 * np.sum(d * d * inv4s2, axis=1)
-        return out
 
     @cached_property
     def _tables_by_time(self) -> dict:
@@ -217,58 +197,10 @@ def PointerModelConfig(N: int, apparatus_sigma: float, ramp: PiecewiseLinear,
                       (plus.label, minus.label), T, units)
 
 
-@dataclass(frozen=True)
-class ConfigPoint:
-    x: float
-    y: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([[self.x], np.asarray(self.y, dtype=float)])
-
-
-def _as_flat(config, model: BlockModel) -> np.ndarray:
-    if isinstance(config, ConfigPoint):
-        flat = config.flat()
-    else:
-        flat = np.asarray(config, dtype=float).ravel()
-    if flat.shape[0] != model.n_coords:
-        raise ConfigError(f"configuration must have {model.n_coords} coordinates")
-    return flat
-
-
-def branch_local_weight(config, t: float, model: BlockModel) -> np.ndarray:
-    """Per-branch local weights w_b = |c_b|^2 |Phi_b(config, t)|^2.
-
-    Computed in log space; the returned weights may underflow to 0.0 but are
-    always finite.  Use branch_local_log_weight for classification.
-    """
-    return np.exp(branch_local_log_weight(config, t, model))
-
-
-def branch_local_log_weight(config, t: float, model: BlockModel) -> np.ndarray:
-    return model.log_branch_weights(_as_flat(config, model)[None, :], t)[0]
-
-
-def pointer_velocity(config, t: float, model: BlockModel) -> np.ndarray:
-    """Guidance velocity of every coordinate (x first, then y_j)."""
-    return model.velocities(_as_flat(config, model)[None, :], t)[0]
-
-
-def single_coordinate_overlap(t: float, model: BlockModel) -> float:
-    """|<g_+|g_->| for one apparatus coordinate at time t."""
-    return float(np.exp(log_single_coordinate_overlap(t, model)))
-
-
 def log_single_coordinate_overlap(t: float, model: BlockModel) -> float:
+    """log |<g_+|g_->| = log omega(t) for one apparatus coordinate."""
     blk = _find_block(model, "apparatus")
     return complex_pair_overlap(blk, t, model.units)[0]
-
-
-def apparatus_overlap(t: float, model: BlockModel) -> float:
-    """omega(t)^N, evaluated as exp(N log omega) so the exponent law is
-    exact by construction.  Underflows to 0.0 for large N; use
-    log_apparatus_overlap when the exponent itself is needed."""
-    return _exp_overlap(log_apparatus_overlap(t, model))
 
 
 def log_apparatus_overlap(t: float, model: BlockModel) -> float:
@@ -287,12 +219,8 @@ def system_overlap(t, model: BlockModel):
 
 def block_overlap(t, model: BlockModel, name: str):
     """omega_block(t)^count for an arbitrary named block (t a float or an
-    array of times)."""
-    return _exp_overlap(log_block_overlap(t, model, name))
-
-
-def _exp_overlap(log_val):
-    """exp(log_val), flushed to 0.0 below exp's normal range."""
+    array of times), flushed to 0.0 below exp's normal range."""
+    log_val = log_block_overlap(t, model, name)
     out = np.where(log_val > -745.0, np.exp(log_val), 0.0)
     return out if out.ndim else float(out)
 
@@ -372,20 +300,10 @@ def x_marginal_density(model: BlockModel, t: float, n_points: int = 4096,
 # Outcome classification and the two position predictors.
 # ---------------------------------------------------------------------------
 
-def classify_outcome(trajectory: Trajectory, model: BlockModel,
-                     t: float | None = None,
-                     ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> str:
-    """Branch label with the larger local weight at time t (default: the
-    final time), or "unresolved" when the ratio is below threshold."""
-    if t is None:
-        t = float(trajectory.times[-1])
-    idx = int(np.argmin(np.abs(trajectory.times - t)))
-    point = trajectory.points[idx]
-    return classify_point(point, t, model, ratio_threshold)
-
-
 def classify_point(point: np.ndarray, t: float, model: BlockModel,
                    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> str:
+    """Branch label of one configuration (C,) at time t from its log-weight
+    gap, "unresolved" when the weight ratio is below ratio_threshold."""
     gap = model.log_weight_gap(model.block_means(point), t)
     return labels_from_log_ratio(gap, model.labels, ratio_threshold)[0]
 
@@ -407,13 +325,9 @@ def predictor_system(x0: float, model: BlockModel) -> str:
     return _sum_predictor(x0 - mid, blk, model)
 
 
-def predictor_apparatus(y0: np.ndarray, model: BlockModel) -> str:
-    """Branch predicted from sign(sum y_j0), oriented by the apparatus
-    displacement direction of each branch."""
-    return predictor_block_sum(y0, model, "apparatus")
-
-
 def predictor_block_sum(q0: np.ndarray, model: BlockModel, name: str) -> str:
+    """Branch predicted from sign(sum q0) over the coordinates of the named
+    block, oriented by that block's displacement in each branch."""
     return _sum_predictor(np.asarray(q0, dtype=float), _find_block(model, name),
                           model)
 
@@ -434,8 +348,8 @@ def _sum_predictor(q0: np.ndarray, blk: CoordinateBlock, model: BlockModel) -> s
 # Equilibrium sampling and ensemble integration for the analytic model.
 # ---------------------------------------------------------------------------
 
-def sample_model_equilibrium(model: BlockModel, n: int, seed: int,
-                             t: float = 0.0) -> np.ndarray:
+def sample_model_equilibrium(model: BlockModel, n: int, seed: int
+                             ) -> np.ndarray:
     """Draw (n, C) initial configurations from |Psi(., t=0)|^2.
 
     Requires every multi-coordinate block to have branch-independent factors
@@ -446,8 +360,6 @@ def sample_model_equilibrium(model: BlockModel, n: int, seed: int,
     """
     if n < 1:
         raise ConfigError("sample count must be >= 1")
-    if t != 0.0:
-        raise ConfigError("equilibrium sampling is defined at t = 0")
     if model.blocks[0].count != 1:
         raise ConfigError("the first block must be the single system coordinate")
     for blk in model.blocks[1:]:

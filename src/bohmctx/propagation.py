@@ -9,13 +9,16 @@ The components of a spinor are held as one (C, *grid.shape) array: one
 stacked half kick, and one scipy.fft transform pair over the spatial axes
 per step, batched over the components and run on a single worker.
 
+Callers that need the intermediate states read them from an observer at
+the capture steps (every frame_stride steps), so no run stores its frames.
+
 Boundaries are periodic.  A support guard (on by default) aborts when the
 density within 10 grid cells of any boundary exceeds 1e-8 of the frame
 peak, which is the regime where periodic wrap-around would corrupt a
 localized-packet run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,8 +59,6 @@ class PotentialSpec:
 @dataclass
 class PropagationResult:
     final: FieldLike
-    times: np.ndarray | None = None
-    frames: list[FieldLike] = field(default_factory=list)
 
 
 def _component_potentials(potential: PotentialSpec, state: FieldLike,
@@ -115,11 +116,12 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
     """Propagate a field or spinor for n_steps of size dt.
 
     Negative dt is allowed (backwards evolution); dt must be nonzero unless
-    n_steps is 0.  If frame_stride is given, a snapshot is kept every
-    frame_stride steps (including step 0 and the final step, so frame_stride
-    must divide n_steps).  An observer callable, if given, is invoked at the
-    same capture times with (step_index, t, state) instead of storing
-    frames: the result then holds only the final state.
+    n_steps is 0.  The support guard and the observer, a callable invoked
+    with (step_index, t, state), see the state at the capture steps: every
+    frame_stride steps, including step 0 and the final step (so
+    frame_stride must divide n_steps), or only the first and last step
+    when frame_stride is None.  No frame is stored; the result holds only
+    the final state.
     """
     if n_steps < 0:
         raise ConfigError("n_steps must be >= 0")
@@ -151,12 +153,7 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
             check_support_guard(st, step, band)
         if observer is not None:
             observer(step, step * dt, st)
-        elif frame_stride is not None:
-            times.append(step * dt)
-            frames.append(st)
 
-    frames: list[FieldLike] = []
-    times: list[float] = []
     capture(0)
 
     for step in range(1, n_steps + 1):
@@ -175,9 +172,4 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
             capture(step)
     if frame_stride is None and n_steps > 0:
         capture(n_steps)  # guard check and observer on the final state only
-
-    result = PropagationResult(final=snapshot())
-    if frame_stride is not None and observer is None:
-        result.times = np.asarray(times)
-        result.frames = frames
-    return result
+    return PropagationResult(final=snapshot())

@@ -5,9 +5,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .analysis import AccuracyResult, AttributionVerdict, accuracy
+from .analysis import UNRESOLVED, AccuracyResult, AttributionVerdict, accuracy
 
-UNRESOLVED = "unresolved"
 REGULARIZED_RUN_BUDGET = 0.01  # above this fraction, flagged runs are excluded
 
 

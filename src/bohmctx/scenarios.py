@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import analysis, pointer
-from .analysis import born_rule_ks, grid_cdf
+from .analysis import UNRESOLVED, born_rule_ks, grid_cdf
 from .config import (AncillaChainConfig, BeamSplitterConfig, OpticalSGConfig,
                      ScenarioConfig, SternGerlachConfig)
 from .errors import ConfigError, SeparationError
@@ -26,7 +26,7 @@ from .grids import SpatialGrid
 from .guidance import (ProductTables, VelocityModel, build_stacks,
                        current_and_density, _interp, _spectral_gradient)
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
-                      UNRESOLVED, classify_point, integrate_pointer_ensemble,
+                      classify_point, integrate_pointer_ensemble,
                       labels_from_log_ratio, predictor_block_sum,
                       predictor_system, sample_model_equilibrium)
 from .propagation import (PotentialSpec, _boundary_band_mask,
@@ -34,7 +34,7 @@ from .propagation import (PotentialSpec, _boundary_band_mask,
 from .report import EnsembleReport
 from .sampling import sample_equilibrium
 from .schedules import PiecewiseLinear
-from .trajectories import (FrameStream, integrate_over_stacks,
+from .trajectories import (FrameStream, endpoints, integrate_over_stacks,
                            integrate_product_flows)
 from .units import UnitsConfig, DEFAULT_UNITS
 
@@ -148,7 +148,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
         seg = seg[seg != 0]
         if len(seg) and np.any(seg != seg[0]):
             jumps += 1
-    ks = _maybe_ks(np.array([tr.points[-1, 0] for tr in trajs]),
+    ks = _maybe_ks(endpoints(trajs)[:, 0],
                    grid_cdf(grid.axis(0), final.density(), grid.dx[0]))
 
     node_counts = np.array([tr.node_regularization_events for tr in trajs]) \
@@ -407,17 +407,14 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
         final, trajs, branch_overlap = _sg_propagate_1d(
             cfg, spinor0, gradient, sample.positions, 1, units)
         _sg_check_separation(cfg, final)
-        ends = np.array([tr.points[-1] for tr in trajs])
+        ends = endpoints(trajs)
         outcomes = _sg_outcome_labels(final, ends, cfg.ratio_threshold)
         return final, trajs, ends, outcomes, branch_overlap
 
     final, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
     _, twin_trajs, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
 
-    spin_for_upper = "+" if cfg.gradient > 0 else "-"
-    predictions = {"system": [
-        (spin_for_upper if z > 0 else _flip(spin_for_upper)) if z != 0
-        else UNRESOLVED for z in z0]}
+    predictions = {"system": _sg_system_predictions(cfg, z0)}
 
     both = [(o, t, e, te) for o, t, e, te
             in zip(outcomes, twin_outcomes, ends[:, 0], twin_ends[:, 0])
@@ -451,6 +448,15 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
 
 def _flip(label: str) -> str:
     return "-" if label == "+" else "+"
+
+
+def _sg_system_predictions(cfg: SternGerlachConfig, z0: np.ndarray
+                           ) -> list[str]:
+    """Spin predicted from the side of the initial z: the spin that the
+    gradient deflects upward above z = 0, the other below."""
+    spin_for_upper = "+" if cfg.gradient > 0 else "-"
+    return [(spin_for_upper if z > 0 else _flip(spin_for_upper)) if z != 0
+            else UNRESOLVED for z in z0]
 
 
 def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
@@ -540,15 +546,11 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
     z0 = sample.positions[:, 1]
     trajs_on, trajs_off = integrate_product_flows(
         tables, sample.positions, cfg.dt_traj, gordon=(1.0, 0.0))
-    ends_on = np.array([tr.points[-1] for tr in trajs_on])
-    ends_off = np.array([tr.points[-1] for tr in trajs_off])
+    ends_on, ends_off = endpoints(trajs_on), endpoints(trajs_off)
     outcomes = _sg_outcome_labels(final, ends_on, cfg.ratio_threshold)
     outcomes_off = _sg_outcome_labels(final, ends_off, cfg.ratio_threshold)
 
-    spin_for_upper = "+" if cfg.gradient > 0 else "-"
-    predictions = {"system": [
-        (spin_for_upper if z > 0 else _flip(spin_for_upper)) if z != 0
-        else UNRESOLVED for z in z0]}
+    predictions = {"system": _sg_system_predictions(cfg, z0)}
 
     both = [(o, f, e, fe) for o, f, e, fe
             in zip(outcomes, outcomes_off, ends_on[:, 1], ends_off[:, 1])
@@ -672,18 +674,23 @@ def run_optical_sg(cfg: OpticalSGConfig, units: UnitsConfig = DEFAULT_UNITS
         "system_radius": [a["system"].radius for _, a in accs],
         "unresolved_fraction": [r.unresolved_fraction for r in subs],
     }
-    report = EnsembleReport(
-        scenario="optical_sg", seed=cfg.seed, n_runs=cfg.n,
+    report = _sweep_report(head, subs, {"sweep": sweep_summary})
+    report.extras["head_N"] = head.extras["N"]
+    return report
+
+
+def _sweep_report(head: EnsembleReport, subs: list[EnsembleReport],
+                  audits: dict) -> EnsembleReport:
+    """Top-level report of a sweep: the per-run data of its head entry,
+    the sweep audits, and every entry as a sub-report."""
+    return EnsembleReport(
+        scenario=head.scenario, seed=head.seed, n_runs=head.n_runs,
         outcomes=head.outcomes, predictions=head.predictions,
         initial_system=head.initial_system,
         initial_block_sums=head.initial_block_sums,
         overlap_series=head.overlap_series,
         node_counts=head.node_counts,
-        audits={"sweep": sweep_summary},
-        sub_reports=subs,
-    )
-    report.extras["head_N"] = head.extras["N"]
-    return report
+        audits=audits, sub_reports=subs)
 
 
 # ---------------------------------------------------------------------------
@@ -758,18 +765,7 @@ def _run_ancilla_sweep(cfg: AncillaChainConfig, units: UnitsConfig
                 "unresolved_fraction": rep.unresolved_fraction,
             })
             subs.append(rep)
-    head = subs[0]
-    report = EnsembleReport(
-        scenario="ancilla_chain", seed=cfg.seed, n_runs=cfg.n,
-        outcomes=head.outcomes, predictions=head.predictions,
-        initial_system=head.initial_system,
-        initial_block_sums=head.initial_block_sums,
-        overlap_series=head.overlap_series,
-        node_counts=head.node_counts,
-        audits={"regime_table": table},
-        sub_reports=subs,
-    )
-    return report
+    return _sweep_report(subs[0], subs, {"regime_table": table})
 
 
 # ---------------------------------------------------------------------------
@@ -787,9 +783,8 @@ def run_born_check(cfg: ScenarioConfig, n: int,
         steps, _ = cfg.trajectory_steps()
         final, trajs = _bs_propagate(cfg, psi0, sample.positions, steps,
                                      units)
-        ends = np.array([tr.points[-1, 0] for tr in trajs])
-        ks = born_rule_ks(ends, grid_cdf(grid.axis(0), final.density(),
-                                         grid.dx[0]))
+        ks = born_rule_ks(endpoints(trajs)[:, 0],
+                          grid_cdf(grid.axis(0), final.density(), grid.dx[0]))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
         if cfg.gordon:
@@ -803,9 +798,8 @@ def run_born_check(cfg: ScenarioConfig, n: int,
             steps, _ = cfg.trajectory_steps()
             final, trajs, _ = _sg_propagate_1d(cfg, spinor0, cfg.gradient,
                                                sample.positions, steps, units)
-        ends = np.array([tr.points[-1, -1] for tr in trajs])
         return {"scenario": "stern_gerlach", "n": n,
-                "ks": born_rule_ks(ends, _sg_z_cdf(final))}
+                "ks": born_rule_ks(endpoints(trajs)[:, -1], _sg_z_cdf(final))}
     if isinstance(cfg, OpticalSGConfig):
         model = build_optical_sg_model(cfg, int(cfg.N_sweep[-1]), units)
         return _pointer_born_check(model, cfg, n, "optical_sg")

@@ -25,12 +25,8 @@ import numpy as np
 from . import _kernels
 from .config import trajectory_steps
 from .errors import ConfigError
-from .fields import FieldLike
 from .grids import SpatialGrid
-from .guidance import (NODE_DENSITY_REL, ProductTables, VelocityStacks,
-                       build_stacks)
-from .sampling import EquilibriumSample
-from .units import UnitsConfig, DEFAULT_UNITS
+from .guidance import NODE_DENSITY_REL, ProductTables, VelocityStacks
 
 # Frames a FrameStream keeps.  A step reads the frames from the one below
 # its start to the one above its end: three consecutive frames while
@@ -47,7 +43,6 @@ FRAME_SLOTS = 16
 class Trajectory:
     times: np.ndarray
     points: np.ndarray  # (n_times, dims)
-    outcome: str | None = None
     node_regularization_events: int = 0
     regularized_flags: np.ndarray | None = None  # per recorded time
     failed: bool = False
@@ -58,20 +53,6 @@ class Trajectory:
             raise ConfigError("trajectory times must be strictly increasing")
         if self.points.shape[0] != len(self.times):
             raise ConfigError("one point is required per time")
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.points[-1]
-
-
-def integrate_trajectories(frames: list[FieldLike], times: np.ndarray,
-                           model: str, initial: EquilibriumSample,
-                           dt_traj: float, units: UnitsConfig = DEFAULT_UNITS,
-                           record_stride: int = 1) -> list[Trajectory]:
-    """Integrate one trajectory per initial position across the frame span."""
-    stacks = build_stacks(frames, times, model, units)
-    return integrate_over_stacks(stacks, initial.positions, dt_traj,
-                                 record_stride=record_stride)
 
 
 def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
@@ -194,8 +175,9 @@ class FrameStream:
             self.flow.advance(f)
 
 
-def endpoints(trajectories: list[Trajectory], axis: int = 0) -> np.ndarray:
-    return np.array([t.points[-1, axis] for t in trajectories])
+def endpoints(trajectories: list[Trajectory]) -> np.ndarray:
+    """(n, dims) last recorded point of each trajectory."""
+    return np.array([t.points[-1] for t in trajectories])
 
 
 def write_trajectories_csv(path, trajectories: list[Trajectory],

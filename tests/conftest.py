@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from bohmctx import SpatialGrid, GaussianPacketSpec, make_gaussian
+from bohmctx import SpatialGrid, GaussianPacketSpec, make_gaussian, propagate
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,14 @@ def assert_same_trajectories(got, want):
             assert np.array_equal(x, y)
         assert (a.node_regularization_events, a.failed, a.exit_time) \
             == (b.node_regularization_events, b.failed, b.exit_time)
+
+
+def propagate_frames(state, potential, dt, n_steps, frame_stride, **kw):
+    """propagate(), with the states at its capture steps collected by an
+    observer: a namespace of final, times (F,) and frames."""
+    times, frames = [], []
+    final = propagate(state, potential, dt, n_steps, frame_stride=frame_stride,
+                      observer=lambda step, t, st: (times.append(t),
+                                                    frames.append(st)),
+                      **kw).final
+    return SimpleNamespace(final=final, times=np.asarray(times), frames=frames)

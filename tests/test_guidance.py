@@ -2,9 +2,22 @@ import numpy as np
 import pytest
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
-                     SpatialGrid, SpinorField, make_gaussian, velocity_scalar,
-                     velocity_spinor, gordon_velocity)
-from bohmctx.guidance import VelocityModel, build_stacks, current_and_density
+                     SpatialGrid, SpinorField, make_gaussian)
+from bohmctx.guidance import (VelocityModel, build_stacks, current_and_density,
+                              gordon_current)
+from bohmctx.trajectories import integrate_over_stacks
+
+SCALAR, SPINOR = VelocityModel.SCALAR, VelocityModel.SPINOR
+
+
+def at_nodes(grid, pts, rho, g):
+    """v = G / rho at grid nodes pts (m, dims), where no interpolation is
+    needed."""
+    idx = tuple(np.rint((pts[:, ax] - grid.x_min[ax]) / grid.dx[ax]).astype(int)
+                for ax in range(grid.dims))
+    for ax, i in enumerate(idx):
+        assert np.array_equal(grid.axis(ax)[i], pts[:, ax])
+    return np.stack([g_ax[idx] / rho[idx] for g_ax in g], axis=1)
 
 
 def normalized_spinor(grid, up_vals, down_vals):
@@ -20,19 +33,21 @@ def test_plane_wave_velocity(line_grid):
     k = 2 * np.pi * 19 / L  # ~3.0, exactly on the lattice
     x = line_grid.axis(0)
     pw = ComplexField(line_grid, np.exp(1j * k * x) / np.sqrt(L))
-    pts = np.array([[-7.3], [0.1], [4.4]])
-    v = velocity_scalar(pw, pts)
+    v = at_nodes(line_grid, np.array([[-7.5], [0.0], [4.375]]),
+                 *current_and_density(pw, SCALAR))
     assert np.abs(v[:, 0] - k).max() <= 1e-8
 
 
 def test_stationary_gaussian_zero_velocity(unit_gaussian):
-    v = velocity_scalar(unit_gaussian, np.array([[-1.0], [0.5]]))
+    v = at_nodes(unit_gaussian.grid, np.array([[-1.25], [0.625]]),
+                 *current_and_density(unit_gaussian, SCALAR))
     assert np.abs(v).max() <= 1e-10
 
 
 def test_boosted_gaussian_uniform_velocity(line_grid):
     psi = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 2.0))
-    v = velocity_scalar(psi, np.array([[-2.1], [0.0], [1.7]]))
+    v = at_nodes(line_grid, np.array([[-2.5], [0.0], [1.25]]),
+                 *current_and_density(psi, SCALAR))
     assert np.abs(v[:, 0] - 2.0).max() <= 1e-6
 
 
@@ -40,17 +55,20 @@ def test_spinor_single_component_reduction(line_grid):
     psi = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 1.2))
     sp = SpinorField(psi, ComplexField(line_grid, np.zeros(line_grid.shape,
                                                            dtype=complex)))
-    pts = np.array([[-1.0], [0.3], [2.0]])
-    assert np.array_equal(velocity_spinor(sp, pts), velocity_scalar(psi, pts))
+    pts = np.array([[-1.25], [0.3125], [1.875]])
+    v_sp, v_psi = (at_nodes(line_grid, pts, *current_and_density(f, model))
+                   for f, model in ((sp, SPINOR), (psi, SCALAR)))
+    assert np.array_equal(v_sp, v_psi)
 
 
 def test_spinor_equal_components_reduction(line_grid):
     psi = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, -0.8))
     half = ComplexField(line_grid, psi.values / np.sqrt(2))
     sp = SpinorField(half, half)
-    pts = np.array([[-0.5], [1.1]])
-    assert np.allclose(velocity_spinor(sp, pts), velocity_scalar(psi, pts),
-                       atol=1e-12)
+    pts = np.array([[-0.625], [1.09375]])
+    v_sp, v_psi = (at_nodes(line_grid, pts, *current_and_density(f, model))
+                   for f, model in ((sp, SPINOR), (psi, SCALAR)))
+    assert np.allclose(v_sp, v_psi, atol=1e-12)
 
 
 def test_spinor_counterpropagating_zero_at_equal_amplitudes(line_grid):
@@ -68,8 +86,8 @@ def test_spinor_counterpropagating_zero_at_equal_amplitudes(line_grid):
     grid = SpatialGrid.line(1024, -20.0, 20.0)
     x = grid.axis(0)
     sp = normalized_spinor(grid, up_f(x), down_f(x))
-    pts = np.array([[0.0], [0.9], [-1.4]])  # equal amplitudes everywhere
-    v = velocity_spinor(sp, pts)
+    pts = np.array([[0.0], [0.859375], [-1.40625]])  # equal amplitudes
+    v = at_nodes(grid, pts, *current_and_density(sp, SPINOR))
     assert np.abs(v).max() <= 1e-6
 
     h = 1e-6
@@ -88,7 +106,8 @@ def test_gordon_zero_for_z_eigenstate():
     grid = plane_grid()
     g = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0, 0)))
     sp = SpinorField(g, ComplexField(grid, np.zeros(grid.shape, dtype=complex)))
-    v = gordon_velocity(sp, np.array([[0.2, -0.4], [1.0, 1.0]]))
+    v = at_nodes(grid, np.array([[0.25, -0.375], [1.0, 1.0]]), sp.density(),
+                 gordon_current(sp))
     assert np.abs(v).max() <= 1e-10
 
 
@@ -97,14 +116,14 @@ def test_gordon_zero_for_uniform_spinor():
     L2 = 16.0 * 16.0
     ones = np.ones(grid.shape, dtype=complex) / np.sqrt(2 * L2)
     sp = SpinorField(ComplexField(grid, ones), ComplexField(grid, ones))
-    v = gordon_velocity(sp, np.array([[0.0, 0.0], [2.0, -3.0]]))
+    v = at_nodes(grid, np.array([[0.0, 0.0], [2.0, -3.0]]), sp.density(),
+                 gordon_current(sp))
     assert np.abs(v).max() <= 1e-10
 
 
 def test_gordon_matches_finite_difference_curl():
     # 50/50 spinor with Gaussian envelopes; oracle is a centered finite
-    # difference of s_x = 2 Re(u* d) on the analytic state, evaluated at
-    # grid points where interpolation is exact.
+    # difference of s_x = 2 Re(u* d) on the analytic state, at grid nodes.
     grid = plane_grid()
 
     def u_f(y, z):
@@ -126,7 +145,7 @@ def test_gordon_matches_finite_difference_curl():
 
     h = 1e-5
     pts = np.array([[0.25, -0.75], [1.0, 0.5], [-0.5, 1.0]])  # grid points
-    v = gordon_velocity(sp, pts)
+    v = at_nodes(grid, pts, sp.density(), gordon_current(sp))
     for (y, z), vi in zip(pts, v):
         oracle = 0.5 / rho(y, z) * np.array([
             (s_x(y, z + h) - s_x(y, z - h)) / (2 * h),
@@ -139,7 +158,7 @@ def test_gordon_rejects_1d(line_grid, unit_gaussian):
                      ComplexField(line_grid, np.zeros(line_grid.shape,
                                                       dtype=complex)))
     with pytest.raises(ConfigError):
-        gordon_velocity(sp, 0.0)
+        gordon_current(sp)
 
 
 def test_gordon_consistency_additive():
@@ -149,28 +168,22 @@ def test_gordon_consistency_additive():
     g = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0.4, -0.2)))
     sp = SpinorField(ComplexField(grid, g.values * np.sqrt(0.5)),
                      ComplexField(grid, g.values * np.sqrt(0.5) * np.exp(0.9j)))
-    rho_c, g_conv = current_and_density(sp, VelocityModel.SPINOR)
+    rho_c, g_conv = current_and_density(sp, SPINOR)
     rho_g, g_full = current_and_density(sp, VelocityModel.SPINOR_GORDON)
-    from bohmctx.guidance import gordon_current
     gy, gz = gordon_current(sp)
     assert np.array_equal(rho_c, rho_g)
     assert np.array_equal(g_full[0], g_conv[0] + gy)
     assert np.array_equal(g_full[1], g_conv[1] + gz)
 
 
-def test_node_flagging(line_grid):
-    psi = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 0.4, 0.0))
-    v, flags = velocity_scalar(psi, np.array([[15.0]]), with_flags=True)
-    assert flags[0]
-    assert np.all(np.isfinite(v))
-
-
 def test_out_of_domain_rejected(unit_gaussian):
-    with pytest.raises(ConfigError):
-        velocity_scalar(unit_gaussian, 25.0)
+    # the grid RK4 refuses a starting point outside the grid domain
+    stacks = build_stacks([unit_gaussian] * 2, np.array([0.0, 0.1]), SCALAR)
+    with pytest.raises(ConfigError, match="outside the grid domain"):
+        integrate_over_stacks(stacks, np.array([[25.0]]), 0.05)
 
 
 def test_scalar_model_rejects_spinor(line_grid, unit_gaussian):
     sp = SpinorField(unit_gaussian, unit_gaussian)
     with pytest.raises(ConfigError):
-        build_stacks([sp, sp], np.array([0.0, 1.0]), VelocityModel.SCALAR)
+        build_stacks([sp, sp], np.array([0.0, 1.0]), SCALAR)

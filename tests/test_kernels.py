@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bohmctx import GaussianPacketSpec, PotentialSpec, make_gaussian, propagate
+from bohmctx import GaussianPacketSpec, PotentialSpec, make_gaussian
 from bohmctx import _kernels
 from bohmctx.config import AncillaChainConfig, OpticalSGConfig
 from bohmctx.grids import SpatialGrid
@@ -20,13 +20,15 @@ from bohmctx.scenarios import (build_ancilla_model, build_optical_sg_model,
                                run_optical_sg)
 from bohmctx.schedules import PiecewiseLinear
 from bohmctx.trajectories import integrate_over_stacks
+from conftest import propagate_frames
 
 
 @pytest.fixture(scope="module")
 def stacks_1d():
     grid = SpatialGrid.line(512, -20.0, 20.0)
     psi = make_gaussian(grid, GaussianPacketSpec.make(0.0, 1.0, 1.0))
-    prop = propagate(psi, PotentialSpec.free(), 0.01, 100, frame_stride=2)
+    prop = propagate_frames(psi, PotentialSpec.free(), 0.01, 100,
+                            frame_stride=2)
     return build_stacks(prop.frames, prop.times, VelocityModel.SCALAR)
 
 

@@ -6,19 +6,15 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from bohmctx import ConfigError
-from bohmctx.pointer import (BlockModel, Branch, ConfigPoint,
-                             CoordinateBlock, PointerModelConfig,
-                             UNRESOLVED, apparatus_overlap,
-                             branch_local_log_weight, branch_local_weight,
-                             classify_point, classify_outcome,
-                             integrate_pointer_ensemble,
-                             log_apparatus_overlap, pointer_velocity,
-                             predictor_apparatus, predictor_system,
-                             sample_model_equilibrium,
-                             single_coordinate_overlap, system_overlap,
+from bohmctx.pointer import (BlockModel, Branch, CoordinateBlock,
+                             PointerModelConfig, UNRESOLVED, block_overlap,
+                             classify_point, integrate_pointer_ensemble,
+                             log_apparatus_overlap,
+                             log_single_coordinate_overlap,
+                             predictor_block_sum, predictor_system,
+                             sample_model_equilibrium, system_overlap,
                              x_marginal_density)
 from bohmctx.schedules import PiecewiseLinear
-from bohmctx.trajectories import Trajectory
 
 
 def symmetric_model(N=4, a_max=2.0, sigma=1.0, T=1.0, amps=None):
@@ -48,16 +44,14 @@ def separated_model(N=4, x_gap=8.0, sigma=1.0):
 
 def test_symmetric_weights_equal_at_origin():
     model = symmetric_model()
-    w = branch_local_weight(ConfigPoint(0.0, np.zeros(4)), 0.0, model)
-    assert w[0] == w[1]
-    assert w[0] > 0
+    assert model.log_weight_gap(model.block_means(np.zeros(5)), 0.0)[0] == 0.0
 
 
 def test_dead_branch_zero_weight():
+    # w_- = 0 while w_+ is positive and finite
     model = symmetric_model(amps=(1.0, 0.0))
-    w = branch_local_weight(ConfigPoint(0.4, np.ones(4)), 0.7, model)
-    assert w[1] == 0.0
-    assert np.all(np.isfinite(w))
+    q = np.r_[0.4, np.ones(4)]
+    assert model.log_weight_gap(model.block_means(q), 0.7)[0] == math.inf
 
 
 def test_late_time_weight_ratio_oracle():
@@ -65,9 +59,8 @@ def test_late_time_weight_ratio_oracle():
     # system-factor gap; verified against an independent direct evaluation
     N, a, sigma = 6, 2.0, 1.0
     model = symmetric_model(N=N, a_max=a, sigma=sigma)
-    cfg_pt = ConfigPoint(0.0, np.full(N, a))
-    lw = branch_local_log_weight(cfg_pt, 1.0, model)
-    gap = lw[0] - lw[1]
+    q = np.r_[0.0, np.full(N, a)]
+    gap = model.log_weight_gap(model.block_means(q), 1.0)[0]
     # direct: per coordinate, -(y-a)^2/(2s^2) + (y+a)^2/(2s^2) at y = a
     direct = N * ((2 * a) ** 2) / (2 * sigma ** 2)
     assert gap == pytest.approx(direct, rel=1e-12)
@@ -78,8 +71,7 @@ def test_late_time_weight_ratio_oracle():
 
 def test_single_branch_velocity_is_schedule_derivative():
     model = symmetric_model(N=3, amps=(1.0, 0.0))
-    v = pointer_velocity(ConfigPoint(0.7, np.array([0.1, -2.0, 1.4])), 0.25,
-                         model)
+    v = model.velocities(np.array([[0.7, 0.1, -2.0, 1.4]]), 0.25)[0]
     # during the ramp every apparatus coordinate moves at a' = 4; x is static
     assert v[0] == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(v[1:], 4.0, atol=1e-12)
@@ -87,7 +79,7 @@ def test_single_branch_velocity_is_schedule_derivative():
 
 def test_symmetric_origin_zero_velocity():
     model = symmetric_model()
-    v = pointer_velocity(ConfigPoint(0.0, np.zeros(4)), 0.0, model)
+    v = model.velocities(np.zeros((1, 5)), 0.0)[0]
     assert np.abs(v).max() <= 1e-12
 
 
@@ -99,15 +91,15 @@ def test_deep_branch_velocity_matches_schedule():
     model = symmetric_model(N=N)
     q = np.concatenate([[0.0], np.full(N, 2.0)])
     t = 0.25  # mid-ramp: schedules move at 4
-    lw = branch_local_log_weight(ConfigPoint(q[0], q[1:]), t, model)
-    assert lw[0] - lw[1] >= math.log(1e12)
-    v = pointer_velocity(ConfigPoint(q[0], q[1:]), t, model)
+    assert model.log_weight_gap(model.block_means(q), t)[0] >= math.log(1e12)
+    v = model.velocities(q[None], t)[0]
     assert np.allclose(v[1:], 4.0, rtol=1e-6)
 
     def log_psi(qq):
         centers, vels = model.schedule_tables(np.array([t]))
         block_id = model.coordinate_blocks()
-        sig, inv4s2, _ = model._per_coord()
+        inv4s2 = 1.0 / (4.0 * np.repeat([b.sigma for b in model.blocks],
+                                         [b.count for b in model.blocks]) ** 2)
         total = 0.0 + 0.0j
         for b, amp in enumerate(model.amplitudes):
             d = qq - centers[0, b, block_id]
@@ -136,11 +128,10 @@ def test_empty_wave_invariance():
     for _ in range(20):
         q = np.concatenate([[rng.normal(0, 1)],
                             rng.normal(1.6 * 0.8 * 4 * t, 0.5, N)])
-        lw = branch_local_log_weight(ConfigPoint(q[0], q[1:]), t, model)
-        if lw[0] - lw[1] < math.log(1e12):
+        if model.log_weight_gap(model.block_means(q), t)[0] < math.log(1e12):
             continue
-        v_two = pointer_velocity(ConfigPoint(q[0], q[1:]), t, model)
-        v_one = pointer_velocity(ConfigPoint(q[0], q[1:]), t, solo)
+        v_two = model.velocities(q[None], t)[0]
+        v_one = solo.velocities(q[None], t)[0]
         scale = max(np.abs(v_one).max(), 1.0)
         assert np.abs(v_two - v_one).max() <= 1e-6 * scale
 
@@ -149,15 +140,15 @@ def test_empty_wave_invariance():
 
 def test_overlap_at_time_zero():
     model = symmetric_model()
-    assert single_coordinate_overlap(0.0, model) == 1.0
-    assert apparatus_overlap(0.0, model) == 1.0
+    assert math.exp(log_single_coordinate_overlap(0.0, model)) == 1.0
+    assert block_overlap(0.0, model, "apparatus") == 1.0
 
 
 def test_overlap_n1_equals_omega():
     model = symmetric_model(N=1)
     for t in (0.2, 0.5, 0.9):
-        assert apparatus_overlap(t, model) == pytest.approx(
-            single_coordinate_overlap(t, model), rel=1e-15)
+        assert block_overlap(t, model, "apparatus") == pytest.approx(
+            math.exp(log_single_coordinate_overlap(t, model)), rel=1e-15)
 
 
 def test_overlap_exponent_law_exact():
@@ -166,7 +157,7 @@ def test_overlap_exponent_law_exact():
     for N in (1, 2, 8, 64):
         model = symmetric_model(N=N)
         for t in (0.1, 0.3, 0.7, 1.0):
-            log_om = math.log(single_coordinate_overlap(t, model))
+            log_om = log_single_coordinate_overlap(t, model)
             assert log_apparatus_overlap(t, model) \
                 == pytest.approx(N * log_om, rel=1e-12, abs=1e-12)
 
@@ -191,10 +182,10 @@ def test_apparatus_overlap_quadrature_oracle():
     im, _ = quad(lambda q: (np.conj(g(q, +a, +k)) * g(q, -a, -k)).imag,
                  -30, 30, limit=200)
     omega_quad = abs(re + 1j * im)
-    assert single_coordinate_overlap(t, model) == pytest.approx(omega_quad,
-                                                                rel=1e-8)
-    assert apparatus_overlap(t, model) == pytest.approx(omega_quad ** 8,
-                                                        rel=1e-6, abs=1e-8)
+    assert math.exp(log_single_coordinate_overlap(t, model)) \
+        == pytest.approx(omega_quad, rel=1e-8)
+    assert block_overlap(t, model, "apparatus") == pytest.approx(
+        omega_quad ** 8, rel=1e-6, abs=1e-8)
 
 
 def test_system_overlap_separated():
@@ -217,16 +208,13 @@ def test_classify_dead_branch_always_plus():
 
 def test_classify_midpoint_unresolved():
     model = symmetric_model()
-    traj = Trajectory(times=np.array([0.0, 1.0]),
-                      points=np.zeros((2, 5)))
-    assert classify_outcome(traj, model) == UNRESOLVED
+    assert classify_point(np.zeros(5), 1.0, model) == UNRESOLVED
 
 
 def test_classify_threshold_sensitivity():
     model = symmetric_model(N=2)
     point = np.array([0.0, 0.8, 0.8])
-    lw = branch_local_log_weight(ConfigPoint(point[0], point[1:]), 1.0, model)
-    gap = lw[0] - lw[1]
+    gap = model.log_weight_gap(model.block_means(point), 1.0)[0]
     loose = classify_point(point, 1.0, model, ratio_threshold=math.exp(gap) / 2)
     strict = classify_point(point, 1.0, model, ratio_threshold=math.exp(gap) * 2)
     assert loose == "+"
@@ -235,9 +223,9 @@ def test_classify_threshold_sensitivity():
 
 def test_predictor_apparatus_sign():
     model = symmetric_model()
-    assert predictor_apparatus(np.array([0.5, 0.1, 0.2, 0.3]), model) == "+"
-    assert predictor_apparatus(np.array([-0.5, -0.1, -0.2, -0.3]), model) == "-"
-    assert predictor_apparatus(np.zeros(4), model) == UNRESOLVED
+    for y0, want in (([0.5, 0.1, 0.2, 0.3], "+"),
+                     ([-0.5, -0.1, -0.2, -0.3], "-"), (np.zeros(4), UNRESOLVED)):
+        assert predictor_block_sum(np.array(y0), model, "apparatus") == want
 
 
 def test_predictor_system_midpoint_tie():
@@ -266,7 +254,7 @@ def test_apparatus_predictor_headline(tmp_path):
         if out == UNRESOLVED:
             continue
         total += 1
-        hits += out == predictor_apparatus(init[i, 1:], model)
+        hits += out == predictor_block_sum(init[i, 1:], model, "apparatus")
     assert total > 250
     assert hits / total >= 0.99
 
@@ -316,7 +304,7 @@ def test_pre_separated_regime_inversion():
             continue
         total += 1
         s_hits += out == predictor_system(init[i, 0], model)
-        a_hits += out == predictor_apparatus(init[i, 1:], model)
+        a_hits += out == predictor_block_sum(init[i, 1:], model, "apparatus")
     assert total == 300
     assert s_hits / total == 1.0
     assert abs(a_hits / total - 0.5) <= 0.08
@@ -337,7 +325,8 @@ def test_monotone_apparatus_dominance():
             if out == UNRESOLVED:
                 continue
             total += 1
-            a_hits += out == predictor_apparatus(init[i, 1:], model)
+            a_hits += out == predictor_block_sum(init[i, 1:], model,
+                                                 "apparatus")
             s_hits += out == predictor_system(init[i, 0], model)
         accs.append(a_hits / total)
         sys_accs.append(s_hits / total)

@@ -7,7 +7,7 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
 from bohmctx.errors import PropagationBlowup
 from bohmctx.fields import position_std
 
-from conftest import free_width, harmonic_width
+from conftest import free_width, harmonic_width, propagate_frames
 
 
 def test_free_gaussian_width_oracle(line_grid, unit_gaussian):
@@ -115,8 +115,8 @@ def test_free_propagation_is_dt_exact(line_grid, unit_gaussian):
 
 
 def test_frames_capture(unit_gaussian):
-    res = propagate(unit_gaussian, PotentialSpec.free(), 0.01, 100,
-                    frame_stride=10)
+    res = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 100,
+                           frame_stride=10)
     assert len(res.frames) == 11
     assert np.allclose(res.times, 0.01 * 10 * np.arange(11))
     assert np.array_equal(res.frames[-1].values, res.final.values)
@@ -179,29 +179,17 @@ def test_batched_propagation_matches_per_component_reference(line_grid):
 
 
 def test_observer_replaces_frame_storage():
-    # a 2D spinor run with an observer keeps no frames, yet makes the
-    # observer calls of a stored-frame run and ends in the same state
+    # a 2D spinor run shows its observer the state of every capture step,
+    # bitwise the final state of a run that stops at that step
     grid = SpatialGrid.plane(64, (-12.0, 12.0), 96, (-16.0, 16.0))
     g = make_gaussian(grid, GaussianPacketSpec.make((0.0, 0.0), (1.0, 1.0),
                                                     (0.0, 0.0)))
     sp = SpinorField(ComplexField(grid, 0.6 * g.values),
                      ComplexField(grid, 0.8 * g.values))
     pot = PotentialSpec.linear_spin_dependent(2.0)
-    calls = []
-
-    def observer(step, t, state):
-        calls.append((step, t, state.up.values.copy(),
-                      state.down.values.copy()))
-
-    watched = propagate(sp, pot, 0.01, 40, frame_stride=10, observer=observer)
-    stored = propagate(sp, pot, 0.01, 40, frame_stride=10)
-    assert watched.frames == [] and watched.times is None
-    assert [(s, t) for s, t, _, _ in calls] \
-        == [(10 * i, 10 * i * 0.01) for i in range(5)]
-    for (_, t, up, down), frame, t_frame in zip(calls, stored.frames,
-                                                 stored.times):
-        assert t == t_frame
-        assert np.array_equal(up, frame.up.values)
-        assert np.array_equal(down, frame.down.values)
-    assert np.array_equal(watched.final.up.values, stored.final.up.values)
-    assert np.array_equal(watched.final.down.values, stored.final.down.values)
+    watched = propagate_frames(sp, pot, 0.01, 40, frame_stride=10)
+    assert watched.times.tolist() == [10 * i * 0.01 for i in range(5)]
+    for i, frame in enumerate(watched.frames):
+        stopped = propagate(sp, pot, 0.01, 10 * i).final
+        assert np.array_equal(frame.up.values, stopped.up.values)
+        assert np.array_equal(frame.down.values, stopped.down.values)

@@ -19,11 +19,11 @@ from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
 from bohmctx.report import _plain
 from bohmctx.sampling import sample_equilibrium
 from bohmctx.units import DEFAULT_UNITS
-from conftest import assert_same_trajectories
+from conftest import assert_same_trajectories, propagate_frames
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
-from bohmctx.trajectories import (GridFlow, integrate_over_stacks,
+from bohmctx.trajectories import (GridFlow, endpoints, integrate_over_stacks,
                                   integrate_product_flows)
 
 
@@ -77,8 +77,8 @@ def test_beam_splitter_streamed_trajectories_equal_stored_stacks(kw):
     assert stride > 1
     final, trajs = scenarios._bs_propagate(cfg, psi0, positions, stride,
                                            DEFAULT_UNITS)
-    prop = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
-                     frame_stride=cfg.frame_stride)
+    prop = propagate_frames(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
+                            frame_stride=cfg.frame_stride)
     ref = integrate_over_stacks(
         build_stacks(prop.frames, prop.times, VelocityModel.SCALAR),
         positions, cfg.dt_traj, record_stride=stride)
@@ -127,8 +127,8 @@ def test_beam_splitter_branch_series_equal_separate_propagations():
     cfg = _small_beam_splitter_config()
     _, plus, minus, _ = scenarios._bs_setup(cfg, DEFAULT_UNITS)
     got = scenarios._bs_branch_series(cfg, plus, minus, DEFAULT_UNITS)
-    frames = [propagate(packet, PotentialSpec.free(), cfg.dt, cfg.n_steps,
-                        frame_stride=cfg.frame_stride).frames
+    frames = [propagate_frames(packet, PotentialSpec.free(), cfg.dt,
+                               cfg.n_steps, frame_stride=cfg.frame_stride).frames
               for packet in (plus, minus)]
 
     def center_width(f):
@@ -353,7 +353,7 @@ def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
     positions = sample_equilibrium(spinor0, cfg.n, cfg.seed).positions
     final, trajs, branch = scenarios._sg_propagate_1d(
         cfg, spinor0, sign * cfg.gradient, positions, 1, DEFAULT_UNITS)
-    prop = propagate(spinor0, PotentialSpec.linear_spin_dependent(
+    prop = propagate_frames(spinor0, PotentialSpec.linear_spin_dependent(
         sign * cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
     ref = integrate_over_stacks(
@@ -382,7 +382,7 @@ def _sg_2d_reference(cfg):
     """The factorised setup of cfg and the 2D propagation of its initial
     spinor."""
     spinor0, final, branch, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
-    prop = propagate(spinor0, PotentialSpec.linear_spin_dependent(
+    prop = propagate_frames(spinor0, PotentialSpec.linear_spin_dependent(
         cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
     return (spinor0, final, branch, tables), prop
@@ -485,14 +485,11 @@ def test_sg_2d_product_flows_match_2d_stack_flows():
             build_stacks(prop.frames, prop.times, model), sample.positions,
             cfg.dt_traj)
         assert len(trajs) == len(ref) == cfg.n
-        ends = np.array([tr.endpoint for tr in trajs])
-        want = np.array([tr.endpoint for tr in ref])
-        assert np.abs(ends - want).max() <= 1e-12
+        assert np.abs(endpoints(trajs) - endpoints(ref)).max() <= 1e-12
         assert [tr.node_regularization_events for tr in trajs] \
             == [tr.node_regularization_events for tr in ref]
         assert not any(tr.failed for tr in trajs)
-    ends_on, ends_off = (np.array([tr.endpoint for tr in f]) for f in flows)
-    assert np.abs(ends_on - ends_off).max() > 1e-3
+    assert np.abs(endpoints(flows[0]) - endpoints(flows[1])).max() > 1e-3
 
 
 def test_sg_2d_setup_and_flows_hold_no_2d_stack():

@@ -6,14 +6,15 @@ from scipy.stats import kstest
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      PotentialSpec, SpatialGrid, make_gaussian, propagate,
-                     sample_equilibrium, integrate_trajectories)
+                     sample_equilibrium)
 from bohmctx.analysis import audit_trajectories, grid_cdf
 from bohmctx.guidance import VelocityModel, build_stacks, current_and_density
-from bohmctx.sampling import EquilibriumSample
 from bohmctx.trajectories import (FrameStream, Trajectory, endpoints,
                                   integrate_over_stacks,
                                   write_trajectories_csv)
-from conftest import assert_same_trajectories
+from conftest import assert_same_trajectories, propagate_frames
+
+SCALAR = VelocityModel.SCALAR
 
 
 def plane_wave_frames(grid, k, t_final, n_frames):
@@ -28,58 +29,56 @@ def plane_wave_frames(grid, k, t_final, n_frames):
 def test_plane_wave_trajectories_exact(line_grid):
     k = 2 * np.pi * 7 / 40.0
     frames, times = plane_wave_frames(line_grid, k, 2.0, 21)
-    init = EquilibriumSample(np.array([[-3.0], [0.25], [5.5]]), 0, "manual")
-    trajs = integrate_trajectories(frames, times, VelocityModel.SCALAR, init,
-                                   dt_traj=0.01)
-    for tr, x0 in zip(trajs, init.positions[:, 0]):
+    x0s = [-3.0, 0.25, 5.5]
+    trajs = integrate_over_stacks(build_stacks(frames, times, SCALAR),
+                                  np.c_[x0s], 0.01)
+    for tr, x0 in zip(trajs, x0s):
         assert abs(tr.points[-1, 0] - (x0 + k * 2.0)) <= 1e-10
         assert len(tr.times) == 201
 
 
 def test_spreading_gaussian_center_stays(unit_gaussian):
-    prop = propagate(unit_gaussian, PotentialSpec.free(), 0.01, 200,
-                     frame_stride=2)
-    init = EquilibriumSample(np.array([[0.0]]), 0, "manual")
-    trajs = integrate_trajectories(prop.frames, prop.times,
-                                   VelocityModel.SCALAR, init, dt_traj=0.01)
+    prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
+                            frame_stride=2)
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+                                  np.zeros((1, 1)), 0.01)
     assert np.abs(trajs[0].points[:, 0]).max() <= 1e-8
 
 
 def test_equivariance_free_gaussian(line_grid, unit_gaussian):
     # endpoints of an equilibrium ensemble follow |psi(T)|^2
-    prop = propagate(unit_gaussian, PotentialSpec.free(), 0.01, 200,
-                     frame_stride=2)
+    prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
+                            frame_stride=2)
     sample = sample_equilibrium(unit_gaussian, 2000, seed=21)
-    trajs = integrate_trajectories(prop.frames, prop.times,
-                                   VelocityModel.SCALAR, sample, dt_traj=0.01)
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+                                  sample.positions, 0.01)
     ref = grid_cdf(line_grid.axis(0), prop.final.density(), line_grid.dx[0])
-    stat = kstest(endpoints(trajs), ref).statistic
+    stat = kstest(endpoints(trajs)[:, 0], ref).statistic
     assert stat < 0.05
 
 
 def test_no_crossing_free_gaussian(line_grid, unit_gaussian):
-    prop = propagate(unit_gaussian, PotentialSpec.free(), 0.01, 200,
-                     frame_stride=2)
+    prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
+                            frame_stride=2)
     sample = sample_equilibrium(unit_gaussian, 400, seed=3)
-    trajs = integrate_trajectories(prop.frames, prop.times,
-                                   VelocityModel.SCALAR, sample, dt_traj=0.005)
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+                                  sample.positions, 0.005)
     assert audit_trajectories(trajs) == 0
 
 
 def test_mirror_symmetry(line_grid, unit_gaussian):
-    prop = propagate(unit_gaussian, PotentialSpec.free(), 0.01, 200,
-                     frame_stride=2)
-    init = EquilibriumSample(np.array([[1.3], [-1.3]]), 0, "manual")
-    trajs = integrate_trajectories(prop.frames, prop.times,
-                                   VelocityModel.SCALAR, init, dt_traj=0.005)
+    prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
+                            frame_stride=2)
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+                                  np.array([[1.3], [-1.3]]), 0.005)
     assert np.abs(trajs[0].points[:, 0] + trajs[1].points[:, 0]).max() <= 1e-6
 
 
 def test_step_size_robustness(line_grid, unit_gaussian):
-    prop = propagate(unit_gaussian, PotentialSpec.free(), 0.01, 200,
-                     frame_stride=2)
+    prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
+                            frame_stride=2)
     sample = sample_equilibrium(unit_gaussian, 100, seed=8)
-    stacks = build_stacks(prop.frames, prop.times, VelocityModel.SCALAR)
+    stacks = build_stacks(prop.frames, prop.times, SCALAR)
     coarse = integrate_over_stacks(stacks, sample.positions, 0.01)
     fine = integrate_over_stacks(stacks, sample.positions, 0.005)
     delta = np.abs(endpoints(coarse) - endpoints(fine)).max()
@@ -89,9 +88,8 @@ def test_step_size_robustness(line_grid, unit_gaussian):
 def test_domain_exit_marks_failed(line_grid):
     k = 2 * np.pi * 30 / 40.0  # fast mover
     frames, times = plane_wave_frames(line_grid, k, 4.0, 41)
-    init = EquilibriumSample(np.array([[18.0]]), 0, "manual")
-    trajs = integrate_trajectories(frames, times, VelocityModel.SCALAR, init,
-                                   dt_traj=0.01)
+    trajs = integrate_over_stacks(build_stacks(frames, times, SCALAR),
+                                  np.array([[18.0]]), 0.01)
     assert trajs[0].failed
     assert trajs[0].exit_time is not None and trajs[0].exit_time > 0
 
@@ -110,36 +108,35 @@ def test_frame_stream_equals_stored_stacks_past_the_grid_edge(
     stream = FrameStream(line_grid, times, positions, dt_traj, record_stride)
 
     def feed(step, t, state):
-        rho, g = current_and_density(state, VelocityModel.SCALAR)
+        rho, g = current_and_density(state, SCALAR)
         stream.add(step // frame_stride, rho, g)
 
     propagate(psi, PotentialSpec.free(), dt, n_steps,
               frame_stride=frame_stride, support_guard=False, observer=feed)
-    prop = propagate(psi, PotentialSpec.free(), dt, n_steps,
-                     frame_stride=frame_stride, support_guard=False)
+    prop = propagate_frames(psi, PotentialSpec.free(), dt, n_steps,
+                            frame_stride=frame_stride, support_guard=False)
     ref = integrate_over_stacks(
-        build_stacks(prop.frames, prop.times, VelocityModel.SCALAR),
+        build_stacks(prop.frames, prop.times, SCALAR),
         positions, dt_traj, record_stride)
     assert 0 < sum(tr.failed for tr in ref) < len(ref)
     assert_same_trajectories(stream.flow.trajectories, ref)
 
 
 def test_dt_exceeding_frame_spacing_rejected(line_grid, unit_gaussian):
-    prop = propagate(unit_gaussian, PotentialSpec.free(), 0.01, 100,
-                     frame_stride=10)
-    sample = EquilibriumSample(np.array([[0.0]]), 0, "manual")
+    prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 100,
+                            frame_stride=10)
     with pytest.raises(ConfigError):
-        integrate_trajectories(prop.frames, prop.times, VelocityModel.SCALAR,
-                               sample, dt_traj=0.5)
+        integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+                              np.zeros((1, 1)), 0.5)
 
 
 def test_2d_trajectories_free_gaussian():
     grid = SpatialGrid.plane(128, (-12.0, 12.0), 128, (-12.0, 12.0))
     psi = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0.5, -0.5)))
-    prop = propagate(psi, PotentialSpec.free(), 0.01, 100, frame_stride=2)
-    init = EquilibriumSample(np.array([[0.0, 0.0], [0.5, -0.5]]), 0, "manual")
-    trajs = integrate_trajectories(prop.frames, prop.times,
-                                   VelocityModel.SCALAR, init, dt_traj=0.005)
+    prop = propagate_frames(psi, PotentialSpec.free(), 0.01, 100,
+                            frame_stride=2)
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+                                  np.array([[0.0, 0.0], [0.5, -0.5]]), 0.005)
     # the packet center rides at (0.5, -0.5); the center trajectory follows
     assert np.abs(trajs[0].points[-1] - np.array([0.5, -0.5])).max() <= 1e-3
 
