@@ -1,8 +1,8 @@
 """Bohmian velocity fields over grid wavefunctions.
 
-Per frame we differentiate the wavefunction spectrally once (one scipy.fft
-transform pair over the grid axes, batched over the spinor components and
-the gradient axes) and keep the probability density rho and the
+Per frame we differentiate the wavefunction spectrally once (one numpy.fft
+transform pair, one grid axis at a time, batched over the spinor components
+and the gradient axes) and keep the probability density rho and the
 velocity-current G (with v = G / rho):
 
     scalar:  rho = |psi|^2,            G = (hbar/m) Im(psi* grad psi)
@@ -28,7 +28,6 @@ these formulas is the test reference for that product form.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .errors import ConfigError
 from .fields import SpinorField, FieldLike
@@ -49,14 +48,18 @@ def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Gradient of values (..., *grid.shape) over the grid axes, stacked
     (dims, ..., *grid.shape); leading axes are batched through one
     transform pair."""
-    axes = tuple(range(-grid.dims, 0))
-    ft = fft.fftn(values, axes=axes)
+    axes = range(-grid.dims, 0)
+    ft = values
+    for ax in axes:
+        ft = np.fft.fft(ft, axis=ax)
     ik = np.empty((grid.dims,) + ft.shape, dtype=ft.dtype)
     for ax in range(grid.dims):
         shape = [1] * grid.dims
         shape[ax] = grid.n_points[ax]
         np.multiply(1j * grid.wavenumbers(ax).reshape(shape), ft, out=ik[ax])
-    return fft.ifftn(ik, axes=axes, overwrite_x=True)
+    for ax in axes:
+        np.fft.ifft(ik, axis=ax, out=ik)
+    return ik
 
 
 def current_and_density(state: FieldLike, model: str,

@@ -401,12 +401,6 @@ class PointerEnsembleResult:
         shift = self.means[:, -1] - self.means[:, 0]
         return self.initial + shift[:, self.block_id]
 
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """(n, n_rec, C) positions of every trajectory at every record."""
-        shift = self.means - self.means[:, :1]
-        return self.initial[:, None, :] + shift[:, :, self.block_id]
-
     def trajectories(self) -> list[Trajectory]:
         """One Trajectory per configuration, positions rebuilt one
         trajectory at a time."""

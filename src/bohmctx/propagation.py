@@ -6,8 +6,8 @@ evolution carry no splitting error in the density; anharmonic potentials
 show the usual O(dt^2) global accuracy.
 
 The components of a spinor are held as one (C, *grid.shape) array: one
-stacked half kick, and one scipy.fft transform pair over the spatial axes
-per step, batched over the components and run on a single worker.
+stacked half kick, and one numpy.fft transform pair per step, applied in
+place one spatial axis at a time and batched over the components.
 
 Callers that need the intermediate states read them from an observer at
 the capture steps (every frame_stride steps), so no run stores its frames.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft
 
 from .errors import ConfigError, PropagationBlowup, SupportGuardViolation
 from .fields import ComplexField, SpinorField, FieldLike
@@ -161,9 +160,11 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
         # so the step works in place
         if half_v is not None:
             comps *= half_v
-        comps = fft.fftn(comps, axes=axes, overwrite_x=True)
+        for ax in axes:
+            np.fft.fft(comps, axis=ax, out=comps)
         comps *= kin_phase
-        comps = fft.ifftn(comps, axes=axes, overwrite_x=True)
+        for ax in axes:
+            np.fft.ifft(comps, axis=ax, out=comps)
         if half_v is not None:
             comps *= half_v
         if not np.all(np.isfinite(comps.view(np.float64))):

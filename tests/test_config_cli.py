@@ -241,6 +241,42 @@ def test_cli_born_check(tmp_path):
     assert summary["born_check"]["ks"] < 0.05
 
 
+TINY_RUNS = {
+    "beam-splitter": "scenario = beam_splitter\nn = 10\ngrid_n = 512\n"
+                     "dt = 0.01\nn_steps = 200\ndt_traj = 0.005\n",
+    "stern-gerlach": "scenario = stern_gerlach\ngordon = true\nn = 10\n"
+                     "grid_n_y = 64\ngrid_n_z = 256\ndt = 0.008\n"
+                     "n_steps = 250\n",
+    "optical-sg": "scenario = optical_sg\nn = 20\nN_sweep = 1, 4\n",
+    "ancilla": "scenario = ancilla_chain\nn = 20\nN_prime = 4\nN = 8\n",
+}
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from bohmctx import cli
+args = sys.argv[1:]
+codes = [cli.main([args[i], "--config", args[i + 1], "--out", args[i + 2]])
+         for i in range(0, len(args), 3)]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_cli_runs_never_import_scipy(tmp_path):
+    # the transforms are numpy.fft's; scipy is only a test oracle
+    args = []
+    for sub, text in TINY_RUNS.items():
+        cfg_path = tmp_path / f"{sub}.cfg"
+        cfg_path.write_text(text)
+        args += [sub, str(cfg_path), str(tmp_path / sub)]
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *args],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    codes, scipy_modules = json.loads(r.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(TINY_RUNS)
+    assert scipy_modules == []
+
+
 def test_overlaps_csv_matches_csv_module(tmp_path):
     rng = np.random.default_rng(4)
     series = {"t": np.linspace(0.0, 1.0, 7), "system": rng.random(7),

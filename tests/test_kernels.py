@@ -44,9 +44,10 @@ def test_pointer_one_step_matches_hand_rk4():
     k4 = model.velocities(init + T * k3, T)
     expected = init + (T / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     res = integrate_pointer_ensemble(model, init, T)
-    assert res.positions.shape == (100, 2, 17)
-    assert np.array_equal(res.positions[:, 0], init)
-    assert np.abs(res.positions[:, 1] - expected).max() <= 1e-12
+    pos = np.array([tr.points for tr in res.trajectories()])
+    assert pos.shape == (100, 2, 17)
+    assert np.array_equal(pos[:, 0], init)
+    assert np.abs(pos[:, 1] - expected).max() <= 1e-12
 
 
 def test_record_stride_times(stacks_1d):
@@ -197,7 +198,7 @@ def test_within_block_deviations_are_conserved():
     model = build_ancilla_model(AncillaChainConfig(N_prime=5, N=7))
     init = sample_model_equilibrium(model, 30, seed=2)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=10)
-    pos = res.positions
+    pos = np.array([tr.points for tr in res.trajectories()])
     assert pos.shape == (30, len(res.times), model.n_coords)
     for sl in model.block_slices().values():
         dev = pos[:, :, sl] - pos[:, :, sl].mean(axis=2, keepdims=True)
@@ -206,7 +207,6 @@ def test_within_block_deviations_are_conserved():
     assert np.abs(model.block_means(pos.reshape(-1, model.n_coords))
                   - res.means.reshape(-1, 3)).max() <= 1e-12
     assert np.array_equal(res.final_points(), pos[:, -1])
-    assert np.array_equal(res.trajectories()[4].points, pos[4])
 
 
 def test_node_is_flagged_and_keeps_previous_velocity():

@@ -201,8 +201,7 @@ def test_classify_dead_branch_always_plus():
     model = symmetric_model(amps=(1.0, 0.0))
     init = sample_model_equilibrium(model, 50, seed=3)
     res = integrate_pointer_ensemble(model, init, 0.0025)
-    labels = [classify_point(res.positions[i, -1], 1.0, model)
-              for i in range(50)]
+    labels = [classify_point(p, 1.0, model) for p in res.final_points()]
     assert set(labels) == {"+"}
 
 
@@ -239,8 +238,7 @@ def test_unresolved_fraction_small_at_large_N():
     model = symmetric_model(N=64, a_max=4.0)
     init = sample_model_equilibrium(model, 300, seed=5)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=4)
-    labels = [classify_point(res.positions[i, -1], 1.0, model)
-              for i in range(300)]
+    labels = [classify_point(p, 1.0, model) for p in res.final_points()]
     assert labels.count(UNRESOLVED) / 300 < 0.01
 
 
@@ -248,9 +246,10 @@ def test_apparatus_predictor_headline(tmp_path):
     model = symmetric_model(N=64, a_max=4.0)
     init = sample_model_equilibrium(model, 300, seed=6)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=4)
+    final = res.final_points()
     hits = total = 0
     for i in range(300):
-        out = classify_point(res.positions[i, -1], 1.0, model)
+        out = classify_point(final[i], 1.0, model)
         if out == UNRESOLVED:
             continue
         total += 1
@@ -297,9 +296,10 @@ def test_pre_separated_regime_inversion():
     model = separated_model(N=8, x_gap=8.0)
     init = sample_model_equilibrium(model, 300, seed=9)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=4)
+    final = res.final_points()
     s_hits = a_hits = total = 0
     for i in range(300):
-        out = classify_point(res.positions[i, -1], 1.0, model)
+        out = classify_point(final[i], 1.0, model)
         if out == UNRESOLVED:
             continue
         total += 1
@@ -319,9 +319,10 @@ def test_monotone_apparatus_dominance():
         model = symmetric_model(N=N, a_max=4.0)
         init = sample_model_equilibrium(model, 300, seed=10)
         res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=4)
+        final = res.final_points()
         a_hits = s_hits = total = 0
         for i in range(300):
-            out = classify_point(res.positions[i, -1], 1.0, model)
+            out = classify_point(final[i], 1.0, model)
             if out == UNRESOLVED:
                 continue
             total += 1
