@@ -104,41 +104,59 @@ def predictor_accuracy(report, predictor_name: str) -> AccuracyResult:
 # 1D no-crossing audit
 # ---------------------------------------------------------------------------
 
+# Record columns checked at a time: a chunk of (n, CROSSING_CHUNK) positions
+# and its differences are all the audit holds besides the pair marks.
+CROSSING_CHUNK = 64
+
+
 def crossing_audit(positions: np.ndarray) -> int:
     """Count trajectory pairs whose relative 1D order differs anywhere from
     their order at the first time.  positions has shape (n_traj, n_times).
 
-    Fast path: once sorted by initial position, an ensemble with zero
-    violations is sorted at every time, which is checked in O(n T).
+    The trajectories are sorted once by initial position; then the order
+    is checked over chunks of CROSSING_CHUNK time columns.  An ensemble
+    with zero violations is sorted at every time, which is checked in
+    O(n T).  Only where a column is not sorted are the inverted pairs
+    marked, column by column, in an (n, n) table.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2:
         raise ConfigError("positions must be (n_trajectories, n_times)")
-    order = np.argsort(pos[:, 0], kind="stable")
-    p = pos[order]
-    diffs = np.diff(p, axis=0)
-    if np.all(diffs > 0):
-        return 0
-    # Slow path: mark every unordered pair inverted at any suspect time.
-    n, m = p.shape
-    bad = np.zeros((n, n), dtype=bool)
-    suspect = np.where(~np.all(diffs > 0, axis=0))[0]
-    for t in suspect:
-        col = p[:, t]
-        bad |= col[None, :] <= col[:, None]
-    iu = np.triu_indices(n, k=1)
-    return int(np.count_nonzero(bad[iu]))
+    return _count_crossings(pos.shape, lambda rows, lo, hi: pos[rows, lo:hi])
 
 
 def audit_trajectories(trajectories) -> int:
     """crossing_audit of the first coordinate of trajectories that share
-    one time base."""
+    one time base, read one chunk of record columns at a time: no
+    (n, n_records) table is built."""
     times0 = trajectories[0].times
     for tr in trajectories:
         if len(tr.times) != len(times0) or not np.allclose(tr.times, times0):
             raise ConfigError("trajectories must share one time base")
-    pos = np.stack([tr.points[:, 0] for tr in trajectories])
-    return crossing_audit(pos)
+
+    def columns(rows, lo, hi):
+        return np.stack([trajectories[i].points[lo:hi, 0] for i in rows])
+    return _count_crossings((len(trajectories), len(times0)), columns)
+
+
+def _count_crossings(shape: tuple[int, int], columns) -> int:
+    """The crossing count of an (n, n_times) table that is read through
+    columns(rows, lo, hi), the (len(rows), hi - lo) positions of the
+    trajectories rows at times lo .. hi - 1."""
+    n, n_times = shape
+    order = np.argsort(columns(np.arange(n), 0, 1)[:, 0], kind="stable")
+    bad = None  # bad[i, j]: the pair (i, j) of sorted rows was inverted
+    for lo in range(0, n_times, CROSSING_CHUNK):
+        p = columns(order, lo, min(lo + CROSSING_CHUNK, n_times))
+        sorted_cols = np.all(np.diff(p, axis=0) > 0, axis=0)
+        if sorted_cols.all():
+            continue
+        if bad is None:
+            bad = np.zeros((n, n), dtype=bool)
+        for t in np.flatnonzero(~sorted_cols):
+            col = p[:, t]
+            bad |= col[None, :] <= col[:, None]
+    return 0 if bad is None else int(np.count_nonzero(np.triu(bad, k=1)))
 
 
 # ---------------------------------------------------------------------------

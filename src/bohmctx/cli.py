@@ -181,10 +181,7 @@ def write_outputs(report: EnsembleReport, cfg, out_dir: Path, fmt: str,
         path = out_dir / "trajectories.csv"
         if fmt == "json":
             path = out_dir / "trajectories.json"
-            _write_json(path, {
-                "times": [float(t) for t in trajs[0].times],
-                "points": [[list(map(float, row)) for row in tr.points]
-                           for tr in trajs]})
+            _write_trajectories_json(path, trajs)
         else:
             write_trajectories_csv(path, trajs, stride=stride)
         outputs.append(path)
@@ -250,6 +247,23 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _write_trajectories_json(path: Path, trajectories) -> None:
+    """_write_json of {"times": the first trajectory's times, "points":
+    every trajectory's points as nested lists}, written one trajectory at
+    a time.  Each trajectory is dumped alone, and its lines are indented
+    by the two levels it sits at inside the whole document."""
+    with open(path, "w") as fh:
+        fh.write('{\n "points": [')
+        sep = "\n  "
+        for tr in trajectories:
+            fh.write(sep + json.dumps(tr.points.tolist(), indent=1)
+                     .replace("\n", "\n  "))
+            sep = ",\n  "
+        fh.write('\n ],\n "times": '
+                 + json.dumps(trajectories[0].times.tolist(), indent=1)
+                 .replace("\n", "\n ") + "\n}\n")
 
 
 if __name__ == "__main__":

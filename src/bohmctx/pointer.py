@@ -30,6 +30,8 @@ coordinate its block's velocity; neither has a per-coordinate form.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -401,15 +403,35 @@ class PointerEnsembleResult:
         shift = self.means[:, -1] - self.means[:, 0]
         return self.initial + shift[:, self.block_id]
 
-    def trajectories(self) -> list[Trajectory]:
-        """One Trajectory per configuration, positions rebuilt one
-        trajectory at a time."""
-        shift = self.means - self.means[:, :1]
-        return [Trajectory(self.times,
-                           self.initial[i] + shift[i][:, self.block_id],
-                           node_regularization_events=int(self.node_counts[i]),
-                           regularized_flags=self.reg_flags[i])
-                for i in range(self.initial.shape[0])]
+    def trajectories(self) -> "PointerTrajectories":
+        """One Trajectory per configuration, as a read-only sequence that
+        rebuilds trajectory i each time it is read, so reading the
+        ensemble one trajectory at a time holds one position table."""
+        return PointerTrajectories(self)
+
+
+class PointerTrajectories(Sequence):
+    """The trajectories of a PointerEnsembleResult; item i is rebuilt on
+    access as initial[i] + (means[i] - means[i, :1])[:, block_id]."""
+
+    def __init__(self, result: PointerEnsembleResult):
+        self._res = result
+
+    def __len__(self) -> int:
+        return self._res.initial.shape[0]
+
+    def __getitem__(self, i: int) -> Trajectory:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("trajectory index out of range")
+        i %= n
+        res = self._res
+        return Trajectory(res.times,
+                          res.initial[i] + (res.means[i] - res.means[i, :1])
+                          [:, res.block_id],
+                          node_regularization_events=int(res.node_counts[i]),
+                          regularized_flags=res.reg_flags[i])
 
 
 def integrate_pointer_ensemble(model: BlockModel, initial: np.ndarray,

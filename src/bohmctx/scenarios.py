@@ -126,8 +126,10 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
         rng = np.random.default_rng((int(cfg.seed), int(i), 1))
         y0[i] = cfg.detector_sigma * rng.standard_normal(cfg.detector_count)
     det_init = np.column_stack([x_at_sep, y0])
+    # only the endpoints and node counts are read: record the ends alone
+    det_steps = int(round(det_tau / cfg.dt_traj))
     det_res = integrate_pointer_ensemble(det_model, det_init, cfg.dt_traj,
-                                         record_stride=stride)
+                                         record_stride=det_steps)
     det_labels = [classify_point(p, det_tau, det_model, cfg.ratio_threshold)
                   for p in det_res.final_points()]
     agree = [o == d for o, d in zip(outcomes, det_labels)

@@ -18,6 +18,7 @@ every trajectory is independent, so results are identical for any thread
 count.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ from .guidance import NODE_DENSITY_REL, ProductTables, VelocityStacks
 # RK4 with each propagation step, cost about 8 % more CPU time in the
 # beam splitter's grid stage.
 FRAME_SLOTS = 16
+
+# Values that write_trajectories_csv formats per write: a block of rows of
+# about this many values is all it holds as Python objects at a time.
+WRITE_BLOCK_VALUES = 4096
 
 
 @dataclass
@@ -180,33 +185,43 @@ def endpoints(trajectories: list[Trajectory]) -> np.ndarray:
     return np.array([t.points[-1] for t in trajectories])
 
 
-def write_trajectories_csv(path, trajectories: list[Trajectory],
+def write_trajectories_csv(path, trajectories: Sequence[Trajectory],
                            coord_names: list[str] | None = None,
                            stride: int = 1) -> None:
     """CSV schema: trajectory_id, t, <coordinates...>, regularized_flag.
 
-    Values are written with repr, so they read back exactly; rows end in
-    CRLF, as the csv module writes them.  One write per trajectory, of one
-    %-format over all its rows, keeps memory flat in the table size."""
+    trajectories is any sequence of Trajectory, read in order, one at a
+    time.  Values are written with repr, so they read back exactly; rows
+    end in CRLF, as the csv module writes them.  Rows are written in
+    blocks of about WRITE_BLOCK_VALUES values, one %-format per block, so
+    memory stays flat in the table size and in the trajectory length.  The
+    time column is formatted once for each run of trajectories that share
+    one times array, as the trajectories of one ensemble do."""
     if not trajectories:
         raise ConfigError("no trajectories to write")
     dims = trajectories[0].points.shape[1]
     names = coord_names or ([f"c{i}" for i in range(dims)] if dims > 2
                             else (["x"] if dims == 1 else ["y", "z"]))
-    row_fmt = "%d,%r" + ",%r" * dims + ",%s\r\n"
+    row_fmt = "%d,%s" + ",%r" * dims + ",%s\r\n"
     width = dims + 3
+    block = max(1, WRITE_BLOCK_VALUES // width)
+    base = None  # the times array whose formatted column is `times`
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["trajectory_id", "t", *names, "regularized_flag"])
                  + "\r\n")
         for tid, traj in enumerate(trajectories):
-            times = traj.times[::stride].tolist()
-            rows = len(times)
-            values = [tid] * (rows * width)  # column 0 stays tid
-            values[1::width] = times
-            for c, column in enumerate(traj.points[::stride].T.tolist()):
-                values[2 + c::width] = column
-            values[width - 1::width] = (
-                ["0"] * rows if traj.regularized_flags is None
-                else ["1" if f else "0"
-                      for f in traj.regularized_flags[::stride].tolist()])
-            fh.write((row_fmt * rows) % tuple(values))
+            if traj.times is not base:
+                base = traj.times
+                times = list(map(repr, base[::stride].tolist()))
+            points = traj.points[::stride]
+            flags = (["0"] * len(times) if traj.regularized_flags is None
+                     else ["1" if f else "0"
+                           for f in traj.regularized_flags[::stride].tolist()])
+            for r0 in range(0, len(times), block):
+                rows = min(block, len(times) - r0)
+                values = [tid] * (rows * width)  # column 0 stays tid
+                values[1::width] = times[r0:r0 + rows]
+                for c, column in enumerate(points[r0:r0 + rows].T.tolist()):
+                    values[2 + c::width] = column
+                values[width - 1::width] = flags[r0:r0 + rows]
+                fh.write((row_fmt * rows) % tuple(values))

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,3 +50,15 @@ def propagate_frames(state, potential, dt, n_steps, frame_stride, **kw):
                                                     frames.append(st)),
                       **kw).final
     return SimpleNamespace(final=final, times=np.asarray(times), frames=frames)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes that tracemalloc traced while
+    it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from bohmctx import ConfigError
+from bohmctx import ConfigError, analysis
 from bohmctx.analysis import (AccuracyResult, AttributionThresholds,
                               INDETERMINATE, MIXED, M_DETERMINED,
-                              S_DETERMINED, accuracy, attribute, born_rule_ks,
+                              S_DETERMINED, accuracy, attribute,
+                              audit_trajectories, born_rule_ks,
                               crossing_audit, grid_cdf, ks_statistic,
                               wilson_interval)
+from bohmctx.trajectories import Trajectory
+from conftest import traced_peak
 
 
 def gaussian_mixture_cdf(weights, centers, sigmas):
@@ -106,26 +109,91 @@ def test_wilson_interval_properties():
 
 # -- crossing audit -----------------------------------------------------------
 
-def test_crossing_parallel_trajectories():
-    t = np.linspace(0, 1, 50)
-    pos = np.stack([x0 + 2.0 * t for x0 in (-1.0, 0.0, 0.5, 2.0)])
-    assert crossing_audit(pos) == 0
+def unchunked_crossings(pos):
+    """Pairs, in the order of the first column, that are inverted at any
+    time, from the whole (n, n, n_times) comparison."""
+    p = pos[np.argsort(pos[:, 0], kind="stable")]
+    bad = (p[None, :, :] <= p[:, None, :]).any(axis=2)
+    return int(np.count_nonzero(np.triu(bad, k=1)))
 
 
-def test_crossing_synthetic_swap():
-    t = np.linspace(0, 1, 50)
-    a = 0.0 + 1.0 * t
-    b = 0.5 - 1.0 * t
-    pos = np.stack([a, b])
-    assert crossing_audit(pos) == 1
+def parallel_table(n=12, n_times=200):
+    t = np.linspace(0, 1, n_times)
+    return np.stack([0.3 * i + 2.0 * t for i in range(n)])
 
 
-def test_crossing_counts_distinct_pairs_once():
+def swapped_at(columns):
+    """parallel_table with rows 3 and 4 exchanged at the given columns."""
+    pos = parallel_table()
+    pos[np.ix_([3, 4], columns)] = pos[np.ix_([4, 3], columns)]
+    return pos
+
+
+def dive_table():
     # one trajectory dives below two others and returns: 2 violating pairs
     base0 = np.zeros(9)
     base1 = np.ones(9)
     diver = np.array([2.0, 2.0, -1.0, -1.0, -1.0, 2.0, 2.0, 2.0, 2.0])
-    assert crossing_audit(np.stack([base0, base1, diver])) == 2
+    return np.stack([base0, base1, diver])
+
+
+def two_way_swap():
+    t = np.linspace(0, 1, 50)
+    return np.stack([0.0 + 1.0 * t, 0.5 - 1.0 * t])
+
+
+def test_crossing_parallel_trajectories():
+    assert crossing_audit(parallel_table()) == 0
+
+
+def test_crossing_synthetic_swap():
+    assert crossing_audit(two_way_swap()) == 1
+
+
+def test_crossing_counts_distinct_pairs_once():
+    assert crossing_audit(dive_table()) == 2
+
+
+CHUNK = analysis.CROSSING_CHUNK
+CROSSING_CASES = {
+    "parallel": (parallel_table(), 0),
+    "two_way_swap": (two_way_swap(), 1),
+    "dive_below_two": (dive_table(), 2),
+    "first_of_chunk": (swapped_at([CHUNK]), 1),
+    "last_of_chunk": (swapped_at([CHUNK - 1]), 1),
+    "last_record": (swapped_at([199]), 1),
+    "every_edge": (swapped_at([0, CHUNK - 1, CHUNK, 199]), 1),
+    "two_chunks": (swapped_at([CHUNK]) - 0.5 * (np.arange(12) == 5)[:, None]
+                   * (np.arange(200) == 199), 2),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK, 1000])
+@pytest.mark.parametrize("case", CROSSING_CASES)
+def test_crossing_count_over_chunks(monkeypatch, case, chunk):
+    # a swap in any column of any chunk, at either edge or at the last
+    # record, counts as the whole-table comparison does, at every chunk
+    # width; the trajectories give the count of their stacked table
+    pos, want = CROSSING_CASES[case]
+    monkeypatch.setattr(analysis, "CROSSING_CHUNK", chunk)
+    assert unchunked_crossings(pos) == want
+    assert crossing_audit(pos) == want
+    times = np.arange(pos.shape[1], dtype=float)
+    trajs = [Trajectory(times, row[:, None]) for row in pos]
+    assert audit_trajectories(trajs) == want
+
+
+def test_crossing_audit_holds_no_table_copy():
+    # a crossing-free ensemble is read a chunk of record columns at a time:
+    # the audit allocates below a quarter of the (n, n_records) table,
+    # where stacking, reordering and differencing it took three tables
+    n, n_rec = 200, 2001
+    times = np.linspace(0.0, 1.0, n_rec)
+    trajs = [Trajectory(times, (0.5 * i + np.sin(times))[:, None])
+             for i in range(n)]
+    count, peak = traced_peak(audit_trajectories, trajs)
+    assert count == 0
+    assert peak < n * n_rec * 8 / 4
 
 
 def test_crossing_rejects_bad_shape():

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from bohmctx import ConfigError
-from bohmctx.cli import _write_overlaps_csv
+from bohmctx.cli import _write_overlaps_csv, write_outputs
 from bohmctx.config import (CONFIG_TYPES, DEFAULTS, config_from_mapping,
                             config_to_mapping, load_config, parse_config_text,
                             serialize_config)
+from bohmctx.scenarios import run_scenario
+from conftest import traced_peak
 
 
 def run_cli(*args, env_extra=None):
@@ -181,9 +183,31 @@ def test_cli_json_trajectory_format(tmp_path):
     r = run_cli("stern-gerlach", "--seed", "2", "--trajectories", "30",
                 "--out", str(out), "--format", "json")
     assert r.returncode == 0, r.stderr
-    data = json.loads((out / "trajectories.json").read_text())
+    text = (out / "trajectories.json").read_text()
+    data = json.loads(text)
     assert len(data["points"]) == 30
     assert len(data["times"]) == len(data["points"][0])
+    # written one trajectory at a time, the file is the one json.dump of
+    # the whole structure
+    cfg = config_from_mapping({"scenario": "stern_gerlach", "seed": 2,
+                               "n": 30})
+    trajs = run_scenario(cfg).artifacts["trajectories"]
+    whole = {"times": [float(t) for t in trajs[0].times],
+             "points": [[list(map(float, row)) for row in tr.points]
+                        for tr in trajs]}
+    assert text == json.dumps(whole, indent=1, sort_keys=True) + "\n"
+
+
+def test_write_outputs_holds_one_trajectory(tmp_path):
+    # the pointer trajectories are rebuilt one at a time and written in
+    # blocks of rows: writing every output of a run allocates less than
+    # four times one trajectory's rows of trajectories.csv, where building
+    # every trajectory first took about eight
+    cfg = config_from_mapping({"scenario": "ancilla_chain", "n": 20})
+    report = run_scenario(cfg)
+    _, peak = traced_peak(write_outputs, report, cfg, tmp_path, "csv", False)
+    table = (tmp_path / "trajectories.csv").stat().st_size / cfg.n
+    assert peak < 4 * table
 
 
 def test_cli_missing_config_is_config_error():

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from bohmctx.pointer import (BlockModel, Branch, CoordinateBlock,
                              sample_model_equilibrium, system_overlap,
                              x_marginal_density)
 from bohmctx.schedules import PiecewiseLinear
+from bohmctx.trajectories import Trajectory
+from conftest import assert_same_trajectories
 
 
 def symmetric_model(N=4, a_max=2.0, sigma=1.0, T=1.0, amps=None):
@@ -256,6 +259,32 @@ def test_apparatus_predictor_headline(tmp_path):
         hits += out == predictor_block_sum(init[i, 1:], model, "apparatus")
     assert total > 250
     assert hits / total >= 0.99
+
+
+# -- trajectories -------------------------------------------------------------
+
+def test_trajectories_sequence_rebuilds_each_trajectory():
+    # a read-only sequence whose items are bitwise the trajectories that
+    # the whole (n, n_rec, C) shift table gives
+    model = symmetric_model(N=3)
+    init = sample_model_equilibrium(model, 7, seed=4)
+    res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=8)
+    shift = res.means - res.means[:, :1]
+    want = [Trajectory(res.times, res.initial[i] + shift[i][:, res.block_id],
+                       node_regularization_events=int(res.node_counts[i]),
+                       regularized_flags=res.reg_flags[i])
+            for i in range(7)]
+    got = res.trajectories()
+    assert isinstance(got, Sequence) and not isinstance(got, list)
+    assert len(got) == 7
+    assert_same_trajectories(list(got), want)
+    assert_same_trajectories([got[-1], got[-7], got[np.int64(2)]],
+                             [want[6], want[0], want[2]])
+    for i in (7, -8):
+        with pytest.raises(IndexError):
+            got[i]
+    with pytest.raises(TypeError):
+        got[0] = want[0]
 
 
 # -- sampling and marginals ---------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
 from bohmctx.report import _plain
 from bohmctx.sampling import sample_equilibrium
 from bohmctx.units import DEFAULT_UNITS
-from conftest import assert_same_trajectories, propagate_frames
+from conftest import assert_same_trajectories, propagate_frames, traced_peak
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
@@ -172,12 +171,7 @@ def test_beam_splitter_propagates_twice_without_frames(monkeypatch):
 
     monkeypatch.setattr(scenarios, "propagate", counting_propagate)
     n_frames = cfg.n_steps // cfg.frame_stride + 1
-    tracemalloc.start()
-    try:
-        run_beam_splitter(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run_beam_splitter, cfg)
     assert len(calls) == 2 and all(obs is not None for obs in calls)
     assert peak < 32 * n_frames * cfg.grid_n
 
@@ -192,12 +186,7 @@ def test_grid_run_holds_no_frame_stack(cfg):
     # float64 (F, grid_n) array, where the density and current stacks
     # alone would take two
     n_frames = cfg.n_steps // cfg.frame_stride + 1
-    tracemalloc.start()
-    try:
-        run_scenario(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run_scenario, cfg)
     assert peak < 8 * n_frames * cfg.grid_n
 
 
@@ -498,15 +487,13 @@ def test_sg_2d_setup_and_flows_hold_no_2d_stack():
     cfg = _small_gordon_config(100)
     stack_bytes = ((cfg.n_steps // cfg.frame_stride + 1)
                    * cfg.grid_n_y * cfg.grid_n_z * 8)
-    tracemalloc.start()
-    try:
+
+    def setup_and_flows():
         spinor0, _, _, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
         sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
         integrate_product_flows(tables, sample.positions, cfg.dt_traj,
                                 gordon=(1.0, 0.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(setup_and_flows)
     assert peak < stack_bytes
 
 

@@ -8,6 +8,7 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      PotentialSpec, SpatialGrid, make_gaussian, propagate,
                      sample_equilibrium)
 from bohmctx.analysis import audit_trajectories, grid_cdf
+from bohmctx import trajectories
 from bohmctx.guidance import VelocityModel, build_stacks, current_and_density
 from bohmctx.trajectories import (FrameStream, Trajectory, endpoints,
                                   integrate_over_stacks,
@@ -167,6 +168,24 @@ def test_trajectories_csv_matches_csv_module(tmp_path, dims):
         flags = None if i == 2 else rng.random(11) < 0.4
         trajs.append(Trajectory(0.1 * np.arange(11), pts,
                                 regularized_flags=flags))
+    for stride in (1, 3):
+        write_trajectories_csv(tmp_path / "got.csv", trajs, stride=stride)
+        _csv_module_reference(tmp_path / "want.csv", trajs, stride)
+        assert (tmp_path / "got.csv").read_bytes() \
+            == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 10, 4096])
+def test_trajectories_csv_shared_time_bases(tmp_path, monkeypatch, block):
+    # trajectories that share a times array get its formatted column once;
+    # a file of two time bases, one of them coming back, and rows written
+    # in blocks of any size are the csv module's bytes
+    monkeypatch.setattr(trajectories, "WRITE_BLOCK_VALUES", block)
+    rng = np.random.default_rng(7)
+    bases = (0.1 * np.arange(11), 1.0 / 3.0 + 0.05 * np.arange(11))
+    trajs = [Trajectory(bases[b], rng.standard_normal((11, 3)),
+                        regularized_flags=rng.random(11) < 0.4)
+             for b in (0, 0, 1, 1, 1, 0)]
     for stride in (1, 3):
         write_trajectories_csv(tmp_path / "got.csv", trajs, stride=stride)
         _csv_module_reference(tmp_path / "want.csv", trajs, stride)
