@@ -8,15 +8,16 @@ integrated while a propagation produces the frames: each step waits until
 the frames that bracket its last stage time are present.  Its stage
 velocities:
 
-- `grid_velocity` interpolates density and current stacks in 1D or 2D
-  that hold frame f in slot f % S: all F frames (S = F), or a ring of the
-  last S frames of a running propagation.  Each RK4 stage builds the flat
-  indices of the cell corners in the two bracketing frames once and
-  gathers each stored field with one `take`.
+- `grid_velocity` interpolates 1D density and current stacks that hold
+  frame f in slot f % S: all F frames (S = F), or a ring of the last S
+  frames of a running propagation.  Each RK4 stage builds the flat
+  indices of the cell ends in the two bracketing frames once and gathers
+  each stored field with one `take`.
 - `product_velocity` serves a product state phi(y) chi(z) on a 2D grid
-  from per-frame 1D tables of each factor, so no 2D stack is ever built;
-  a per-point Gordon weight lets one call integrate the flows with and
-  without the spin-curl term side by side.
+  from per-frame 1D tables of each factor, the only 2D flow in the
+  package, so no 2D array is ever built; a per-point Gordon weight lets
+  one call integrate the flows with and without the spin-curl term side
+  by side.
 
 The pointer kernel follows the closed-form velocity of the branched-Gaussian
 model, where all coordinates of a block move together, so it integrates one
@@ -39,10 +40,10 @@ NODE_ABS_FLOOR = 1e-300  # hard underflow floor for denominators
 
 # ---------------------------------------------------------------------------
 # Grid kernel: velocity v = G/rho with G and rho linearly interpolated in
-# time between stored frames and linearly (1D) / bilinearly (2D) in space.
-# Both stage velocities take (q, t, vprev, *tables, t0, frame_dt, lo, step,
-# node_rel), with q (dims, n) and lo, step (dims, 1) the grid's x_min and
-# dx (periodic axes).
+# time between stored frames and linearly in space (per factor on the 2D
+# product grid).  Both stage velocities take (q, t, vprev, *tables, t0,
+# frame_dt, lo, step, node_rel), with q (dims, n) and lo, step (dims, 1)
+# the grid's x_min and dx (periodic axes).
 # ---------------------------------------------------------------------------
 
 def _bracket(t, t0, frame_dt, n_frames):
@@ -63,41 +64,30 @@ def _guided(rho_i, g_i, peaks, f0, w, node_rel, vprev):
 
 def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
                   node_rel):
-    """Velocity (dims, n) at points q (dims, n) and time t, and node flags.
+    """Velocity (1, n) at points q (1, n) on a 1D grid and time t, and node
+    flags.
 
-    fields = (rho, G_0, ..., G_dims-1), each (S, *grid.shape) and
-    C-contiguous with frame f in slot f % S, and peaks (F,) holds the peak
-    of rho in every frame.  A stage builds the flat indices of the 2**dims
-    cell corners in frames f0 and f0 + 1, and their interpolation weights,
-    once; each field is then one `take` and one weighted sum over those
-    corners.
+    fields = (rho, G), each (S, n_x) and C-contiguous with frame f in slot
+    f % S, and peaks (F,) holds the peak of rho in every frame.  A stage
+    builds the flat indices of the two cell ends in frames f0 and f0 + 1,
+    and their interpolation weights, once; each field is then one `take`
+    and one weighted sum over those four values.
     """
-    dims, n = q.shape
-    slots, *shape = fields[0].shape
+    slots, n_x = fields[0].shape
     f0, w = _bracket(t, t0, frame_dt, len(peaks))
-    s = (q - lo) / step
+    s = (q[0] - lo[0]) / step[0]
     i0 = np.floor(s)
     frac = s - i0
-    i0 = i0.astype(np.int64)
-    # flat offsets within a frame (C order) of the 2**dims cell corners and
-    # their weights, one axis of length 2 (lower, upper) per grid axis
-    for ax, n_ax in enumerate(shape):
-        lower = i0[ax] % n_ax
-        corners = np.array([lower, (lower + 1) % n_ax])
-        weights = np.array([1 - frac[ax], frac[ax]])
-        if ax == 0:
-            idx, wts = corners, weights
-        else:
-            idx = idx[..., None, :] * n_ax + corners
-            wts = wts[..., None, :] * weights
-    # the same corners in frames f0 and f0 + 1, weighted linearly in time
-    size = fields[0][0].size
-    idx = np.concatenate([idx + f0 % slots * size,
-                          idx + (f0 + 1) % slots * size])
-    wts = np.concatenate([(1 - w) * wts, w * wts])
-    idx, wts = idx.reshape(-1, n), wts.reshape(-1, n)
-    rho_i, *g_i = [(f.take(idx) * wts).sum(axis=0) for f in fields]
-    return _guided(rho_i, g_i, peaks, f0, w, node_rel, vprev)
+    lower = i0.astype(np.int64) % n_x
+    upper = (lower + 1) % n_x
+    # the same cell ends in frames f0 and f0 + 1, weighted linearly in time
+    base0, base1 = f0 % slots * n_x, (f0 + 1) % slots * n_x
+    idx = np.array([lower + base0, upper + base0, lower + base1,
+                    upper + base1])
+    wts = np.array([(1 - w) * (1 - frac), (1 - w) * frac, w * (1 - frac),
+                    w * frac])
+    rho_i, g_i = [(f.take(idx) * wts).sum(axis=0) for f in fields]
+    return _guided(rho_i, (g_i,), peaks, f0, w, node_rel, vprev)
 
 
 def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
@@ -116,8 +106,8 @@ def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
     with the per-point Gordon weight g = gordon (n,) (1 with the spin-curl
     term, 0 without), and those are interpolated linearly in time.  The
     bilinear interpolation of a product stack is the product of the two
-    linear interpolations, so this equals `grid_velocity` over the 2D
-    stacks up to rounding.
+    linear interpolations, so this equals the bilinear interpolation of
+    the 2D density and current stacks up to rounding.
     """
     f0, w = _bracket(t, t0, frame_dt, len(peaks))
     s = (q - lo) / step

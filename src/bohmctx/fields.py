@@ -6,6 +6,7 @@ deviation of |psi|^2, i.e. psi ~ exp(-(x-c)^2 / (4 sigma^2)).  This is
 what all overlap formulas in the package assume.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,25 +128,29 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     return np.sum(np.conj(a) * b)
 
 
-def position_expectation(f: FieldLike) -> np.ndarray:
+def center_width(rho: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of the density rho sampled on x."""
+    w = rho / rho.sum()
+    mu = float(np.sum(w * x))
+    return mu, math.sqrt(float(np.sum(w * (x - mu) ** 2)))
+
+
+def _axis_moments(f: FieldLike) -> list[tuple[float, float]]:
+    """center_width of the marginal of |psi|^2 on each grid axis."""
     rho = f.density()
-    grid = f.grid
-    w = rho * grid.cell_volume
-    total = np.sum(w)
-    return np.array([float(np.sum(w * m)) / total for m in grid.meshes])
+    axes = range(f.grid.dims)
+    return [center_width(rho.sum(axis=tuple(a for a in axes if a != ax)),
+                         f.grid.axis(ax)) for ax in axes]
+
+
+def position_expectation(f: FieldLike) -> np.ndarray:
+    """Per-axis mean of |psi|^2."""
+    return np.array([mu for mu, _ in _axis_moments(f)])
 
 
 def position_std(f: FieldLike) -> np.ndarray:
     """Per-axis standard deviation of |psi|^2."""
-    rho = f.density()
-    grid = f.grid
-    w = rho * grid.cell_volume
-    total = np.sum(w)
-    out = []
-    for m in grid.meshes:
-        mu = np.sum(w * m) / total
-        out.append(float(np.sqrt(np.sum(w * (m - mu) ** 2) / total)))
-    return np.array(out)
+    return np.array([width for _, width in _axis_moments(f)])
 
 
 def spatial_overlap(a: ComplexField, b: ComplexField) -> float:

@@ -7,22 +7,19 @@ velocity-current G (with v = G / rho):
 
     scalar:  rho = |psi|^2,            G = (hbar/m) Im(psi* grad psi)
     spinor:  rho = |u|^2 + |d|^2,      G = (hbar/m) Im(u* grad u + d* grad d)
-    gordon:  adds (hbar/2m) (d_z s_x, -d_y s_x) with s_x = 2 Re(u* d)
 
-The velocity at a point is G / rho with both fields interpolated there
-(linear in 1D, bilinear in 2D, then one division), so states with a
-uniform phase gradient keep an exactly uniform velocity.  The trajectory
-kernels do that interpolation on the stacks (`_kernels.grid_velocity`);
-`_interp` here serves the outcome labels, which compare two densities at
-the trajectory endpoints.  The Gordon term exists only on 2D (y, z) grids;
-the out-of-plane curl component is discarded.
+The velocity at a point is G / rho with both fields linearly interpolated
+there, then one division, so states with a uniform phase gradient keep an
+exactly uniform velocity.  The trajectory kernel does that interpolation
+on the 1D stacks (`_kernels.grid_velocity`); `_interp` here serves the
+outcome labels, which compare two densities at the trajectory endpoints.
 
-These are the general 2D formulas.  The Stern-Gerlach Gordon run never
-builds 2D fields from them: its state is a product phi(y) chi(z), so
-scenarios._sg_setup_2d keeps per-frame 1D tables of each factor
-(`ProductTables`) and `_kernels.product_velocity` forms rho and G from
-them at each point.  build_stacks over the frames of a 2D propagation with
-these formulas is the test reference for that product form.
+The Stern-Gerlach Gordon run has no 2D field at all: its state is a
+product phi(y) chi(z), so scenarios._sg_setup_2d keeps per-frame 1D tables
+of each factor (`ProductTables`), with the spin-curl (Gordon) term
+(hbar/2m)(d_z s_x, -d_y s_x) of s_x = 2 Re(u* d) formed from the spectral
+gradients of its factors, and `_kernels.product_velocity` forms rho and G
+from them at each point.
 """
 
 from dataclasses import dataclass
@@ -40,8 +37,6 @@ NODE_DENSITY_REL = 1e-12  # of frame peak density
 class VelocityModel:
     SCALAR = "scalar_guidance"
     SPINOR = "spinor_convective"
-    SPINOR_GORDON = "spinor_with_gordon"
-    ALL = (SCALAR, SPINOR, SPINOR_GORDON)
 
 
 def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -77,10 +72,6 @@ def current_and_density(state: FieldLike, model: str,
         g = [scale * (np.conj(u) * grads[ax, 0]
                       + np.conj(d) * grads[ax, 1]).imag
              for ax in range(grid.dims)]
-        if model == VelocityModel.SPINOR_GORDON:
-            g_y, g_z = gordon_current(state, units)
-            g[0] = g[0] + g_y
-            g[1] = g[1] + g_z
         return rho, g
     if model != VelocityModel.SCALAR:
         raise ConfigError("spinor guidance requires SpinorField frames")
@@ -91,41 +82,14 @@ def current_and_density(state: FieldLike, model: str,
     return rho, g
 
 
-def gordon_current(state: SpinorField, units: UnitsConfig = DEFAULT_UNITS
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane spin-curl current (G_y, G_z) = (hbar/2m)(d_z s_x, -d_y s_x)
-    of any 2D spinor; the extra term of the SPINOR_GORDON model."""
-    grid = state.grid
-    if grid.dims != 2:
-        raise ConfigError("the Gordon term is only defined on 2D (y, z) grids")
-    s_x = 2.0 * (np.conj(state.up.values) * state.down.values).real
-    ds = _spectral_gradient(s_x.astype(np.complex128), grid)
-    pref = units.hbar / (2.0 * units.mass)
-    return pref * ds[1].real, -pref * ds[0].real
-
-
 def _interp(grid: SpatialGrid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Linear/bilinear periodic interpolation of a grid array at points
-    (m, dims)."""
-    if grid.dims == 1:
-        s = (pts[:, 0] - grid.x_min[0]) / grid.dx[0]
-        i0 = np.floor(s).astype(np.int64)
-        frac = s - i0
-        i0 %= grid.n_points[0]
-        i1 = (i0 + 1) % grid.n_points[0]
-        return arr[i0] * (1 - frac) + arr[i1] * frac
-    sy = (pts[:, 0] - grid.x_min[0]) / grid.dx[0]
-    sz = (pts[:, 1] - grid.x_min[1]) / grid.dx[1]
-    j0 = np.floor(sy).astype(np.int64)
-    i0 = np.floor(sz).astype(np.int64)
-    fy = sy - j0
-    fz = sz - i0
-    j0 %= grid.n_points[0]
-    i0 %= grid.n_points[1]
-    j1 = (j0 + 1) % grid.n_points[0]
-    i1 = (i0 + 1) % grid.n_points[1]
-    return (arr[j0, i0] * (1 - fy) * (1 - fz) + arr[j1, i0] * fy * (1 - fz)
-            + arr[j0, i1] * (1 - fy) * fz + arr[j1, i1] * fy * fz)
+    """Linear periodic interpolation of a 1D grid array at points (m, 1)."""
+    s = (pts[:, 0] - grid.x_min[0]) / grid.dx[0]
+    i0 = np.floor(s).astype(np.int64)
+    frac = s - i0
+    i0 %= grid.n_points[0]
+    i1 = (i0 + 1) % grid.n_points[0]
+    return arr[i0] * (1 - frac) + arr[i1] * frac
 
 
 @dataclass

@@ -306,17 +306,25 @@ def classify_point(point: np.ndarray, t: float, model: BlockModel,
                    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> str:
     """Branch label of one configuration (C,) at time t from its log-weight
     gap, "unresolved" when the weight ratio is below ratio_threshold."""
-    gap = model.log_weight_gap(model.block_means(point), t)
-    return labels_from_log_ratio(gap, model.labels, ratio_threshold)[0]
+    gap = float(model.log_weight_gap(model.block_means(point), t)[0])
+    return _gap_label(gap, model.labels, math.log(ratio_threshold))
 
 
 def labels_from_log_ratio(log_ratio: np.ndarray, labels: tuple[str, str],
                           ratio_threshold: float) -> list[str]:
     """labels[0] where log_ratio >= log(ratio_threshold), labels[1] where
     it is <= -log(ratio_threshold), "unresolved" in between."""
-    log_ratio = np.asarray(log_ratio)
-    return np.where(np.abs(log_ratio) < math.log(ratio_threshold), UNRESOLVED,
-                    np.where(log_ratio > 0, labels[0], labels[1])).tolist()
+    cut = math.log(ratio_threshold)
+    return [_gap_label(gap, labels, cut)
+            for gap in np.asarray(log_ratio, dtype=float).tolist()]
+
+
+def _gap_label(gap: float, labels: tuple[str, str], cut: float) -> str:
+    """The label of one log-weight gap against cut = log(ratio_threshold);
+    a NaN gap compares false both ways and takes labels[1]."""
+    if abs(gap) < cut:
+        return UNRESOLVED
+    return labels[0] if gap > 0 else labels[1]
 
 
 def predictor_system(x0: float, model: BlockModel) -> str:

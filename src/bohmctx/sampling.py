@@ -1,10 +1,11 @@
 """Quantum-equilibrium sampling: initial positions drawn from |psi|^2.
 
 1D sampling inverts the grid CDF with linear interpolation inside each
-cell.  2D sampling draws the first axis from the marginal, then the second
-axis from the conditional of the selected cell row.  Each sample index gets
-its own RNG stream seeded by (seed, index), so results do not depend on
-draw order or parallelism.
+cell.  A product state phi(y) chi(z) on a (y, z) plane is sampled from its
+two 1D factors: y from |phi|^2, then z from |chi|^2, which is the
+conditional of z given y of every row.  Each sample index gets its own RNG
+stream seeded by (seed, index), so results do not depend on draw order or
+parallelism.
 """
 
 from dataclasses import dataclass
@@ -49,38 +50,29 @@ def _cell_cdf(masses: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def sample_equilibrium(source: FieldLike, n: int, seed: int) -> EquilibriumSample:
-    """Draw n i.i.d. positions from |psi|^2 of a normalized field."""
+def sample_equilibrium(source: FieldLike | tuple[FieldLike, FieldLike],
+                       n: int, seed: int) -> EquilibriumSample:
+    """Draw n i.i.d. positions from |psi|^2 of a normalized 1D field, or
+    (n, 2) positions (y, z) from a pair (phi, chi) of normalized 1D factors
+    of a product state phi(y) chi(z), two uniforms per index (y first)."""
     if n < 1:
         raise ConfigError("sample count must be >= 1")
-    if abs(norm(source) - 1.0) > NORM_TOLERANCE:
-        raise ConfigError("density source must be normalized to 1")
-    grid = source.grid
-    rho = source.density()
-    if grid.dims == 1:
-        cdf = _cell_cdf(rho * grid.dx[0])
-        out = np.empty((n, 1))
-        for i in range(n):
-            u = _stream(seed, i).random()
-            out[i, 0] = inverse_cdf_sample(cdf, grid.x_min[0], grid.dx[0], u)
-        out[:, 0] = np.clip(out[:, 0], grid.x_min[0],
-                            grid.x_max[0] - 1e-9 * grid.dx[0])
-        return EquilibriumSample(out, seed, "inverse_cdf_1d")
-
-    row_masses = rho.sum(axis=1) * grid.cell_volume
-    row_cdf = _cell_cdf(row_masses)
-    cond_cdfs = np.empty((grid.n_points[0], grid.n_points[1] + 1))
-    for j in range(grid.n_points[0]):
-        cond_cdfs[j] = _cell_cdf(np.maximum(rho[j], 1e-300) * grid.dx[1])
-    out = np.empty((n, 2))
+    factors = source if isinstance(source, tuple) else (source,)
+    for f in factors:
+        if f.grid.dims != 1:
+            raise ConfigError("sampling takes 1D fields or a pair of 1D factors")
+        if abs(norm(f) - 1.0) > NORM_TOLERANCE:
+            raise ConfigError("density source must be normalized to 1")
+    grids = [f.grid for f in factors]
+    cdfs = [_cell_cdf(f.density() * f.grid.dx[0]) for f in factors]
+    out = np.empty((n, len(factors)))
     for i in range(n):
-        rng = _stream(seed, i)
-        u1, u2 = rng.random(2)
-        out[i, 0] = inverse_cdf_sample(row_cdf, grid.x_min[0], grid.dx[0], u1)
-        j = int(round((out[i, 0] - grid.x_min[0]) / grid.dx[0]))
-        j = min(max(j, 0), grid.n_points[0] - 1)
-        out[i, 1] = inverse_cdf_sample(cond_cdfs[j], grid.x_min[1], grid.dx[1], u2)
-    for ax in range(2):
-        out[:, ax] = np.clip(out[:, ax], grid.x_min[ax],
-                             grid.x_max[ax] - 1e-9 * grid.dx[ax])
-    return EquilibriumSample(out, seed, "marginal_conditional_2d")
+        us = _stream(seed, i).random(len(factors))
+        for ax, (grid, cdf, u) in enumerate(zip(grids, cdfs, us)):
+            out[i, ax] = inverse_cdf_sample(cdf, grid.x_min[0], grid.dx[0], u)
+    for ax, grid in enumerate(grids):
+        out[:, ax] = np.clip(out[:, ax], grid.x_min[0],
+                             grid.x_max[0] - 1e-9 * grid.dx[0])
+    return EquilibriumSample(out, seed,
+                             "inverse_cdf_1d" if len(factors) == 1
+                             else "product_factors_1d")

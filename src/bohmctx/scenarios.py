@@ -7,7 +7,6 @@ spin scenarios use "+" and "-" for spin projection +hbar/2 / -hbar/2 along
 the quantization axis; pointer scenarios use their branch labels "+"/"-".
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,8 +17,8 @@ from .analysis import UNRESOLVED, born_rule_ks, grid_cdf
 from .config import (AncillaChainConfig, BeamSplitterConfig, OpticalSGConfig,
                      ScenarioConfig, SternGerlachConfig)
 from .errors import ConfigError, SeparationError
-from .fields import (ComplexField, SpinorField, make_gaussian, norm, overlap,
-                     spatial_overlap, GaussianPacketSpec)
+from .fields import (ComplexField, SpinorField, center_width, make_gaussian,
+                     norm, overlap, spatial_overlap, GaussianPacketSpec)
 from .grids import SpatialGrid
 # build_stacks and integrate_over_stacks are not called here; they stay
 # importable from this module because perfbench/tracer.py wraps them
@@ -242,8 +241,8 @@ def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
         rho_p, rho_m = pair.up.density(), pair.down.density()
         series.bhattacharyya[f] = spatial_overlap(pair.up, pair.down)
         series.inner[f] = abs(overlap(pair.up, pair.down))
-        series.center_plus[f], series.width[f] = _center_width(rho_p, x)
-        series.center_minus[f], _ = _center_width(rho_m, x)
+        series.center_plus[f], series.width[f] = center_width(rho_p, x)
+        series.center_minus[f], _ = center_width(rho_m, x)
         if (series.sep_idx < 0
                 and abs(series.center_plus[f] - series.center_minus[f])
                 >= cfg.separation_sigmas * series.width[f]
@@ -284,13 +283,6 @@ def _stream_observer(cfg, grid: SpatialGrid, positions: np.ndarray,
         return f
 
     return stream, feed
-
-
-def _center_width(rho: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Mean and standard deviation of the density rho sampled on x."""
-    w = rho / rho.sum()
-    mu = float(np.sum(w * x))
-    return mu, math.sqrt(float(np.sum(w * (x - mu) ** 2)))
 
 
 def _branch_overlap(state: SpinorField) -> float:
@@ -363,33 +355,25 @@ def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
 
 
 def _sg_z_cdf(final: SpinorField):
-    """CDF of the final density's marginal on z, the last grid axis."""
+    """CDF of the final density of the 1D spinor on z."""
     grid = final.grid
-    rho = final.density()
-    if grid.dims == 2:
-        rho = rho.sum(axis=0)
-    return grid_cdf(grid.axis(grid.dims - 1), rho, grid.dx[-1])
+    return grid_cdf(grid.axis(0), final.density(), grid.dx[0])
 
 
 def _sg_outcome_labels(final: SpinorField, points: np.ndarray,
                        ratio_threshold: float) -> list[str]:
-    """Spin label from the dominant spinor component at each endpoint."""
+    """Spin label from the dominant component of the 1D spinor final at
+    each endpoint z (m, 1)."""
     return _dominant_density_labels(final.grid, final.up.density(),
-                                    final.down.density(),
-                                    np.atleast_2d(points), ("+", "-"),
-                                    ratio_threshold)
+                                    final.down.density(), points,
+                                    ("+", "-"), ratio_threshold)
 
 
 def _sg_check_separation(cfg, final: SpinorField) -> None:
     if min(abs(cfg.alpha), abs(cfg.beta)) == 0.0:
         return  # single branch, nothing to separate
-    axis = final.grid.dims - 1
-    stats = []
-    for comp in (final.up, final.down):
-        rho = comp.density()
-        if final.grid.dims == 2:
-            rho = rho.sum(axis=0)
-        stats.append(_center_width(rho, final.grid.axis(axis)))
+    z = final.grid.axis(0)
+    stats = [center_width(comp.density(), z) for comp in (final.up, final.down)]
     gap = abs(stats[0][0] - stats[1][0])
     width = max(stats[0][1], stats[1][1])
     if gap < cfg.separation_sigmas * width:
@@ -462,9 +446,10 @@ def _sg_system_predictions(cfg: SternGerlachConfig, z0: np.ndarray
 
 
 def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
-    """Initial spinor, final state, branch overlap series and the per-frame
-    1D tables that give the velocity with and without the Gordon term on
-    the (y, z) grid.
+    """Initial factors phi0(y) and chi0(z), the final spinor factor chi(z),
+    the branch overlap series and the per-frame 1D tables that give the
+    velocity with and without the Gordon term on the (y, z) grid.  No 2D
+    array is built.
 
     The state is a product for every config: the initial spinor is
     g(y) g(z) (alpha, beta) and the spin-dependent potential acts on z
@@ -473,30 +458,31 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
     their observers fill per-frame 1D tables: P = |phi|^2, J_phi from y;
     R, J_chi and S = 2 Re(chi_up* chi_down) from z.  P' and S' are the
     spectral gradients of the sampled P and S, as the 2D spin-curl current
-    differentiates the sampled s_x = P S.  `_kernels.product_velocity`
-    forms the 2D fields from these tables at each point:
+    (hbar/2m)(d_z s_x, -d_y s_x) differentiates the sampled s_x = P S.
+    `_kernels.product_velocity` forms the 2D fields from these tables at
+    each point:
 
         rho = P R,  G_y = J_phi R [+ (hbar/2m) P S'],
                     G_z = P J_chi [- (hbar/2m) P' S]   (Gordon term)
 
-    The 2D support guard ratio of a product density is the larger of the
-    two factor ratios, and a product is finite exactly when both factors
-    are, so the guard and the finiteness check of each 1D propagation stop
-    the run exactly when the 2D checks would (the y factor is checked
-    first).  The general 2D formulas (`current_and_density`,
-    `gordon_current`) are the test reference for this product form.
+    Everything else the run reads is a function of one factor: the
+    equilibrium sample draws y from P and z from R; the up/down density
+    ratio at a point, which labels the outcome, is that of chi alone; and
+    the z marginal, which the separation check and the KS read, is R up
+    to the norm of phi.  The 2D support guard ratio of a product density
+    is the larger of the two factor ratios, and a product is finite
+    exactly when both factors are, so the guard and the finiteness check
+    of each 1D propagation stop the run exactly when the 2D checks would
+    (the y factor is checked first).  The tests hold a brute-force 2D
+    reference of this product form.
     """
     grid = SpatialGrid.plane(cfg.grid_n_y, (-cfg.grid_half_width_y, cfg.grid_half_width_y),
                              cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
     y_grid = SpatialGrid.line(cfg.grid_n_y, -cfg.grid_half_width_y, cfg.grid_half_width_y)
     z_grid = SpatialGrid.line(cfg.grid_n_z, -cfg.grid_half_width_z, cfg.grid_half_width_z)
-    g2 = make_gaussian(grid, GaussianPacketSpec.make(
-        (0.0, 0.0), (cfg.sigma_y, cfg.sigma), (0.0, 0.0)), units)
-    beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
-    spinor0 = SpinorField(ComplexField(grid, cfg.alpha * g2.values),
-                          ComplexField(grid, beta * g2.values))
     phi0 = make_gaussian(y_grid, GaussianPacketSpec.make(0.0, cfg.sigma_y, 0.0), units)
     g_z = make_gaussian(z_grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0), units)
+    beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
     chi0 = SpinorField(ComplexField(z_grid, cfg.alpha * g_z.values),
                        ComplexField(z_grid, beta * g_z.values))
 
@@ -519,13 +505,11 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
         z_tab[f, 2] = 2.0 * (np.conj(state.up.values) * state.down.values).real
         branch_overlap[f] = _branch_overlap(state)
 
-    phi = propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
-                    frame_stride=cfg.frame_stride, observer=y_observer).final
+    propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
+              frame_stride=cfg.frame_stride, observer=y_observer)
     chi = propagate(chi0, PotentialSpec.linear_spin_dependent(cfg.gradient, cfg.offset),
                     cfg.dt, cfg.n_steps, units,
                     frame_stride=cfg.frame_stride, observer=z_observer).final
-    final = SpinorField(ComplexField(grid, np.outer(phi.values, chi.up.values)),
-                        ComplexField(grid, np.outer(phi.values, chi.down.values)))
 
     pref = units.hbar / (2.0 * units.mass)
     y_tab[:, 2] = -pref * _spectral_gradient(
@@ -533,7 +517,7 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
     z_tab[:, 3] = pref * _spectral_gradient(
         z_tab[:, 2].astype(np.complex128), z_grid)[0].real
     peaks = y_tab[:, 0].max(axis=1) * z_tab[:, 0].max(axis=1)
-    return (spinor0, final, branch_overlap,
+    return (phi0, chi0, chi, branch_overlap,
             ProductTables(grid, times, y_tab, z_tab, peaks))
 
 
@@ -541,23 +525,24 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
                           ) -> EnsembleReport:
     """(y, z) grid; trajectories follow the flow with the Gordon term, and
     the same initial positions under the flow without it are the audit."""
-    spinor0, final, branch_overlap, tables = _sg_setup_2d(cfg, units)
-    _sg_check_separation(cfg, final)
+    phi0, chi0, chi, branch_overlap, tables = _sg_setup_2d(cfg, units)
+    _sg_check_separation(cfg, chi)
 
-    sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
+    sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
     z0 = sample.positions[:, 1]
     trajs_on, trajs_off = integrate_product_flows(
         tables, sample.positions, cfg.dt_traj, gordon=(1.0, 0.0))
-    ends_on, ends_off = endpoints(trajs_on), endpoints(trajs_off)
-    outcomes = _sg_outcome_labels(final, ends_on, cfg.ratio_threshold)
-    outcomes_off = _sg_outcome_labels(final, ends_off, cfg.ratio_threshold)
+    # the z column: the up/down ratio of a product does not depend on y
+    ends_on, ends_off = endpoints(trajs_on)[:, 1:], endpoints(trajs_off)[:, 1:]
+    outcomes = _sg_outcome_labels(chi, ends_on, cfg.ratio_threshold)
+    outcomes_off = _sg_outcome_labels(chi, ends_off, cfg.ratio_threshold)
 
     predictions = {"system": _sg_system_predictions(cfg, z0)}
 
     both = [(o, f, e, fe) for o, f, e, fe
-            in zip(outcomes, outcomes_off, ends_on[:, 1], ends_off[:, 1])
+            in zip(outcomes, outcomes_off, ends_on[:, 0], ends_off[:, 0])
             if o != UNRESOLVED and f != UNRESOLVED]
-    ks = _maybe_ks(ends_on[:, 1], _sg_z_cdf(final))
+    ks = _maybe_ks(ends_on[:, 0], _sg_z_cdf(chi))
     node_counts = np.array([tr.node_regularization_events for tr in trajs_on])
 
     report = EnsembleReport(
@@ -662,6 +647,7 @@ def run_optical_sg(cfg: OpticalSGConfig, units: UnitsConfig = DEFAULT_UNITS
         rep = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
                                     cfg.record_stride, cfg.ratio_threshold,
                                     "optical_sg")
+        del rep.artifacts["result"]  # no output reads a sweep entry's result
         rep.extras["N"] = int(N)
         rep.audits["log_overlap_exponent_exact"] = True  # by construction
         subs.append(rep)
@@ -752,6 +738,7 @@ def _run_ancilla_sweep(cfg: AncillaChainConfig, units: UnitsConfig
             rep = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
                                         cfg.record_stride, cfg.ratio_threshold,
                                         "ancilla_chain")
+            del rep.artifacts["result"]  # as in run_optical_sg
             rep.extras["N_prime"] = int(npr)
             rep.extras["system_separation"] = float(sep)
             verdict = analysis.determinant_attribution(rep)
@@ -790,8 +777,8 @@ def run_born_check(cfg: ScenarioConfig, n: int,
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
         if cfg.gordon:
-            spinor0, final, _, tables = _sg_setup_2d(cfg, units)
-            sample = sample_equilibrium(spinor0, n, cfg.seed)
+            phi0, chi0, final, _, tables = _sg_setup_2d(cfg, units)
+            sample = sample_equilibrium((phi0, chi0), n, cfg.seed)
             (trajs,) = integrate_product_flows(
                 tables, sample.positions, cfg.dt_traj, gordon=(1.0,))
         else:

@@ -1,10 +1,11 @@
 """Ensemble Bohmian trajectory integration over propagation frames.
 
 Classical RK4 on the interpolated velocity field; linear interpolation in
-time between frames, linear/bilinear in space.  The field comes from
-(S, *grid) density and current stacks that hold frame f in slot f % S, or,
-for a product state phi(y) chi(z), from per-frame 1D tables of the factors
-(`integrate_product_flows`, several Gordon weights in one kernel call).
+time between frames and in space.  The field comes from 1D (S, n_x)
+density and current stacks that hold frame f in slot f % S, or, for a
+product state phi(y) chi(z) on a (y, z) plane, from per-frame 1D tables of
+the factors (`integrate_product_flows`, several Gordon weights in one
+kernel call).
 
 A `GridFlow` is one ensemble's integration; it advances through every RK4
 step that the frames present so far cover.  Over stored stacks
@@ -65,6 +66,8 @@ def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
                           ) -> list[Trajectory]:
     """One trajectory per initial position under the interpolated stacks,
     which hold every frame."""
+    if stacks.grid.dims != 1:
+        raise ConfigError("grid stacks are integrated in 1D only")
     flow = GridFlow(stacks.grid, stacks.times, positions, dt_traj,
                     record_stride, _kernels.grid_velocity,
                     ((stacks.rho, *stacks.g), stacks.peaks))

@@ -237,8 +237,10 @@ def test_cli_numerical_failure_exit_code(tmp_path):
 
 
 def test_cli_determinism_across_threads(tmp_path):
-    # a 2D Gordon grid is large enough for OpenBLAS to split a dot product
-    # across threads, so any BLAS reduction would show up in overlap_series
+    # the summary of a Gordon run must not depend on the BLAS thread
+    # count; any thread-dependent reduction would show up in overlap_series.
+    # The run now reduces only 1D arrays (256 z points here), so a BLAS call
+    # would have to split a short vector for this test to see it
     cfg_path = tmp_path / "gordon.cfg"
     cfg_path.write_text("scenario = stern_gerlach\ngordon = true\nn = 20\n"
                         "grid_n_y = 64\ngrid_n_z = 256\ndt = 0.008\n"

@@ -5,8 +5,9 @@ from scipy import fft as scipy_fft
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SpatialGrid, SpinorField, make_gaussian)
 from bohmctx.guidance import (VelocityModel, _spectral_gradient, build_stacks,
-                              current_and_density, gordon_current)
+                              current_and_density)
 from bohmctx.trajectories import integrate_over_stacks
+from sg_reference_2d import gordon_current
 
 SCALAR, SPINOR = VelocityModel.SCALAR, VelocityModel.SPINOR
 
@@ -190,27 +191,28 @@ def test_gordon_matches_finite_difference_curl():
         assert np.abs(vi - oracle).max() <= 1e-5
 
 
-def test_gordon_rejects_1d(line_grid, unit_gaussian):
-    sp = SpinorField(unit_gaussian,
-                     ComplexField(line_grid, np.zeros(line_grid.shape,
-                                                      dtype=complex)))
-    with pytest.raises(ConfigError):
-        gordon_current(sp)
-
-
-def test_gordon_consistency_additive():
-    # spinor_with_gordon current = convective current + gordon current,
-    # exactly, so the combined velocity equals the sum at shared density
+def test_gordon_current_of_product_matches_factor_tables():
+    # for a product phi(y) chi(z), s_x = P S, and the 2D spectral gradient
+    # of a product is the outer product of the 1D ones: the 2D Gordon
+    # current is (hbar/2m)(P S', -P' S) with P' and S' the spectral
+    # gradients of the sampled 1D factor tables, as the Gordon run forms it
     grid = plane_grid()
-    g = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0.4, -0.2)))
-    sp = SpinorField(ComplexField(grid, g.values * np.sqrt(0.5)),
-                     ComplexField(grid, g.values * np.sqrt(0.5) * np.exp(0.9j)))
-    rho_c, g_conv = current_and_density(sp, SPINOR)
-    rho_g, g_full = current_and_density(sp, VelocityModel.SPINOR_GORDON)
-    gy, gz = gordon_current(sp)
-    assert np.array_equal(rho_c, rho_g)
-    assert np.array_equal(g_full[0], g_conv[0] + gy)
-    assert np.array_equal(g_full[1], g_conv[1] + gz)
+    y_grid = SpatialGrid.line(grid.n_points[0], grid.x_min[0], grid.x_max[0])
+    z_grid = SpatialGrid.line(grid.n_points[1], grid.x_min[1], grid.x_max[1])
+    phi = make_gaussian(y_grid, GaussianPacketSpec.make(0.3, 1.2, 0.4))
+    chi = make_gaussian(z_grid, GaussianPacketSpec.make(-0.2, 1.0, -0.2))
+    up, down = 0.6 * chi.values, 0.8 * np.exp(0.9j) * chi.values
+    sp = SpinorField(ComplexField(grid, np.outer(phi.values, up)),
+                     ComplexField(grid, np.outer(phi.values, down)))
+    P = phi.density()
+    S = 2.0 * (np.conj(up) * down).real
+    dP = _spectral_gradient(P.astype(np.complex128), y_grid)[0].real
+    dS = _spectral_gradient(S.astype(np.complex128), z_grid)[0].real
+    g_y, g_z = gordon_current(sp)
+    scale = np.abs(g_y).max() + np.abs(g_z).max()
+    assert scale > 1e-3
+    assert np.abs(g_y - 0.5 * np.outer(P, dS)).max() <= 1e-12 * scale
+    assert np.abs(g_z + 0.5 * np.outer(dP, S)).max() <= 1e-12 * scale
 
 
 def test_out_of_domain_rejected(unit_gaussian):

@@ -21,6 +21,7 @@ from bohmctx.scenarios import (build_ancilla_model, build_optical_sg_model,
 from bohmctx.schedules import PiecewiseLinear
 from bohmctx.trajectories import integrate_over_stacks
 from conftest import propagate_frames
+from sg_reference_2d import stage_velocity
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +61,24 @@ def test_record_stride_times(stacks_1d):
 
 @pytest.mark.parametrize("grid", [
     SpatialGrid.line(64, -4.0, 4.0),
-    SpatialGrid.plane(64, (-4.0, 4.0), 96, (-6.0, 6.0)),
-], ids=["1d", "2d"])
+    SpatialGrid.line(96, -6.5, 3.0),
+], ids=["1d", "1d_offset"])
 def test_grid_stage_velocity_matches_interp(grid):
     # the flat-gather stage velocity against G/rho, each interpolated in
-    # time between the bilinear (linear) `_interp` values of two frames
-    rng = np.random.default_rng(grid.dims)
+    # time between the linear `_interp` values of two frames
+    rng = np.random.default_rng(1)
     n_frames, t0, frame_dt = 5, 0.3, 0.25
     shape = (n_frames,) + grid.shape
     rho = rng.uniform(0.5, 1.5, shape)
-    g = [rng.standard_normal(shape) for _ in range(grid.dims)]
-    peaks = rho.reshape(n_frames, -1).max(axis=1)
+    g = rng.standard_normal(shape)
+    peaks = rho.max(axis=1)
     lo = np.reshape(grid.x_min, (-1, 1))
     step = np.reshape(grid.dx, (-1, 1))
-    inside = rng.uniform(grid.x_min, grid.x_max, (20, grid.dims))
-    # the last cell on each axis interpolates across the periodic wrap
-    last = rng.uniform(np.subtract(grid.x_max, grid.dx), grid.x_max,
-                       (6, grid.dims))
-    mixed = np.column_stack([inside[:6, 0], last[:, -1]]) if grid.dims == 2 \
-        else last[:0]
-    pts = np.concatenate([inside, last, mixed])
-    vprev = np.full((grid.dims, len(pts)), 99.0)
+    inside = rng.uniform(grid.x_min, grid.x_max, (20, 1))
+    # the last cell interpolates across the periodic wrap
+    last = rng.uniform(np.subtract(grid.x_max, grid.dx), grid.x_max, (6, 1))
+    pts = np.concatenate([inside, last])
+    vprev = np.full((1, len(pts)), 99.0)
     for ft in (0.0, 1.0, 1.5, 2.37, 3.0, n_frames - 1.0):
         t = t0 + ft * frame_dt
         f0 = min(int(np.floor(ft + 1e-12)), n_frames - 2)
@@ -90,29 +88,66 @@ def test_grid_stage_velocity_matches_interp(grid):
             return ((1 - w) * _interp(grid, arr[f0], pts)
                     + w * _interp(grid, arr[f0 + 1], pts))
 
-        v, node = _kernels.grid_velocity(pts.T, t, vprev, (rho, *g), peaks,
+        v, node = _kernels.grid_velocity(pts.T, t, vprev, (rho, g), peaks,
                                          t0, frame_dt, lo, step,
                                          NODE_DENSITY_REL)
-        want = np.array([expect(gi) for gi in g]) / expect(rho)
         assert not node.any()
-        assert np.abs(v - want).max() <= 1e-12
+        assert np.abs(v[0] - expect(g) / expect(rho)).max() <= 1e-12
 
 
 def test_grid_stage_velocity_node_keeps_vprev():
-    grid = SpatialGrid.plane(64, (-4.0, 4.0), 64, (-4.0, 4.0))
+    grid = SpatialGrid.line(64, -4.0, 4.0)
     rho = np.ones((2,) + grid.shape)
-    rho[:, 10, 20] = 0.0  # a density zero at one grid node in both frames
-    g = [np.ones_like(rho), np.ones_like(rho)]
-    pts = np.array([[grid.axis(0)[10], grid.axis(1)[20]], [0.1, 0.2]])
-    vprev = np.array([[0.25, 7.0], [-1.5, 7.0]])
-    v, node = _kernels.grid_velocity(pts.T, 0.5, vprev, (rho, *g),
+    rho[:, 10] = 0.0  # a density zero at one grid node in both frames
+    g = np.ones_like(rho)
+    pts = np.array([[grid.axis(0)[10]], [0.1]])
+    vprev = np.array([[0.25, 7.0]])
+    v, node = _kernels.grid_velocity(pts.T, 0.5, vprev, (rho, g),
                                      np.ones(2), 0.0, 1.0,
                                      np.reshape(grid.x_min, (-1, 1)),
                                      np.reshape(grid.dx, (-1, 1)),
                                      NODE_DENSITY_REL)
     assert node.tolist() == [True, False]
-    assert np.array_equal(v[:, 0], vprev[:, 0])
-    assert np.abs(v[:, 1] - 1.0).max() <= 1e-12
+    assert v[0, 0] == vprev[0, 0]
+    assert abs(v[0, 1] - 1.0) <= 1e-12
+
+
+def test_product_velocity_matches_bilinear_reference():
+    # product_velocity over random 1D factor tables against the brute-force
+    # 2D stage velocity over their outer-product stacks (bilinear in space,
+    # linear in time), the Gordon term on and off per point
+    ny, nz, n_frames, t0, frame_dt = 64, 96, 5, 0.3, 0.25
+    grid = SpatialGrid.plane(ny, (-4.0, 4.0), nz, (-6.0, 6.0))
+    rng = np.random.default_rng(2)
+    y_tab = rng.standard_normal((n_frames, 3, ny))
+    z_tab = rng.standard_normal((n_frames, 4, nz))
+    y_tab[:, 0] = rng.uniform(0.5, 1.5, (n_frames, ny))   # P > 0
+    z_tab[:, 0] = rng.uniform(0.5, 1.5, (n_frames, nz))   # R > 0
+    P, J_phi, dP = y_tab.transpose(1, 0, 2)[:, :, :, None]
+    R, J_chi, S, dS = z_tab.transpose(1, 0, 2)[:, :, None, :]
+    peaks = P.max(axis=(1, 2)) * R.max(axis=(1, 2))
+    lo = np.reshape(grid.x_min, (2, 1))
+    step = np.reshape(grid.dx, (2, 1))
+    inside = rng.uniform(grid.x_min, grid.x_max, (20, 2))
+    # the last cell on each axis interpolates across the periodic wrap
+    last = rng.uniform(np.subtract(grid.x_max, grid.dx), grid.x_max, (6, 2))
+    pts = np.concatenate([inside, last,
+                          np.column_stack([inside[:6, 0], last[:, 1]])])
+    vprev = np.full((2, len(pts)), 99.0)
+    for weight in (1.0, 0.0):
+        rho = P * R
+        fields = (rho, J_phi * R + weight * P * dS, P * J_chi + weight * dP * S)
+        for ft in (0.0, 1.0, 1.5, 2.37, 3.0, n_frames - 1.0):
+            t = t0 + ft * frame_dt
+            v, node = _kernels.product_velocity(
+                pts.T, t, vprev, y_tab, z_tab, peaks,
+                np.full(len(pts), weight), t0, frame_dt, lo, step,
+                NODE_DENSITY_REL)
+            want, want_node = stage_velocity(pts.T, t, vprev, fields, peaks,
+                                             t0, frame_dt, lo, step,
+                                             NODE_DENSITY_REL)
+            assert not node.any() and not want_node.any()
+            assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- block-collective pointer kernel ------------------------------------------

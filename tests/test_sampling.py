@@ -44,13 +44,24 @@ def test_unnormalized_source_rejected(line_grid):
 
 
 def test_2d_sampling_marginals():
-    grid = SpatialGrid.plane(128, (-10.0, 10.0), 128, (-10.0, 10.0))
-    psi = make_gaussian(grid, GaussianPacketSpec.make((0.5, -0.25), (1.0, 1.5),
-                                                      (0.0, 0.0)))
-    sample = sample_equilibrium(psi, 2000, seed=11)
+    # a product state on the (y, z) plane is sampled from its 1D factors
+    phi = make_gaussian(SpatialGrid.line(128, -10.0, 10.0),
+                        GaussianPacketSpec.make(0.5, 1.0, 0.0))
+    chi = make_gaussian(SpatialGrid.line(128, -10.0, 10.0),
+                        GaussianPacketSpec.make(-0.25, 1.5, 0.0))
+    sample = sample_equilibrium((phi, chi), 2000, seed=11)
+    assert sample.positions.shape == (2000, 2)
     ky = kstest(sample.positions[:, 0], "norm", args=(0.5, 1.0)).statistic
     kz = kstest(sample.positions[:, 1], "norm", args=(-0.25, 1.5)).statistic
     assert ky < 0.05 and kz < 0.05
+
+
+def test_2d_field_rejected():
+    # 2D fields are sampled through their 1D factors only
+    grid = SpatialGrid.plane(64, (-8.0, 8.0), 64, (-8.0, 8.0))
+    psi = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0, 0)))
+    with pytest.raises(ConfigError, match="1D"):
+        sample_equilibrium(psi, 10, seed=0)
 
 
 def test_positions_inside_domain(line_grid):

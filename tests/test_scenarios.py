@@ -3,15 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
-                     SeparationError, SpatialGrid, SpinorField,
-                     SupportGuardViolation, make_gaussian, norm, overlap,
-                     scenarios)
+from bohmctx import (ConfigError, GaussianPacketSpec, SeparationError,
+                     SpatialGrid, SpinorField, SupportGuardViolation,
+                     make_gaussian, norm, overlap, scenarios)
 from bohmctx.fields import spatial_overlap
 from bohmctx.analysis import determinant_attribution, predictor_accuracy
 from bohmctx import _kernels
-from bohmctx.guidance import (NODE_DENSITY_REL, VelocityModel, _interp,
-                              build_stacks)
+from bohmctx.guidance import NODE_DENSITY_REL, VelocityModel, build_stacks
 from bohmctx.propagation import PotentialSpec, propagate
 from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
                             OpticalSGConfig, SternGerlachConfig)
@@ -19,6 +17,7 @@ from bohmctx.report import _plain
 from bohmctx.sampling import sample_equilibrium
 from bohmctx.units import DEFAULT_UNITS
 from conftest import assert_same_trajectories, propagate_frames, traced_peak
+import sg_reference_2d as reference_2d
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
@@ -368,13 +367,23 @@ def _small_gordon_config(n):
 
 
 def _sg_2d_reference(cfg):
-    """The factorised setup of cfg and the 2D propagation of its initial
-    spinor."""
-    spinor0, final, branch, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    """The factorised setup of cfg, the 2D propagation of its initial
+    spinor built on the plane, and that initial spinor."""
+    setup = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    spinor0 = reference_2d.initial_spinor(cfg)
     prop = propagate_frames(spinor0, PotentialSpec.linear_spin_dependent(
         cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
-    return (spinor0, final, branch, tables), prop
+    return setup, prop, spinor0
+
+
+def _final_2d(cfg, phi0, chi):
+    """The 2D final state phi(y, T) chi(z, T) of the factors: the free
+    propagation of phi0 (as the setup propagates it) times the setup's
+    final chi."""
+    phi = propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
+                    frame_stride=cfg.frame_stride).final
+    return reference_2d.outer_spinor(reference_2d.plane(cfg), phi, chi)
 
 
 def _close(got, want):
@@ -385,15 +394,19 @@ def _close(got, want):
 def _assert_sg_2d_setup_matches_2d_run(cfg):
     # the factorised setup (1D y and z propagations, per-frame 1D tables)
     # reproduces the 2D propagation, and product_velocity over its tables
-    # matches grid_velocity over build_stacks of the 2D frames, Gordon on
-    # (weight 1) and off (weight 0), with the same node flags.  The 2D
-    # reference rounds to its frame peak, not to the local density, so the
-    # velocity error is weighted by rho / peak (an error in the current)
-    # and must be within 1e-12 of the largest velocity over both flows and
-    # all times.  Returns the velocities {weight: [(2, m) per time]}.
-    (spinor0, final, branch, tables), prop = _sg_2d_reference(cfg)
-    assert _close(final.up.values, prop.final.up.values)
-    assert _close(final.down.values, prop.final.down.values)
+    # matches the brute-force 2D stage velocity over the 2D frames' stacks,
+    # Gordon on (weight 1) and off (weight 0), with the same node flags.
+    # The 2D reference rounds to its frame peak, not to the local density,
+    # so the velocity error is weighted by rho / peak (an error in the
+    # current) and must be within 1e-12 of the largest velocity over both
+    # flows and all times.  Returns the velocities {weight: [(2, m) per
+    # time]}.
+    (phi0, chi0, chi, branch, tables), prop, spinor0 = _sg_2d_reference(cfg)
+    start = reference_2d.outer_spinor(spinor0.grid, phi0, chi0)
+    final = _final_2d(cfg, phi0, chi)
+    for got, want in ((start, spinor0), (final, prop.final)):
+        assert _close(got.up.values, want.up.values)
+        assert _close(got.down.values, want.down.values)
     want_branch = [abs(overlap(f.up, f.down)) / (norm(f.up) * norm(f.down))
                    for f in prop.frames]
     assert np.abs(branch - want_branch).max() <= 1e-12
@@ -407,16 +420,15 @@ def _assert_sg_2d_setup_matches_2d_run(cfg):
     pts = np.concatenate([
         inside, last, np.column_stack([inside[:6, 0], last[:, 1]]),
         np.column_stack([last[:, 0], inside[:6, 1]]),
-        sample_equilibrium(spinor0, 40, 1).positions,   # the packet at t0
-        sample_equilibrium(final, 40, 2).positions])    # both branches at T
+        reference_2d.sample(spinor0, 40, 1).positions,   # the packet at t0
+        reference_2d.sample(prop.final, 40, 2).positions])  # both branches at T
     lo, step = np.reshape(grid.x_min, (2, 1)), np.reshape(grid.dx, (2, 1))
     t0, frame_dt = tables.times[0], tables.times[1] - tables.times[0]
     n_frames = len(tables.times)
     vprev = np.full((2, len(pts)), 99.0)
     got, want = {}, {}
-    for weight, model in ((1.0, VelocityModel.SPINOR_GORDON),
-                          (0.0, VelocityModel.SPINOR)):
-        ref = build_stacks(prop.frames, prop.times, model)
+    for weight in (1.0, 0.0):
+        ref = reference_2d.stacks(prop.frames, prop.times, gordon=weight == 1.0)
         assert _close(tables.peaks, ref.peaks)
         got[weight], want[weight] = [], []
         for ft in (0.0, 0.5, 7.3, 25.0, n_frames - 1.5, n_frames - 1.0):
@@ -425,15 +437,17 @@ def _assert_sg_2d_setup_matches_2d_run(cfg):
                 pts.T, t, vprev, tables.y, tables.z, tables.peaks,
                 np.full(len(pts), weight), t0, frame_dt, lo, step,
                 NODE_DENSITY_REL)
-            v_ref, node_ref = _kernels.grid_velocity(
+            v_ref, node_ref = reference_2d.stage_velocity(
                 pts.T, t, vprev, (ref.rho, *ref.g), ref.peaks, t0, frame_dt,
                 lo, step, NODE_DENSITY_REL)
             assert np.array_equal(node, node_ref)
             assert node.any() and not node.all()
             f0 = min(int(np.floor(ft + 1e-12)), n_frames - 2)
             w = ft - f0
-            rho = ((1 - w) * _interp(grid, ref.rho[f0], pts)
-                   + w * _interp(grid, ref.rho[f0 + 1], pts))
+            rho = ((1 - w) * reference_2d.bilinear(ref.rho[f0], pts,
+                                                   grid.x_min, grid.dx)
+                   + w * reference_2d.bilinear(ref.rho[f0 + 1], pts,
+                                               grid.x_min, grid.dx))
             peak = (1 - w) * ref.peaks[f0] + w * ref.peaks[f0 + 1]
             got[weight].append(v[:, ~node])
             want[weight].append((v_ref[:, ~node], rho[~node] / peak))
@@ -460,19 +474,19 @@ def test_sg_2d_product_form_with_spin_coherence():
 
 
 def test_sg_2d_product_flows_match_2d_stack_flows():
-    # both flows of one product-table kernel call against integrate_over_stacks
-    # over the 2D propagation's stacks, from the same initial points
+    # both flows of one product-table kernel call against the brute-force
+    # 2D integration over the 2D propagation's stacks, from the same
+    # initial points
     cfg = _small_gordon_config(40)
     cfg.alpha, cfg.beta, cfg.spinor_phase = 0.6, 0.8, 0.7
-    (spinor0, _, _, tables), prop = _sg_2d_reference(cfg)
-    sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
+    (phi0, chi0, _, _, tables), prop, _ = _sg_2d_reference(cfg)
+    sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
     flows = integrate_product_flows(tables, sample.positions, cfg.dt_traj,
                                     gordon=(1.0, 0.0))
-    for trajs, model in zip(flows, (VelocityModel.SPINOR_GORDON,
-                                    VelocityModel.SPINOR)):
-        ref = integrate_over_stacks(
-            build_stacks(prop.frames, prop.times, model), sample.positions,
-            cfg.dt_traj)
+    for trajs, gordon in zip(flows, (True, False)):
+        ref = reference_2d.integrate(
+            reference_2d.stacks(prop.frames, prop.times, gordon),
+            sample.positions, cfg.dt_traj)
         assert len(trajs) == len(ref) == cfg.n
         assert np.abs(endpoints(trajs) - endpoints(ref)).max() <= 1e-12
         assert [tr.node_regularization_events for tr in trajs] \
@@ -489,12 +503,60 @@ def test_sg_2d_setup_and_flows_hold_no_2d_stack():
                    * cfg.grid_n_y * cfg.grid_n_z * 8)
 
     def setup_and_flows():
-        spinor0, _, _, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
-        sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
+        phi0, chi0, _, _, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+        sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
         integrate_product_flows(tables, sample.positions, cfg.dt_traj,
                                 gordon=(1.0, 0.0))
     _, peak = traced_peak(setup_and_flows)
     assert peak < stack_bytes
+
+
+def test_sg_gordon_run_holds_no_2d_array():
+    # a Gordon run on a plane whose one (ny, nz) complex array outweighs
+    # the run's records and 1D tables peaks below that array's bytes: no
+    # 2D field is built to sample, label, check separation or run the KS
+    cfg = _small_gordon_config(20)
+    cfg.grid_n_y, cfg.grid_n_z = 512, 1024
+    plane_bytes = cfg.grid_n_y * cfg.grid_n_z * 16
+    n_frames = cfg.n_steps // cfg.frame_stride + 1
+    steps, _ = cfg.trajectory_steps()
+    records = 2 * cfg.n * (steps + 1) * 2 * 8
+    tables = n_frames * (3 * cfg.grid_n_y + 4 * cfg.grid_n_z) * 8
+    assert records + tables < plane_bytes / 2
+    report, peak = traced_peak(run_scenario, cfg)
+    assert report.audits["gordon"]["outcome_agreement"]
+    assert peak < plane_bytes
+
+
+def test_sg_gordon_sampler_matches_2d_marginal_conditional():
+    # y from |phi0|^2 and z from |chi0|^2 with the index's two uniforms in
+    # order give the points of the 2D marginal/conditional sampler on
+    # |phi0 chi0|^2, at the default Gordon grid, to rounding
+    cfg = SternGerlachConfig(gordon=True)
+    phi0, chi0, *_ = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    got = sample_equilibrium((phi0, chi0), 1000, cfg.seed).positions
+    want = reference_2d.sample(reference_2d.initial_spinor(cfg), 1000,
+                               cfg.seed).positions
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sg_gordon_labels_equal_2d_labels(seed):
+    # the labels from chi alone at the endpoints' z equal those from the
+    # two 2D component densities phi chi_up, phi chi_down at (y, z), for
+    # both flows
+    cfg = _small_gordon_config(100)
+    cfg.seed = seed
+    report = run_stern_gerlach(cfg)
+    phi0, _, chi, _, _ = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    final = _final_2d(cfg, phi0, chi)
+    for labels, trajs in ((report.outcomes, "trajectories"),
+                          (report.extras["outcomes_gordon_off"],
+                           "trajectories_gordon_off")):
+        ends = endpoints(report.artifacts[trajs])
+        assert labels == reference_2d.outcome_labels(final, ends,
+                                                     cfg.ratio_threshold)
+    assert set(report.outcomes) == {"+", "-"}
 
 
 @pytest.mark.parametrize("narrow", [dict(sigma_y=0.5, grid_half_width_y=12.0),
@@ -508,29 +570,26 @@ def test_sg_2d_support_guard_fires_at_the_2d_step(narrow):
         setattr(cfg, key, value)
     with pytest.raises(SupportGuardViolation) as factorised:
         scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
-    grid = SpatialGrid.plane(
-        cfg.grid_n_y, (-cfg.grid_half_width_y, cfg.grid_half_width_y),
-        cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
-    g2 = make_gaussian(grid, GaussianPacketSpec.make(
-        (0.0, 0.0), (cfg.sigma_y, cfg.sigma), (0.0, 0.0)))
-    beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
-    spinor0 = SpinorField(ComplexField(grid, cfg.alpha * g2.values),
-                          ComplexField(grid, beta * g2.values))
     with pytest.raises(SupportGuardViolation) as full:
-        propagate(spinor0, PotentialSpec.linear_spin_dependent(
-            cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
-            frame_stride=cfg.frame_stride)
+        propagate(reference_2d.initial_spinor(cfg),
+                  PotentialSpec.linear_spin_dependent(cfg.gradient, cfg.offset),
+                  cfg.dt, cfg.n_steps, frame_stride=cfg.frame_stride)
     assert 0 < full.value.step < cfg.n_steps
     assert factorised.value.step == full.value.step
     assert factorised.value.ratio == pytest.approx(full.value.ratio, rel=1e-9)
 
 
-def test_born_check_gordon_matches_run():
-    # born-check of a Gordon config integrates the run's 2D Gordon-on flow
-    cfg = _small_gordon_config(100)
-    run = run_stern_gerlach(cfg)
-    checked = run_born_check(cfg, 100)
-    assert checked["ks"] == run.audits["equivariance_ks"]
+@pytest.mark.parametrize("cfg", [
+    _small_beam_splitter_config(n=100),
+    SternGerlachConfig(n=100, seed=3, grid_n=512),
+    _small_gordon_config(100),
+], ids=["beam_splitter", "stern_gerlach_1d", "stern_gerlach_gordon"])
+def test_born_check_matches_run(cfg):
+    # born-check records only the endpoints, the run every frame (and the
+    # Gordon run integrates its Gordon-off flow beside): both integrate the
+    # same flow from the same sample, so the KS is the same
+    checked = run_born_check(cfg, cfg.n)
+    assert checked["ks"] == run_scenario(cfg).audits["equivariance_ks"]
 
 
 def test_born_check_uses_configured_beam_splitter_state(monkeypatch):

