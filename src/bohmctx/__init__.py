@@ -4,7 +4,6 @@ apparatus positions, or by a compromise between them."""
 
 __version__ = "0.1.0"
 
-from .units import UnitsConfig, DEFAULT_UNITS
 from .grids import SpatialGrid
 from .fields import (ComplexField, SpinorField, GaussianPacketSpec,
                      make_gaussian, norm, overlap)
@@ -19,11 +18,10 @@ from .errors import (BohmctxError, ConfigError, NumericalFailure,
                      SupportGuardViolation, SeparationError)
 
 __all__ = [
-    "UnitsConfig", "DEFAULT_UNITS", "SpatialGrid", "ComplexField",
-    "SpinorField", "GaussianPacketSpec", "make_gaussian", "norm", "overlap",
-    "PotentialSpec", "propagate", "VelocityModel", "EquilibriumSample",
-    "sample_equilibrium", "Trajectory", "Branch", "PointerModelConfig",
-    "system_overlap", "predictor_system", "EnsembleReport", "BohmctxError",
-    "ConfigError", "NumericalFailure", "SupportGuardViolation",
-    "SeparationError",
+    "SpatialGrid", "ComplexField", "SpinorField", "GaussianPacketSpec",
+    "make_gaussian", "norm", "overlap", "PotentialSpec", "propagate",
+    "VelocityModel", "EquilibriumSample", "sample_equilibrium", "Trajectory",
+    "Branch", "PointerModelConfig", "system_overlap", "predictor_system",
+    "EnsembleReport", "BohmctxError", "ConfigError", "NumericalFailure",
+    "SupportGuardViolation", "SeparationError",
 ]

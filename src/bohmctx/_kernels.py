@@ -232,22 +232,22 @@ class BlockTables(NamedTuple):
     vm: np.ndarray    # (nt, nb) v_-k
 
 
-def block_tables(centers, vels, counts, sigma2, log_amp, amp_phase, m_over_h,
-                 h_over_m) -> BlockTables:
+def block_tables(centers, vels, counts, sigma2, log_amp,
+                 amp_phase) -> BlockTables:
     """Tables from centers[t, b, k] and vels[t, b, k] (branch b = +, -),
     block sizes counts[k] and widths sigma2[k] = sigma_k^2, and the branch
-    amplitudes as log|c_b| and arg c_b."""
+    amplitudes as log|c_b| and arg c_b; hbar = m = 1."""
     cp, cm = centers[:, 0], centers[:, 1]
     vp, vm = vels[:, 0], vels[:, 1]
     dc = cp - cm
     coef = np.stack([counts * dc / (2.0 * sigma2),
-                     m_over_h * counts * (vp - vm)], axis=-1)
+                     counts * (vp - vm)], axis=-1)
     phase = (amp_phase[0] - amp_phase[1]) \
-        - 0.5 * m_over_h * np.sum(counts * (vp + vm) * dc, axis=-1)
+        - 0.5 * np.sum(counts * (vp + vm) * dc, axis=-1)
     base = np.stack([np.full(len(cp), log_amp[0] - log_amp[1]), phase],
                     axis=-1)
     return BlockTables(0.5 * (cp + cm), coef, base,
-                       h_over_m * dc / (2.0 * sigma2), vp - vm, vm)
+                       dc / (2.0 * sigma2), vp - vm, vm)
 
 
 def branch_gaps(means, tab: BlockTables, ti):

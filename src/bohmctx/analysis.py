@@ -62,7 +62,6 @@ def wilson_interval(successes: int, total: int, z: float = WILSON_Z
         raise ConfigError("need at least one trial")
     p = successes / total
     denom = 1.0 + z * z / total
-    center = (p + z * z / (2 * total)) / denom
     radius = (z / denom) * math.sqrt(p * (1 - p) / total
                                      + z * z / (4 * total * total))
     return p, radius

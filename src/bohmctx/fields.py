@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import SpatialGrid
-from .units import UnitsConfig, DEFAULT_UNITS
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,13 @@ class GaussianPacketSpec:
     center: tuple[float, ...]
     sigma: tuple[float, ...]
     momentum: tuple[float, ...]
-    phase: float = 0.0
 
     @classmethod
-    def make(cls, center, sigma, momentum, phase: float = 0.0) -> "GaussianPacketSpec":
+    def make(cls, center, sigma, momentum) -> "GaussianPacketSpec":
         c = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
         s = tuple(np.atleast_1d(np.asarray(sigma, dtype=float)))
         k = tuple(np.atleast_1d(np.asarray(momentum, dtype=float)))
-        return cls(c, s, k, float(phase))
+        return cls(c, s, k)
 
     def validate_on(self, grid: SpatialGrid) -> None:
         if not (len(self.center) == len(self.sigma) == len(self.momentum) == grid.dims):
@@ -85,11 +83,11 @@ class GaussianPacketSpec:
                 )
 
 
-def make_gaussian(grid: SpatialGrid, spec: GaussianPacketSpec,
-                  units: UnitsConfig = DEFAULT_UNITS) -> ComplexField:
-    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i k.(x-c) + i phase)."""
+def make_gaussian(grid: SpatialGrid, spec: GaussianPacketSpec) -> ComplexField:
+    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i k.(x-c)); with
+    hbar = m = 1 it moves at velocity k."""
     spec.validate_on(grid)
-    psi = np.full(grid.shape, np.exp(1j * spec.phase), dtype=np.complex128)
+    psi = np.ones(grid.shape, dtype=np.complex128)
     for i, mesh in enumerate(grid.meshes):
         d = mesh - spec.center[i]
         psi = psi * np.exp(-d * d / (4.0 * spec.sigma[i] ** 2) + 1j * spec.momentum[i] * d)

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigError
 from .fields import SpinorField, FieldLike
 from .grids import SpatialGrid
-from .units import UnitsConfig, DEFAULT_UNITS
 
 NODE_DENSITY_REL = 1e-12  # of frame peak density
 
@@ -57,20 +56,18 @@ def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return ik
 
 
-def current_and_density(state: FieldLike, model: str,
-                        units: UnitsConfig = DEFAULT_UNITS
+def current_and_density(state: FieldLike, model: str
                         ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(rho, [G per axis]) for one frame under the given velocity model."""
+    """(rho, [G per axis]) for one frame under the given velocity model,
+    with hbar = m = 1."""
     grid = state.grid
-    scale = units.hbar / units.mass
     if isinstance(state, SpinorField):
         if model == VelocityModel.SCALAR:
             raise ConfigError("scalar guidance cannot consume spinor frames")
         u, d = state.up.values, state.down.values
         rho = np.abs(u) ** 2 + np.abs(d) ** 2
         grads = _spectral_gradient(np.stack([u, d]), grid)
-        g = [scale * (np.conj(u) * grads[ax, 0]
-                      + np.conj(d) * grads[ax, 1]).imag
+        g = [(np.conj(u) * grads[ax, 0] + np.conj(d) * grads[ax, 1]).imag
              for ax in range(grid.dims)]
         return rho, g
     if model != VelocityModel.SCALAR:
@@ -78,7 +75,7 @@ def current_and_density(state: FieldLike, model: str,
     psi = state.values
     rho = np.abs(psi) ** 2
     gpsi = _spectral_gradient(psi, grid)
-    g = [scale * (np.conj(psi) * gpsi[ax]).imag for ax in range(grid.dims)]
+    g = [(np.conj(psi) * gpsi[ax]).imag for ax in range(grid.dims)]
     return rho, g
 
 
@@ -116,8 +113,8 @@ class ProductTables:
     peaks: np.ndarray  # (F,) max P * max R, the peak of rho = P R
 
 
-def build_stacks(frames: list[FieldLike], times: np.ndarray, model: str,
-                 units: UnitsConfig = DEFAULT_UNITS) -> VelocityStacks:
+def build_stacks(frames: list[FieldLike], times: np.ndarray,
+                 model: str) -> VelocityStacks:
     if len(frames) < 2:
         raise ConfigError("at least two frames are required")
     dts = np.diff(times)
@@ -128,7 +125,7 @@ def build_stacks(frames: list[FieldLike], times: np.ndarray, model: str,
     rho = np.empty(shape)
     g = [np.empty(shape) for _ in range(grid.dims)]
     for f, state in enumerate(frames):
-        r, cur = current_and_density(state, model, units)
+        r, cur = current_and_density(state, model)
         rho[f] = r
         for ax in range(grid.dims):
             g[ax][f] = cur[ax]

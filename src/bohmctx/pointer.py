@@ -43,7 +43,7 @@ from .errors import ConfigError
 from .schedules import PiecewiseLinear
 from .sampling import inverse_cdf_sample
 from .trajectories import Trajectory
-from .units import UnitsConfig, DEFAULT_UNITS
+
 DEFAULT_RATIO_THRESHOLD = 1e6
 POINTER_NODE_THRESH = 1e-24  # on |r_+ + r_-|^2 with max branch modulus 1
 
@@ -85,7 +85,6 @@ class BlockModel:
     amplitudes: tuple[complex, complex]
     labels: tuple[str, str]
     T: float
-    units: UnitsConfig = DEFAULT_UNITS
 
     def __post_init__(self):
         a2 = sum(abs(c) ** 2 for c in self.amplitudes)
@@ -127,8 +126,7 @@ class BlockModel:
         log_amp, amp_phase = self.amplitude_parts()
         return _kernels.block_tables(
             centers, vels, np.array([float(b.count) for b in self.blocks]),
-            np.array([b.sigma ** 2 for b in self.blocks]), log_amp, amp_phase,
-            self.units.mass / self.units.hbar, self.units.hbar / self.units.mass)
+            np.array([b.sigma ** 2 for b in self.blocks]), log_amp, amp_phase)
 
     def block_means(self, points: np.ndarray) -> np.ndarray:
         """Mean of each block's coordinates, (n, C) -> (n, n_blocks); an
@@ -179,8 +177,8 @@ class BlockModel:
 # ---------------------------------------------------------------------------
 
 def PointerModelConfig(N: int, apparatus_sigma: float, ramp: PiecewiseLinear,
-                       branches: tuple[Branch, Branch], T: float,
-                       units: UnitsConfig = DEFAULT_UNITS) -> BlockModel:
+                       branches: tuple[Branch, Branch],
+                       T: float) -> BlockModel:
     """The pointer model proper as a BlockModel: a "system" block of one
     coordinate following each branch's system schedule, and an "apparatus"
     block of N coordinates displaced by apparatus_sign * ramp(t), with
@@ -196,13 +194,13 @@ def PointerModelConfig(N: int, apparatus_sigma: float, ramp: PiecewiseLinear,
         "apparatus", N, apparatus_sigma,
         (ramp.scaled(plus.apparatus_sign), ramp.scaled(minus.apparatus_sign)))
     return BlockModel((system, apparatus), (plus.amplitude, minus.amplitude),
-                      (plus.label, minus.label), T, units)
+                      (plus.label, minus.label), T)
 
 
 def log_single_coordinate_overlap(t: float, model: BlockModel) -> float:
     """log |<g_+|g_->| = log omega(t) for one apparatus coordinate."""
     blk = _find_block(model, "apparatus")
-    return complex_pair_overlap(blk, t, model.units)[0]
+    return complex_pair_overlap(blk, t)[0]
 
 
 def log_apparatus_overlap(t: float, model: BlockModel) -> float:
@@ -213,8 +211,7 @@ def log_apparatus_overlap(t: float, model: BlockModel) -> float:
 def system_overlap(t, model: BlockModel):
     """|<phi_+|phi_->| of the system factors at time t (a float or an
     array of times)."""
-    log_mag, _ = complex_pair_overlap(_find_block(model, "system"), t,
-                                      model.units)
+    log_mag, _ = complex_pair_overlap(_find_block(model, "system"), t)
     out = np.exp(log_mag)
     return out if out.ndim else float(out)
 
@@ -229,7 +226,7 @@ def block_overlap(t, model: BlockModel, name: str):
 
 def log_block_overlap(t, model: BlockModel, name: str):
     blk = _find_block(model, name)
-    return blk.count * complex_pair_overlap(blk, t, model.units)[0]
+    return blk.count * complex_pair_overlap(blk, t)[0]
 
 
 def _find_block(model: BlockModel, name: str) -> CoordinateBlock:
@@ -239,17 +236,17 @@ def _find_block(model: BlockModel, name: str) -> CoordinateBlock:
     raise ConfigError(f"model has no block named {name!r}")
 
 
-def complex_pair_overlap(blk: CoordinateBlock, t, units: UnitsConfig):
+def complex_pair_overlap(blk: CoordinateBlock, t):
     """<g_-|g_+> for one coordinate of a block, two equal-width Gaussians
     with plane-wave phases, as (log magnitude, phase):
     log magnitude -(dc)^2/(8 sigma^2) - (dk)^2 sigma^2 / 2 and phase
     -kbar dc, with dc = c_+ - c_-, dk = k_+ - k_- and kbar their mean
-    momentum.  t is a float or an array of times."""
+    momentum (k = m v / hbar = v).  t is a float or an array of times."""
     c_p, c_m = blk.centers[0].value(t), blk.centers[1].value(t)
     v_p, v_m = blk.centers[0].velocity(t), blk.centers[1].velocity(t)
     dc = c_p - c_m
-    dk = units.mass * (v_p - v_m) / units.hbar
-    kbar = 0.5 * units.mass * (v_p + v_m) / units.hbar
+    dk = v_p - v_m
+    kbar = 0.5 * (v_p + v_m)
     s2 = blk.sigma ** 2
     log_mag = -(dc * dc) / (8.0 * s2) - 0.5 * dk * dk * s2
     phase = -kbar * dc
@@ -258,9 +255,10 @@ def complex_pair_overlap(blk: CoordinateBlock, t, units: UnitsConfig):
     return float(log_mag), float(phase)
 
 
-def x_marginal_density(model: BlockModel, t: float, n_points: int = 4096,
-                       pad_sigmas: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
-    """Exact x-marginal of |Psi(t)|^2 on a fine grid, cross term included.
+def x_marginal_density(model: BlockModel, t: float, n_points: int = 4096
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact x-marginal of |Psi(t)|^2 on a fine grid reaching 10 sigma past
+    the outer system center, cross term included.
 
     marginal(x) = sum_b |c_b|^2 |phi_b|^2
                   + 2 Re[c_+ conj(c_-) phi_+ conj(phi_-) kappa]
@@ -271,7 +269,7 @@ def x_marginal_density(model: BlockModel, t: float, n_points: int = 4096,
     log_mag = 0.0
     phase = 0.0
     for blk in model.blocks[1:]:
-        lm, ph = complex_pair_overlap(blk, t, model.units)
+        lm, ph = complex_pair_overlap(blk, t)
         log_mag += blk.count * lm
         phase += blk.count * ph
     kappa = math.exp(log_mag) * complex(math.cos(phase), math.sin(phase)) \
@@ -280,15 +278,14 @@ def x_marginal_density(model: BlockModel, t: float, n_points: int = 4096,
     sig = sys_blk.sigma
     cs = [float(sys_blk.centers[b].value(t)) for b in range(2)]
     vs = [float(sys_blk.centers[b].velocity(t)) for b in range(2)]
-    lo = min(cs) - pad_sigmas * sig
-    hi = max(cs) + pad_sigmas * sig
+    lo = min(cs) - 10.0 * sig
+    hi = max(cs) + 10.0 * sig
     xs = np.linspace(lo, hi, n_points, endpoint=False)
-    kf = model.units.mass / model.units.hbar
     phis = []
     for c, v in zip(cs, vs):
         d = xs - c
         phis.append((2 * np.pi * sig ** 2) ** -0.25
-                    * np.exp(-d * d / (4 * sig ** 2) + 1j * kf * v * d))
+                    * np.exp(-d * d / (4 * sig ** 2) + 1j * v * d))
     cp, cm = model.amplitudes
     dens = (abs(cp) ** 2 * np.abs(phis[0]) ** 2
             + abs(cm) ** 2 * np.abs(phis[1]) ** 2

@@ -1,5 +1,7 @@
 """Unitary time propagation by second-order (Strang) operator splitting:
 half potential kick, full spectral kinetic step, half potential kick.
+With hbar = m = 1 the kinetic factor is exp(-i k^2 dt / 2) and a potential
+V gives the half kick exp(-i V dt / 2).
 
 The kinetic step is exact on the grid, so free and linear-potential
 evolution carry no splitting error in the density; anharmonic potentials
@@ -26,7 +28,6 @@ import numpy as np
 from .errors import ConfigError, PropagationBlowup, SupportGuardViolation
 from .fields import ComplexField, SpinorField, FieldLike
 from .grids import SpatialGrid
-from .units import UnitsConfig, DEFAULT_UNITS
 
 GUARD_BAND_CELLS = 10
 GUARD_DENSITY_RATIO = 1e-8
@@ -61,8 +62,7 @@ class PropagationResult:
 
 
 def _component_potentials(potential: PotentialSpec, state: FieldLike,
-                          grid: SpatialGrid, units: UnitsConfig
-                          ) -> np.ndarray | None:
+                          grid: SpatialGrid) -> np.ndarray | None:
     """Potential of each component, stacked (C, *grid.shape), or one
     (1, *grid.shape) shared by all components; None means zero."""
     spinor = isinstance(state, SpinorField)
@@ -74,7 +74,7 @@ def _component_potentials(potential: PotentialSpec, state: FieldLike,
         # V_+/-(z) = -/+ (hbar/2) (B0 + b z) on the last axis; the up component
         # is accelerated toward +z when the gradient is positive.
         z = grid.meshes[-1]
-        base = 0.5 * units.hbar * (potential.offset + potential.gradient * z)
+        base = 0.5 * (potential.offset + potential.gradient * z)
         return np.stack([-base, +base])
     if potential.kind == "sampled":
         if potential.values.shape != grid.shape:
@@ -108,7 +108,7 @@ def check_support_guard(state: FieldLike, step: int,
 
 
 def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: int,
-              units: UnitsConfig = DEFAULT_UNITS, frame_stride: int | None = None,
+              frame_stride: int | None = None,
               support_guard: bool = True,
               observer: Callable[[int, float, FieldLike], None] | None = None,
               ) -> PropagationResult:
@@ -132,9 +132,9 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
 
     grid = state.grid
     spinor = isinstance(state, SpinorField)
-    pots = _component_potentials(potential, state, grid, units)
-    kin_phase = np.exp(-1j * units.hbar * grid.k_squared * dt / (2.0 * units.mass))
-    half_v = None if pots is None else np.exp(-0.5j * pots * dt / units.hbar)
+    pots = _component_potentials(potential, state, grid)
+    kin_phase = np.exp(-1j * grid.k_squared * dt / 2.0)
+    half_v = None if pots is None else np.exp(-0.5j * pots * dt)
     axes = tuple(range(1, grid.dims + 1))
 
     comps = np.stack([state.up.values, state.down.values]) if spinor \

@@ -82,17 +82,13 @@ class EnsembleReport:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        accs = {name: None if a.indeterminate else
-                {"fraction": a.fraction, "radius": a.radius,
-                 "n_resolved": a.n_resolved}
-                for name, a in self.accuracies().items()}
         d = {
             "scenario": self.scenario,
             "seed": self.seed,
             "n_runs": self.n_runs,
             "outcome_frequencies": self.outcome_frequencies(),
             "unresolved_fraction": self.unresolved_fraction,
-            "accuracies": accs,
+            "accuracies": _plain(self.accuracies()),
             "regularized_runs": self.regularized_runs,
             "regularization_events": (0 if self.node_counts is None
                                       else int(np.sum(self.node_counts))),

@@ -35,7 +35,6 @@ from .sampling import sample_equilibrium
 from .schedules import PiecewiseLinear
 from .trajectories import (FrameStream, endpoints, integrate_over_stacks,
                            integrate_product_flows)
-from .units import UnitsConfig, DEFAULT_UNITS
 
 
 def _maybe_ks(endpoints, cdf):
@@ -45,17 +44,16 @@ def _maybe_ks(endpoints, cdf):
     return born_rule_ks(endpoints, cdf)
 
 
-def run_scenario(cfg: ScenarioConfig, units: UnitsConfig = DEFAULT_UNITS
-                 ) -> EnsembleReport:
+def run_scenario(cfg: ScenarioConfig) -> EnsembleReport:
     cfg.validate()
     if isinstance(cfg, BeamSplitterConfig):
-        return run_beam_splitter(cfg, units)
+        return run_beam_splitter(cfg)
     if isinstance(cfg, SternGerlachConfig):
-        return run_stern_gerlach(cfg, units)
+        return run_stern_gerlach(cfg)
     if isinstance(cfg, OpticalSGConfig):
-        return run_optical_sg(cfg, units)
+        return run_optical_sg(cfg)
     if isinstance(cfg, AncillaChainConfig):
-        return run_ancilla_chain(cfg, units)
+        return run_ancilla_chain(cfg)
     raise ConfigError(f"unknown scenario config {type(cfg)!r}")
 
 
@@ -64,15 +62,14 @@ def run_scenario(cfg: ScenarioConfig, units: UnitsConfig = DEFAULT_UNITS
 # until the packets are disjoint, then a pointer-model detector stage.
 # ---------------------------------------------------------------------------
 
-def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNITS
-                      ) -> EnsembleReport:
+def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     cfg.validate()
     k = cfg.splitter_momentum
     a_r, a_l = cfg.amplitude_right, cfg.amplitude_left
-    grid, plus, minus, psi0 = _bs_setup(cfg, units)
+    grid, plus, minus, psi0 = _bs_setup(cfg)
     # the branch pair first: its separation, and the record and detector
     # checks that depend on it, fail before the superposition propagates
-    branches = _bs_branch_series(cfg, plus, minus, units)
+    branches = _bs_branch_series(cfg, plus, minus)
     times = _frame_times(cfg)
     sep_idx = branches.sep_idx
     t_sep = float(times[sep_idx])
@@ -104,14 +101,14 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
                                                   -cfg.detector_displacement))),
         ),
         amplitudes=(complex(a_r), complex(a_l)),
-        labels=("D1", "D2"), T=det_tau, units=units)
+        labels=("D1", "D2"), T=det_tau)
     if det_tau <= cfg.detector_ramp_duration:
         raise ConfigError("detector ramp does not fit between separation and T")
 
     sample = sample_equilibrium(psi0, cfg.n, cfg.seed)
     x0 = sample.positions[:, 0]
     median = _density_median(grid, psi0.density())
-    final, trajs = _bs_propagate(cfg, psi0, sample.positions, stride, units)
+    final, trajs = _bs_propagate(cfg, psi0, sample.positions, stride)
     x_at_sep = np.array([tr.points[sep_rec, 0] for tr in trajs])
 
     # outcome: the detector whose branch contains the trajectory at t_sep
@@ -180,27 +177,26 @@ def run_beam_splitter(cfg: BeamSplitterConfig, units: UnitsConfig = DEFAULT_UNIT
     return report
 
 
-def _bs_setup(cfg: BeamSplitterConfig, units: UnitsConfig) -> tuple:
+def _bs_setup(cfg: BeamSplitterConfig) -> tuple:
     """Grid, right- and left-moving packets and their normalized
     superposition psi0 = a_r plus + a_l minus: the setup shared by the run
     and born-check."""
     grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
     k = cfg.splitter_momentum
-    plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k), units)
-    minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k), units)
+    plus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, +k))
+    minus = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, -k))
     vals = cfg.amplitude_right * plus.values + cfg.amplitude_left * minus.values
     psi0 = ComplexField(grid, vals / norm(ComplexField(grid, vals)))
     return grid, plus, minus, psi0
 
 
 def _bs_propagate(cfg: BeamSplitterConfig, psi0: ComplexField,
-                  positions: np.ndarray, record_stride: int,
-                  units: UnitsConfig) -> tuple:
+                  positions: np.ndarray, record_stride: int) -> tuple:
     """Final state of the free propagation of psi0 and the trajectories
     from positions under its SCALAR flow, integrated while it propagates."""
     stream, feed = _stream_observer(cfg, psi0.grid, positions, record_stride,
-                                    VelocityModel.SCALAR, units)
-    final = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
+                                    VelocityModel.SCALAR)
+    final = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                       frame_stride=cfg.frame_stride, observer=feed).final
     return final, stream.flow.trajectories
 
@@ -220,7 +216,7 @@ class _BranchSeries:
 
 
 def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
-                      minus: ComplexField, units: UnitsConfig) -> _BranchSeries:
+                      minus: ComplexField) -> _BranchSeries:
     """Propagate both branch packets in one batched pair and record their
     overlaps, centres and width per frame.  Separation is the first frame
     where the centres are separation_sigmas widths apart and the
@@ -250,7 +246,7 @@ def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
             series.sep_idx, series.rho_plus, series.rho_minus = f, rho_p, rho_m
 
     propagate(SpinorField(plus, minus), PotentialSpec.free(), cfg.dt,
-              cfg.n_steps, units, frame_stride=cfg.frame_stride,
+              cfg.n_steps, frame_stride=cfg.frame_stride,
               support_guard=False, observer=observer)
     if series.sep_idx < 0:
         raise SeparationError(
@@ -267,7 +263,7 @@ def _frame_times(cfg) -> np.ndarray:
 
 
 def _stream_observer(cfg, grid: SpatialGrid, positions: np.ndarray,
-                     record_stride: int, model: str, units: UnitsConfig
+                     record_stride: int, model: str
                      ) -> tuple[FrameStream, Callable]:
     """A FrameStream that integrates the ensemble from positions over the
     frames of a propagation of cfg, and the `propagate` observer that
@@ -278,7 +274,7 @@ def _stream_observer(cfg, grid: SpatialGrid, positions: np.ndarray,
 
     def feed(step, t, state) -> int:
         f = step // cfg.frame_stride
-        rho, g = current_and_density(state, model, units)
+        rho, g = current_and_density(state, model)
         stream.add(f, rho, g)
         return f
 
@@ -318,17 +314,16 @@ def _dominant_density_labels(grid: SpatialGrid, rho_a: np.ndarray,
 # carries the gradient-inverted twin run on identical initial positions.
 # ---------------------------------------------------------------------------
 
-def run_stern_gerlach(cfg: SternGerlachConfig, units: UnitsConfig = DEFAULT_UNITS
-                      ) -> EnsembleReport:
+def run_stern_gerlach(cfg: SternGerlachConfig) -> EnsembleReport:
     cfg.validate()
     if cfg.gordon:
-        return _run_stern_gerlach_2d(cfg, units)
-    return _run_stern_gerlach_1d(cfg, units)
+        return _run_stern_gerlach_2d(cfg)
+    return _run_stern_gerlach_1d(cfg)
 
 
-def _sg_initial_1d(cfg, units) -> SpinorField:
+def _sg_initial_1d(cfg) -> SpinorField:
     grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
-    g = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0), units)
+    g = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0))
     beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
     up = ComplexField(grid, cfg.alpha * g.values)
     down = ComplexField(grid, beta * g.values)
@@ -336,20 +331,19 @@ def _sg_initial_1d(cfg, units) -> SpinorField:
 
 
 def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
-                     positions: np.ndarray, record_stride: int,
-                     units) -> tuple:
+                     positions: np.ndarray, record_stride: int) -> tuple:
     """Final state, trajectories from positions under the convective flow
     (integrated while it propagates) and branch overlap series of the 1D
     run under the given field gradient."""
     stream, feed = _stream_observer(cfg, spinor0.grid, positions,
-                                    record_stride, VelocityModel.SPINOR, units)
+                                    record_stride, VelocityModel.SPINOR)
     branch_overlap = np.empty(len(stream.stacks.times))
 
     def observer(step, t, state):
         branch_overlap[feed(step, t, state)] = _branch_overlap(state)
 
     pot = PotentialSpec.linear_spin_dependent(gradient, cfg.offset)
-    final = propagate(spinor0, pot, cfg.dt, cfg.n_steps, units,
+    final = propagate(spinor0, pot, cfg.dt, cfg.n_steps,
                       frame_stride=cfg.frame_stride, observer=observer).final
     return final, stream.flow.trajectories, branch_overlap
 
@@ -383,15 +377,14 @@ def _sg_check_separation(cfg, final: SpinorField) -> None:
             "gradient too weak for the flight time")
 
 
-def _run_stern_gerlach_1d(cfg: SternGerlachConfig, units: UnitsConfig
-                          ) -> EnsembleReport:
-    spinor0 = _sg_initial_1d(cfg, units)
+def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
+    spinor0 = _sg_initial_1d(cfg)
     sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
     z0 = sample.positions[:, 0]
 
     def one_run(gradient: float):
         final, trajs, branch_overlap = _sg_propagate_1d(
-            cfg, spinor0, gradient, sample.positions, 1, units)
+            cfg, spinor0, gradient, sample.positions, 1)
         _sg_check_separation(cfg, final)
         ends = endpoints(trajs)
         outcomes = _sg_outcome_labels(final, ends, cfg.ratio_threshold)
@@ -445,7 +438,7 @@ def _sg_system_predictions(cfg: SternGerlachConfig, z0: np.ndarray
             else UNRESOLVED for z in z0]
 
 
-def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
+def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
     """Initial factors phi0(y) and chi0(z), the final spinor factor chi(z),
     the branch overlap series and the per-frame 1D tables that give the
     velocity with and without the Gordon term on the (y, z) grid.  No 2D
@@ -480,8 +473,8 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
                              cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
     y_grid = SpatialGrid.line(cfg.grid_n_y, -cfg.grid_half_width_y, cfg.grid_half_width_y)
     z_grid = SpatialGrid.line(cfg.grid_n_z, -cfg.grid_half_width_z, cfg.grid_half_width_z)
-    phi0 = make_gaussian(y_grid, GaussianPacketSpec.make(0.0, cfg.sigma_y, 0.0), units)
-    g_z = make_gaussian(z_grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0), units)
+    phi0 = make_gaussian(y_grid, GaussianPacketSpec.make(0.0, cfg.sigma_y, 0.0))
+    g_z = make_gaussian(z_grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0))
     beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
     chi0 = SpinorField(ComplexField(z_grid, cfg.alpha * g_z.values),
                        ComplexField(z_grid, beta * g_z.values))
@@ -496,36 +489,35 @@ def _sg_setup_2d(cfg: SternGerlachConfig, units: UnitsConfig) -> tuple:
         f = step // cfg.frame_stride
         times[f] = t
         y_tab[f, 0], (y_tab[f, 1],) = current_and_density(
-            state, VelocityModel.SCALAR, units)
+            state, VelocityModel.SCALAR)
 
     def z_observer(step, t, state):
         f = step // cfg.frame_stride
         z_tab[f, 0], (z_tab[f, 1],) = current_and_density(
-            state, VelocityModel.SPINOR, units)
+            state, VelocityModel.SPINOR)
         z_tab[f, 2] = 2.0 * (np.conj(state.up.values) * state.down.values).real
         branch_overlap[f] = _branch_overlap(state)
 
-    propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps, units,
+    propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
               frame_stride=cfg.frame_stride, observer=y_observer)
     chi = propagate(chi0, PotentialSpec.linear_spin_dependent(cfg.gradient, cfg.offset),
-                    cfg.dt, cfg.n_steps, units,
-                    frame_stride=cfg.frame_stride, observer=z_observer).final
+                    cfg.dt, cfg.n_steps, frame_stride=cfg.frame_stride,
+                    observer=z_observer).final
 
-    pref = units.hbar / (2.0 * units.mass)
-    y_tab[:, 2] = -pref * _spectral_gradient(
+    # hbar/2m = 1/2
+    y_tab[:, 2] = -0.5 * _spectral_gradient(
         y_tab[:, 0].astype(np.complex128), y_grid)[0].real
-    z_tab[:, 3] = pref * _spectral_gradient(
+    z_tab[:, 3] = 0.5 * _spectral_gradient(
         z_tab[:, 2].astype(np.complex128), z_grid)[0].real
     peaks = y_tab[:, 0].max(axis=1) * z_tab[:, 0].max(axis=1)
     return (phi0, chi0, chi, branch_overlap,
             ProductTables(grid, times, y_tab, z_tab, peaks))
 
 
-def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
-                          ) -> EnsembleReport:
+def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
     """(y, z) grid; trajectories follow the flow with the Gordon term, and
     the same initial positions under the flow without it are the audit."""
-    phi0, chi0, chi, branch_overlap, tables = _sg_setup_2d(cfg, units)
+    phi0, chi0, chi, branch_overlap, tables = _sg_setup_2d(cfg)
     _sg_check_separation(cfg, chi)
 
     sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
@@ -570,8 +562,7 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig, units: UnitsConfig
 # separate only after the apparatus ramp; swept over N.
 # ---------------------------------------------------------------------------
 
-def build_optical_sg_model(cfg: OpticalSGConfig, N: int,
-                           units: UnitsConfig = DEFAULT_UNITS) -> BlockModel:
+def build_optical_sg_model(cfg: OpticalSGConfig, N: int) -> BlockModel:
     half0 = 0.5 * cfg.initial_separation
     half = 0.5 * cfg.system_separation
 
@@ -590,7 +581,7 @@ def build_optical_sg_model(cfg: OpticalSGConfig, N: int,
     )
     ramp = PiecewiseLinear.ramp(cfg.ramp_start, cfg.ramp_end, cfg.displacement)
     return PointerModelConfig(N=N, apparatus_sigma=cfg.apparatus_sigma,
-                              ramp=ramp, branches=branches, T=cfg.T, units=units)
+                              ramp=ramp, branches=branches, T=cfg.T)
 
 
 def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
@@ -638,12 +629,11 @@ def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
     return report
 
 
-def run_optical_sg(cfg: OpticalSGConfig, units: UnitsConfig = DEFAULT_UNITS
-                   ) -> EnsembleReport:
+def run_optical_sg(cfg: OpticalSGConfig) -> EnsembleReport:
     cfg.validate()
     subs = []
     for N in cfg.N_sweep:
-        model = build_optical_sg_model(cfg, int(N), units)
+        model = build_optical_sg_model(cfg, int(N))
         rep = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
                                     cfg.record_stride, cfg.ratio_threshold,
                                     "optical_sg")
@@ -687,8 +677,7 @@ def _sweep_report(head: EnsembleReport, subs: list[EnsembleReport],
 # ---------------------------------------------------------------------------
 
 def build_ancilla_model(cfg: AncillaChainConfig, N_prime: int | None = None,
-                        separation: float | None = None,
-                        units: UnitsConfig = DEFAULT_UNITS) -> BlockModel:
+                        separation: float | None = None) -> BlockModel:
     np_count = cfg.N_prime if N_prime is None else int(N_prime)
     sep = cfg.system_separation if separation is None else float(separation)
     if not (cfg.ancilla_ramp_end <= cfg.t1 and cfg.apparatus_ramp_start >= cfg.t1):
@@ -708,15 +697,14 @@ def build_ancilla_model(cfg: AncillaChainConfig, N_prime: int | None = None,
                                 (app_ramp, app_ramp.scaled(-1.0)))
     return BlockModel((system, ancilla, apparatus),
                       (complex(cfg.amplitude_plus), complex(cfg.amplitude_minus)),
-                      ("+", "-"), cfg.t2, units)
+                      ("+", "-"), cfg.t2)
 
 
-def run_ancilla_chain(cfg: AncillaChainConfig, units: UnitsConfig = DEFAULT_UNITS
-                      ) -> EnsembleReport:
+def run_ancilla_chain(cfg: AncillaChainConfig) -> EnsembleReport:
     cfg.validate()
     if cfg.N_prime_sweep and cfg.separation_sweep:
-        return _run_ancilla_sweep(cfg, units)
-    model = build_ancilla_model(cfg, units=units)
+        return _run_ancilla_sweep(cfg)
+    model = build_ancilla_model(cfg)
     report = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
                                    cfg.record_stride, cfg.ratio_threshold,
                                    "ancilla_chain")
@@ -727,14 +715,12 @@ def run_ancilla_chain(cfg: AncillaChainConfig, units: UnitsConfig = DEFAULT_UNIT
     return report
 
 
-def _run_ancilla_sweep(cfg: AncillaChainConfig, units: UnitsConfig
-                       ) -> EnsembleReport:
+def _run_ancilla_sweep(cfg: AncillaChainConfig) -> EnsembleReport:
     subs = []
     table = []
     for sep in cfg.separation_sweep:
         for npr in cfg.N_prime_sweep:
-            model = build_ancilla_model(cfg, N_prime=npr, separation=sep,
-                                        units=units)
+            model = build_ancilla_model(cfg, N_prime=npr, separation=sep)
             rep = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
                                         cfg.record_stride, cfg.ratio_threshold,
                                         "ancilla_chain")
@@ -761,39 +747,37 @@ def _run_ancilla_sweep(cfg: AncillaChainConfig, units: UnitsConfig
 # Equivariance-only (born-check) runs
 # ---------------------------------------------------------------------------
 
-def run_born_check(cfg: ScenarioConfig, n: int,
-                   units: UnitsConfig = DEFAULT_UNITS) -> dict:
+def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
     """Endpoint-vs-density KS diagnostic for any scenario config."""
     cfg.validate()
     # only the endpoints are compared, so only they are recorded
     if isinstance(cfg, BeamSplitterConfig):
-        grid, _, _, psi0 = _bs_setup(cfg, units)
+        grid, _, _, psi0 = _bs_setup(cfg)
         sample = sample_equilibrium(psi0, n, cfg.seed)
         steps, _ = cfg.trajectory_steps()
-        final, trajs = _bs_propagate(cfg, psi0, sample.positions, steps,
-                                     units)
+        final, trajs = _bs_propagate(cfg, psi0, sample.positions, steps)
         ks = born_rule_ks(endpoints(trajs)[:, 0],
                           grid_cdf(grid.axis(0), final.density(), grid.dx[0]))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
         if cfg.gordon:
-            phi0, chi0, final, _, tables = _sg_setup_2d(cfg, units)
+            phi0, chi0, final, _, tables = _sg_setup_2d(cfg)
             sample = sample_equilibrium((phi0, chi0), n, cfg.seed)
             (trajs,) = integrate_product_flows(
                 tables, sample.positions, cfg.dt_traj, gordon=(1.0,))
         else:
-            spinor0 = _sg_initial_1d(cfg, units)
+            spinor0 = _sg_initial_1d(cfg)
             sample = sample_equilibrium(spinor0, n, cfg.seed)
             steps, _ = cfg.trajectory_steps()
             final, trajs, _ = _sg_propagate_1d(cfg, spinor0, cfg.gradient,
-                                               sample.positions, steps, units)
+                                               sample.positions, steps)
         return {"scenario": "stern_gerlach", "n": n,
                 "ks": born_rule_ks(endpoints(trajs)[:, -1], _sg_z_cdf(final))}
     if isinstance(cfg, OpticalSGConfig):
-        model = build_optical_sg_model(cfg, int(cfg.N_sweep[-1]), units)
+        model = build_optical_sg_model(cfg, int(cfg.N_sweep[-1]))
         return _pointer_born_check(model, cfg, n, "optical_sg")
     if isinstance(cfg, AncillaChainConfig):
-        model = build_ancilla_model(cfg, units=units)
+        model = build_ancilla_model(cfg)
         return _pointer_born_check(model, cfg, n, "ancilla_chain")
     raise ConfigError(f"unknown scenario config {type(cfg)!r}")
 

@@ -189,7 +189,6 @@ def endpoints(trajectories: list[Trajectory]) -> np.ndarray:
 
 
 def write_trajectories_csv(path, trajectories: Sequence[Trajectory],
-                           coord_names: list[str] | None = None,
                            stride: int = 1) -> None:
     """CSV schema: trajectory_id, t, <coordinates...>, regularized_flag.
 
@@ -203,8 +202,8 @@ def write_trajectories_csv(path, trajectories: Sequence[Trajectory],
     if not trajectories:
         raise ConfigError("no trajectories to write")
     dims = trajectories[0].points.shape[1]
-    names = coord_names or ([f"c{i}" for i in range(dims)] if dims > 2
-                            else (["x"] if dims == 1 else ["y", "z"]))
+    names = ([f"c{i}" for i in range(dims)] if dims > 2
+             else (["x"] if dims == 1 else ["y", "z"]))
     row_fmt = "%d,%s" + ",%r" * dims + ",%s\r\n"
     width = dims + 3
     block = max(1, WRITE_BLOCK_VALUES // width)

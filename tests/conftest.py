@@ -17,16 +17,18 @@ def unit_gaussian(line_grid):
     return make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 0.0))
 
 
-def free_width(t, sigma0=1.0, hbar=1.0, m=1.0):
-    """Closed-form |psi|^2 width of a freely spreading Gaussian."""
-    return sigma0 * np.sqrt(1.0 + (hbar * t / (2.0 * m * sigma0 ** 2)) ** 2)
+def free_width(t, sigma0=1.0):
+    """Closed-form |psi|^2 width of a freely spreading Gaussian,
+    sigma0 sqrt(1 + (hbar t / (2 m sigma0^2))^2) with hbar = m = 1."""
+    return sigma0 * np.sqrt(1.0 + (t / (2.0 * sigma0 ** 2)) ** 2)
 
 
-def harmonic_width(t, sigma0=1.0, hbar=1.0, m=1.0, omega=1.0):
+def harmonic_width(t, sigma0=1.0, omega=1.0):
     """Closed-form width of an initially stationary Gaussian in a harmonic
-    trap: sigma(t)^2 = s0^2 cos^2 wt + (hbar/(2 m s0 w))^2 sin^2 wt."""
+    trap: sigma(t)^2 = s0^2 cos^2 wt + (hbar/(2 m s0 w))^2 sin^2 wt, with
+    hbar = m = 1."""
     return np.sqrt(sigma0 ** 2 * np.cos(omega * t) ** 2
-                   + (hbar / (2 * m * sigma0 * omega)) ** 2
+                   + (1.0 / (2 * sigma0 * omega)) ** 2
                    * np.sin(omega * t) ** 2)
 
 

@@ -20,7 +20,6 @@ from bohmctx.pointer import labels_from_log_ratio
 from bohmctx.sampling import EquilibriumSample, _cell_cdf, _stream, \
     inverse_cdf_sample
 from bohmctx.trajectories import GridFlow
-from bohmctx.units import DEFAULT_UNITS
 
 
 def plane(cfg) -> SpatialGrid:
@@ -46,13 +45,12 @@ def outer_spinor(grid: SpatialGrid, phi, chi) -> SpinorField:
                        ComplexField(grid, np.outer(phi.values, chi.down.values)))
 
 
-def gordon_current(state: SpinorField, units=DEFAULT_UNITS):
+def gordon_current(state: SpinorField):
     """In-plane spin-curl current (G_y, G_z) = (hbar/2m)(d_z s_x, -d_y s_x)
-    of a 2D spinor, s_x = 2 Re(u* d)."""
+    of a 2D spinor, s_x = 2 Re(u* d), with hbar/2m = 1/2."""
     s_x = 2.0 * (np.conj(state.up.values) * state.down.values).real
     ds = _spectral_gradient(s_x.astype(np.complex128), state.grid)
-    pref = units.hbar / (2.0 * units.mass)
-    return pref * ds[1].real, -pref * ds[0].real
+    return 0.5 * ds[1].real, -0.5 * ds[0].real
 
 
 def current_and_density(state: SpinorField, gordon: bool):

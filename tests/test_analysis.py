@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import binomtest
 
 from bohmctx import ConfigError, analysis
 from bohmctx.analysis import (AccuracyResult, AttributionThresholds,
@@ -101,10 +102,9 @@ def test_wilson_interval_properties():
         p, r = wilson_interval(k, n)
         assert 0.0 <= p <= 1.0
         assert 0.0 < r <= 0.5
-        lo, hi = p - r, p + r
-        # Wilson interval center is shrunk toward 1/2, so the interval stays
-        # inside [0, 1] up to rounding
-        assert lo >= -r and hi <= 1.0 + r
+        # the radius is the half-width of the Wilson score interval
+        ci = binomtest(k, n).proportion_ci(0.95, "wilson")
+        assert abs(0.5 * (ci.high - ci.low) - r) <= 1e-12
 
 
 # -- crossing audit -----------------------------------------------------------

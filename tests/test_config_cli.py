@@ -236,24 +236,35 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert r.returncode == 2
 
 
+THREAD_RUNS = {
+    "stern-gerlach": "scenario = stern_gerlach\ngordon = true\nn = 20\n"
+                     "grid_n_y = 64\ngrid_n_z = 256\ndt = 0.008\n"
+                     "n_steps = 250\n",
+    # the default 2048-point grid: the longest reductions of any run
+    # (overlap, spatial_overlap, center_width of every frame)
+    "beam-splitter": "scenario = beam_splitter\nn = 10\ndt = 0.01\n"
+                     "n_steps = 200\ndt_traj = 0.005\n",
+}
+
+
 def test_cli_determinism_across_threads(tmp_path):
-    # the summary of a Gordon run must not depend on the BLAS thread
-    # count; any thread-dependent reduction would show up in overlap_series.
-    # The run now reduces only 1D arrays (256 z points here), so a BLAS call
-    # would have to split a short vector for this test to see it
-    cfg_path = tmp_path / "gordon.cfg"
-    cfg_path.write_text("scenario = stern_gerlach\ngordon = true\nn = 20\n"
-                        "grid_n_y = 64\ngrid_n_z = 256\ndt = 0.008\n"
-                        "n_steps = 250\n")
-    digests = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        r = run_cli("stern-gerlach", "--config", str(cfg_path), "--seed", "3",
-                    "--out", str(out),
-                    env_extra={"OPENBLAS_NUM_THREADS": threads})
-        assert r.returncode == 0, r.stderr
-        digests.append((out / "summary.json").read_bytes())
-    assert digests[0] == digests[1]
+    # the summary must not depend on the BLAS or OpenMP thread count; a
+    # thread-split reduction would show up in overlap_series or the audits.
+    # The Gordon run reduces only 1D arrays of at most 256 points, so the
+    # beam splitter on its default 2048-point grid is run too
+    for command, text in THREAD_RUNS.items():
+        cfg_path = tmp_path / f"{command}.cfg"
+        cfg_path.write_text(text)
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / command / threads
+            r = run_cli(command, "--config", str(cfg_path), "--seed", "3",
+                        "--out", str(out),
+                        env_extra={"OPENBLAS_NUM_THREADS": threads,
+                                   "OMP_NUM_THREADS": threads})
+            assert r.returncode == 0, r.stderr
+            digests.append((out / "summary.json").read_bytes())
+        assert digests[0] == digests[1], command
 
 
 def test_cli_born_check(tmp_path):

@@ -171,9 +171,9 @@ def _random_model(rng, counts=(1, 2, 4), shift=2.0, weights=(0.2, 0.8)):
 
 
 def _oracle_velocity(model, q, t):
-    """(hbar/m) Im(grad Psi / Psi) of the two-branch product wavefunction,
-    evaluated directly (no log space, no block means) at points q (n, C)."""
-    k = model.units.mass / model.units.hbar
+    """(hbar/m) Im(grad Psi / Psi) of the two-branch product wavefunction
+    with hbar = m = 1, evaluated directly (no log space, no block means) at
+    points q (n, C); each factor carries the phase exp(i v d)."""
     psi = np.zeros(q.shape[0], dtype=complex)
     grad = np.zeros(q.shape, dtype=complex)
     for b, amp in enumerate(model.amplitudes):
@@ -186,12 +186,12 @@ def _oracle_velocity(model, q, t):
             for _ in range(blk.count):
                 d = q[:, col] - c
                 phi *= ((2 * np.pi * blk.sigma ** 2) ** -0.25
-                        * np.exp(-d * d / (4 * blk.sigma ** 2) + 1j * k * v * d))
-                dlog[:, col] = -d / (2 * blk.sigma ** 2) + 1j * k * v
+                        * np.exp(-d * d / (4 * blk.sigma ** 2) + 1j * v * d))
+                dlog[:, col] = -d / (2 * blk.sigma ** 2) + 1j * v
                 col += 1
         psi += phi
         grad += phi[:, None] * dlog
-    return (grad / psi[:, None]).imag / k
+    return (grad / psi[:, None]).imag
 
 
 def test_block_velocity_matches_wavefunction_oracle():

@@ -7,7 +7,6 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SupportGuardViolation, make_gaussian, norm, propagate)
 from bohmctx.errors import PropagationBlowup
 from bohmctx.fields import position_std
-from bohmctx.units import DEFAULT_UNITS
 
 from conftest import free_width, harmonic_width, propagate_frames
 
@@ -144,12 +143,12 @@ def test_nan_detection_reports_step(unit_gaussian):
     assert err.value.step == 1
 
 
-def _split_step_reference(comps, pots, grid, dt, n_steps, hbar=1.0, m=1.0):
+def _split_step_reference(comps, pots, grid, dt, n_steps):
     """Strang steps one component at a time with numpy.fft."""
-    kin = np.exp(-1j * hbar * grid.k_squared * dt / (2.0 * m))
+    kin = np.exp(-1j * grid.k_squared * dt / 2.0)
     out = []
     for psi, v in zip(comps, pots):
-        half = np.exp(-0.5j * v * dt / hbar)
+        half = np.exp(-0.5j * v * dt)
         for _ in range(n_steps):
             psi = half * np.fft.ifftn(kin * np.fft.fftn(half * psi))
         out.append(psi)
@@ -180,15 +179,15 @@ def test_batched_propagation_matches_per_component_reference(line_grid):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _scipy_strang_step(comps, pot, grid, dt, units=DEFAULT_UNITS):
+def _scipy_strang_step(comps, pot, grid, dt):
     """One propagate() step on (C, *grid.shape) components, with the
     transform pair taken from scipy.fft.fftn/ifftn over the grid axes."""
     axes = tuple(range(1, grid.dims + 1))
-    kin = np.exp(-1j * units.hbar * grid.k_squared * dt / (2.0 * units.mass))
+    kin = np.exp(-1j * grid.k_squared * dt / 2.0)
     half = 1.0
     if pot.kind == "linear_spin_dependent":
-        base = 0.5 * units.hbar * (pot.offset + pot.gradient * grid.meshes[-1])
-        half = np.exp(-0.5j * np.stack([-base, +base]) * dt / units.hbar)
+        base = 0.5 * (pot.offset + pot.gradient * grid.meshes[-1])
+        half = np.exp(-0.5j * np.stack([-base, +base]) * dt)
     # in-place products as in propagate: `a *= b` and `b * a` can differ in
     # the last bit
     comps = comps * half

@@ -15,7 +15,6 @@ from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
                             OpticalSGConfig, SternGerlachConfig)
 from bohmctx.report import _plain
 from bohmctx.sampling import sample_equilibrium
-from bohmctx.units import DEFAULT_UNITS
 from conftest import assert_same_trajectories, propagate_frames, traced_peak
 import sg_reference_2d as reference_2d
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
@@ -69,12 +68,11 @@ def test_beam_splitter_streamed_trajectories_equal_stored_stacks(kw):
     # bitwise those of integrate_over_stacks over build_stacks of the
     # stored frames of the same propagation, at the run's record stride
     cfg = _small_beam_splitter_config(**kw)
-    _, _, _, psi0 = scenarios._bs_setup(cfg, DEFAULT_UNITS)
+    _, _, _, psi0 = scenarios._bs_setup(cfg)
     positions = sample_equilibrium(psi0, cfg.n, cfg.seed).positions
     _, stride = cfg.trajectory_steps()
     assert stride > 1
-    final, trajs = scenarios._bs_propagate(cfg, psi0, positions, stride,
-                                           DEFAULT_UNITS)
+    final, trajs = scenarios._bs_propagate(cfg, psi0, positions, stride)
     prop = propagate_frames(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                             frame_stride=cfg.frame_stride)
     ref = integrate_over_stacks(
@@ -123,8 +121,8 @@ def test_beam_splitter_branch_series_equal_separate_propagations():
     # the batched (plus, minus) pair gives bitwise the series of the two
     # packets propagated one by one, with the per-frame formulas over them
     cfg = _small_beam_splitter_config()
-    _, plus, minus, _ = scenarios._bs_setup(cfg, DEFAULT_UNITS)
-    got = scenarios._bs_branch_series(cfg, plus, minus, DEFAULT_UNITS)
+    _, plus, minus, _ = scenarios._bs_setup(cfg)
+    got = scenarios._bs_branch_series(cfg, plus, minus)
     frames = [propagate_frames(packet, PotentialSpec.free(), cfg.dt,
                                cfg.n_steps, frame_stride=cfg.frame_stride).frames
               for packet in (plus, minus)]
@@ -204,7 +202,7 @@ def test_beam_splitter_support_guard_on_each_branch():
         0.0, cfg.sigma, k)) for k in (cfg.splitter_momentum,
                                       -cfg.splitter_momentum))
     with pytest.raises(SupportGuardViolation) as pair:
-        scenarios._bs_branch_series(cfg, plus, minus, DEFAULT_UNITS)
+        scenarios._bs_branch_series(cfg, plus, minus)
     with pytest.raises(SupportGuardViolation) as alone:
         propagate(plus, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                   frame_stride=cfg.frame_stride)
@@ -337,10 +335,10 @@ def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
     # propagates, bitwise as integrate_over_stacks over build_stacks of the
     # stored frames
     cfg = SternGerlachConfig(n=10, seed=3, grid_n=512)
-    spinor0 = scenarios._sg_initial_1d(cfg, DEFAULT_UNITS)
+    spinor0 = scenarios._sg_initial_1d(cfg)
     positions = sample_equilibrium(spinor0, cfg.n, cfg.seed).positions
     final, trajs, branch = scenarios._sg_propagate_1d(
-        cfg, spinor0, sign * cfg.gradient, positions, 1, DEFAULT_UNITS)
+        cfg, spinor0, sign * cfg.gradient, positions, 1)
     prop = propagate_frames(spinor0, PotentialSpec.linear_spin_dependent(
         sign * cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
@@ -369,7 +367,7 @@ def _small_gordon_config(n):
 def _sg_2d_reference(cfg):
     """The factorised setup of cfg, the 2D propagation of its initial
     spinor built on the plane, and that initial spinor."""
-    setup = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    setup = scenarios._sg_setup_2d(cfg)
     spinor0 = reference_2d.initial_spinor(cfg)
     prop = propagate_frames(spinor0, PotentialSpec.linear_spin_dependent(
         cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
@@ -503,7 +501,7 @@ def test_sg_2d_setup_and_flows_hold_no_2d_stack():
                    * cfg.grid_n_y * cfg.grid_n_z * 8)
 
     def setup_and_flows():
-        phi0, chi0, _, _, tables = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+        phi0, chi0, _, _, tables = scenarios._sg_setup_2d(cfg)
         sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
         integrate_product_flows(tables, sample.positions, cfg.dt_traj,
                                 gordon=(1.0, 0.0))
@@ -533,7 +531,7 @@ def test_sg_gordon_sampler_matches_2d_marginal_conditional():
     # order give the points of the 2D marginal/conditional sampler on
     # |phi0 chi0|^2, at the default Gordon grid, to rounding
     cfg = SternGerlachConfig(gordon=True)
-    phi0, chi0, *_ = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    phi0, chi0, *_ = scenarios._sg_setup_2d(cfg)
     got = sample_equilibrium((phi0, chi0), 1000, cfg.seed).positions
     want = reference_2d.sample(reference_2d.initial_spinor(cfg), 1000,
                                cfg.seed).positions
@@ -548,7 +546,7 @@ def test_sg_gordon_labels_equal_2d_labels(seed):
     cfg = _small_gordon_config(100)
     cfg.seed = seed
     report = run_stern_gerlach(cfg)
-    phi0, _, chi, _, _ = scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+    phi0, _, chi, _, _ = scenarios._sg_setup_2d(cfg)
     final = _final_2d(cfg, phi0, chi)
     for labels, trajs in ((report.outcomes, "trajectories"),
                           (report.extras["outcomes_gordon_off"],
@@ -569,7 +567,7 @@ def test_sg_2d_support_guard_fires_at_the_2d_step(narrow):
     for key, value in narrow.items():
         setattr(cfg, key, value)
     with pytest.raises(SupportGuardViolation) as factorised:
-        scenarios._sg_setup_2d(cfg, DEFAULT_UNITS)
+        scenarios._sg_setup_2d(cfg)
     with pytest.raises(SupportGuardViolation) as full:
         propagate(reference_2d.initial_spinor(cfg),
                   PotentialSpec.linear_spin_dependent(cfg.gradient, cfg.offset),
