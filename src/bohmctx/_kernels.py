@@ -11,8 +11,8 @@ velocities:
 - `grid_velocity` interpolates 1D density and current stacks that hold
   frame f in slot f % S: all F frames (S = F), or a ring of the last S
   frames of a running propagation.  Each RK4 stage builds the flat
-  indices of the cell ends in the two bracketing frames once and gathers
-  each stored field with one `take`.
+  indices of the cell ends in the two bracketing frames, and their
+  weights, once, and gathers each stored field with one `take`.
 - `product_velocity` serves a product state phi(y) chi(z) on a 2D grid
   from per-frame 1D tables of each factor, the only 2D flow in the
   package, so no 2D array is ever built; a per-point Gordon weight lets
@@ -24,8 +24,11 @@ model, where all coordinates of a block move together, so it integrates one
 coordinate per block (the block mean) whatever the block sizes.  Node
 handling: when the local density (or the branched-Gaussian denominator)
 falls below threshold, the trajectory reuses its last finite velocity and
-the event is counted.  Trajectories never share mutable state, so results
-are independent of thread count and scheduling.
+the event is counted.  A step where no stage flags a node (and, on the
+grid, no trajectory has failed) skips the node masks and counts, which
+would leave every value as it is; the results are bitwise those of the
+masked step.  Trajectories never share mutable state, so results are
+independent of thread count and scheduling.
 """
 
 import math
@@ -55,11 +58,18 @@ def _bracket(t, t0, frame_dt, n_frames):
 
 def _guided(rho_i, g_i, peaks, f0, w, node_rel, vprev):
     """v = G / rho, and node flags: where rho falls below node_rel times
-    the time-interpolated frame peak, the point takes vprev."""
+    the time-interpolated frame peak, the point takes vprev.  g_i is a
+    (dims, n) array or a sequence of dims (n,) arrays."""
     peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
     node = rho_i < max(node_rel * peak, NODE_ABS_FLOOR)
-    v = np.array(g_i) / np.where(node, 1.0, rho_i)
+    if not np.count_nonzero(node):
+        return np.asarray(g_i) / rho_i, node
+    v = np.asarray(g_i) / np.where(node, 1.0, rho_i)
     return np.where(node, vprev, v), node
+
+
+# offsets of a cell's lower and upper end
+_CELL_ENDS = np.array([[0], [1]], dtype=np.int64)
 
 
 def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
@@ -70,24 +80,23 @@ def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
     fields = (rho, G), each (S, n_x) and C-contiguous with frame f in slot
     f % S, and peaks (F,) holds the peak of rho in every frame.  A stage
     builds the flat indices of the two cell ends in frames f0 and f0 + 1,
-    and their interpolation weights, once; each field is then one `take`
-    and one weighted sum over those four values.
+    and their interpolation weights, once, each as one (4, n) stack; each
+    field is then one `take` and one weighted sum over those four values.
     """
     slots, n_x = fields[0].shape
     f0, w = _bracket(t, t0, frame_dt, len(peaks))
-    s = (q[0] - lo[0]) / step[0]
+    s = (q - lo.item()) / step.item()
     i0 = np.floor(s)
     frac = s - i0
-    lower = i0.astype(np.int64) % n_x
-    upper = (lower + 1) % n_x
+    # lower and upper cell end (2, n), and their weights 1 - frac, frac
+    ends = (i0.astype(np.int64) + _CELL_ENDS) % n_x
+    cell_w = np.concatenate((1 - frac, frac))
     # the same cell ends in frames f0 and f0 + 1, weighted linearly in time
-    base0, base1 = f0 % slots * n_x, (f0 + 1) % slots * n_x
-    idx = np.array([lower + base0, upper + base0, lower + base1,
-                    upper + base1])
-    wts = np.array([(1 - w) * (1 - frac), (1 - w) * frac, w * (1 - frac),
-                    w * frac])
+    idx = np.add.outer((f0 % slots * n_x, (f0 + 1) % slots * n_x),
+                       ends).reshape(4, -1)
+    wts = np.multiply.outer((1 - w, w), cell_w).reshape(4, -1)
     rho_i, g_i = [(f.take(idx) * wts).sum(axis=0) for f in fields]
-    return _guided(rho_i, (g_i,), peaks, f0, w, node_rel, vprev)
+    return _guided(rho_i, g_i[None], peaks, f0, w, node_rel, vprev)
 
 
 def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
@@ -165,27 +174,42 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
     rec[:, 0, :] = q.T
     step_events = np.zeros(n, dtype=np.int64)
 
+    # per-axis bounds as floats, for the exit pre-test
+    lo_ax, hi_ax = lo[:, 0].tolist(), hi[:, 0].tolist()
+    any_failed = False
+    half_dt = 0.5 * dt
+
     ready = yield
     for i in range(n_steps):
         t = t0 + i * dt
         while _bracket(t + dt, t0, frame_dt, n_frames)[0] + 1 > ready:
             ready = yield _bracket(t, t0, frame_dt, n_frames)[0]
-        alive = ~failed
         k1, n1 = velocity(q, t, vprev, *args)
-        k2, n2 = velocity(q + 0.5 * dt * k1, t + 0.5 * dt, vprev, *args)
-        k3, n3 = velocity(q + 0.5 * dt * k2, t + 0.5 * dt, vprev, *args)
+        k2, n2 = velocity(q + half_dt * k1, t + half_dt, vprev, *args)
+        k3, n3 = velocity(q + half_dt * k2, t + half_dt, vprev, *args)
         k4, n4 = velocity(q + dt * k3, t + dt, vprev, *args)
-        nodes = np.where(alive, n1.astype(np.int64) + n2 + n3 + n4, 0)
-        step_events += nodes
-        node_counts += nodes
-        vprev = np.where(n4 | ~alive, vprev, k4)
         q_new = q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q = np.where(alive, q_new, q)
-        out = alive & np.any((q < lo) | (q >= hi), axis=0)
-        if np.any(out):
-            failed |= out
-            exit_times[out] = t + dt
-            q = np.where(out, np.clip(q, lo, hi - step * 1e-9), q)
+        if (any_failed or np.count_nonzero(n1) or np.count_nonzero(n2)
+                or np.count_nonzero(n3) or np.count_nonzero(n4)):
+            alive = ~failed
+            nodes = np.where(alive, n1.astype(np.int64) + n2 + n3 + n4, 0)
+            step_events += nodes
+            node_counts += nodes
+            vprev = np.where(n4 | ~alive, vprev, k4)
+            q = np.where(alive, q_new, q)
+        else:
+            # no node and no failed trajectory: the masks change nothing
+            vprev, q = k4, q_new
+        # failed points are clamped inside the grid, so a step with every
+        # point inside the bounds of each axis has no new exit
+        if any(q[ax].min() < lo_ax[ax] or q[ax].max() >= hi_ax[ax]
+               for ax in range(dims)):
+            out = ~failed & np.any((q < lo) | (q >= hi), axis=0)
+            if np.any(out):
+                any_failed = True
+                failed |= out
+                exit_times[out] = t + dt
+                q = np.where(out, np.clip(q, lo, hi - step * 1e-9), q)
         if (i + 1) % rec_stride == 0:
             r = (i + 1) // rec_stride
             rec[:, r, :] = q.T
@@ -276,13 +300,16 @@ def block_velocity(means, tab: BlockTables, ti, node_thresh, vprev):
     a_cos = 2.0 * a_ch * ch                   # a (1 + cos theta)
     den = one_minus_a * one_minus_a + 2.0 * a_cos
     node = den < node_thresh
-    inv = 1.0 / np.where(node, 1.0, den)
+    has_node = np.count_nonzero(node)
+    inv = 1.0 / (np.where(node, 1.0, den) if has_node else den)
     im_w = 2.0 * a_ch * np.sin(half) * inv   # a sin theta / den
     re_w = np.where(lam >= 0, one_minus_a + a_cos,
                     a_cos - a * one_minus_a) * inv
     v = (im_w[:, None] * tab.pull[ti] + re_w[:, None] * tab.dv[ti]
          + tab.vm[ti])
-    return np.where(node[:, None], vprev, v), node
+    if has_node:
+        v = np.where(node[:, None], vprev, v)
+    return v, node
 
 
 def block_rk4(m0, tab: BlockTables, node_thresh, dt, n_steps, rec_stride):
@@ -309,10 +336,14 @@ def block_rk4(m0, tab: BlockTables, node_thresh, dt, n_steps, rec_stride):
         k3, n3 = block_velocity(m + half_dt * k2, tab, i2 + 1, node_thresh,
                                 vprev)
         k4, n4 = block_velocity(m + dt * k3, tab, i2 + 2, node_thresh, vprev)
-        nodes = n1.astype(np.int64) + n2 + n3 + n4
-        step_events += nodes
-        node_counts += nodes
-        vprev = np.where(n4[:, None], vprev, k4)
+        if (np.count_nonzero(n1) or np.count_nonzero(n2)
+                or np.count_nonzero(n3) or np.count_nonzero(n4)):
+            nodes = n1.astype(np.int64) + n2 + n3 + n4
+            step_events += nodes
+            node_counts += nodes
+            vprev = np.where(n4[:, None], vprev, k4)
+        else:
+            vprev = k4  # no node: the mask changes nothing
         m = m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if (step + 1) % rec_stride == 0:
             r = (step + 1) // rec_stride

@@ -125,6 +125,14 @@ class BeamSplitterConfig:
         _require(self.dt > 0 and self.n_steps > 0, "dt and n_steps must be positive")
         _require_frame_stride(self)
         self.trajectory_steps()
+        # the detector stage steps at the frame step; a ramp end between two
+        # steps would put the schedule's kink inside one RK4 step
+        ramp_steps = self.detector_ramp_duration / (self.dt
+                                                    * self.frame_stride)
+        _require(abs(ramp_steps - round(ramp_steps))
+                 <= 1e-9 * max(1.0, ramp_steps),
+                 "detector_ramp_duration must be a whole number of frame steps "
+                 "(dt * frame_stride)")
 
 
 @dataclass

@@ -156,8 +156,13 @@ def spatial_overlap(a: ComplexField, b: ComplexField) -> float:
     sqrt(rho_a rho_b).  Measures shared support, not phase coherence."""
     if not a.grid.same_as(b.grid):
         raise ConfigError("spatial overlap requires a shared grid")
-    na2 = np.sum(a.density()) * a.grid.cell_volume
-    nb2 = np.sum(b.density()) * b.grid.cell_volume
-    acc = np.sum(np.sqrt(a.density() * b.density())) * a.grid.cell_volume
-    return float(acc / np.sqrt(na2 * nb2))
+    return density_overlap(a.density(), b.density(), a.grid.cell_volume)
 
+
+def density_overlap(rho_a: np.ndarray, rho_b: np.ndarray,
+                    cell_volume: float) -> float:
+    """`spatial_overlap` of two densities on one grid of cell_volume."""
+    na2 = np.sum(rho_a) * cell_volume
+    nb2 = np.sum(rho_b) * cell_volume
+    acc = np.sum(np.sqrt(rho_a * rho_b)) * cell_volume
+    return float(acc / np.sqrt(na2 * nb2))

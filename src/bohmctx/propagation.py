@@ -94,11 +94,10 @@ def _boundary_band_mask(grid: SpatialGrid) -> np.ndarray:
     return mask
 
 
-def check_support_guard(state: FieldLike, step: int,
-                        band_mask: np.ndarray | None = None) -> None:
-    rho = state.density()
-    if band_mask is None:
-        band_mask = _boundary_band_mask(state.grid)
+def check_support_guard(rho: np.ndarray, step: int,
+                        band_mask: np.ndarray) -> None:
+    """Raise SupportGuardViolation when the density rho in the boundary
+    band (`_boundary_band_mask`) reaches GUARD_DENSITY_RATIO of its peak."""
     peak = float(rho.max())
     if peak <= 0.0:
         return
@@ -149,7 +148,7 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
     def capture(step: int):
         st = snapshot()
         if support_guard:
-            check_support_guard(st, step, band)
+            check_support_guard(st.density(), step, band)
         if observer is not None:
             observer(step, step * dt, st)
 

@@ -17,8 +17,9 @@ from .analysis import UNRESOLVED, born_rule_ks, grid_cdf
 from .config import (AncillaChainConfig, BeamSplitterConfig, OpticalSGConfig,
                      ScenarioConfig, SternGerlachConfig)
 from .errors import ConfigError, SeparationError
-from .fields import (ComplexField, SpinorField, center_width, make_gaussian,
-                     norm, overlap, spatial_overlap, GaussianPacketSpec)
+from .fields import (ComplexField, SpinorField, center_width,
+                     density_overlap, make_gaussian, norm, overlap,
+                     GaussianPacketSpec)
 from .grids import SpatialGrid
 # build_stacks and integrate_over_stacks are not called here; they stay
 # importable from this module because perfbench/tracer.py wraps them
@@ -64,7 +65,6 @@ def run_scenario(cfg: ScenarioConfig) -> EnsembleReport:
 
 def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     cfg.validate()
-    k = cfg.splitter_momentum
     a_r, a_l = cfg.amplitude_right, cfg.amplitude_left
     grid, plus, minus, psi0 = _bs_setup(cfg)
     # the branch pair first: its separation, and the record and detector
@@ -73,7 +73,6 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     times = _frame_times(cfg)
     sep_idx = branches.sep_idx
     t_sep = float(times[sep_idx])
-    t_end = float(times[-1])
 
     _, stride = cfg.trajectory_steps()
     rec_dt = cfg.dt_traj * stride
@@ -81,29 +80,8 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     if abs(sep_rec * rec_dt + times[0] - t_sep) > 1e-9:
         raise ConfigError("record grid must contain the separation time")
 
-    # detector stage: two-branch pointer model on [t_sep, t_end], system
-    # factors tracking the separated packets (rigid width), detector
-    # coordinates sampled fresh around zero displacement.
-    det_tau = t_end - t_sep
-    c_sep = float(branches.center_plus[sep_idx])
-    sig_sep = float(branches.width[sep_idx])
-    det_model = BlockModel(
-        blocks=(
-            CoordinateBlock("system", 1, sig_sep,
-                            (PiecewiseLinear((-1.0, det_tau),
-                                             (c_sep - k, c_sep + k * det_tau)),
-                             PiecewiseLinear((-1.0, det_tau),
-                                             (-c_sep + k, -c_sep - k * det_tau)))),
-            CoordinateBlock("apparatus", cfg.detector_count, cfg.detector_sigma,
-                            (PiecewiseLinear.ramp(0.0, cfg.detector_ramp_duration,
-                                                  cfg.detector_displacement),
-                             PiecewiseLinear.ramp(0.0, cfg.detector_ramp_duration,
-                                                  -cfg.detector_displacement))),
-        ),
-        amplitudes=(complex(a_r), complex(a_l)),
-        labels=("D1", "D2"), T=det_tau)
-    if det_tau <= cfg.detector_ramp_duration:
-        raise ConfigError("detector ramp does not fit between separation and T")
+    det_model = _bs_detector_model(cfg, branches)
+    det_tau = det_model.T
 
     sample = sample_equilibrium(psi0, cfg.n, cfg.seed)
     x0 = sample.positions[:, 0]
@@ -117,14 +95,15 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
         branches.rho_minus * a_l ** 2, x_at_sep[:, None],
         ("D1", "D2"), cfg.ratio_threshold)
 
-    y0 = np.empty((cfg.n, cfg.detector_count))
-    for i in range(cfg.n):
-        rng = np.random.default_rng((int(cfg.seed), int(i), 1))
-        y0[i] = cfg.detector_sigma * rng.standard_normal(cfg.detector_count)
+    y0 = _bs_detector_offsets(cfg)
     det_init = np.column_stack([x_at_sep, y0])
-    # only the endpoints and node counts are read: record the ends alone
-    det_steps = int(round(det_tau / cfg.dt_traj))
-    det_res = integrate_pointer_ensemble(det_model, det_init, cfg.dt_traj,
+    # only the endpoints and node counts are read: record the ends alone.
+    # The stage is smooth and every kink of its schedules (t_sep, T and the
+    # end of the ramp, see validate) lies on the frame grid, so it steps at
+    # the frame step, not at the grid flow's dt_traj.
+    det_dt = cfg.dt * cfg.frame_stride
+    det_steps = int(round(det_tau / det_dt))
+    det_res = integrate_pointer_ensemble(det_model, det_init, det_dt,
                                          record_stride=det_steps)
     det_labels = [classify_point(p, det_tau, det_model, cfg.ratio_threshold)
                   for p in det_res.final_points()]
@@ -205,7 +184,7 @@ def _bs_propagate(cfg: BeamSplitterConfig, psi0: ComplexField,
 class _BranchSeries:
     """Per-frame series of the two beam-splitter branch packets and their
     densities at the first separated frame."""
-    bhattacharyya: np.ndarray  # spatial_overlap(plus, minus)
+    bhattacharyya: np.ndarray  # fields.spatial_overlap(plus, minus)
     inner: np.ndarray          # |<plus|minus>|
     center_plus: np.ndarray
     center_minus: np.ndarray
@@ -229,13 +208,14 @@ def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
     series = _BranchSeries(*(np.empty(n_frames) for _ in range(5)))
     band = _boundary_band_mask(plus.grid)
     x = plus.grid.axis(0)
+    cell_volume = plus.grid.cell_volume
 
     def observer(step, t, pair):
-        check_support_guard(pair.up, step, band)
-        check_support_guard(pair.down, step, band)
-        f = step // cfg.frame_stride
         rho_p, rho_m = pair.up.density(), pair.down.density()
-        series.bhattacharyya[f] = spatial_overlap(pair.up, pair.down)
+        check_support_guard(rho_p, step, band)
+        check_support_guard(rho_m, step, band)
+        f = step // cfg.frame_stride
+        series.bhattacharyya[f] = density_overlap(rho_p, rho_m, cell_volume)
         series.inner[f] = abs(overlap(pair.up, pair.down))
         series.center_plus[f], series.width[f] = center_width(rho_p, x)
         series.center_minus[f], _ = center_width(rho_m, x)
@@ -253,6 +233,47 @@ def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
             "packets never satisfied the separation and overlap thresholds; "
             "increase flight time or momentum")
     return series
+
+
+def _bs_detector_model(cfg: BeamSplitterConfig,
+                       branches: _BranchSeries) -> BlockModel:
+    """The detector stage: a two-branch pointer model on [t_sep, T], its
+    time 0 at t_sep, with system factors tracking the separated packets
+    (rigid width) and the detector coordinates ramped apart."""
+    k = cfg.splitter_momentum
+    times = _frame_times(cfg)
+    sep_idx = branches.sep_idx
+    det_tau = float(times[-1]) - float(times[sep_idx])
+    c_sep = float(branches.center_plus[sep_idx])
+    sig_sep = float(branches.width[sep_idx])
+    det_model = BlockModel(
+        blocks=(
+            CoordinateBlock("system", 1, sig_sep,
+                            (PiecewiseLinear((-1.0, det_tau),
+                                             (c_sep - k, c_sep + k * det_tau)),
+                             PiecewiseLinear((-1.0, det_tau),
+                                             (-c_sep + k, -c_sep - k * det_tau)))),
+            CoordinateBlock("apparatus", cfg.detector_count, cfg.detector_sigma,
+                            (PiecewiseLinear.ramp(0.0, cfg.detector_ramp_duration,
+                                                  cfg.detector_displacement),
+                             PiecewiseLinear.ramp(0.0, cfg.detector_ramp_duration,
+                                                  -cfg.detector_displacement))),
+        ),
+        amplitudes=(complex(cfg.amplitude_right), complex(cfg.amplitude_left)),
+        labels=("D1", "D2"), T=det_tau)
+    if det_tau <= cfg.detector_ramp_duration:
+        raise ConfigError("detector ramp does not fit between separation and T")
+    return det_model
+
+
+def _bs_detector_offsets(cfg: BeamSplitterConfig) -> np.ndarray:
+    """(n, detector_count) detector coordinates at t_sep, sampled fresh
+    around zero displacement, one seeded stream per trajectory."""
+    y0 = np.empty((cfg.n, cfg.detector_count))
+    for i in range(cfg.n):
+        rng = np.random.default_rng((int(cfg.seed), int(i), 1))
+        y0[i] = cfg.detector_sigma * rng.standard_normal(cfg.detector_count)
+    return y0
 
 
 def _frame_times(cfg) -> np.ndarray:

@@ -112,6 +112,19 @@ def test_trajectory_step_rejected_by_validate(mapping, message):
         config_from_mapping(mapping)
 
 
+@pytest.mark.parametrize("ramp, accepted", [(0.4, True), (0.401, False)])
+def test_detector_ramp_must_be_whole_frame_steps(ramp, accepted):
+    # the detector stage steps at the frame step, 0.002: the default ramp
+    # is 200 steps, and a ramp end between two steps would put its kink
+    # inside one RK4 step
+    mapping = {"scenario": "beam_splitter", "detector_ramp_duration": ramp}
+    if accepted:
+        config_from_mapping(mapping)
+    else:
+        with pytest.raises(ConfigError, match="whole number of frame steps"):
+            config_from_mapping(mapping)
+
+
 def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
                                                         monkeypatch, capsys):
     from bohmctx import cli, scenarios

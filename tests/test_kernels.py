@@ -21,6 +21,7 @@ from bohmctx.scenarios import (build_ancilla_model, build_optical_sg_model,
 from bohmctx.schedules import PiecewiseLinear
 from bohmctx.trajectories import integrate_over_stacks
 from conftest import propagate_frames
+import rk4_reference as reference
 from sg_reference_2d import stage_velocity
 
 
@@ -110,6 +111,48 @@ def test_grid_stage_velocity_node_keeps_vprev():
     assert node.tolist() == [True, False]
     assert v[0, 0] == vprev[0, 0]
     assert abs(v[0, 1] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("events", [True, False],
+                         ids=["node_and_exit", "no_event"])
+def test_grid_rk4_matches_reference_loop(events):
+    # points move right at about 2 over T = 1.  With events, one point
+    # crosses a band of zero density (nodes: it keeps its last velocity)
+    # and one leaves the grid, so the kernel takes its no-node path before
+    # them and its masked path after; without, only the no-node path.  The
+    # plain reference loop masks every step and must agree bitwise
+    grid = SpatialGrid.line(64, -4.0, 4.0)
+    rng = np.random.default_rng(3)
+    n_frames, frame_dt, dt, n_steps = 6, 0.2, 0.01, 100
+    shape = (n_frames,) + grid.shape
+    rho = rng.uniform(0.5, 1.5, shape)
+    rho[:, 40:43] = 0.0  # zero density on [1.0, 1.25], nodes 40-42
+    g = rho * rng.uniform(1.5, 2.5, shape)
+    peaks = rho.max(axis=1)
+    q0 = rng.uniform(-3.5, -1.5, (8, 1))
+    if events:
+        q0 = np.concatenate([q0, [[0.5], [3.0]]])
+    lo = np.reshape(grid.x_min, (-1, 1))
+    step = np.reshape(grid.dx, (-1, 1))
+
+    args = ((rho, g), peaks, 0.0, frame_dt, lo, step, NODE_DENSITY_REL)
+    rk4 = _kernels.grid_rk4(q0, _kernels.grid_velocity, args, lo, step,
+                            grid.shape, 0.0, dt, n_steps, 5, frame_dt,
+                            n_frames)
+    next(rk4)
+    with pytest.raises(StopIteration) as done:
+        rk4.send(n_frames - 1)  # every frame is present
+    got = done.value.value
+    want = reference.grid_rk4(q0, reference.grid_velocity, args, lo, step,
+                              grid.shape, dt, n_steps, 5)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    rec, flags, counts, failed, _ = got
+    if events:
+        assert counts[-2] > 0 and flags[-2].any() and counts[:-2].sum() == 0
+        assert failed.tolist() == [False] * 9 + [True]
+    else:
+        assert counts.sum() == 0 and not failed.any()
 
 
 def test_product_velocity_matches_bilinear_reference():
@@ -244,16 +287,20 @@ def test_within_block_deviations_are_conserved():
     assert np.array_equal(res.final_points(), pos[:, -1])
 
 
-def test_node_is_flagged_and_keeps_previous_velocity():
-    # opposite amplitudes, mirror-image schedules: the origin is a node of
-    # the branch sum at every time
+def _mirror_model():
+    """Opposite amplitudes, mirror-image schedules: the origin is a node
+    of the branch sum at every time."""
     s = 1 / math.sqrt(2)
     ramp = PiecewiseLinear.ramp(0.0, 0.5, 2.0)
-    model = BlockModel(
+    return BlockModel(
         (CoordinateBlock("system", 1, 1.0, (PiecewiseLinear.constant(1.0),
                                             PiecewiseLinear.constant(-1.0))),
          CoordinateBlock("apparatus", 3, 1.0, (ramp, ramp.scaled(-1.0)))),
         (complex(s), complex(-s)), ("+", "-"), 1.0)
+
+
+def test_node_is_flagged_and_keeps_previous_velocity():
+    model = _mirror_model()
     tab = model.block_tables(np.array([0.3]))
     means = np.array([[0.0, 0.0], [0.4, -0.2]])
     vprev = np.array([[0.25, -1.5], [7.0, 7.0]])
@@ -268,6 +315,46 @@ def test_node_is_flagged_and_keeps_previous_velocity():
     assert res.node_counts.tolist() == [4 * 100, 0]
     assert res.reg_flags[0, 1:].all() and not res.reg_flags[1].any()
     assert np.array_equal(res.final_points()[0], init[0])
+
+
+def _node_time_tables(n_steps, node_step):
+    """Random two-block tables whose gaps are (0, pi) at every point at
+    the midpoint of step node_step, so stages 2 and 3 of that step, and
+    no other stage, are nodes."""
+    rng = np.random.default_rng(9)
+    nt = 2 * n_steps + 1
+    tab = _kernels.BlockTables(
+        rng.normal(0.0, 1.0, (nt, 2)), rng.normal(0.0, 0.3, (nt, 2, 2)),
+        rng.normal(0.0, 1.0, (nt, 2)), *rng.normal(0.0, 1.0, (3, nt, 2)))
+    tab.coef[2 * node_step + 1] = 0.0
+    tab.base[2 * node_step + 1] = (0.0, math.pi)
+    return tab
+
+
+@pytest.mark.parametrize("case", ["node_point", "node_time", "no_node"])
+def test_block_rk4_matches_reference_loop(case):
+    # node_point: one point sits on the mirror model's node, so the kernel
+    # masks every step; node_time: every point is a node in the middle
+    # stages of one step only; no_node: the kernel takes its no-node path
+    # on every step.  Each matches the plain reference loop, which masks
+    # always, bitwise
+    dt, n_steps = 0.01, 100
+    means = np.random.default_rng(8).normal(0.0, 1.0, (12, 2))
+    if case == "node_time":
+        tab = _node_time_tables(n_steps, 37)
+    else:
+        model = _mirror_model()
+        tab = model.block_tables(np.arange(2 * n_steps + 1) * (0.5 * dt))
+        if case == "node_point":
+            means[5] = 0.0
+    got = _kernels.block_rk4(means, tab, POINTER_NODE_THRESH, dt, n_steps, 10)
+    want = reference.block_rk4(means, tab, POINTER_NODE_THRESH, dt, n_steps,
+                               10)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    counts = got[2].tolist()
+    assert counts == {"node_point": [0] * 5 + [4 * n_steps] + [0] * 6,
+                      "node_time": [2] * 12, "no_node": [0] * 12}[case]
 
 
 def test_optical_sg_large_apparatus():

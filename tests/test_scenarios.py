@@ -10,6 +10,7 @@ from bohmctx.fields import spatial_overlap
 from bohmctx.analysis import determinant_attribution, predictor_accuracy
 from bohmctx import _kernels
 from bohmctx.guidance import NODE_DENSITY_REL, VelocityModel, build_stacks
+from bohmctx.pointer import classify_point, integrate_pointer_ensemble
 from bohmctx.propagation import PotentialSpec, propagate
 from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
                             OpticalSGConfig, SternGerlachConfig)
@@ -115,6 +116,31 @@ def test_beam_splitter_separation_checks_precede_the_grid_flow(
     run_beam_splitter(cfg)
     assert len(advances) > 1
     assert advances[-1] == cfg.n_steps // cfg.frame_stride
+
+
+def test_beam_splitter_detector_stage_at_the_frame_step():
+    # the run steps its detector stage at the frame step, 4 x dt_traj here:
+    # from the run's points at t_sep, the endpoints move by at most 1e-6
+    # and no label changes against the stage stepped at dt_traj
+    cfg = _small_beam_splitter_config()
+    rep = run_beam_splitter(cfg)
+    _, plus, minus, _ = scenarios._bs_setup(cfg)
+    model = scenarios._bs_detector_model(
+        cfg, scenarios._bs_branch_series(cfg, plus, minus))
+    init = np.column_stack([rep.artifacts["x_at_separation"],
+                            scenarios._bs_detector_offsets(cfg)])
+    ends, labels = [], []
+    for dt in (cfg.dt_traj, cfg.dt * cfg.frame_stride):
+        steps = int(round(model.T / dt))
+        res = integrate_pointer_ensemble(model, init, dt,
+                                         record_stride=steps)
+        assert res.node_counts.sum() == 0
+        ends.append(res.final_points())
+        labels.append([classify_point(p, model.T, model, cfg.ratio_threshold)
+                       for p in ends[-1]])
+    assert np.abs(ends[1] - ends[0]).max() <= 1e-6
+    assert labels[0] == labels[1]
+    assert set(labels[0]) == {"D1", "D2"}
 
 
 def test_beam_splitter_branch_series_equal_separate_propagations():
