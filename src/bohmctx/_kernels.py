@@ -13,11 +13,11 @@ velocities:
   frames of a running propagation.  Each RK4 stage builds the flat
   indices of the cell ends in the two bracketing frames, and their
   weights, once, and gathers each stored field with one `take`.
-- `product_velocity` serves a product state phi(y) chi(z) on a 2D grid
-  from per-frame 1D tables of each factor, the only 2D flow in the
-  package, so no 2D array is ever built; a per-point Gordon weight lets
-  one call integrate the flows with and without the spin-curl term side
-  by side.
+- `product_velocity` serves a product state phi(y) chi(z) on the (y, z)
+  plane from per-frame tables of each factor on its own line grid, the
+  only 2D flow in the package, so no 2D array is ever built; a per-point
+  Gordon weight lets one call integrate the flows with and without the
+  spin-curl term side by side.
 
 The pointer kernel follows the closed-form velocity of the branched-Gaussian
 model, where all coordinates of a block move together, so it integrates one
@@ -43,10 +43,11 @@ NODE_ABS_FLOOR = 1e-300  # hard underflow floor for denominators
 
 # ---------------------------------------------------------------------------
 # Grid kernel: velocity v = G/rho with G and rho linearly interpolated in
-# time between stored frames and linearly in space (per factor on the 2D
-# product grid).  Both stage velocities take (q, t, vprev, *tables, t0,
-# frame_dt, lo, step, node_rel), with q (dims, n) and lo, step (dims, 1)
-# the grid's x_min and dx (periodic axes).
+# time between stored frames and linearly in space (per factor on the
+# (y, z) plane).  Both stage velocities take (q, t, vprev, *tables, t0,
+# frame_dt, lo, step, node_rel), with q (n_coords, n) and lo, step
+# (n_coords, 1) the x_min and dx of each coordinate's line grid (periodic
+# axes).
 # ---------------------------------------------------------------------------
 
 def _bracket(t, t0, frame_dt, n_frames):
@@ -59,7 +60,7 @@ def _bracket(t, t0, frame_dt, n_frames):
 def _guided(rho_i, g_i, peaks, f0, w, node_rel, vprev):
     """v = G / rho, and node flags: where rho falls below node_rel times
     the time-interpolated frame peak, the point takes vprev.  g_i is a
-    (dims, n) array or a sequence of dims (n,) arrays."""
+    (n_coords, n) array or a sequence of n_coords (n,) arrays."""
     peak = (1 - w) * peaks[f0] + w * peaks[f0 + 1]
     node = rho_i < max(node_rel * peak, NODE_ABS_FLOOR)
     if not np.count_nonzero(node):
@@ -102,7 +103,7 @@ def grid_velocity(q, t, vprev, fields, peaks, t0, frame_dt, lo, step,
 def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
                      frame_dt, lo, step, node_rel):
     """Velocity (2, n) at points q (2, n) = (y, z) and time t of a product
-    state phi(y) chi(z) on a 2D grid, and node flags.
+    state phi(y) chi(z) on the (y, z) plane, and node flags.
 
     y_tab (F, 3, ny) holds P = |phi|^2, J_phi and -(hbar/2m) P' per frame;
     z_tab (F, 4, nz) holds R, J_chi, S = 2 Re(chi_up* chi_down) and
@@ -142,9 +143,9 @@ def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
 
 def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
              rec_stride, frame_dt, n_frames):
-    """RK4 of points q0 (n, dims) under the stage velocity
+    """RK4 of points q0 (n, n_coords) under the stage velocity
     `velocity(q, t, vprev, *args)` on the periodic grid of `shape` cells
-    of size step (dims, 1) from lo (dims, 1), over n_frames frames
+    of size step (n_coords, 1) from lo (n_coords, 1), over n_frames frames
     frame_dt apart from t0.
 
     A generator: primed with next(), it is sent the index of the last
@@ -153,16 +154,16 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
     the steps trail the newest frame by up to two frames.  It then yields
     the first frame that the next step reads, the oldest one that must
     still be stored, and once the last step is done it returns the
-    recorded points (n, n_rec, dims), per-record node flags,
+    recorded points (n, n_rec, n_coords), per-record node flags,
     per-trajectory node counts, failure flags and exit times.  A
     trajectory that leaves the grid is clamped inside it, marked failed
     and no longer moved.
     """
-    n, dims = q0.shape
-    hi = lo + np.reshape(shape, (dims, 1)) * step
+    n, n_coords = q0.shape
+    hi = lo + np.reshape(shape, (n_coords, 1)) * step
     n_rec = n_steps // rec_stride + 1
 
-    rec = np.empty((n, n_rec, dims), dtype=np.float64)
+    rec = np.empty((n, n_rec, n_coords), dtype=np.float64)
     reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
     node_counts = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=np.bool_)
@@ -170,7 +171,7 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
 
     # coordinates on the leading axis, so each one is a contiguous row
     q = np.ascontiguousarray(q0.T, dtype=np.float64)
-    vprev = np.zeros((dims, n))
+    vprev = np.zeros((n_coords, n))
     rec[:, 0, :] = q.T
     step_events = np.zeros(n, dtype=np.int64)
 
@@ -203,7 +204,7 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
         # failed points are clamped inside the grid, so a step with every
         # point inside the bounds of each axis has no new exit
         if any(q[ax].min() < lo_ax[ax] or q[ax].max() >= hi_ax[ax]
-               for ax in range(dims)):
+               for ax in range(n_coords)):
             out = ~failed & np.any((q < lo) | (q >= hi), axis=0)
             if np.any(out):
                 any_failed = True

@@ -36,6 +36,7 @@ def grid_cdf(x_cells: np.ndarray, density: np.ndarray, dx: float):
     if total <= 0:
         raise ConfigError("reference density must have positive mass")
     edges = np.concatenate([x_cells - 0.5 * dx, [x_cells[-1] + 0.5 * dx]])
+    # by masses.sum(), not _cell_cdf's cumsum[-1], so the KS keeps its bits
     cum = np.concatenate([[0.0], np.cumsum(masses)]) / total
 
     def cdf(x):

@@ -43,7 +43,7 @@ DEFAULTS = {
         dt=0.002, n_steps=1000, frame_stride=5,   # flight time T = 2
         dt_traj=0.005,
         separation_sigmas=8.0, ratio_threshold=1e6,
-        # 2D (y, z) grid used when gordon is on
+        # the y and z line grids of the Gordon run (gordon on)
         grid_n_y=128, grid_half_width_y=24.0,
         grid_n_z=512, grid_half_width_z=24.0,
         sigma_y=2.0,

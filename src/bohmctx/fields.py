@@ -1,4 +1,4 @@
-"""Complex scalar and spinor fields on a grid, plus Gaussian packet
+"""Complex scalar and spinor fields on a 1D grid, plus Gaussian packet
 construction and inner products.
 
 Width convention: the sigma of a GaussianPacketSpec is the standard
@@ -40,7 +40,7 @@ class SpinorField:
     down: ComplexField
 
     def __post_init__(self):
-        if not self.up.grid.same_as(self.down.grid):
+        if self.up.grid != self.down.grid:
             raise ConfigError("spinor components must share one grid")
 
     @property
@@ -56,51 +56,39 @@ FieldLike = ComplexField | SpinorField
 
 @dataclass(frozen=True)
 class GaussianPacketSpec:
-    """center, sigma and momentum are scalars in 1D, length-2 sequences in 2D."""
-
-    center: tuple[float, ...]
-    sigma: tuple[float, ...]
-    momentum: tuple[float, ...]
+    center: float
+    sigma: float
+    momentum: float
 
     @classmethod
     def make(cls, center, sigma, momentum) -> "GaussianPacketSpec":
-        c = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
-        s = tuple(np.atleast_1d(np.asarray(sigma, dtype=float)))
-        k = tuple(np.atleast_1d(np.asarray(momentum, dtype=float)))
-        return cls(c, s, k)
+        return cls(float(center), float(sigma), float(momentum))
 
     def validate_on(self, grid: SpatialGrid) -> None:
-        if not (len(self.center) == len(self.sigma) == len(self.momentum) == grid.dims):
-            raise ConfigError("packet spec dimensionality does not match grid")
-        for i in range(grid.dims):
-            if not self.sigma[i] > 0.0:
-                raise ConfigError("sigma must be positive")
-            lo = self.center[i] - 5.0 * self.sigma[i]
-            hi = self.center[i] + 5.0 * self.sigma[i]
-            if lo < grid.x_min[i] or hi > grid.x_max[i]:
-                raise ConfigError(
-                    f"packet support (center +- 5 sigma) leaves the domain on axis {i}"
-                )
+        if not self.sigma > 0.0:
+            raise ConfigError("sigma must be positive")
+        if (self.center - 5.0 * self.sigma < grid.x_min
+                or self.center + 5.0 * self.sigma > grid.x_max):
+            raise ConfigError(
+                "packet support (center +- 5 sigma) leaves the domain")
 
 
 def make_gaussian(grid: SpatialGrid, spec: GaussianPacketSpec) -> ComplexField:
-    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i k.(x-c)); with
+    """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i k (x-c)); with
     hbar = m = 1 it moves at velocity k."""
     spec.validate_on(grid)
-    psi = np.ones(grid.shape, dtype=np.complex128)
-    for i, mesh in enumerate(grid.meshes):
-        d = mesh - spec.center[i]
-        psi = psi * np.exp(-d * d / (4.0 * spec.sigma[i] ** 2) + 1j * spec.momentum[i] * d)
-    nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
+    d = grid.axis() - spec.center
+    psi = np.exp(-d * d / (4.0 * spec.sigma ** 2) + 1j * spec.momentum * d)
+    nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
     return ComplexField(grid, psi / nrm)
 
 
 def norm(f: FieldLike) -> float:
     """L2 norm; for spinors the joint norm over both components."""
     if isinstance(f, SpinorField):
-        n2 = (np.sum(f.up.density()) + np.sum(f.down.density())) * f.grid.cell_volume
+        n2 = (np.sum(f.up.density()) + np.sum(f.down.density())) * f.grid.dx
     else:
-        n2 = np.sum(f.density()) * f.grid.cell_volume
+        n2 = np.sum(f.density()) * f.grid.dx
     return float(np.sqrt(n2))
 
 
@@ -108,15 +96,13 @@ def overlap(a: FieldLike, b: FieldLike) -> complex:
     """Inner product <a|b>; spinor overlap sums both components."""
     if isinstance(a, SpinorField) != isinstance(b, SpinorField):
         raise ConfigError("cannot overlap a scalar field with a spinor field")
+    if a.grid != b.grid:
+        raise ConfigError("overlap requires a shared grid")
     if isinstance(a, SpinorField):
-        if not a.grid.same_as(b.grid):
-            raise ConfigError("overlap requires a shared grid")
         acc = (_vdot(a.up.values, b.up.values)
                + _vdot(a.down.values, b.down.values))
-        return complex(acc * a.grid.cell_volume)
-    if not a.grid.same_as(b.grid):
-        raise ConfigError("overlap requires a shared grid")
-    return complex(_vdot(a.values, b.values) * a.grid.cell_volume)
+        return complex(acc * a.grid.dx)
+    return complex(_vdot(a.values, b.values) * a.grid.dx)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -133,36 +119,22 @@ def center_width(rho: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return mu, math.sqrt(float(np.sum(w * (x - mu) ** 2)))
 
 
-def _axis_moments(f: FieldLike) -> list[tuple[float, float]]:
-    """center_width of the marginal of |psi|^2 on each grid axis."""
-    rho = f.density()
-    axes = range(f.grid.dims)
-    return [center_width(rho.sum(axis=tuple(a for a in axes if a != ax)),
-                         f.grid.axis(ax)) for ax in axes]
-
-
-def position_expectation(f: FieldLike) -> np.ndarray:
-    """Per-axis mean of |psi|^2."""
-    return np.array([mu for mu, _ in _axis_moments(f)])
-
-
 def position_std(f: FieldLike) -> np.ndarray:
-    """Per-axis standard deviation of |psi|^2."""
-    return np.array([width for _, width in _axis_moments(f)])
+    """Standard deviation of |psi|^2, as a length-1 array."""
+    return np.array([center_width(f.density(), f.grid.axis())[1]])
 
 
 def spatial_overlap(a: ComplexField, b: ComplexField) -> float:
     """Bhattacharyya coefficient of the two densities: integral of
     sqrt(rho_a rho_b).  Measures shared support, not phase coherence."""
-    if not a.grid.same_as(b.grid):
+    if a.grid != b.grid:
         raise ConfigError("spatial overlap requires a shared grid")
-    return density_overlap(a.density(), b.density(), a.grid.cell_volume)
+    return density_overlap(a.density(), b.density(), a.grid.dx)
 
 
-def density_overlap(rho_a: np.ndarray, rho_b: np.ndarray,
-                    cell_volume: float) -> float:
-    """`spatial_overlap` of two densities on one grid of cell_volume."""
-    na2 = np.sum(rho_a) * cell_volume
-    nb2 = np.sum(rho_b) * cell_volume
-    acc = np.sum(np.sqrt(rho_a * rho_b)) * cell_volume
+def density_overlap(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
+    """`spatial_overlap` of two densities on one grid of spacing dx."""
+    na2 = np.sum(rho_a) * dx
+    nb2 = np.sum(rho_b) * dx
+    acc = np.sum(np.sqrt(rho_a * rho_b)) * dx
     return float(acc / np.sqrt(na2 * nb2))

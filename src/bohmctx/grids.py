@@ -1,12 +1,12 @@
-"""Periodic spatial grids in one or two dimensions.
+"""The periodic spatial grid: one line.
 
-Convention: an axis with n points on [x_min, x_max) has spacing
-dx = (x_max - x_min) / n and excludes the point at x_max.  In 2D the plane
-axes are named (y, z); x is the out-of-plane direction.
+Convention: a line with n points on [x_min, x_max) has spacing
+dx = (x_max - x_min) / n and excludes the point at x_max.  The Stern-Gerlach
+Gordon run moves on a (y, z) plane, but its state is a product phi(y) chi(z),
+so it keeps one line for each factor and never a 2D grid.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -15,76 +15,34 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    n_points: tuple[int, ...]
-    x_min: tuple[float, ...]
-    x_max: tuple[float, ...]
+    n: int
+    x_min: float
+    x_max: float
 
     def __post_init__(self):
-        if len(self.n_points) not in (1, 2):
-            raise ConfigError("grids must be 1D or 2D")
-        if not (len(self.n_points) == len(self.x_min) == len(self.x_max)):
-            raise ConfigError("per-axis tuples must have matching lengths")
-        for n, lo, hi in zip(self.n_points, self.x_min, self.x_max):
-            if n < 64:
-                raise ConfigError(f"n_points must be >= 64, got {n}")
-            if not hi > lo:
-                raise ConfigError("x_max must exceed x_min")
+        if self.n < 64:
+            raise ConfigError(f"a grid needs >= 64 points, got {self.n}")
+        if not self.x_max > self.x_min:
+            raise ConfigError("x_max must exceed x_min")
 
     @classmethod
     def line(cls, n: int, x_min: float, x_max: float) -> "SpatialGrid":
-        return cls((n,), (x_min,), (x_max,))
-
-    @classmethod
-    def plane(cls, n_y: int, y_lim: tuple[float, float],
-              n_z: int, z_lim: tuple[float, float]) -> "SpatialGrid":
-        return cls((n_y, n_z), (y_lim[0], z_lim[0]), (y_lim[1], z_lim[1]))
+        return cls(int(n), float(x_min), float(x_max))
 
     @property
-    def dims(self) -> int:
-        return len(self.n_points)
+    def shape(self) -> tuple[int]:
+        return (self.n,)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.n_points
+    def dx(self) -> float:
+        return (self.x_max - self.x_min) / self.n
 
-    @property
-    def dx(self) -> tuple[float, ...]:
-        return tuple((hi - lo) / n
-                     for n, lo, hi in zip(self.n_points, self.x_min, self.x_max))
+    def axis(self, i: int = 0) -> np.ndarray:
+        """Coordinate values (x_max excluded) of the one axis, i = 0."""
+        if i != 0:
+            raise ConfigError("a grid has the one axis 0")
+        return self.x_min + self.dx * np.arange(self.n)
 
-    @property
-    def cell_volume(self) -> float:
-        out = 1.0
-        for d in self.dx:
-            out *= d
-        return out
-
-    def axis(self, i: int) -> np.ndarray:
-        """Coordinate values along axis i (x_max excluded)."""
-        return self.x_min[i] + self.dx[i] * np.arange(self.n_points[i])
-
-    def wavenumbers(self, i: int) -> np.ndarray:
-        """Angular wavenumbers matching numpy FFT ordering for axis i."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points[i], self.dx[i])
-
-    @cached_property
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        """Coordinate meshes with indexing='ij' (shape == grid shape)."""
-        return tuple(np.meshgrid(*(self.axis(i) for i in range(self.dims)),
-                                 indexing="ij"))
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """Mesh of |k|^2 in FFT ordering."""
-        ks = np.meshgrid(*(self.wavenumbers(i) for i in range(self.dims)),
-                         indexing="ij")
-        return sum(k * k for k in ks)
-
-    def contains(self, point: np.ndarray) -> bool:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        return all(self.x_min[i] <= p[i] < self.x_max[i] for i in range(self.dims))
-
-    def same_as(self, other: "SpatialGrid") -> bool:
-        return (self.n_points == other.n_points
-                and self.x_min == other.x_min
-                and self.x_max == other.x_max)
+    def wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers in numpy FFT ordering."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, self.dx)

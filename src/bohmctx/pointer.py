@@ -41,7 +41,7 @@ from . import _kernels
 from .analysis import UNRESOLVED
 from .errors import ConfigError
 from .schedules import PiecewiseLinear
-from .sampling import inverse_cdf_sample
+from .sampling import _cell_cdf, inverse_cdf_sample
 from .trajectories import Trajectory
 
 DEFAULT_RATIO_THRESHOLD = 1e6
@@ -378,8 +378,7 @@ def sample_model_equilibrium(model: BlockModel, n: int, seed: int
 
     xs, dens = x_marginal_density(model, 0.0)
     dx = xs[1] - xs[0]
-    cdf = np.concatenate([[0.0], np.cumsum(dens * dx)])
-    cdf /= cdf[-1]
+    cdf = _cell_cdf(dens * dx)
     out = np.empty((n, model.n_coords))
     for i in range(n):
         rng = np.random.default_rng((int(seed), int(i)))

@@ -1,9 +1,9 @@
 """Quantum-equilibrium sampling: initial positions drawn from |psi|^2.
 
-1D sampling inverts the grid CDF with linear interpolation inside each
-cell.  A product state phi(y) chi(z) on a (y, z) plane is sampled from its
-two 1D factors: y from |phi|^2, then z from |chi|^2, which is the
-conditional of z given y of every row.  Each sample index gets its own RNG
+Sampling inverts the grid CDF with linear interpolation inside each cell.
+A product state phi(y) chi(z) on a (y, z) plane is sampled from its two
+factors on their line grids: y from |phi|^2, then z from |chi|^2, which is
+the conditional of z given y of every row.  Each sample index gets its own RNG
 stream seeded by (seed, index), so results do not depend on draw order or
 parallelism.
 """
@@ -20,7 +20,7 @@ NORM_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class EquilibriumSample:
-    positions: np.ndarray  # (n, dims)
+    positions: np.ndarray  # (n, n_coords)
     seed: int
     method: str
 
@@ -46,33 +46,33 @@ def inverse_cdf_sample(edges_cdf: np.ndarray, x0: float, dx: float,
 
 
 def _cell_cdf(masses: np.ndarray) -> np.ndarray:
+    """Cell-edge values (length n + 1, 0 to 1) of the staircase CDF of cell
+    masses (n,)."""
     cdf = np.concatenate([[0.0], np.cumsum(masses)])
     return cdf / cdf[-1]
 
 
 def sample_equilibrium(source: FieldLike | tuple[FieldLike, FieldLike],
                        n: int, seed: int) -> EquilibriumSample:
-    """Draw n i.i.d. positions from |psi|^2 of a normalized 1D field, or
-    (n, 2) positions (y, z) from a pair (phi, chi) of normalized 1D factors
-    of a product state phi(y) chi(z), two uniforms per index (y first)."""
+    """Draw n i.i.d. positions from |psi|^2 of a normalized field, or
+    (n, 2) positions (y, z) from a pair (phi, chi) of normalized factors of
+    a product state phi(y) chi(z), two uniforms per index (y first)."""
     if n < 1:
         raise ConfigError("sample count must be >= 1")
     factors = source if isinstance(source, tuple) else (source,)
     for f in factors:
-        if f.grid.dims != 1:
-            raise ConfigError("sampling takes 1D fields or a pair of 1D factors")
         if abs(norm(f) - 1.0) > NORM_TOLERANCE:
             raise ConfigError("density source must be normalized to 1")
     grids = [f.grid for f in factors]
-    cdfs = [_cell_cdf(f.density() * f.grid.dx[0]) for f in factors]
+    cdfs = [_cell_cdf(f.density() * f.grid.dx) for f in factors]
     out = np.empty((n, len(factors)))
     for i in range(n):
         us = _stream(seed, i).random(len(factors))
         for ax, (grid, cdf, u) in enumerate(zip(grids, cdfs, us)):
-            out[i, ax] = inverse_cdf_sample(cdf, grid.x_min[0], grid.dx[0], u)
+            out[i, ax] = inverse_cdf_sample(cdf, grid.x_min, grid.dx, u)
     for ax, grid in enumerate(grids):
-        out[:, ax] = np.clip(out[:, ax], grid.x_min[0],
-                             grid.x_max[0] - 1e-9 * grid.dx[0])
+        out[:, ax] = np.clip(out[:, ax], grid.x_min,
+                             grid.x_max - 1e-9 * grid.dx)
     return EquilibriumSample(out, seed,
                              "inverse_cdf_1d" if len(factors) == 1
                              else "product_factors_1d")

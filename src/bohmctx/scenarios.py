@@ -32,7 +32,7 @@ from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
 from .propagation import (PotentialSpec, _boundary_band_mask,
                           check_support_guard, propagate)
 from .report import EnsembleReport
-from .sampling import sample_equilibrium
+from .sampling import _cell_cdf, sample_equilibrium
 from .schedules import PiecewiseLinear
 from .trajectories import (FrameStream, endpoints, integrate_over_stacks,
                            integrate_product_flows)
@@ -92,7 +92,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     # outcome: the detector whose branch contains the trajectory at t_sep
     outcomes = _dominant_density_labels(
         grid, branches.rho_plus * a_r ** 2,
-        branches.rho_minus * a_l ** 2, x_at_sep[:, None],
+        branches.rho_minus * a_l ** 2, x_at_sep,
         ("D1", "D2"), cfg.ratio_threshold)
 
     y0 = _bs_detector_offsets(cfg)
@@ -126,7 +126,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
         if len(seg) and np.any(seg != seg[0]):
             jumps += 1
     ks = _maybe_ks(endpoints(trajs)[:, 0],
-                   grid_cdf(grid.axis(0), final.density(), grid.dx[0]))
+                   grid_cdf(grid.axis(), final.density(), grid.dx))
 
     node_counts = np.array([tr.node_regularization_events for tr in trajs]) \
         + det_res.node_counts
@@ -207,15 +207,14 @@ def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
     n_frames = cfg.n_steps // cfg.frame_stride + 1
     series = _BranchSeries(*(np.empty(n_frames) for _ in range(5)))
     band = _boundary_band_mask(plus.grid)
-    x = plus.grid.axis(0)
-    cell_volume = plus.grid.cell_volume
+    x, dx = plus.grid.axis(), plus.grid.dx
 
     def observer(step, t, pair):
         rho_p, rho_m = pair.up.density(), pair.down.density()
         check_support_guard(rho_p, step, band)
         check_support_guard(rho_m, step, band)
         f = step // cfg.frame_stride
-        series.bhattacharyya[f] = density_overlap(rho_p, rho_m, cell_volume)
+        series.bhattacharyya[f] = density_overlap(rho_p, rho_m, dx)
         series.inner[f] = abs(overlap(pair.up, pair.down))
         series.center_plus[f], series.width[f] = center_width(rho_p, x)
         series.center_minus[f], _ = center_width(rho_m, x)
@@ -310,22 +309,19 @@ def _branch_overlap(state: SpinorField) -> float:
 
 def _density_median(grid: SpatialGrid, rho: np.ndarray) -> float:
     """Median of the centered-cell staircase, matching the sampler."""
-    masses = rho * grid.dx[0]
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
-    cdf /= cdf[-1]
-    half = 0.5 * grid.dx[0]
-    edges = np.concatenate([grid.axis(0) - half, [grid.x_max[0] - half]])
-    return float(np.interp(0.5, cdf, edges))
+    half = 0.5 * grid.dx
+    edges = np.concatenate([grid.axis() - half, [grid.x_max - half]])
+    return float(np.interp(0.5, _cell_cdf(rho * grid.dx), edges))
 
 
 def _dominant_density_labels(grid: SpatialGrid, rho_a: np.ndarray,
-                             rho_b: np.ndarray, points: np.ndarray,
+                             rho_b: np.ndarray, x: np.ndarray,
                              labels: tuple[str, str],
                              ratio_threshold: float) -> list[str]:
     """labels[0] or labels[1] by which branch density dominates at each
-    point (m, dims) by at least ratio_threshold, else "unresolved"."""
-    log_a = np.log(np.maximum(_interp(grid, rho_a, points), 1e-300))
-    log_b = np.log(np.maximum(_interp(grid, rho_b, points), 1e-300))
+    point of x (m,) by at least ratio_threshold, else "unresolved"."""
+    log_a = np.log(np.maximum(_interp(grid, rho_a, x), 1e-300))
+    log_b = np.log(np.maximum(_interp(grid, rho_b, x), 1e-300))
     return labels_from_log_ratio(log_a - log_b, labels, ratio_threshold)
 
 
@@ -372,22 +368,22 @@ def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
 def _sg_z_cdf(final: SpinorField):
     """CDF of the final density of the 1D spinor on z."""
     grid = final.grid
-    return grid_cdf(grid.axis(0), final.density(), grid.dx[0])
+    return grid_cdf(grid.axis(), final.density(), grid.dx)
 
 
-def _sg_outcome_labels(final: SpinorField, points: np.ndarray,
+def _sg_outcome_labels(final: SpinorField, z: np.ndarray,
                        ratio_threshold: float) -> list[str]:
     """Spin label from the dominant component of the 1D spinor final at
-    each endpoint z (m, 1)."""
+    each endpoint z (m,)."""
     return _dominant_density_labels(final.grid, final.up.density(),
-                                    final.down.density(), points,
+                                    final.down.density(), z,
                                     ("+", "-"), ratio_threshold)
 
 
 def _sg_check_separation(cfg, final: SpinorField) -> None:
     if min(abs(cfg.alpha), abs(cfg.beta)) == 0.0:
         return  # single branch, nothing to separate
-    z = final.grid.axis(0)
+    z = final.grid.axis()
     stats = [center_width(comp.density(), z) for comp in (final.up, final.down)]
     gap = abs(stats[0][0] - stats[1][0])
     width = max(stats[0][1], stats[1][1])
@@ -408,7 +404,7 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
             cfg, spinor0, gradient, sample.positions, 1)
         _sg_check_separation(cfg, final)
         ends = endpoints(trajs)
-        outcomes = _sg_outcome_labels(final, ends, cfg.ratio_threshold)
+        outcomes = _sg_outcome_labels(final, ends[:, 0], cfg.ratio_threshold)
         return final, trajs, ends, outcomes, branch_overlap
 
     final, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
@@ -471,8 +467,8 @@ def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
     phi(y) and the spinor chi(z) are propagated on their own 1D axes, and
     their observers fill per-frame 1D tables: P = |phi|^2, J_phi from y;
     R, J_chi and S = 2 Re(chi_up* chi_down) from z.  P' and S' are the
-    spectral gradients of the sampled P and S, as the 2D spin-curl current
-    (hbar/2m)(d_z s_x, -d_y s_x) differentiates the sampled s_x = P S.
+    spectral gradients of the sampled P and S, so the spin-curl current
+    (hbar/2m)(d_z s_x, -d_y s_x) of s_x = P S is (hbar/2m)(P S', -P' S).
     `_kernels.product_velocity` forms the 2D fields from these tables at
     each point:
 
@@ -487,11 +483,9 @@ def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
     is the larger of the two factor ratios, and a product is finite
     exactly when both factors are, so the guard and the finiteness check
     of each 1D propagation stop the run exactly when the 2D checks would
-    (the y factor is checked first).  The tests hold a brute-force 2D
-    reference of this product form.
+    (the y factor is checked first).  The tests check the tables against
+    the closed form of this product of Gaussians.
     """
-    grid = SpatialGrid.plane(cfg.grid_n_y, (-cfg.grid_half_width_y, cfg.grid_half_width_y),
-                             cfg.grid_n_z, (-cfg.grid_half_width_z, cfg.grid_half_width_z))
     y_grid = SpatialGrid.line(cfg.grid_n_y, -cfg.grid_half_width_y, cfg.grid_half_width_y)
     z_grid = SpatialGrid.line(cfg.grid_n_z, -cfg.grid_half_width_z, cfg.grid_half_width_z)
     phi0 = make_gaussian(y_grid, GaussianPacketSpec.make(0.0, cfg.sigma_y, 0.0))
@@ -509,12 +503,12 @@ def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
     def y_observer(step, t, state):
         f = step // cfg.frame_stride
         times[f] = t
-        y_tab[f, 0], (y_tab[f, 1],) = current_and_density(
+        y_tab[f, 0], y_tab[f, 1] = current_and_density(
             state, VelocityModel.SCALAR)
 
     def z_observer(step, t, state):
         f = step // cfg.frame_stride
-        z_tab[f, 0], (z_tab[f, 1],) = current_and_density(
+        z_tab[f, 0], z_tab[f, 1] = current_and_density(
             state, VelocityModel.SPINOR)
         z_tab[f, 2] = 2.0 * (np.conj(state.up.values) * state.down.values).real
         branch_overlap[f] = _branch_overlap(state)
@@ -527,16 +521,16 @@ def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
 
     # hbar/2m = 1/2
     y_tab[:, 2] = -0.5 * _spectral_gradient(
-        y_tab[:, 0].astype(np.complex128), y_grid)[0].real
+        y_tab[:, 0].astype(np.complex128), y_grid).real
     z_tab[:, 3] = 0.5 * _spectral_gradient(
-        z_tab[:, 2].astype(np.complex128), z_grid)[0].real
+        z_tab[:, 2].astype(np.complex128), z_grid).real
     peaks = y_tab[:, 0].max(axis=1) * z_tab[:, 0].max(axis=1)
     return (phi0, chi0, chi, branch_overlap,
-            ProductTables(grid, times, y_tab, z_tab, peaks))
+            ProductTables(y_grid, z_grid, times, y_tab, z_tab, peaks))
 
 
 def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
-    """(y, z) grid; trajectories follow the flow with the Gordon term, and
+    """(y, z) plane; trajectories follow the flow with the Gordon term, and
     the same initial positions under the flow without it are the audit."""
     phi0, chi0, chi, branch_overlap, tables = _sg_setup_2d(cfg)
     _sg_check_separation(cfg, chi)
@@ -546,16 +540,16 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
     trajs_on, trajs_off = integrate_product_flows(
         tables, sample.positions, cfg.dt_traj, gordon=(1.0, 0.0))
     # the z column: the up/down ratio of a product does not depend on y
-    ends_on, ends_off = endpoints(trajs_on)[:, 1:], endpoints(trajs_off)[:, 1:]
+    ends_on, ends_off = endpoints(trajs_on)[:, 1], endpoints(trajs_off)[:, 1]
     outcomes = _sg_outcome_labels(chi, ends_on, cfg.ratio_threshold)
     outcomes_off = _sg_outcome_labels(chi, ends_off, cfg.ratio_threshold)
 
     predictions = {"system": _sg_system_predictions(cfg, z0)}
 
     both = [(o, f, e, fe) for o, f, e, fe
-            in zip(outcomes, outcomes_off, ends_on[:, 0], ends_off[:, 0])
+            in zip(outcomes, outcomes_off, ends_on, ends_off)
             if o != UNRESOLVED and f != UNRESOLVED]
-    ks = _maybe_ks(ends_on[:, 0], _sg_z_cdf(chi))
+    ks = _maybe_ks(ends_on, _sg_z_cdf(chi))
     node_counts = np.array([tr.node_regularization_events for tr in trajs_on])
 
     report = EnsembleReport(
@@ -605,11 +599,19 @@ def build_optical_sg_model(cfg: OpticalSGConfig, N: int) -> BlockModel:
                               ramp=ramp, branches=branches, T=cfg.T)
 
 
+def _pointer_sample_and_integrate(model: BlockModel, n: int, seed: int,
+                                  dt: float, record_stride: int) -> tuple:
+    """n configurations drawn from |Psi(0)|^2 and their integration: the
+    path shared by a pointer run and its born-check."""
+    init = sample_model_equilibrium(model, n, seed)
+    return init, integrate_pointer_ensemble(model, init, dt, record_stride)
+
+
 def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
                           record_stride: int, ratio_threshold: float,
                           scenario: str) -> EnsembleReport:
-    init = sample_model_equilibrium(model, n, seed)
-    res = integrate_pointer_ensemble(model, init, dt, record_stride)
+    init, res = _pointer_sample_and_integrate(model, n, seed, dt,
+                                              record_stride)
     ends = res.final_points()
     T = model.T
     outcomes = [classify_point(p, T, model, ratio_threshold) for p in ends]
@@ -778,7 +780,7 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
         steps, _ = cfg.trajectory_steps()
         final, trajs = _bs_propagate(cfg, psi0, sample.positions, steps)
         ks = born_rule_ks(endpoints(trajs)[:, 0],
-                          grid_cdf(grid.axis(0), final.density(), grid.dx[0]))
+                          grid_cdf(grid.axis(), final.density(), grid.dx))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
         if cfg.gordon:
@@ -804,8 +806,10 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
 
 
 def _pointer_born_check(model: BlockModel, cfg, n: int, name: str) -> dict:
-    init = sample_model_equilibrium(model, n, cfg.seed)
-    res = integrate_pointer_ensemble(model, init, cfg.dt_traj, cfg.record_stride)
+    # only the endpoints are compared, so only they are recorded
+    n_steps = max(int(round(model.T / cfg.dt_traj)), 1)
+    _, res = _pointer_sample_and_integrate(model, n, cfg.seed, cfg.dt_traj,
+                                           n_steps)
     ends = res.final_points()[:, 0]
     xs, dens = pointer.x_marginal_density(model, model.T)
     ks = born_rule_ks(ends, grid_cdf(xs, dens, float(xs[1] - xs[0])))

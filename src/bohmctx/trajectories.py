@@ -1,11 +1,11 @@
 """Ensemble Bohmian trajectory integration over propagation frames.
 
 Classical RK4 on the interpolated velocity field; linear interpolation in
-time between frames and in space.  The field comes from 1D (S, n_x)
-density and current stacks that hold frame f in slot f % S, or, for a
-product state phi(y) chi(z) on a (y, z) plane, from per-frame 1D tables of
-the factors (`integrate_product_flows`, several Gordon weights in one
-kernel call).
+time between frames and in space.  The field comes from (S, n) density and
+current stacks on one line grid that hold frame f in slot f % S, or, for a
+product state phi(y) chi(z) on a (y, z) plane, from per-frame tables of the
+factors on their own line grids (`integrate_product_flows`, several Gordon
+weights in one kernel call).
 
 A `GridFlow` is one ensemble's integration; it advances through every RK4
 step that the frames present so far cover.  Over stored stacks
@@ -13,7 +13,7 @@ step that the frames present so far cover.  Over stored stacks
 `FrameStream` holds a ring of FRAME_SLOTS frames, fed one frame at a time
 by a propagation's observer, and advances its flow whenever the ring is
 full, so a run integrates its trajectories while it propagates and
-stores no (F, *grid) stack.  Either way each trajectory does the same arithmetic.
+stores no (F, n) stack.  Either way each trajectory does the same arithmetic.
 Integration is delegated to the vectorized numpy kernels in `_kernels`;
 every trajectory is independent, so results are identical for any thread
 count.
@@ -48,7 +48,7 @@ WRITE_BLOCK_VALUES = 4096
 @dataclass
 class Trajectory:
     times: np.ndarray
-    points: np.ndarray  # (n_times, dims)
+    points: np.ndarray  # (n_times, n_coords)
     node_regularization_events: int = 0
     regularized_flags: np.ndarray | None = None  # per recorded time
     failed: bool = False
@@ -66,11 +66,9 @@ def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
                           ) -> list[Trajectory]:
     """One trajectory per initial position under the interpolated stacks,
     which hold every frame."""
-    if stacks.grid.dims != 1:
-        raise ConfigError("grid stacks are integrated in 1D only")
-    flow = GridFlow(stacks.grid, stacks.times, positions, dt_traj,
+    flow = GridFlow((stacks.grid,), stacks.times, positions, dt_traj,
                     record_stride, _kernels.grid_velocity,
-                    ((stacks.rho, *stacks.g), stacks.peaks))
+                    ((stacks.rho, stacks.g), stacks.peaks))
     flow.advance(len(stacks.times) - 1)
     return flow.trajectories
 
@@ -85,7 +83,7 @@ def integrate_product_flows(tables: ProductTables, positions: np.ndarray,
     pts = np.asarray(positions, dtype=float)
     n = len(pts)
     weights = np.repeat(np.asarray(gordon, dtype=float), n)
-    flow = GridFlow(tables.grid, tables.times,
+    flow = GridFlow((tables.y_grid, tables.z_grid), tables.times,
                     np.tile(pts, (len(gordon), 1)), dt_traj, 1,
                     _kernels.product_velocity,
                     (tables.y, tables.z, tables.peaks, weights))
@@ -99,11 +97,13 @@ class GridFlow:
     `velocity(q, t, vprev, *tables, t0, frame_dt, lo, step, node_rel)`
     over frames at `times`, advanced as the frames become available.
 
-    The step and the initial positions are checked against the frame
-    times and the grid on construction.  `trajectories` is None until the
-    last step is done, then one Trajectory per initial position."""
+    `grids` holds the line grid of each trajectory coordinate: one for a
+    1D flow, (y, z) for a product flow.  The step and the initial
+    positions are checked against the frame times and the grids on
+    construction.  `trajectories` is None until the last step is done,
+    then one Trajectory per initial position."""
 
-    def __init__(self, grid: SpatialGrid, times: np.ndarray,
+    def __init__(self, grids: tuple[SpatialGrid, ...], times: np.ndarray,
                  positions: np.ndarray, dt_traj: float, record_stride: int,
                  velocity, tables: tuple):
         frame_dt = float(times[1] - times[0])
@@ -113,19 +113,18 @@ class GridFlow:
         pts = np.asarray(positions, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        if pts.shape[1] != grid.dims:
-            raise ConfigError("initial positions do not match the grid dimension")
-        for i in range(grid.dims):
-            if np.any(pts[:, i] < grid.x_min[i]) or np.any(pts[:, i] >= grid.x_max[i]):
-                raise ConfigError("initial position outside the grid domain")
+        if pts.shape[1] != len(grids):
+            raise ConfigError("initial positions need one coordinate per grid")
+        lo = np.array([[g.x_min] for g in grids])
+        step = np.array([[g.dx] for g in grids])
+        if np.any(pts < lo.T) or np.any(pts >= [g.x_max for g in grids]):
+            raise ConfigError("initial position outside the grid domain")
 
-        lo = np.reshape(np.asarray(grid.x_min, dtype=np.float64), (grid.dims, 1))
-        step = np.reshape(np.asarray(grid.dx, dtype=np.float64), (grid.dims, 1))
         self._rk4 = _kernels.grid_rk4(
             pts, velocity,
             (*tables, t0, frame_dt, lo, step, NODE_DENSITY_REL),
-            lo, step, grid.shape, t0, dt_traj, n_steps, record_stride,
-            frame_dt, len(times))
+            lo, step, [g.n for g in grids], t0, dt_traj, n_steps,
+            record_stride, frame_dt, len(times))
         next(self._rk4)
         self._t0, self._rec_dt = t0, dt_traj * record_stride
         self.first_needed = 0  # first frame that the next step reads
@@ -156,15 +155,14 @@ class FrameStream:
         shape = (FRAME_SLOTS,) + grid.shape
         self.stacks = VelocityStacks(
             grid, np.asarray(times, dtype=float), np.empty(shape),
-            [np.empty(shape) for _ in range(grid.dims)],
-            np.empty(len(times)))
-        self.flow = GridFlow(grid, self.stacks.times, positions, dt_traj,
+            np.empty(shape), np.empty(len(times)))
+        self.flow = GridFlow((grid,), self.stacks.times, positions, dt_traj,
                              record_stride, _kernels.grid_velocity,
-                             ((self.stacks.rho, *self.stacks.g),
+                             ((self.stacks.rho, self.stacks.g),
                               self.stacks.peaks))
 
-    def add(self, f: int, rho: np.ndarray, g: list[np.ndarray]) -> None:
-        """Store frame f (density rho, currents g) over frame
+    def add(self, f: int, rho: np.ndarray, g: np.ndarray) -> None:
+        """Store frame f (density rho, current g) over frame
         f - FRAME_SLOTS.  If the flow still reads that frame, it first runs
         every step that frames up to f - 1 cover; with the last frame it
         runs to the end."""
@@ -176,15 +174,14 @@ class FrameStream:
                                    "still reads")
         slot = f % FRAME_SLOTS
         self.stacks.rho[slot] = rho
-        for ax, g_ax in enumerate(g):
-            self.stacks.g[ax][slot] = g_ax
+        self.stacks.g[slot] = g
         self.stacks.peaks[f] = rho.max()
         if f == len(self.stacks.times) - 1:
             self.flow.advance(f)
 
 
 def endpoints(trajectories: list[Trajectory]) -> np.ndarray:
-    """(n, dims) last recorded point of each trajectory."""
+    """(n, n_coords) last recorded point of each trajectory."""
     return np.array([t.points[-1] for t in trajectories])
 
 
@@ -201,11 +198,11 @@ def write_trajectories_csv(path, trajectories: Sequence[Trajectory],
     one times array, as the trajectories of one ensemble do."""
     if not trajectories:
         raise ConfigError("no trajectories to write")
-    dims = trajectories[0].points.shape[1]
-    names = ([f"c{i}" for i in range(dims)] if dims > 2
-             else (["x"] if dims == 1 else ["y", "z"]))
-    row_fmt = "%d,%s" + ",%r" * dims + ",%s\r\n"
-    width = dims + 3
+    n_coords = trajectories[0].points.shape[1]
+    names = ([f"c{i}" for i in range(n_coords)] if n_coords > 2
+             else (["x"] if n_coords == 1 else ["y", "z"]))
+    row_fmt = "%d,%s" + ",%r" * n_coords + ",%s\r\n"
+    width = n_coords + 3
     block = max(1, WRITE_BLOCK_VALUES // width)
     base = None  # the times array whose formatted column is `times`
     with open(path, "w", newline="") as fh:

@@ -22,7 +22,7 @@ from bohmctx.schedules import PiecewiseLinear
 from bohmctx.trajectories import integrate_over_stacks
 from conftest import propagate_frames
 import rk4_reference as reference
-from sg_reference_2d import stage_velocity
+from gaussian_oracle import stage_velocity
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +86,8 @@ def test_grid_stage_velocity_matches_interp(grid):
         w = ft - f0
 
         def expect(arr):
-            return ((1 - w) * _interp(grid, arr[f0], pts)
-                    + w * _interp(grid, arr[f0 + 1], pts))
+            return ((1 - w) * _interp(grid, arr[f0], pts[:, 0])
+                    + w * _interp(grid, arr[f0 + 1], pts[:, 0]))
 
         v, node = _kernels.grid_velocity(pts.T, t, vprev, (rho, g), peaks,
                                          t0, frame_dt, lo, step,
@@ -101,7 +101,7 @@ def test_grid_stage_velocity_node_keeps_vprev():
     rho = np.ones((2,) + grid.shape)
     rho[:, 10] = 0.0  # a density zero at one grid node in both frames
     g = np.ones_like(rho)
-    pts = np.array([[grid.axis(0)[10]], [0.1]])
+    pts = np.array([[grid.axis()[10]], [0.1]])
     vprev = np.array([[0.25, 7.0]])
     v, node = _kernels.grid_velocity(pts.T, 0.5, vprev, (rho, g),
                                      np.ones(2), 0.0, 1.0,
@@ -160,7 +160,10 @@ def test_product_velocity_matches_bilinear_reference():
     # 2D stage velocity over their outer-product stacks (bilinear in space,
     # linear in time), the Gordon term on and off per point
     ny, nz, n_frames, t0, frame_dt = 64, 96, 5, 0.3, 0.25
-    grid = SpatialGrid.plane(ny, (-4.0, 4.0), nz, (-6.0, 6.0))
+    lo = np.array([[-4.0], [-6.0]])  # the plane [-4, 4) x [-6, 6)
+    step = np.array([[8.0 / ny], [12.0 / nz]])
+    x_min, dx = lo[:, 0], step[:, 0]
+    x_max = x_min + dx * [ny, nz]
     rng = np.random.default_rng(2)
     y_tab = rng.standard_normal((n_frames, 3, ny))
     z_tab = rng.standard_normal((n_frames, 4, nz))
@@ -169,11 +172,9 @@ def test_product_velocity_matches_bilinear_reference():
     P, J_phi, dP = y_tab.transpose(1, 0, 2)[:, :, :, None]
     R, J_chi, S, dS = z_tab.transpose(1, 0, 2)[:, :, None, :]
     peaks = P.max(axis=(1, 2)) * R.max(axis=(1, 2))
-    lo = np.reshape(grid.x_min, (2, 1))
-    step = np.reshape(grid.dx, (2, 1))
-    inside = rng.uniform(grid.x_min, grid.x_max, (20, 2))
+    inside = rng.uniform(x_min, x_max, (20, 2))
     # the last cell on each axis interpolates across the periodic wrap
-    last = rng.uniform(np.subtract(grid.x_max, grid.dx), grid.x_max, (6, 2))
+    last = rng.uniform(x_max - dx, x_max, (6, 2))
     pts = np.concatenate([inside, last,
                           np.column_stack([inside[:6, 0], last[:, 1]])])
     vprev = np.full((2, len(pts)), 99.0)

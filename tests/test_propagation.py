@@ -3,12 +3,15 @@ import pytest
 from scipy import fft as scipy_fft
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
-                     PotentialSpec, SpatialGrid, SpinorField,
+                     PotentialSpec, SpinorField,
                      SupportGuardViolation, make_gaussian, norm, propagate)
 from bohmctx.errors import PropagationBlowup
+from bohmctx import scenarios
+from bohmctx.config import BeamSplitterConfig, SternGerlachConfig
 from bohmctx.fields import position_std
 
 from conftest import free_width, harmonic_width, propagate_frames
+import gaussian_oracle
 
 
 def test_free_gaussian_width_oracle(line_grid, unit_gaussian):
@@ -28,7 +31,7 @@ def test_zero_steps_identity(unit_gaussian):
 def test_plane_wave_kinetic_phase(line_grid):
     L = 40.0
     k = 2 * np.pi * 11 / L
-    x = line_grid.axis(0)
+    x = line_grid.axis()
     pw = ComplexField(line_grid, np.exp(1j * k * x) / np.sqrt(L))
     t = 1.5
     res = propagate(pw, PotentialSpec.free(), 0.015, 100, support_guard=False)
@@ -44,7 +47,7 @@ def test_unitarity_battery(line_grid):
         (SpinorField(ComplexField(line_grid, psi.values * 0.6),
                      ComplexField(line_grid, psi.values * 0.8)),
          PotentialSpec.linear_spin_dependent(2.0, 0.5)),
-        (psi, PotentialSpec.sampled(0.5 * line_grid.axis(0) ** 2)),
+        (psi, PotentialSpec.sampled(0.5 * line_grid.axis() ** 2)),
     ]
     for state, pot in runs:
         res = propagate(state, pot, 0.002, n_steps, support_guard=False)
@@ -78,7 +81,7 @@ def test_spinor_decoupling(line_grid):
     b, b0 = 3.0, 0.7
     joint = propagate(sp, PotentialSpec.linear_spin_dependent(b, b0),
                       0.002, 200)
-    z = line_grid.axis(0)
+    z = line_grid.axis()
     base = 0.5 * (b0 + b * z)
     up = propagate(sp.up, PotentialSpec.sampled(-base), 0.002, 200)
     down = propagate(sp.down, PotentialSpec.sampled(+base), 0.002, 200)
@@ -97,7 +100,7 @@ def test_strang_convergence_order(line_grid, unit_gaussian):
     # closed-form harmonic-trap Gaussian by ~4x.  (Free and linear-potential
     # evolution carry no dt error with a spectral kinetic step, so the order
     # is measured where splitting error exists.)
-    x = line_grid.axis(0)
+    x = line_grid.axis()
     trap = PotentialSpec.sampled(0.5 * x ** 2)
     t_final = 1.0
     errors = []
@@ -145,7 +148,8 @@ def test_nan_detection_reports_step(unit_gaussian):
 
 def _split_step_reference(comps, pots, grid, dt, n_steps):
     """Strang steps one component at a time with numpy.fft."""
-    kin = np.exp(-1j * grid.k_squared * dt / 2.0)
+    k = grid.wavenumbers()
+    kin = np.exp(-1j * (k * k) * dt / 2.0)
     out = []
     for psi, v in zip(comps, pots):
         half = np.exp(-0.5j * v * dt)
@@ -156,44 +160,42 @@ def _split_step_reference(comps, pots, grid, dt, n_steps):
 
 
 def test_batched_propagation_matches_per_component_reference(line_grid):
-    # 1D scalar in a harmonic trap
+    # scalar in a harmonic trap
     psi = make_gaussian(line_grid, GaussianPacketSpec.make(-1.0, 1.0, 1.5))
-    v = 0.5 * line_grid.axis(0) ** 2
+    v = 0.5 * line_grid.axis() ** 2
     res = propagate(psi, PotentialSpec.sampled(v), 0.01, 120)
     (ref,) = _split_step_reference([psi.values], [v], line_grid, 0.01, 120)
     assert np.abs(res.final.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    # 2D spinor under the linear spin-dependent potential
-    grid = SpatialGrid.plane(64, (-12.0, 12.0), 96, (-16.0, 16.0))
-    g = make_gaussian(grid, GaussianPacketSpec.make((0.0, 0.0), (2.0, 1.0),
-                                                    (0.5, 0.0)))
-    sp = SpinorField(ComplexField(grid, 0.6 * g.values),
-                     ComplexField(grid, 0.8j * g.values))
+    # spinor under the linear spin-dependent potential
+    g = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 0.5))
+    sp = SpinorField(ComplexField(line_grid, 0.6 * g.values),
+                     ComplexField(line_grid, 0.8j * g.values))
     b, b0 = 3.0, 0.4
     res = propagate(sp, PotentialSpec.linear_spin_dependent(b, b0), 0.005, 80,
                     support_guard=False)
-    base = 0.5 * (b0 + b * grid.meshes[-1])
+    base = 0.5 * (b0 + b * line_grid.axis())
     ref = _split_step_reference([sp.up.values, sp.down.values],
-                                [-base, base], grid, 0.005, 80)
+                                [-base, base], line_grid, 0.005, 80)
     for got, want in zip((res.final.up.values, res.final.down.values), ref):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _scipy_strang_step(comps, pot, grid, dt):
-    """One propagate() step on (C, *grid.shape) components, with the
-    transform pair taken from scipy.fft.fftn/ifftn over the grid axes."""
-    axes = tuple(range(1, grid.dims + 1))
-    kin = np.exp(-1j * grid.k_squared * dt / 2.0)
+    """One propagate() step on (C, n) components, with the transform pair
+    taken from scipy.fft.fftn/ifftn over the grid axis."""
+    k = grid.wavenumbers()
+    kin = np.exp(-1j * (k * k) * dt / 2.0)
     half = 1.0
     if pot.kind == "linear_spin_dependent":
-        base = 0.5 * (pot.offset + pot.gradient * grid.meshes[-1])
+        base = 0.5 * (pot.offset + pot.gradient * grid.axis())
         half = np.exp(-0.5j * np.stack([-base, +base]) * dt)
     # in-place products as in propagate: `a *= b` and `b * a` can differ in
     # the last bit
     comps = comps * half
-    comps = scipy_fft.fftn(comps, axes=axes)
+    comps = scipy_fft.fftn(comps, axes=(-1,))
     comps *= kin
-    comps = scipy_fft.ifftn(comps, axes=axes)
+    comps = scipy_fft.ifftn(comps, axes=(-1,))
     comps *= half
     return comps
 
@@ -202,8 +204,7 @@ def _scipy_strang_step(comps, pot, grid, dt):
                                  PotentialSpec.linear_spin_dependent(3.0, 0.4)],
                          ids=["free", "linear"])
 def test_step_matches_scipy_fftn(line_grid, pot):
-    # numpy.fft per axis is bitwise scipy.fft on 1D grids, the only grids
-    # the drivers propagate
+    # numpy.fft is bitwise scipy.fft on the grid axis
     g = make_gaussian(line_grid, GaussianPacketSpec.make(0.5, 1.0, 1.5))
     sp = SpinorField(ComplexField(line_grid, 0.6 * g.values),
                      ComplexField(line_grid, 0.8j * g.values))
@@ -213,30 +214,13 @@ def test_step_matches_scipy_fftn(line_grid, pot):
     assert np.array_equal(res.final.up.values, want[0])
     assert np.array_equal(res.final.down.values, want[1])
 
-    # 2D (only tests propagate in 2D): scipy's ifftn scales by 1/(ny nz)
-    # once, numpy by 1/n per axis, so the bits may differ; the measured max
-    # |difference| is 6.2e-17 (free) and 5.7e-17 (linear) on amplitudes up
-    # to 0.23
-    grid = SpatialGrid.plane(64, (-12.0, 12.0), 96, (-16.0, 16.0))
-    g = make_gaussian(grid, GaussianPacketSpec.make((0.0, 0.0), (2.0, 1.0),
-                                                    (0.5, 1.0)))
-    sp = SpinorField(ComplexField(grid, 0.6 * g.values),
-                     ComplexField(grid, 0.8j * g.values))
-    res = propagate(sp, pot, 0.01, 1, support_guard=False)
-    want = _scipy_strang_step(np.stack([sp.up.values, sp.down.values]), pot,
-                              grid, 0.01)
-    assert np.abs(res.final.up.values - want[0]).max() <= 1e-11
-    assert np.abs(res.final.down.values - want[1]).max() <= 1e-11
 
-
-def test_observer_replaces_frame_storage():
-    # a 2D spinor run shows its observer the state of every capture step,
+def test_observer_replaces_frame_storage(line_grid):
+    # a spinor run shows its observer the state of every capture step,
     # bitwise the final state of a run that stops at that step
-    grid = SpatialGrid.plane(64, (-12.0, 12.0), 96, (-16.0, 16.0))
-    g = make_gaussian(grid, GaussianPacketSpec.make((0.0, 0.0), (1.0, 1.0),
-                                                    (0.0, 0.0)))
-    sp = SpinorField(ComplexField(grid, 0.6 * g.values),
-                     ComplexField(grid, 0.8 * g.values))
+    g = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 0.0))
+    sp = SpinorField(ComplexField(line_grid, 0.6 * g.values),
+                     ComplexField(line_grid, 0.8 * g.values))
     pot = PotentialSpec.linear_spin_dependent(2.0)
     watched = propagate_frames(sp, pot, 0.01, 40, frame_stride=10)
     assert watched.times.tolist() == [10 * i * 0.01 for i in range(5)]
@@ -244,3 +228,34 @@ def test_observer_replaces_frame_storage():
         stopped = propagate(sp, pot, 0.01, 10 * i).final
         assert np.array_equal(frame.up.values, stopped.up.values)
         assert np.array_equal(frame.down.values, stopped.down.values)
+
+
+# -- closed form ---------------------------------------------------------------
+
+def test_beam_splitter_default_final_density_matches_closed_form():
+    # the default beam-splitter superposition after free flight to T, on
+    # its grid, against the two closed-form packets: measured 1.7e-13 of
+    # the peak density, bound 1e-12
+    cfg = BeamSplitterConfig()
+    grid, _, _, psi0 = scenarios._bs_setup(cfg)
+    final = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps).final
+    exact = np.abs(gaussian_oracle.beam_splitter_state(
+        grid.axis(), cfg.dt * cfg.n_steps, cfg)) ** 2
+    assert np.abs(final.density() - exact).max() <= 1e-12 * exact.max()
+
+
+def test_sg_1d_default_components_match_closed_form():
+    # the default Stern-Gerlach spinor under the linear spin-dependent
+    # potential, each component against the closed-form packet under the
+    # force +-gradient/2: measured 4.4e-14 (up) and 2.1e-13 (down) of the
+    # peak density, bound 1e-12.  Strang splitting leaves the global phase
+    # f^2 T dt^2 / 24 = 5.3e-6 on both, so densities are compared
+    cfg = SternGerlachConfig()
+    spinor0 = scenarios._sg_initial_1d(cfg)
+    final = propagate(spinor0, PotentialSpec.linear_spin_dependent(
+        cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps).final
+    up, down, _, _ = gaussian_oracle.sg_spinor(
+        spinor0.grid.axis(), cfg.dt * cfg.n_steps, cfg)
+    for got, want in ((final.up, up), (final.down, down)):
+        exact = np.abs(want) ** 2
+        assert np.abs(got.density() - exact).max() <= 1e-12 * exact.max()

@@ -44,7 +44,7 @@ def test_unnormalized_source_rejected(line_grid):
 
 
 def test_2d_sampling_marginals():
-    # a product state on the (y, z) plane is sampled from its 1D factors
+    # a product state on the (y, z) plane is sampled from its factors
     phi = make_gaussian(SpatialGrid.line(128, -10.0, 10.0),
                         GaussianPacketSpec.make(0.5, 1.0, 0.0))
     chi = make_gaussian(SpatialGrid.line(128, -10.0, 10.0),
@@ -56,33 +56,25 @@ def test_2d_sampling_marginals():
     assert ky < 0.05 and kz < 0.05
 
 
-def test_2d_field_rejected():
-    # 2D fields are sampled through their 1D factors only
-    grid = SpatialGrid.plane(64, (-8.0, 8.0), 64, (-8.0, 8.0))
-    psi = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0, 0)))
-    with pytest.raises(ConfigError, match="1D"):
-        sample_equilibrium(psi, 10, seed=0)
-
-
 def test_positions_inside_domain(line_grid):
     psi = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 2.0, 0.0))
     sample = sample_equilibrium(psi, 500, seed=2)
-    assert np.all(sample.positions[:, 0] >= line_grid.x_min[0])
-    assert np.all(sample.positions[:, 0] < line_grid.x_max[0])
+    assert np.all(sample.positions[:, 0] >= line_grid.x_min)
+    assert np.all(sample.positions[:, 0] < line_grid.x_max)
 
 
 def test_fringed_density_sampling(line_grid):
     # superposition density with interference fringes; sampled CDF must
     # track the exact grid CDF
-    x = line_grid.axis(0)
+    x = line_grid.axis()
     vals = np.exp(-x ** 2 / 4.0) * np.cos(5 * x)
-    n2 = np.sum(np.abs(vals) ** 2) * line_grid.dx[0]
+    n2 = np.sum(np.abs(vals) ** 2) * line_grid.dx
     psi = ComplexField(line_grid, vals / np.sqrt(n2))
     sample = sample_equilibrium(psi, 2000, seed=5)
     rho = psi.density()
-    edges = np.concatenate([x - line_grid.dx[0] / 2,
-                            [x[-1] + line_grid.dx[0] / 2]])
-    cum = np.concatenate([[0.0], np.cumsum(rho * line_grid.dx[0])])
+    edges = np.concatenate([x - line_grid.dx / 2,
+                            [x[-1] + line_grid.dx / 2]])
+    cum = np.concatenate([[0.0], np.cumsum(rho * line_grid.dx)])
     cum /= cum[-1]
     stat = kstest(sample.positions[:, 0],
                   lambda q: np.interp(q, edges, cum)).statistic

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
-                     PotentialSpec, SpatialGrid, make_gaussian, propagate,
+                     PotentialSpec, make_gaussian, propagate,
                      sample_equilibrium)
 from bohmctx.analysis import audit_trajectories, grid_cdf
 from bohmctx import trajectories
@@ -13,15 +13,14 @@ from bohmctx.guidance import VelocityModel, build_stacks, current_and_density
 from bohmctx.trajectories import (FrameStream, Trajectory, endpoints,
                                   integrate_over_stacks,
                                   write_trajectories_csv)
-import sg_reference_2d as reference_2d
 from conftest import assert_same_trajectories, propagate_frames
 
 SCALAR = VelocityModel.SCALAR
 
 
 def plane_wave_frames(grid, k, t_final, n_frames):
-    L = grid.x_max[0] - grid.x_min[0]
-    x = grid.axis(0)
+    L = grid.x_max - grid.x_min
+    x = grid.axis()
     times = np.linspace(0.0, t_final, n_frames)
     frames = [ComplexField(grid, np.exp(1j * (k * x - 0.5 * k * k * t)) / np.sqrt(L))
               for t in times]
@@ -54,7 +53,7 @@ def test_equivariance_free_gaussian(line_grid, unit_gaussian):
     sample = sample_equilibrium(unit_gaussian, 2000, seed=21)
     trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
                                   sample.positions, 0.01)
-    ref = grid_cdf(line_grid.axis(0), prop.final.density(), line_grid.dx[0])
+    ref = grid_cdf(line_grid.axis(), prop.final.density(), line_grid.dx)
     stat = kstest(endpoints(trajs)[:, 0], ref).statistic
     assert stat < 0.05
 
@@ -130,24 +129,6 @@ def test_dt_exceeding_frame_spacing_rejected(line_grid, unit_gaussian):
     with pytest.raises(ConfigError):
         integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
                               np.zeros((1, 1)), 0.5)
-
-
-def test_2d_trajectories_free_gaussian():
-    # the package integrates 2D flows only from product tables; the
-    # brute-force 2D reference that checks them (2D stacks, bilinear
-    # stage velocity, the package's grid RK4) follows a free packet's center
-    grid = SpatialGrid.plane(128, (-12.0, 12.0), 128, (-12.0, 12.0))
-    psi = make_gaussian(grid, GaussianPacketSpec.make((0, 0), (1, 1), (0.5, -0.5)))
-    prop = propagate_frames(psi, PotentialSpec.free(), 0.01, 100,
-                            frame_stride=2)
-    trajs = reference_2d.integrate(
-        build_stacks(prop.frames, prop.times, SCALAR),
-        np.array([[0.0, 0.0], [0.5, -0.5]]), 0.005)
-    # the packet center rides at (0.5, -0.5); the center trajectory follows
-    assert np.abs(trajs[0].points[-1] - np.array([0.5, -0.5])).max() <= 1e-3
-    with pytest.raises(ConfigError, match="1D"):
-        integrate_over_stacks(build_stacks(prop.frames[:2], prop.times[:2],
-                                           SCALAR), np.zeros((1, 2)), 0.005)
 
 
 def _csv_module_reference(path, trajectories, stride):
