@@ -8,7 +8,6 @@ from .grids import SpatialGrid
 from .fields import (ComplexField, SpinorField, GaussianPacketSpec,
                      make_gaussian, norm, overlap)
 from .propagation import PotentialSpec, propagate
-from .guidance import VelocityModel
 from .sampling import EquilibriumSample, sample_equilibrium
 from .trajectories import Trajectory
 from .pointer import (Branch, PointerModelConfig, system_overlap,
@@ -20,7 +19,7 @@ from .errors import (BohmctxError, ConfigError, NumericalFailure,
 __all__ = [
     "SpatialGrid", "ComplexField", "SpinorField", "GaussianPacketSpec",
     "make_gaussian", "norm", "overlap", "PotentialSpec", "propagate",
-    "VelocityModel", "EquilibriumSample", "sample_equilibrium", "Trajectory",
+    "EquilibriumSample", "sample_equilibrium", "Trajectory",
     "Branch", "PointerModelConfig", "system_overlap", "predictor_system",
     "EnsembleReport", "BohmctxError", "ConfigError", "NumericalFailure",
     "SupportGuardViolation", "SeparationError",

@@ -24,6 +24,11 @@ from .report import EnsembleReport, _plain
 from .scenarios import run_born_check, run_scenario
 from .trajectories import write_trajectories_csv
 
+# every recorded point of every trajectory goes to trajectories.csv
+TRAJECTORY_STRIDE = 1
+# born-check draws at least this many trajectories
+BORN_CHECK_N = 2000
+
 SUBCOMMANDS = {
     "beam-splitter": "beam_splitter",
     "stern-gerlach": "stern_gerlach",
@@ -142,8 +147,7 @@ def _run_scenario_command(args) -> int:
 
 def _run_born_check(args) -> int:
     cfg = _load_scenario_config(args, None)
-    from .config import OUTPUT_DEFAULTS
-    n = max(cfg.n, OUTPUT_DEFAULTS["born_check_n"])
+    n = max(cfg.n, BORN_CHECK_N)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -176,14 +180,12 @@ def write_outputs(report: EnsembleReport, cfg, out_dir: Path, fmt: str,
     if trajs is None and "result" in report.artifacts:
         trajs = report.artifacts["result"].trajectories()
     if trajs:
-        from .config import OUTPUT_DEFAULTS
-        stride = OUTPUT_DEFAULTS["trajectory_stride"]
         path = out_dir / "trajectories.csv"
         if fmt == "json":
             path = out_dir / "trajectories.json"
             _write_trajectories_json(path, trajs)
         else:
-            write_trajectories_csv(path, trajs, stride=stride)
+            write_trajectories_csv(path, trajs, stride=TRAJECTORY_STRIDE)
         outputs.append(path)
 
     if report.overlap_series:

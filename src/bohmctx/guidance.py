@@ -33,11 +33,6 @@ from .grids import SpatialGrid
 NODE_DENSITY_REL = 1e-12  # of frame peak density
 
 
-class VelocityModel:
-    SCALAR = "scalar_guidance"
-    SPINOR = "spinor_convective"
-
-
 def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """d/dx of values (..., n) along the grid axis; leading axes are
     batched through one transform pair."""
@@ -46,19 +41,14 @@ def _spectral_gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return np.fft.ifft(ft, axis=-1, out=ft)
 
 
-def current_and_density(state: FieldLike, model: str
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, G) for one frame under the given velocity model, with
-    hbar = m = 1."""
+def current_and_density(state: FieldLike) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, G) for one frame, with hbar = m = 1: the scalar current of a
+    ComplexField, the convective current of a SpinorField."""
     if isinstance(state, SpinorField):
-        if model == VelocityModel.SCALAR:
-            raise ConfigError("scalar guidance cannot consume spinor frames")
         u, d = state.up.values, state.down.values
         rho = np.abs(u) ** 2 + np.abs(d) ** 2
         du, dd = _spectral_gradient(np.stack([u, d]), state.grid)
         return rho, (np.conj(u) * du + np.conj(d) * dd).imag
-    if model != VelocityModel.SCALAR:
-        raise ConfigError("spinor guidance requires SpinorField frames")
     psi = state.values
     return (np.abs(psi) ** 2,
             (np.conj(psi) * _spectral_gradient(psi, state.grid)).imag)
@@ -99,8 +89,8 @@ class ProductTables:
     peaks: np.ndarray  # (F,) max P * max R, the peak of rho = P R
 
 
-def build_stacks(frames: list[FieldLike], times: np.ndarray,
-                 model: str) -> VelocityStacks:
+def build_stacks(frames: list[FieldLike], times: np.ndarray
+                 ) -> VelocityStacks:
     if len(frames) < 2:
         raise ConfigError("at least two frames are required")
     dts = np.diff(times)
@@ -109,6 +99,6 @@ def build_stacks(frames: list[FieldLike], times: np.ndarray,
     shape = (len(frames),) + frames[0].grid.shape
     rho, g = np.empty(shape), np.empty(shape)
     for f, state in enumerate(frames):
-        rho[f], g[f] = current_and_density(state, model)
+        rho[f], g[f] = current_and_density(state)
     return VelocityStacks(frames[0].grid, np.asarray(times, dtype=float),
                           rho, g, rho.max(axis=1))

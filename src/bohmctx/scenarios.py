@@ -16,15 +16,15 @@ from . import analysis, pointer
 from .analysis import UNRESOLVED, born_rule_ks, grid_cdf
 from .config import (AncillaChainConfig, BeamSplitterConfig, OpticalSGConfig,
                      ScenarioConfig, SternGerlachConfig)
-from .errors import ConfigError, SeparationError
+from .errors import ConfigError, SeparationError, SupportGuardViolation
 from .fields import (ComplexField, SpinorField, center_width,
                      density_overlap, make_gaussian, norm, overlap,
                      GaussianPacketSpec)
 from .grids import SpatialGrid
 # build_stacks and integrate_over_stacks are not called here; they stay
 # importable from this module because perfbench/tracer.py wraps them
-from .guidance import (ProductTables, VelocityModel, build_stacks,
-                       current_and_density, _interp, _spectral_gradient)
+from .guidance import (ProductTables, build_stacks, current_and_density,
+                       _interp, _spectral_gradient)
 from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
                       classify_point, integrate_pointer_ensemble,
                       labels_from_log_ratio, predictor_block_sum,
@@ -172,9 +172,8 @@ def _bs_setup(cfg: BeamSplitterConfig) -> tuple:
 def _bs_propagate(cfg: BeamSplitterConfig, psi0: ComplexField,
                   positions: np.ndarray, record_stride: int) -> tuple:
     """Final state of the free propagation of psi0 and the trajectories
-    from positions under its SCALAR flow, integrated while it propagates."""
-    stream, feed = _stream_observer(cfg, psi0.grid, positions, record_stride,
-                                    VelocityModel.SCALAR)
+    from positions under its scalar flow, integrated while it propagates."""
+    stream, feed = _stream_observer(cfg, psi0.grid, positions, record_stride)
     final = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                       frame_stride=cfg.frame_stride, observer=feed).final
     return final, stream.flow.trajectories
@@ -283,8 +282,7 @@ def _frame_times(cfg) -> np.ndarray:
 
 
 def _stream_observer(cfg, grid: SpatialGrid, positions: np.ndarray,
-                     record_stride: int, model: str
-                     ) -> tuple[FrameStream, Callable]:
+                     record_stride: int) -> tuple[FrameStream, Callable]:
     """A FrameStream that integrates the ensemble from positions over the
     frames of a propagation of cfg, and the `propagate` observer that
     feeds it each frame's current_and_density.  The observer returns the
@@ -294,7 +292,7 @@ def _stream_observer(cfg, grid: SpatialGrid, positions: np.ndarray,
 
     def feed(step, t, state) -> int:
         f = step // cfg.frame_stride
-        rho, g = current_and_density(state, model)
+        rho, g = current_and_density(state)
         stream.add(f, rho, g)
         return f
 
@@ -353,7 +351,7 @@ def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
     (integrated while it propagates) and branch overlap series of the 1D
     run under the given field gradient."""
     stream, feed = _stream_observer(cfg, spinor0.grid, positions,
-                                    record_stride, VelocityModel.SPINOR)
+                                    record_stride)
     branch_overlap = np.empty(len(stream.stacks.times))
 
     def observer(step, t, state):
@@ -482,9 +480,10 @@ def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
     to the norm of phi.  The 2D support guard ratio of a product density
     is the larger of the two factor ratios, and a product is finite
     exactly when both factors are, so the guard and the finiteness check
-    of each 1D propagation stop the run exactly when the 2D checks would
-    (the y factor is checked first).  The tests check the tables against
-    the closed form of this product of Gaussians.
+    of each 1D propagation stop the run exactly when the 2D checks would:
+    both factors are propagated, and the guard violation at the earlier
+    step is raised (the y factor's on a tie).  The tests check the tables
+    against the closed form of this product of Gaussians.
     """
     y_grid = SpatialGrid.line(cfg.grid_n_y, -cfg.grid_half_width_y, cfg.grid_half_width_y)
     z_grid = SpatialGrid.line(cfg.grid_n_z, -cfg.grid_half_width_z, cfg.grid_half_width_z)
@@ -503,21 +502,29 @@ def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
     def y_observer(step, t, state):
         f = step // cfg.frame_stride
         times[f] = t
-        y_tab[f, 0], y_tab[f, 1] = current_and_density(
-            state, VelocityModel.SCALAR)
+        y_tab[f, 0], y_tab[f, 1] = current_and_density(state)
 
     def z_observer(step, t, state):
         f = step // cfg.frame_stride
-        z_tab[f, 0], z_tab[f, 1] = current_and_density(
-            state, VelocityModel.SPINOR)
+        z_tab[f, 0], z_tab[f, 1] = current_and_density(state)
         z_tab[f, 2] = 2.0 * (np.conj(state.up.values) * state.down.values).real
         branch_overlap[f] = _branch_overlap(state)
 
-    propagate(phi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
-              frame_stride=cfg.frame_stride, observer=y_observer)
-    chi = propagate(chi0, PotentialSpec.linear_spin_dependent(cfg.gradient, cfg.offset),
-                    cfg.dt, cfg.n_steps, frame_stride=cfg.frame_stride,
-                    observer=z_observer).final
+    def run(state, potential, observer):
+        """(final state, None) or (None, the factor's guard violation)."""
+        try:
+            return propagate(state, potential, cfg.dt, cfg.n_steps,
+                             frame_stride=cfg.frame_stride,
+                             observer=observer).final, None
+        except SupportGuardViolation as exc:
+            return None, exc
+
+    _, y_guard = run(phi0, PotentialSpec.free(), y_observer)
+    chi, z_guard = run(chi0, PotentialSpec.linear_spin_dependent(
+        cfg.gradient, cfg.offset), z_observer)
+    guards = [exc for exc in (y_guard, z_guard) if exc is not None]
+    if guards:  # the earlier step, y on a tie
+        raise min(guards, key=lambda exc: exc.step)
 
     # hbar/2m = 1/2
     y_tab[:, 2] = -0.5 * _spectral_gradient(

@@ -7,11 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from bohmctx import ConfigError
+from bohmctx import ConfigError, cli
 from bohmctx.cli import _write_overlaps_csv, write_outputs
-from bohmctx.config import (CONFIG_TYPES, DEFAULTS, config_from_mapping,
-                            config_to_mapping, load_config, parse_config_text,
-                            serialize_config)
+from bohmctx.config import (CONFIG_TYPES, config_from_mapping, load_config,
+                            parse_config_text, serialize_config)
 from bohmctx.scenarios import run_scenario
 from conftest import traced_peak
 
@@ -52,7 +51,7 @@ def test_round_trip_all_scenarios():
         cfg = cls()
         text = serialize_config(cfg)
         back = config_from_mapping(parse_config_text(text))
-        assert config_to_mapping(back) == config_to_mapping(cfg)
+        assert back == cfg
 
 
 def test_round_trip_with_overrides():
@@ -140,11 +139,40 @@ def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
     assert "dt_traj must not exceed the frame spacing" in capsys.readouterr().err
 
 
-def test_defaults_table_covers_dataclasses():
-    for name, cls in CONFIG_TYPES.items():
-        cfg = cls()
-        for key, value in DEFAULTS[name].items():
-            assert getattr(cfg, key) == value
+@pytest.mark.parametrize("command, line", [
+    ("stern-gerlach", "n = 20.5"),
+    ("stern-gerlach", "n = abc"),
+    ("stern-gerlach", "gordon = yes"),
+    ("stern-gerlach", "seed = true"),
+    ("beam-splitter", "grid_n = 512.5"),
+    ("beam-splitter", "sigma = on"),
+    ("ancilla", "N = 4.0"),
+    ("optical-sg", "N_sweep = 1, four"),
+    ("optical-sg", "record_stride = 0"),
+    ("optical-sg", "record_stride = -2"),
+    ("ancilla", "record_stride = 0"),
+    ("beam-splitter", "record_stride = -3"),
+], ids=["n_float", "n_word", "gordon_yes", "seed_bool", "grid_n_float",
+        "sigma_word", "ancilla_N_float", "sweep_word", "osg_stride_0",
+        "osg_stride_neg", "ancilla_stride_0", "bs_stride_neg"])
+def test_cli_rejects_bad_config_value(tmp_path, capsys, command, line):
+    # a value of the wrong type for its field, or a record stride out of
+    # range, is a config error (exit 1) before anything runs: neither a
+    # Python traceback, nor a silent truncation or reinterpretation
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"scenario = {cli.SUBCOMMANDS[command]}\n{line}\n")
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_float_fields_keep_ints_as_written():
+    # an int written for a float field stays an int, so summary.json keeps
+    # its bytes ("sigma": 1, not 1.0)
+    cfg = config_from_mapping(parse_config_text(
+        "scenario = beam_splitter\nsigma = 1\n"))
+    assert type(cfg.sigma) is int
 
 
 def test_load_config_missing_file(tmp_path):

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SpatialGrid, SpinorField, make_gaussian, norm, overlap)
 from bohmctx.fields import center_width, position_std, spatial_overlap
-from bohmctx.guidance import VelocityModel, current_and_density
+from bohmctx.guidance import current_and_density
 
 
 def test_gaussian_normalized(line_grid):
@@ -22,7 +22,7 @@ def test_gaussian_centered(line_grid):
 def test_gaussian_velocity_matches_momentum(line_grid):
     # mean velocity of a k=2 packet is hbar k / m = 2, via the guidance law
     psi = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 2.0))
-    rho, g = current_and_density(psi, VelocityModel.SCALAR)
+    rho, g = current_and_density(psi)
     for x in (-0.78125, 0.0, 1.328125):  # grid nodes
         i = int(round((x - line_grid.x_min) / line_grid.dx))
         assert abs(g[i] / rho[i] - 2.0) <= 1e-6

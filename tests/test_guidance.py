@@ -4,13 +4,10 @@ from scipy import fft as scipy_fft
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SpatialGrid, SpinorField, make_gaussian)
-from bohmctx.guidance import (VelocityModel, _spectral_gradient, build_stacks,
+from bohmctx.guidance import (_spectral_gradient, build_stacks,
                               current_and_density)
 from bohmctx.trajectories import integrate_over_stacks
 import gaussian_oracle
-
-SCALAR, SPINOR = VelocityModel.SCALAR, VelocityModel.SPINOR
-
 
 def at_nodes(grid, x, rho, g):
     """v = G / rho at grid nodes x (m,), where no interpolation is
@@ -33,20 +30,20 @@ def test_plane_wave_velocity(line_grid):
     x = line_grid.axis()
     pw = ComplexField(line_grid, np.exp(1j * k * x) / np.sqrt(L))
     v = at_nodes(line_grid, np.array([-7.5, 0.0, 4.375]),
-                 *current_and_density(pw, SCALAR))
+                 *current_and_density(pw))
     assert np.abs(v - k).max() <= 1e-8
 
 
 def test_stationary_gaussian_zero_velocity(unit_gaussian):
     v = at_nodes(unit_gaussian.grid, np.array([-1.25, 0.625]),
-                 *current_and_density(unit_gaussian, SCALAR))
+                 *current_and_density(unit_gaussian))
     assert np.abs(v).max() <= 1e-10
 
 
 def test_boosted_gaussian_uniform_velocity(line_grid):
     psi = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 2.0))
     v = at_nodes(line_grid, np.array([-2.5, 0.0, 1.25]),
-                 *current_and_density(psi, SCALAR))
+                 *current_and_density(psi))
     assert np.abs(v - 2.0).max() <= 1e-6
 
 
@@ -55,8 +52,8 @@ def test_spinor_single_component_reduction(line_grid):
     sp = SpinorField(psi, ComplexField(line_grid, np.zeros(line_grid.shape,
                                                            dtype=complex)))
     pts = np.array([-1.25, 0.3125, 1.875])
-    v_sp, v_psi = (at_nodes(line_grid, pts, *current_and_density(f, model))
-                   for f, model in ((sp, SPINOR), (psi, SCALAR)))
+    v_sp, v_psi = (at_nodes(line_grid, pts, *current_and_density(f))
+                   for f in (sp, psi))
     assert np.array_equal(v_sp, v_psi)
 
 
@@ -65,8 +62,8 @@ def test_spinor_equal_components_reduction(line_grid):
     half = ComplexField(line_grid, psi.values / np.sqrt(2))
     sp = SpinorField(half, half)
     pts = np.array([-0.625, 1.09375])
-    v_sp, v_psi = (at_nodes(line_grid, pts, *current_and_density(f, model))
-                   for f, model in ((sp, SPINOR), (psi, SCALAR)))
+    v_sp, v_psi = (at_nodes(line_grid, pts, *current_and_density(f))
+                   for f in (sp, psi))
     assert np.allclose(v_sp, v_psi, atol=1e-12)
 
 
@@ -86,7 +83,7 @@ def test_spinor_counterpropagating_zero_at_equal_amplitudes(line_grid):
     x = grid.axis()
     sp = normalized_spinor(grid, up_f(x), down_f(x))
     pts = np.array([0.0, 0.859375, -1.40625])  # equal amplitudes
-    v = at_nodes(grid, pts, *current_and_density(sp, SPINOR))
+    v = at_nodes(grid, pts, *current_and_density(sp))
     assert np.abs(v).max() <= 1e-6
 
     h = 1e-6
@@ -203,12 +200,6 @@ def test_gordon_current_of_product_matches_factor_tables():
 
 def test_out_of_domain_rejected(unit_gaussian):
     # the grid RK4 refuses a starting point outside the grid domain
-    stacks = build_stacks([unit_gaussian] * 2, np.array([0.0, 0.1]), SCALAR)
+    stacks = build_stacks([unit_gaussian] * 2, np.array([0.0, 0.1]))
     with pytest.raises(ConfigError, match="outside the grid domain"):
         integrate_over_stacks(stacks, np.array([[25.0]]), 0.05)
-
-
-def test_scalar_model_rejects_spinor(line_grid, unit_gaussian):
-    sp = SpinorField(unit_gaussian, unit_gaussian)
-    with pytest.raises(ConfigError):
-        build_stacks([sp, sp], np.array([0.0, 1.0]), SCALAR)

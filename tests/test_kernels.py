@@ -11,8 +11,7 @@ from bohmctx import GaussianPacketSpec, PotentialSpec, make_gaussian
 from bohmctx import _kernels
 from bohmctx.config import AncillaChainConfig, OpticalSGConfig
 from bohmctx.grids import SpatialGrid
-from bohmctx.guidance import (NODE_DENSITY_REL, VelocityModel, _interp,
-                              build_stacks)
+from bohmctx.guidance import NODE_DENSITY_REL, _interp, build_stacks
 from bohmctx.pointer import (POINTER_NODE_THRESH, BlockModel, CoordinateBlock,
                              integrate_pointer_ensemble,
                              sample_model_equilibrium)
@@ -31,7 +30,7 @@ def stacks_1d():
     psi = make_gaussian(grid, GaussianPacketSpec.make(0.0, 1.0, 1.0))
     prop = propagate_frames(psi, PotentialSpec.free(), 0.01, 100,
                             frame_stride=2)
-    return build_stacks(prop.frames, prop.times, VelocityModel.SCALAR)
+    return build_stacks(prop.frames, prop.times)
 
 
 def test_pointer_one_step_matches_hand_rk4():

@@ -10,7 +10,7 @@ from bohmctx.fields import spatial_overlap
 from bohmctx.analysis import (born_rule_ks, determinant_attribution,
                               grid_cdf, predictor_accuracy)
 from bohmctx import _kernels, pointer
-from bohmctx.guidance import NODE_DENSITY_REL, VelocityModel, build_stacks
+from bohmctx.guidance import NODE_DENSITY_REL, build_stacks
 from bohmctx.pointer import (classify_point, integrate_pointer_ensemble,
                              labels_from_log_ratio)
 from bohmctx.propagation import (GUARD_BAND_CELLS, GUARD_DENSITY_RATIO,
@@ -81,7 +81,7 @@ def test_beam_splitter_streamed_trajectories_equal_stored_stacks(kw):
     prop = propagate_frames(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                             frame_stride=cfg.frame_stride)
     ref = integrate_over_stacks(
-        build_stacks(prop.frames, prop.times, VelocityModel.SCALAR),
+        build_stacks(prop.frames, prop.times),
         positions, cfg.dt_traj, record_stride=stride)
     assert np.array_equal(final.values, prop.final.values)
     assert_same_trajectories(trajs, ref)
@@ -373,7 +373,7 @@ def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
         sign * cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
         frame_stride=cfg.frame_stride)
     ref = integrate_over_stacks(
-        build_stacks(prop.frames, prop.times, VelocityModel.SPINOR),
+        build_stacks(prop.frames, prop.times),
         positions, cfg.dt_traj)
     want = [abs(overlap(f.up, f.down)) / max(norm(f.up) * norm(f.down), 1e-300)
             for f in prop.frames]
@@ -381,6 +381,41 @@ def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
     assert np.array_equal(final.down.values, prop.final.down.values)
     assert np.array_equal(branch, want)
     assert_same_trajectories(trajs, ref)
+
+
+def _exact_sg_1d_flow(cfg, z0):
+    """Endpoints of RK4 at dt_traj on the closed-form SG-1D velocity
+    Im(u* u' + d* d') / (|u|^2 + |d|^2), from z0 over the flight time."""
+    def v(z, t):
+        u, d, du, dd = gaussian_oracle.sg_spinor(z, t, cfg)
+        return ((np.conj(u) * du + np.conj(d) * dd).imag
+                / (np.abs(u) ** 2 + np.abs(d) ** 2))
+
+    h, z = cfg.dt_traj, np.array(z0, dtype=float)
+    for i in range(round(cfg.n_steps * cfg.dt / h)):
+        t = i * h
+        k1 = v(z, t)
+        k2 = v(z + 0.5 * h * k1, t + 0.5 * h)
+        k3 = v(z + 0.5 * h * k2, t + 0.5 * h)
+        k4 = v(z + h * k3, t + h)
+        z += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
+
+
+def test_sg_1d_grid_flow_endpoints_match_closed_form_flow():
+    # the grid flow (frames 0.01 apart, each linearly interpolated on the
+    # default 1024-point grid) against RK4 at the same dt_traj on the exact
+    # velocity: at n = 50, seed 1 the endpoints differ by at most 1.87e-3
+    # (median 6.2e-4).  On a 512-point grid the maximum is 4.12e-3, so the
+    # bound 2.5e-3 catches a grid that is too coarse
+    cfg = SternGerlachConfig(n=50, seed=1)
+    spinor0 = scenarios._sg_initial_1d(cfg)
+    positions = sample_equilibrium(spinor0, cfg.n, cfg.seed).positions
+    _, trajs, _ = scenarios._sg_propagate_1d(cfg, spinor0, cfg.gradient,
+                                             positions, 1)
+    exact = _exact_sg_1d_flow(cfg, positions[:, 0])
+    assert not any(tr.failed for tr in trajs)
+    assert np.abs(endpoints(trajs)[:, 0] - exact).max() <= 2.5e-3
 
 
 def test_born_check_grid_scenario():
@@ -631,16 +666,19 @@ def test_sg_gordon_labels_equal_2d_labels(seed):
 
 
 @pytest.mark.parametrize("narrow", [dict(sigma_y=0.5, grid_half_width_y=12.0),
-                                    dict(grid_half_width_z=14.0)],
-                         ids=["y", "z"])
+                                    dict(grid_half_width_z=14.0),
+                                    dict(sigma_y=0.5, grid_half_width_y=14.0,
+                                         grid_half_width_z=12.0)],
+                         ids=["y", "z", "both"])
 def test_sg_2d_support_guard_fires_at_the_2d_step(narrow):
     # the 2D guard ratio of P R is the larger of the factor ratios, so the
     # factorised setup stops at the capture where the guard on the 2D
     # density would: here the closed-form P R (an outer product) with the
-    # band of 10 cells at each end of both axes.  The step is exact; the
-    # ratios differ by 7.4e-7 (y) and 5.3e-3 (z) relative, because the
-    # periodic grid's density near the ends is not the whole line's (bound
-    # 1e-2)
+    # band of 10 cells at each end of both axes.  With both factors
+    # breaching ("both"), z breaches first, at step 175, and y at 190.
+    # The step is exact; the ratios differ by 7.4e-7 (y), 5.3e-3 (z) and
+    # 5.4e-4 (both) relative, because the periodic grid's density near the
+    # ends is not the whole line's (bound 1e-2)
     cfg = _small_gordon_config(10)
     for key, value in narrow.items():
         setattr(cfg, key, value)

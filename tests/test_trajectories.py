@@ -9,13 +9,11 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      sample_equilibrium)
 from bohmctx.analysis import audit_trajectories, grid_cdf
 from bohmctx import trajectories
-from bohmctx.guidance import VelocityModel, build_stacks, current_and_density
+from bohmctx.guidance import build_stacks, current_and_density
 from bohmctx.trajectories import (FrameStream, Trajectory, endpoints,
                                   integrate_over_stacks,
                                   write_trajectories_csv)
 from conftest import assert_same_trajectories, propagate_frames
-
-SCALAR = VelocityModel.SCALAR
 
 
 def plane_wave_frames(grid, k, t_final, n_frames):
@@ -31,7 +29,7 @@ def test_plane_wave_trajectories_exact(line_grid):
     k = 2 * np.pi * 7 / 40.0
     frames, times = plane_wave_frames(line_grid, k, 2.0, 21)
     x0s = [-3.0, 0.25, 5.5]
-    trajs = integrate_over_stacks(build_stacks(frames, times, SCALAR),
+    trajs = integrate_over_stacks(build_stacks(frames, times),
                                   np.c_[x0s], 0.01)
     for tr, x0 in zip(trajs, x0s):
         assert abs(tr.points[-1, 0] - (x0 + k * 2.0)) <= 1e-10
@@ -41,7 +39,7 @@ def test_plane_wave_trajectories_exact(line_grid):
 def test_spreading_gaussian_center_stays(unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
-    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times),
                                   np.zeros((1, 1)), 0.01)
     assert np.abs(trajs[0].points[:, 0]).max() <= 1e-8
 
@@ -51,7 +49,7 @@ def test_equivariance_free_gaussian(line_grid, unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
     sample = sample_equilibrium(unit_gaussian, 2000, seed=21)
-    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times),
                                   sample.positions, 0.01)
     ref = grid_cdf(line_grid.axis(), prop.final.density(), line_grid.dx)
     stat = kstest(endpoints(trajs)[:, 0], ref).statistic
@@ -62,7 +60,7 @@ def test_no_crossing_free_gaussian(line_grid, unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
     sample = sample_equilibrium(unit_gaussian, 400, seed=3)
-    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times),
                                   sample.positions, 0.005)
     assert audit_trajectories(trajs) == 0
 
@@ -70,7 +68,7 @@ def test_no_crossing_free_gaussian(line_grid, unit_gaussian):
 def test_mirror_symmetry(line_grid, unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
-    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+    trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times),
                                   np.array([[1.3], [-1.3]]), 0.005)
     assert np.abs(trajs[0].points[:, 0] + trajs[1].points[:, 0]).max() <= 1e-6
 
@@ -79,7 +77,7 @@ def test_step_size_robustness(line_grid, unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
     sample = sample_equilibrium(unit_gaussian, 100, seed=8)
-    stacks = build_stacks(prop.frames, prop.times, SCALAR)
+    stacks = build_stacks(prop.frames, prop.times)
     coarse = integrate_over_stacks(stacks, sample.positions, 0.01)
     fine = integrate_over_stacks(stacks, sample.positions, 0.005)
     delta = np.abs(endpoints(coarse) - endpoints(fine)).max()
@@ -89,7 +87,7 @@ def test_step_size_robustness(line_grid, unit_gaussian):
 def test_domain_exit_marks_failed(line_grid):
     k = 2 * np.pi * 30 / 40.0  # fast mover
     frames, times = plane_wave_frames(line_grid, k, 4.0, 41)
-    trajs = integrate_over_stacks(build_stacks(frames, times, SCALAR),
+    trajs = integrate_over_stacks(build_stacks(frames, times),
                                   np.array([[18.0]]), 0.01)
     assert trajs[0].failed
     assert trajs[0].exit_time is not None and trajs[0].exit_time > 0
@@ -109,7 +107,7 @@ def test_frame_stream_equals_stored_stacks_past_the_grid_edge(
     stream = FrameStream(line_grid, times, positions, dt_traj, record_stride)
 
     def feed(step, t, state):
-        rho, g = current_and_density(state, SCALAR)
+        rho, g = current_and_density(state)
         stream.add(step // frame_stride, rho, g)
 
     propagate(psi, PotentialSpec.free(), dt, n_steps,
@@ -117,7 +115,7 @@ def test_frame_stream_equals_stored_stacks_past_the_grid_edge(
     prop = propagate_frames(psi, PotentialSpec.free(), dt, n_steps,
                             frame_stride=frame_stride, support_guard=False)
     ref = integrate_over_stacks(
-        build_stacks(prop.frames, prop.times, SCALAR),
+        build_stacks(prop.frames, prop.times),
         positions, dt_traj, record_stride)
     assert 0 < sum(tr.failed for tr in ref) < len(ref)
     assert_same_trajectories(stream.flow.trajectories, ref)
@@ -127,7 +125,7 @@ def test_dt_exceeding_frame_spacing_rejected(line_grid, unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 100,
                             frame_stride=10)
     with pytest.raises(ConfigError):
-        integrate_over_stacks(build_stacks(prop.frames, prop.times, SCALAR),
+        integrate_over_stacks(build_stacks(prop.frames, prop.times),
                               np.zeros((1, 1)), 0.5)
 
 
