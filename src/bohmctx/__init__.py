@@ -8,10 +8,9 @@ from .grids import SpatialGrid
 from .fields import (ComplexField, SpinorField, GaussianPacketSpec,
                      make_gaussian, norm, overlap)
 from .propagation import PotentialSpec, propagate
-from .sampling import EquilibriumSample, sample_equilibrium
+from .sampling import sample_equilibrium
 from .trajectories import Trajectory
-from .pointer import (Branch, PointerModelConfig, system_overlap,
-                      predictor_system)
+from .pointer import system_overlap, predictor_system
 from .report import EnsembleReport
 from .errors import (BohmctxError, ConfigError, NumericalFailure,
                      SupportGuardViolation, SeparationError)
@@ -19,8 +18,7 @@ from .errors import (BohmctxError, ConfigError, NumericalFailure,
 __all__ = [
     "SpatialGrid", "ComplexField", "SpinorField", "GaussianPacketSpec",
     "make_gaussian", "norm", "overlap", "PotentialSpec", "propagate",
-    "EquilibriumSample", "sample_equilibrium", "Trajectory",
-    "Branch", "PointerModelConfig", "system_overlap", "predictor_system",
+    "sample_equilibrium", "Trajectory", "system_overlap", "predictor_system",
     "EnsembleReport", "BohmctxError", "ConfigError", "NumericalFailure",
     "SupportGuardViolation", "SeparationError",
 ]

@@ -91,15 +91,6 @@ def accuracy(outcomes: list[str], predictions: list[str]) -> AccuracyResult:
     return AccuracyResult(frac, radius, len(pairs))
 
 
-def predictor_accuracy(report, predictor_name: str) -> AccuracyResult:
-    """Accuracy of a named predictor from an EnsembleReport."""
-    if predictor_name not in report.predictions:
-        raise ConfigError(f"report has no predictor {predictor_name!r}")
-    outcomes = report.statistics_outcomes()
-    preds = report.statistics_predictions(predictor_name)
-    return accuracy(outcomes, preds)
-
-
 # ---------------------------------------------------------------------------
 # 1D no-crossing audit
 # ---------------------------------------------------------------------------
@@ -208,7 +199,7 @@ def determinant_attribution(report, thresholds: AttributionThresholds | None = N
     least one measurement-side predictor (apparatus and/or ancilla); the
     measurement accuracy is the best of the measurement-side predictors."""
     thresholds = thresholds or AttributionThresholds()
-    accs = {name: predictor_accuracy(report, name) for name in report.predictions}
+    accs = report.accuracies()
     if "system" not in accs:
         raise ConfigError("report carries no system predictor")
     measurement = {k: v for k, v in accs.items() if k != "system"}

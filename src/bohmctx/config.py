@@ -10,6 +10,7 @@ materializes every default, so round-trips are canonical.
 """
 
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin
 
 from .errors import ConfigError
 
@@ -48,6 +49,7 @@ class BeamSplitterConfig:
                                 self.n_steps * self.dt, self.record_stride)
 
     def validate(self):
+        _require(self.seed >= 0, "seed must be >= 0")
         _require(self.n >= 1, "ensemble size must be >= 1")
         _require(self.sigma > 0, "sigma must be positive")
         _require(self.splitter_momentum > 0, "splitter momentum must be positive")
@@ -100,6 +102,7 @@ class SternGerlachConfig:
                                 self.n_steps * self.dt)
 
     def validate(self):
+        _require(self.seed >= 0, "seed must be >= 0")
         _require(self.n >= 1, "ensemble size must be >= 1")
         _require(abs(self.alpha ** 2 + self.beta ** 2 - 1.0) <= 1e-6,
                  "spinor amplitudes must satisfy alpha^2 + beta^2 = 1")
@@ -115,7 +118,7 @@ class OpticalSGConfig:
     scenario: str = "optical_sg"
     seed: int = 1
     n: int = 500
-    N_sweep: list = field(default_factory=lambda: [1, 4, 16, 64])
+    N_sweep: list[int] = field(default_factory=lambda: [1, 4, 16, 64])
     system_sigma: float = 1.0
     apparatus_sigma: float = 1.0
     amplitude_plus: float = 0.7071067811865476
@@ -135,9 +138,10 @@ class OpticalSGConfig:
     ratio_threshold: float = 1e6
 
     def validate(self):
+        _require(self.seed >= 0, "seed must be >= 0")
         _require(self.n >= 1, "ensemble size must be >= 1")
         _require(len(self.N_sweep) >= 1, "N_sweep must not be empty")
-        _require(all(int(N) >= 0 for N in self.N_sweep), "N values must be >= 0")
+        _require(all(N >= 0 for N in self.N_sweep), "N values must be >= 0")
         _require(abs(self.amplitude_plus ** 2 + self.amplitude_minus ** 2 - 1.0)
                  <= 1e-6, "branch amplitudes must be normalized")
         _require(0.0 <= self.ramp_start < self.ramp_end <= self.T,
@@ -169,11 +173,12 @@ class AncillaChainConfig:
     dt_traj: float = 0.0025
     record_stride: int = 2
     ratio_threshold: float = 1e6
-    # sweep lists; empty = single run with the scalars above
-    N_prime_sweep: list = field(default_factory=list)
-    separation_sweep: list = field(default_factory=list)
+    # sweep lists, both set or both empty (a single run with the scalars)
+    N_prime_sweep: list[int] = field(default_factory=list)
+    separation_sweep: list[float] = field(default_factory=list)
 
     def validate(self):
+        _require(self.seed >= 0, "seed must be >= 0")
         _require(self.n >= 1, "ensemble size must be >= 1")
         _require(self.N_prime >= 1 and self.N >= 1,
                  "N_prime and N must be >= 1")
@@ -181,6 +186,8 @@ class AncillaChainConfig:
         _require(abs(self.amplitude_plus ** 2 + self.amplitude_minus ** 2 - 1.0)
                  <= 1e-6, "branch amplitudes must be normalized")
         _require(self.record_stride >= 1, "record_stride must be >= 1")
+        _require(bool(self.N_prime_sweep) == bool(self.separation_sweep),
+                 "N_prime_sweep and separation_sweep must be set together")
 
 
 CONFIG_TYPES = {cls.scenario: cls for cls in (
@@ -266,21 +273,28 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _fits(kind: type, value) -> bool:
+    """An int field takes an int but not a bool, a float field an int or a
+    float, kept as written, a bool or str field only its own type."""
+    if kind is float:
+        return _is_number(value)
+    return isinstance(value, kind) and not (kind is int
+                                            and isinstance(value, bool))
+
+
 def _typed(name: str, kind: type, value):
-    """value as a field annotated `kind` takes it, else ConfigError: an int
-    field takes an int but not a bool, a float field an int or a float,
-    kept as written, a bool field only true or false, and a list field
-    numbers (a bare value is a one-item list, an empty one the empty
+    """value as a field annotated `kind` takes it (`_fits`), else
+    ConfigError; a list[int] or list[float] field takes items that fit
+    the item type (a bare value is a one-item list, an empty one the empty
     list)."""
-    if kind is list:
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
         if not isinstance(value, list):
             value = [] if value == "" else [value]
-        ok, kind_name = all(map(_is_number, value)), "a list of numbers"
+        ok = all(_fits(item, v) for v in value)
+        kind_name = f"a list of {item.__name__}s"
     else:
-        ok = _is_number(value) if kind is float else (
-            isinstance(value, kind)
-            and not (kind is int and isinstance(value, bool)))
-        kind_name = kind.__name__
+        ok, kind_name = _fits(kind, value), kind.__name__
     if not ok:
         raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
     return value

@@ -8,9 +8,9 @@ of each coordinate is exactly its center velocity.  All branch arithmetic
 runs in log space, which keeps N = 64 products well away from underflow.
 
 The one model type is BlockModel, a list of named coordinate blocks, and
-every function here takes one.  PointerModelConfig builds the pointer
-model proper from two Branch records: a "system" block of one coordinate
-and an "apparatus" block of N; the ancilla chain scenario adds a third block.
+every function here takes one.  The pointer model proper has a "system"
+block of one coordinate and an "apparatus" block of N; the ancilla chain
+scenario adds a third block.
 The Gaussian pair overlap of one coordinate (complex_pair_overlap) feeds
 the overlap series and the x-marginal, and the x-marginal
 (x_marginal_density) is also the density the sampler inverts.  Both
@@ -46,21 +46,6 @@ from .trajectories import Trajectory
 
 DEFAULT_RATIO_THRESHOLD = 1e6
 POINTER_NODE_THRESH = 1e-24  # on |r_+ + r_-|^2 with max branch modulus 1
-
-
-@dataclass(frozen=True)
-class Branch:
-    label: str
-    amplitude: complex
-    system_center: PiecewiseLinear
-    system_sigma: float
-    apparatus_sign: float  # epsilon_b, +1 or -1
-
-    def __post_init__(self):
-        if abs(abs(self.apparatus_sign) - 1.0) > 1e-12:
-            raise ConfigError("apparatus_sign must be +1 or -1")
-        if not self.system_sigma > 0:
-            raise ConfigError("system_sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -170,31 +155,6 @@ class BlockModel:
                             for c in self.amplitudes])
         amp_phase = np.array([float(np.angle(c)) for c in self.amplitudes])
         return log_amp, amp_phase
-
-
-# ---------------------------------------------------------------------------
-# The pointer model proper (system + N-coordinate apparatus).
-# ---------------------------------------------------------------------------
-
-def PointerModelConfig(N: int, apparatus_sigma: float, ramp: PiecewiseLinear,
-                       branches: tuple[Branch, Branch],
-                       T: float) -> BlockModel:
-    """The pointer model proper as a BlockModel: a "system" block of one
-    coordinate following each branch's system schedule, and an "apparatus"
-    block of N coordinates displaced by apparatus_sign * ramp(t), with
-    ramp(0) = 0."""
-    if abs(float(ramp.value(0.0))) > 1e-12:
-        raise ConfigError("the apparatus ramp must start at a(0) = 0")
-    plus, minus = branches
-    if plus.system_sigma != minus.system_sigma:
-        raise ConfigError("branches must share one system sigma")
-    system = CoordinateBlock("system", 1, plus.system_sigma,
-                             (plus.system_center, minus.system_center))
-    apparatus = CoordinateBlock(
-        "apparatus", N, apparatus_sigma,
-        (ramp.scaled(plus.apparatus_sign), ramp.scaled(minus.apparatus_sign)))
-    return BlockModel((system, apparatus), (plus.amplitude, minus.amplitude),
-                      (plus.label, minus.label), T)
 
 
 def log_single_coordinate_overlap(t: float, model: BlockModel) -> float:

@@ -19,7 +19,6 @@ class EnsembleReport:
     predictions: dict[str, list[str]]
     initial_system: np.ndarray              # x0 per run
     initial_block_sums: dict[str, np.ndarray] = field(default_factory=dict)
-    initial_full: np.ndarray | None = None  # (n, C) when available
     overlap_series: dict[str, np.ndarray] = field(default_factory=dict)
     node_counts: np.ndarray | None = None
     audits: dict = field(default_factory=dict)

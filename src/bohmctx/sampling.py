@@ -8,21 +8,12 @@ stream seeded by (seed, index), so results do not depend on draw order or
 parallelism.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .fields import FieldLike, norm
 
 NORM_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class EquilibriumSample:
-    positions: np.ndarray  # (n, n_coords)
-    seed: int
-    method: str
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -53,8 +44,8 @@ def _cell_cdf(masses: np.ndarray) -> np.ndarray:
 
 
 def sample_equilibrium(source: FieldLike | tuple[FieldLike, FieldLike],
-                       n: int, seed: int) -> EquilibriumSample:
-    """Draw n i.i.d. positions from |psi|^2 of a normalized field, or
+                       n: int, seed: int) -> np.ndarray:
+    """Draw (n, 1) i.i.d. positions from |psi|^2 of a normalized field, or
     (n, 2) positions (y, z) from a pair (phi, chi) of normalized factors of
     a product state phi(y) chi(z), two uniforms per index (y first)."""
     if n < 1:
@@ -73,6 +64,4 @@ def sample_equilibrium(source: FieldLike | tuple[FieldLike, FieldLike],
     for ax, grid in enumerate(grids):
         out[:, ax] = np.clip(out[:, ax], grid.x_min,
                              grid.x_max - 1e-9 * grid.dx)
-    return EquilibriumSample(out, seed,
-                             "inverse_cdf_1d" if len(factors) == 1
-                             else "product_factors_1d")
+    return out

@@ -25,10 +25,10 @@ from .grids import SpatialGrid
 # importable from this module because perfbench/tracer.py wraps them
 from .guidance import (ProductTables, build_stacks, current_and_density,
                        _interp, _spectral_gradient)
-from .pointer import (BlockModel, Branch, CoordinateBlock, PointerModelConfig,
-                      classify_point, integrate_pointer_ensemble,
-                      labels_from_log_ratio, predictor_block_sum,
-                      predictor_system, sample_model_equilibrium)
+from .pointer import (BlockModel, CoordinateBlock, classify_point,
+                      integrate_pointer_ensemble, labels_from_log_ratio,
+                      predictor_block_sum, predictor_system,
+                      sample_model_equilibrium)
 from .propagation import (PotentialSpec, _boundary_band_mask,
                           check_support_guard, propagate)
 from .report import EnsembleReport
@@ -83,10 +83,10 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     det_model = _bs_detector_model(cfg, branches)
     det_tau = det_model.T
 
-    sample = sample_equilibrium(psi0, cfg.n, cfg.seed)
-    x0 = sample.positions[:, 0]
+    positions = sample_equilibrium(psi0, cfg.n, cfg.seed)
+    x0 = positions[:, 0]
     median = _density_median(grid, psi0.density())
-    final, trajs = _bs_propagate(cfg, psi0, sample.positions, stride)
+    final, trajs = _bs_propagate(cfg, psi0, positions, stride)
     x_at_sep = np.array([tr.points[sep_rec, 0] for tr in trajs])
 
     # outcome: the detector whose branch contains the trajectory at t_sep
@@ -394,12 +394,12 @@ def _sg_check_separation(cfg, final: SpinorField) -> None:
 
 def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
     spinor0 = _sg_initial_1d(cfg)
-    sample = sample_equilibrium(spinor0, cfg.n, cfg.seed)
-    z0 = sample.positions[:, 0]
+    positions = sample_equilibrium(spinor0, cfg.n, cfg.seed)
+    z0 = positions[:, 0]
 
     def one_run(gradient: float):
         final, trajs, branch_overlap = _sg_propagate_1d(
-            cfg, spinor0, gradient, sample.positions, 1)
+            cfg, spinor0, gradient, positions, 1)
         _sg_check_separation(cfg, final)
         ends = endpoints(trajs)
         outcomes = _sg_outcome_labels(final, ends[:, 0], cfg.ratio_threshold)
@@ -542,10 +542,10 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
     phi0, chi0, chi, branch_overlap, tables = _sg_setup_2d(cfg)
     _sg_check_separation(cfg, chi)
 
-    sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
-    z0 = sample.positions[:, 1]
+    positions = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
+    z0 = positions[:, 1]
     trajs_on, trajs_off = integrate_product_flows(
-        tables, sample.positions, cfg.dt_traj, gordon=(1.0, 0.0))
+        tables, positions, cfg.dt_traj, gordon=(1.0, 0.0))
     # the z column: the up/down ratio of a product does not depend on y
     ends_on, ends_off = endpoints(trajs_on)[:, 1], endpoints(trajs_off)[:, 1]
     outcomes = _sg_outcome_labels(chi, ends_on, cfg.ratio_threshold)
@@ -595,30 +595,33 @@ def build_optical_sg_model(cfg: OpticalSGConfig, N: int) -> BlockModel:
                                     cfg.system_separation_end,
                                     sign * (half0 + half), start=sign * half0)
 
-    branches = (
-        Branch("+", cfg.amplitude_plus, system_schedule(+1.0),
-               cfg.system_sigma, +1.0),
-        Branch("-", cfg.amplitude_minus, system_schedule(-1.0),
-               cfg.system_sigma, -1.0),
-    )
+    system = CoordinateBlock("system", 1, cfg.system_sigma,
+                             (system_schedule(+1.0), system_schedule(-1.0)))
     ramp = PiecewiseLinear.ramp(cfg.ramp_start, cfg.ramp_end, cfg.displacement)
-    return PointerModelConfig(N=N, apparatus_sigma=cfg.apparatus_sigma,
-                              ramp=ramp, branches=branches, T=cfg.T)
+    apparatus = CoordinateBlock("apparatus", N, cfg.apparatus_sigma,
+                                (ramp, ramp.scaled(-1.0)))
+    return BlockModel((system, apparatus),
+                      (complex(cfg.amplitude_plus), complex(cfg.amplitude_minus)),
+                      ("+", "-"), cfg.T)
 
 
-def _pointer_sample_and_integrate(model: BlockModel, n: int, seed: int,
-                                  dt: float, record_stride: int) -> tuple:
-    """n configurations drawn from |Psi(0)|^2 and their integration: the
-    path shared by a pointer run and its born-check."""
-    init = sample_model_equilibrium(model, n, seed)
-    return init, integrate_pointer_ensemble(model, init, dt, record_stride)
+PointerConfig = OpticalSGConfig | AncillaChainConfig
 
 
-def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
-                          record_stride: int, ratio_threshold: float,
-                          scenario: str) -> EnsembleReport:
-    init, res = _pointer_sample_and_integrate(model, n, seed, dt,
-                                              record_stride)
+def _pointer_sample_and_integrate(model: BlockModel, cfg: PointerConfig,
+                                  n: int, record_stride: int) -> tuple:
+    """n configurations drawn from |Psi(0)|^2 with cfg.seed and their
+    integration at cfg.dt_traj: the path shared by a pointer run and its
+    born-check."""
+    init = sample_model_equilibrium(model, n, cfg.seed)
+    return init, integrate_pointer_ensemble(model, init, cfg.dt_traj,
+                                            record_stride)
+
+
+def _run_pointer_ensemble(model: BlockModel, cfg: PointerConfig
+                          ) -> EnsembleReport:
+    n, ratio_threshold = cfg.n, cfg.ratio_threshold
+    init, res = _pointer_sample_and_integrate(model, cfg, n, cfg.record_stride)
     ends = res.final_points()
     T = model.T
     outcomes = [classify_point(p, T, model, ratio_threshold) for p in ends]
@@ -644,10 +647,9 @@ def _run_pointer_ensemble(model: BlockModel, n: int, seed: int, dt: float,
         series[blk.name] = pointer.block_overlap(ts, model, blk.name)
 
     report = EnsembleReport(
-        scenario=scenario, seed=seed, n_runs=n,
+        scenario=cfg.scenario, seed=cfg.seed, n_runs=n,
         outcomes=outcomes, predictions=predictions,
         initial_system=init[:, 0], initial_block_sums=sums,
-        initial_full=init,
         overlap_series=series,
         node_counts=res.node_counts,
         audits={"unresolved_vs_threshold": sensitivity},
@@ -663,23 +665,20 @@ def run_optical_sg(cfg: OpticalSGConfig) -> EnsembleReport:
     cfg.validate()
     subs = []
     for N in cfg.N_sweep:
-        model = build_optical_sg_model(cfg, int(N))
-        rep = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
-                                    cfg.record_stride, cfg.ratio_threshold,
-                                    "optical_sg")
+        rep = _run_pointer_ensemble(build_optical_sg_model(cfg, N), cfg)
         del rep.artifacts["result"]  # no output reads a sweep entry's result
-        rep.extras["N"] = int(N)
+        rep.extras["N"] = N
         rep.audits["log_overlap_exponent_exact"] = True  # by construction
         subs.append(rep)
 
     head = subs[-1]
-    accs = [(r.extras["N"], r.accuracies()) for r in subs]
+    accs = [r.accuracies() for r in subs]
     sweep_summary = {
-        "N": [int(N) for N, _ in accs],
-        "apparatus_accuracy": [a["apparatus"].fraction for _, a in accs],
-        "apparatus_radius": [a["apparatus"].radius for _, a in accs],
-        "system_accuracy": [a["system"].fraction for _, a in accs],
-        "system_radius": [a["system"].radius for _, a in accs],
+        "N": list(cfg.N_sweep),
+        "apparatus_accuracy": [a["apparatus"].fraction for a in accs],
+        "apparatus_radius": [a["apparatus"].radius for a in accs],
+        "system_accuracy": [a["system"].fraction for a in accs],
+        "system_radius": [a["system"].radius for a in accs],
         "unresolved_fraction": [r.unresolved_fraction for r in subs],
     }
     report = _sweep_report(head, subs, {"sweep": sweep_summary})
@@ -708,7 +707,7 @@ def _sweep_report(head: EnsembleReport, subs: list[EnsembleReport],
 
 def build_ancilla_model(cfg: AncillaChainConfig, N_prime: int | None = None,
                         separation: float | None = None) -> BlockModel:
-    np_count = cfg.N_prime if N_prime is None else int(N_prime)
+    np_count = cfg.N_prime if N_prime is None else N_prime
     sep = cfg.system_separation if separation is None else float(separation)
     if not (cfg.ancilla_ramp_end <= cfg.t1 and cfg.apparatus_ramp_start >= cfg.t1):
         raise ConfigError("stage ramps must respect the coupling windows")
@@ -734,10 +733,7 @@ def run_ancilla_chain(cfg: AncillaChainConfig) -> EnsembleReport:
     cfg.validate()
     if cfg.N_prime_sweep and cfg.separation_sweep:
         return _run_ancilla_sweep(cfg)
-    model = build_ancilla_model(cfg)
-    report = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
-                                   cfg.record_stride, cfg.ratio_threshold,
-                                   "ancilla_chain")
+    report = _run_pointer_ensemble(build_ancilla_model(cfg), cfg)
     report.extras["N_prime"] = cfg.N_prime
     report.extras["system_separation"] = cfg.system_separation
     verdict = analysis.determinant_attribution(report)
@@ -751,17 +747,15 @@ def _run_ancilla_sweep(cfg: AncillaChainConfig) -> EnsembleReport:
     for sep in cfg.separation_sweep:
         for npr in cfg.N_prime_sweep:
             model = build_ancilla_model(cfg, N_prime=npr, separation=sep)
-            rep = _run_pointer_ensemble(model, cfg.n, cfg.seed, cfg.dt_traj,
-                                        cfg.record_stride, cfg.ratio_threshold,
-                                        "ancilla_chain")
+            rep = _run_pointer_ensemble(model, cfg)
             del rep.artifacts["result"]  # as in run_optical_sg
-            rep.extras["N_prime"] = int(npr)
+            rep.extras["N_prime"] = npr
             rep.extras["system_separation"] = float(sep)
             verdict = analysis.determinant_attribution(rep)
             rep.audits["attribution"] = verdict
             accs = rep.accuracies()
             table.append({
-                "N_prime": int(npr),
+                "N_prime": npr,
                 "system_separation": float(sep),
                 "verdict": verdict.label,
                 "acc_system": accs["system"].fraction,
@@ -783,41 +777,40 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
     # only the endpoints are compared, so only they are recorded
     if isinstance(cfg, BeamSplitterConfig):
         grid, _, _, psi0 = _bs_setup(cfg)
-        sample = sample_equilibrium(psi0, n, cfg.seed)
+        positions = sample_equilibrium(psi0, n, cfg.seed)
         steps, _ = cfg.trajectory_steps()
-        final, trajs = _bs_propagate(cfg, psi0, sample.positions, steps)
+        final, trajs = _bs_propagate(cfg, psi0, positions, steps)
         ks = born_rule_ks(endpoints(trajs)[:, 0],
                           grid_cdf(grid.axis(), final.density(), grid.dx))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
         if cfg.gordon:
             phi0, chi0, final, _, tables = _sg_setup_2d(cfg)
-            sample = sample_equilibrium((phi0, chi0), n, cfg.seed)
+            positions = sample_equilibrium((phi0, chi0), n, cfg.seed)
             (trajs,) = integrate_product_flows(
-                tables, sample.positions, cfg.dt_traj, gordon=(1.0,))
+                tables, positions, cfg.dt_traj, gordon=(1.0,))
         else:
             spinor0 = _sg_initial_1d(cfg)
-            sample = sample_equilibrium(spinor0, n, cfg.seed)
+            positions = sample_equilibrium(spinor0, n, cfg.seed)
             steps, _ = cfg.trajectory_steps()
             final, trajs, _ = _sg_propagate_1d(cfg, spinor0, cfg.gradient,
-                                               sample.positions, steps)
+                                               positions, steps)
         return {"scenario": "stern_gerlach", "n": n,
                 "ks": born_rule_ks(endpoints(trajs)[:, -1], _sg_z_cdf(final))}
     if isinstance(cfg, OpticalSGConfig):
-        model = build_optical_sg_model(cfg, int(cfg.N_sweep[-1]))
-        return _pointer_born_check(model, cfg, n, "optical_sg")
+        return _pointer_born_check(
+            build_optical_sg_model(cfg, cfg.N_sweep[-1]), cfg, n)
     if isinstance(cfg, AncillaChainConfig):
-        model = build_ancilla_model(cfg)
-        return _pointer_born_check(model, cfg, n, "ancilla_chain")
+        return _pointer_born_check(build_ancilla_model(cfg), cfg, n)
     raise ConfigError(f"unknown scenario config {type(cfg)!r}")
 
 
-def _pointer_born_check(model: BlockModel, cfg, n: int, name: str) -> dict:
+def _pointer_born_check(model: BlockModel, cfg: PointerConfig, n: int
+                        ) -> dict:
     # only the endpoints are compared, so only they are recorded
     n_steps = max(int(round(model.T / cfg.dt_traj)), 1)
-    _, res = _pointer_sample_and_integrate(model, n, cfg.seed, cfg.dt_traj,
-                                           n_steps)
+    _, res = _pointer_sample_and_integrate(model, cfg, n, n_steps)
     ends = res.final_points()[:, 0]
     xs, dens = pointer.x_marginal_density(model, model.T)
     ks = born_rule_ks(ends, grid_cdf(xs, dens, float(xs[1] - xs[0])))
-    return {"scenario": name, "n": n, "ks": ks}
+    return {"scenario": cfg.scenario, "n": n, "ks": ks}

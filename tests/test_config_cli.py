@@ -152,13 +152,22 @@ def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
     ("optical-sg", "record_stride = -2"),
     ("ancilla", "record_stride = 0"),
     ("beam-splitter", "record_stride = -3"),
+    ("optical-sg", "N_sweep = 1.5, 4"),
+    ("ancilla", "N_prime_sweep = 2.5, 4\nseparation_sweep = 0, 8"),
+    ("ancilla", "N_prime_sweep = 1, 4"),
+    ("ancilla", "separation_sweep = 0, 8"),
+    ("optical-sg", "seed = -1"),
+    ("stern-gerlach", "seed = -1"),
 ], ids=["n_float", "n_word", "gordon_yes", "seed_bool", "grid_n_float",
         "sigma_word", "ancilla_N_float", "sweep_word", "osg_stride_0",
-        "osg_stride_neg", "ancilla_stride_0", "bs_stride_neg"])
+        "osg_stride_neg", "ancilla_stride_0", "bs_stride_neg",
+        "N_sweep_float", "N_prime_sweep_float", "half_sweep_N_prime",
+        "half_sweep_separation", "osg_seed_neg", "sg_seed_neg"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, line):
-    # a value of the wrong type for its field, or a record stride out of
-    # range, is a config error (exit 1) before anything runs: neither a
-    # Python traceback, nor a silent truncation or reinterpretation
+    # a value of the wrong type for its field, a record stride or seed out
+    # of range, or one ancilla sweep list without the other, is a config
+    # error (exit 1) before anything runs: neither a Python traceback, nor
+    # a silent truncation, reinterpretation or dropped sweep
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(f"scenario = {cli.SUBCOMMANDS[command]}\n{line}\n")
     assert cli.main([command, "--config", str(cfg_path),

@@ -1,3 +1,8 @@
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
 import bohmctx
 
 
@@ -5,3 +10,22 @@ def test_public_names_resolve_and_none_repeats():
     assert len(set(bohmctx.__all__)) == len(bohmctx.__all__)
     for name in bohmctx.__all__:
         getattr(bohmctx, name)  # AttributeError if the name is stale
+
+
+def test_tracer_patch_targets_exist():
+    # perfbench/tracer.py wraps functions by module and attribute name and
+    # its counters read their arguments by parameter name, so a rename in
+    # src would break traced benchmark runs and nothing else.  Delete this
+    # test together with the tracer.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _layer, counter in tracer.PATCHES:
+        target = getattr(importlib.import_module(module_name), attr)
+        if counter is None:
+            continue
+        keys = re.findall(r'\ba\["(\w+)"\]', inspect.getsource(counter))
+        params = inspect.signature(target).parameters
+        for key in keys:
+            assert key in params, f"{module_name}.{attr} has no {key!r}"

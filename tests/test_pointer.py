@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from bohmctx import ConfigError
-from bohmctx.pointer import (BlockModel, Branch, CoordinateBlock,
-                             PointerModelConfig, UNRESOLVED, block_overlap,
+from bohmctx.pointer import (BlockModel, CoordinateBlock, UNRESOLVED,
+                             block_overlap,
                              classify_point, integrate_pointer_ensemble,
                              log_apparatus_overlap,
                              log_single_coordinate_overlap,
@@ -20,27 +20,29 @@ from bohmctx.trajectories import Trajectory
 from conftest import assert_same_trajectories
 
 
+def pointer_model(N, ramp, system_centers=None, amps=None, sigma=1.0,
+                  apparatus_sigma=1.0, T=1.0):
+    """The pointer model proper: a system coordinate on system_centers
+    (both at 0 by default) and N apparatus coordinates displaced by +ramp
+    in branch + and by -ramp in branch -."""
+    zero = PiecewiseLinear.constant(0.0)
+    return BlockModel(
+        (CoordinateBlock("system", 1, sigma, system_centers or (zero, zero)),
+         CoordinateBlock("apparatus", N, apparatus_sigma,
+                         (ramp, ramp.scaled(-1.0)))),
+        amps or (1 / math.sqrt(2), 1 / math.sqrt(2)), ("+", "-"), T)
+
+
 def symmetric_model(N=4, a_max=2.0, sigma=1.0, T=1.0, amps=None):
-    amps = amps or (1 / math.sqrt(2), 1 / math.sqrt(2))
-    branches = (
-        Branch("+", amps[0], PiecewiseLinear.constant(0.0), sigma, +1.0),
-        Branch("-", amps[1], PiecewiseLinear.constant(0.0), sigma, -1.0),
-    )
-    return PointerModelConfig(N=N, apparatus_sigma=sigma,
-                              ramp=PiecewiseLinear.ramp(0.0, 0.5, a_max),
-                              branches=branches, T=T)
+    return pointer_model(N, PiecewiseLinear.ramp(0.0, 0.5, a_max), amps=amps,
+                         sigma=sigma, apparatus_sigma=sigma, T=T)
 
 
 def separated_model(N=4, x_gap=8.0, sigma=1.0):
-    branches = (
-        Branch("+", 1 / math.sqrt(2), PiecewiseLinear.constant(+x_gap / 2),
-               sigma, +1.0),
-        Branch("-", 1 / math.sqrt(2), PiecewiseLinear.constant(-x_gap / 2),
-               sigma, -1.0),
-    )
-    return PointerModelConfig(N=N, apparatus_sigma=sigma,
-                              ramp=PiecewiseLinear.ramp(0.0, 0.5, 2.0),
-                              branches=branches, T=1.0)
+    return pointer_model(N, PiecewiseLinear.ramp(0.0, 0.5, 2.0),
+                         (PiecewiseLinear.constant(+x_gap / 2),
+                          PiecewiseLinear.constant(-x_gap / 2)),
+                         sigma=sigma, apparatus_sigma=sigma)
 
 
 # -- branch weights ----------------------------------------------------------
@@ -365,31 +367,22 @@ def test_monotone_apparatus_dominance():
     assert all(abs(s - 0.5) <= 0.08 for s in sys_accs)
 
 
-def _pointer_model(N=2, apparatus_sigma=1.0, ramp=None, amps=(1.0, 0.0),
-                   system_sigmas=(1.0, 1.0), signs=(+1.0, -1.0)):
-    branches = tuple(Branch(label, amp, PiecewiseLinear.constant(0.0), s, e)
-                     for label, amp, s, e
-                     in zip("+-", amps, system_sigmas, signs))
-    return PointerModelConfig(
-        N=N, apparatus_sigma=apparatus_sigma,
-        ramp=ramp or PiecewiseLinear.ramp(0.0, 0.5, 1.0),
-        branches=branches, T=1.0)
-
-
-@pytest.mark.parametrize("bad", [
-    dict(N=-1),
-    dict(apparatus_sigma=0.0),
-    dict(system_sigmas=(0.0, 0.0)),
-    dict(ramp=PiecewiseLinear.constant(1.0)),
-    dict(system_sigmas=(1.0, 2.0)),
-    dict(amps=(1.0, 1.0)),
-    dict(signs=(+1.0, 0.5)),
+@pytest.mark.parametrize("bad, message", [
+    (dict(N=-1), "block count"),
+    (dict(apparatus_sigma=0.0), "block sigma"),
+    (dict(sigma=0.0), "block sigma"),
+    (dict(ramp=PiecewiseLinear.constant(1.0)), "coincide at t=0"),
+    (dict(amps=(1.0, 1.0)), "amplitudes"),
 ], ids=["N_negative", "apparatus_sigma", "system_sigma", "ramp_start",
-        "one_system_sigma", "amplitudes", "apparatus_sign"])
-def test_pointer_model_config_rejects(bad):
-    assert isinstance(_pointer_model(), BlockModel)
-    with pytest.raises(ConfigError):
-        _pointer_model(**bad)
+        "amplitudes"])
+def test_pointer_model_config_rejects(bad, message):
+    # CoordinateBlock checks the count and sigma, BlockModel the
+    # amplitudes, and the sampler a ramp with a(0) != 0, whose apparatus
+    # factors differ at t = 0
+    good = dict(N=2, ramp=PiecewiseLinear.ramp(0.0, 0.5, 1.0), amps=(1.0, 0.0))
+    assert sample_model_equilibrium(pointer_model(**good), 4, 0).shape == (4, 3)
+    with pytest.raises(ConfigError, match=message):
+        sample_model_equilibrium(pointer_model(**{**good, **bad}), 4, 0)
 
 
 def test_x_marginal_density_matches_superposition_at_t0():
@@ -397,15 +390,10 @@ def test_x_marginal_density_matches_superposition_at_t0():
     # coincide, so the x-marginal is |c+ phi+ + c- phi-|^2 of the system
     # factors alone; here with moving packets and a relative amplitude phase
     sigma = 0.8
-    branches = (
-        Branch("+", 0.6, PiecewiseLinear((-1.0, 1.0), (-0.5, 1.5)), sigma,
-               +1.0),
-        Branch("-", 0.8j, PiecewiseLinear((-1.0, 1.0), (0.7, -1.3)), sigma,
-               -1.0),
-    )
-    model = PointerModelConfig(N=3, apparatus_sigma=1.0,
-                               ramp=PiecewiseLinear.ramp(0.0, 0.5, 2.0),
-                               branches=branches, T=1.0)
+    model = pointer_model(3, PiecewiseLinear.ramp(0.0, 0.5, 2.0),
+                          (PiecewiseLinear((-1.0, 1.0), (-0.5, 1.5)),
+                           PiecewiseLinear((-1.0, 1.0), (0.7, -1.3))),
+                          amps=(0.6, 0.8j), sigma=sigma)
     xs, dens = x_marginal_density(model, 0.0)
     assert xs[0] == pytest.approx(-0.3 - 10 * sigma)
     psi = np.zeros(xs.shape, dtype=complex)
@@ -453,15 +441,9 @@ def test_x_marginal_density_matches_quadrature_over_apparatus():
 def test_predictor_system_inverted_schedules():
     # the + system packet starts above the midpoint 0.5 and ends below the
     # - packet, so a start above the midpoint predicts "-"
-    branches = (
-        Branch("+", 1 / math.sqrt(2),
-               PiecewiseLinear.ramp(0.0, 1.0, -3.0, start=1.5), 1.0, +1.0),
-        Branch("-", 1 / math.sqrt(2),
-               PiecewiseLinear.ramp(0.0, 1.0, 3.0, start=-0.5), 1.0, -1.0),
-    )
-    model = PointerModelConfig(N=2, apparatus_sigma=1.0,
-                               ramp=PiecewiseLinear.ramp(0.0, 0.5, 2.0),
-                               branches=branches, T=1.0)
+    model = pointer_model(2, PiecewiseLinear.ramp(0.0, 0.5, 2.0),
+                          (PiecewiseLinear.ramp(0.0, 1.0, -3.0, start=1.5),
+                           PiecewiseLinear.ramp(0.0, 1.0, 3.0, start=-0.5)))
     assert predictor_system(0.5, model) == UNRESOLVED
     assert predictor_system(0.6, model) == "-"
     assert predictor_system(0.4, model) == "+"

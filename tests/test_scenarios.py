@@ -7,8 +7,7 @@ from bohmctx import (ConfigError, GaussianPacketSpec, SeparationError,
                      SpatialGrid, SpinorField, SupportGuardViolation,
                      make_gaussian, norm, overlap, scenarios)
 from bohmctx.fields import spatial_overlap
-from bohmctx.analysis import (born_rule_ks, determinant_attribution,
-                              grid_cdf, predictor_accuracy)
+from bohmctx.analysis import born_rule_ks, determinant_attribution, grid_cdf
 from bohmctx import _kernels, pointer
 from bohmctx.guidance import NODE_DENSITY_REL, build_stacks
 from bohmctx.pointer import (classify_point, integrate_pointer_ensemble,
@@ -74,7 +73,7 @@ def test_beam_splitter_streamed_trajectories_equal_stored_stacks(kw):
     # stored frames of the same propagation, at the run's record stride
     cfg = _small_beam_splitter_config(**kw)
     _, _, _, psi0 = scenarios._bs_setup(cfg)
-    positions = sample_equilibrium(psi0, cfg.n, cfg.seed).positions
+    positions = sample_equilibrium(psi0, cfg.n, cfg.seed)
     _, stride = cfg.trajectory_steps()
     assert stride > 1
     final, trajs = scenarios._bs_propagate(cfg, psi0, positions, stride)
@@ -260,9 +259,7 @@ def test_sg_contextuality_small():
         if out == "unresolved":
             continue
         assert out == ("+" if z0 > 0 else "-")
-    assert predictor_accuracy(rep, "system").fraction == 1.0
-    with pytest.raises(ConfigError):
-        predictor_accuracy(rep, "nonexistent")
+    assert rep.accuracies()["system"].fraction == 1.0
 
 
 def test_sg_weak_gradient_rejected():
@@ -366,7 +363,7 @@ def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
     # stored frames
     cfg = SternGerlachConfig(n=10, seed=3, grid_n=512)
     spinor0 = scenarios._sg_initial_1d(cfg)
-    positions = sample_equilibrium(spinor0, cfg.n, cfg.seed).positions
+    positions = sample_equilibrium(spinor0, cfg.n, cfg.seed)
     final, trajs, branch = scenarios._sg_propagate_1d(
         cfg, spinor0, sign * cfg.gradient, positions, 1)
     prop = propagate_frames(spinor0, PotentialSpec.linear_spin_dependent(
@@ -410,7 +407,7 @@ def test_sg_1d_grid_flow_endpoints_match_closed_form_flow():
     # bound 2.5e-3 catches a grid that is too coarse
     cfg = SternGerlachConfig(n=50, seed=1)
     spinor0 = scenarios._sg_initial_1d(cfg)
-    positions = sample_equilibrium(spinor0, cfg.n, cfg.seed).positions
+    positions = sample_equilibrium(spinor0, cfg.n, cfg.seed)
     _, trajs, _ = scenarios._sg_propagate_1d(cfg, spinor0, cfg.gradient,
                                              positions, 1)
     exact = _exact_sg_1d_flow(cfg, positions[:, 0])
@@ -497,7 +494,7 @@ def _assert_sg_2d_setup_matches_closed_form(cfg):
     pts = np.concatenate([
         inside, last, np.column_stack([inside[:6, 0], last[:, 1]]),
         np.column_stack([last[:, 0], inside[:6, 1]]),
-        sample_equilibrium((phi0, chi0), 40, 1).positions])  # the packet
+        sample_equilibrium((phi0, chi0), 40, 1)])  # the packet
     t0 = tables.times[0]
     vprev = np.full((2, len(pts)), 99.0)
     got, want = {}, {}
@@ -555,12 +552,12 @@ def test_sg_2d_product_flows_match_2d_stack_flows():
     cfg = _small_gordon_config(40)
     cfg.alpha, cfg.beta, cfg.spinor_phase = 0.6, 0.8, 0.7
     phi0, chi0, _, _, tables = scenarios._sg_setup_2d(cfg)
-    sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
-    flows = integrate_product_flows(tables, sample.positions, cfg.dt_traj,
+    positions = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
+    flows = integrate_product_flows(tables, positions, cfg.dt_traj,
                                     gordon=(1.0, 0.0))
     for trajs, gordon in zip(flows, (1.0, 0.0)):
         flow = GridFlow((tables.y_grid, tables.z_grid), tables.times,
-                        sample.positions, cfg.dt_traj, 1,
+                        positions, cfg.dt_traj, 1,
                         gaussian_oracle.stage_velocity,
                         _oracle_stacks(cfg, tables, gordon))
         flow.advance(len(tables.times) - 1)
@@ -582,8 +579,8 @@ def test_sg_2d_setup_and_flows_hold_no_2d_stack():
 
     def setup_and_flows():
         phi0, chi0, _, _, tables = scenarios._sg_setup_2d(cfg)
-        sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
-        integrate_product_flows(tables, sample.positions, cfg.dt_traj,
+        positions = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
+        integrate_product_flows(tables, positions, cfg.dt_traj,
                                 gordon=(1.0, 0.0))
     _, peak = traced_peak(setup_and_flows)
     assert peak < stack_bytes
@@ -629,7 +626,7 @@ def test_sg_gordon_sampler_matches_2d_marginal_conditional():
     # plane), to rounding: measured 5.7e-14, bound 1e-12
     cfg = SternGerlachConfig(gordon=True)
     phi0, chi0, _, _, tables = scenarios._sg_setup_2d(cfg)
-    got = sample_equilibrium((phi0, chi0), 1000, cfg.seed).positions
+    got = sample_equilibrium((phi0, chi0), 1000, cfg.seed)
     lo, step = _plane(tables)
     y_cols, z_cols = gaussian_oracle.product_tables(
         tables.y_grid.axis(), tables.z_grid.axis(), 0.0, cfg)
@@ -710,8 +707,8 @@ def test_gordon_term_vanishes_for_a_z_eigenstate():
     cfg.alpha, cfg.beta = 1.0, 0.0
     phi0, chi0, _, _, tables = scenarios._sg_setup_2d(cfg)
     assert not tables.z[:, 2:].any()
-    sample = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
-    on, off = integrate_product_flows(tables, sample.positions, cfg.dt_traj,
+    positions = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
+    on, off = integrate_product_flows(tables, positions, cfg.dt_traj,
                                       gordon=(1.0, 0.0))
     assert np.array_equal(endpoints(on), endpoints(off))
 

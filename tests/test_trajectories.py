@@ -48,9 +48,9 @@ def test_equivariance_free_gaussian(line_grid, unit_gaussian):
     # endpoints of an equilibrium ensemble follow |psi(T)|^2
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
-    sample = sample_equilibrium(unit_gaussian, 2000, seed=21)
+    positions = sample_equilibrium(unit_gaussian, 2000, seed=21)
     trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times),
-                                  sample.positions, 0.01)
+                                  positions, 0.01)
     ref = grid_cdf(line_grid.axis(), prop.final.density(), line_grid.dx)
     stat = kstest(endpoints(trajs)[:, 0], ref).statistic
     assert stat < 0.05
@@ -59,9 +59,9 @@ def test_equivariance_free_gaussian(line_grid, unit_gaussian):
 def test_no_crossing_free_gaussian(line_grid, unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
-    sample = sample_equilibrium(unit_gaussian, 400, seed=3)
+    positions = sample_equilibrium(unit_gaussian, 400, seed=3)
     trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times),
-                                  sample.positions, 0.005)
+                                  positions, 0.005)
     assert audit_trajectories(trajs) == 0
 
 
@@ -76,10 +76,10 @@ def test_mirror_symmetry(line_grid, unit_gaussian):
 def test_step_size_robustness(line_grid, unit_gaussian):
     prop = propagate_frames(unit_gaussian, PotentialSpec.free(), 0.01, 200,
                             frame_stride=2)
-    sample = sample_equilibrium(unit_gaussian, 100, seed=8)
+    positions = sample_equilibrium(unit_gaussian, 100, seed=8)
     stacks = build_stacks(prop.frames, prop.times)
-    coarse = integrate_over_stacks(stacks, sample.positions, 0.01)
-    fine = integrate_over_stacks(stacks, sample.positions, 0.005)
+    coarse = integrate_over_stacks(stacks, positions, 0.01)
+    fine = integrate_over_stacks(stacks, positions, 0.005)
     delta = np.abs(endpoints(coarse) - endpoints(fine)).max()
     assert delta < 1e-4
 
