@@ -53,8 +53,18 @@ def born_rule_ks(endpoints: np.ndarray, reference_cdf) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Predictor accuracy
+# Position predictors and their accuracy
 # ---------------------------------------------------------------------------
+
+def side_label(offset: float, plus_is_high: bool, labels: tuple[str, str]
+               ) -> str:
+    """The label a position predictor reads from the side of zero that an
+    offset lies on: labels[0] on branch +'s side (above zero when
+    plus_is_high), labels[1] on the other side, UNRESOLVED at zero."""
+    if offset == 0:
+        return UNRESOLVED
+    return labels[0] if (offset > 0) == plus_is_high else labels[1]
+
 
 def wilson_interval(successes: int, total: int, z: float = WILSON_Z
                     ) -> tuple[float, float]:

@@ -11,7 +11,6 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,25 +42,13 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
-@dataclass
-class RunManifest:
-    config_text: str
-    seed: int
-    version: str
-    duration_seconds: float
-    outputs: list
-    peak_rss_mb: float = field(default_factory=_peak_rss_mb)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config_text,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_seconds": self.duration_seconds,
-            "backend": _kernels.ACTIVE_BACKEND,
-            "outputs": list(self.outputs),
-            "peak_rss_mb": self.peak_rss_mb,
-        }
+def _manifest(cfg: ScenarioConfig, duration: float, outputs: list) -> dict:
+    """manifest.json: the config as text, what ran, how long it took and
+    the names of the other files written."""
+    return {"config": serialize_config(cfg), "seed": cfg.seed,
+            "version": __version__, "duration_seconds": duration,
+            "backend": _kernels.ACTIVE_BACKEND, "outputs": outputs,
+            "peak_rss_mb": _peak_rss_mb()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,10 +121,9 @@ def _run_scenario_command(args) -> int:
     report = run_scenario(cfg)
     duration = time.perf_counter() - start
     outputs = write_outputs(report, cfg, out_dir, args.format, args.plot)
-    manifest = RunManifest(serialize_config(cfg), cfg.seed, __version__,
-                           duration, [str(p.name) for p in outputs])
     manifest_path = out_dir / "manifest.json"
-    _write_json(manifest_path, manifest.to_dict())
+    _write_json(manifest_path,
+                _manifest(cfg, duration, [p.name for p in outputs]))
     for p in (*outputs, manifest_path):
         if not p.exists():
             raise NumericalFailure(f"expected output {p} missing")
@@ -154,9 +140,8 @@ def _run_born_check(args) -> int:
     result = run_born_check(cfg, n)
     duration = time.perf_counter() - start
     _write_json(out_dir / "summary.json", {"born_check": result})
-    manifest = RunManifest(serialize_config(cfg), cfg.seed, __version__,
-                           duration, ["summary.json"])
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+    _write_json(out_dir / "manifest.json",
+                _manifest(cfg, duration, ["summary.json"]))
     print(f"born-check KS = {result['ks']:.5f} (n = {result['n']})")
     return 0
 
@@ -177,8 +162,6 @@ def write_outputs(report: EnsembleReport, cfg, out_dir: Path, fmt: str,
     outputs.append(summary_path)
 
     trajs = report.artifacts.get("trajectories")
-    if trajs is None and "result" in report.artifacts:
-        trajs = report.artifacts["result"].trajectories()
     if trajs:
         path = out_dir / "trajectories.csv"
         if fmt == "json":

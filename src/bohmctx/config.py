@@ -147,6 +147,7 @@ class OpticalSGConfig:
         _require(0.0 <= self.ramp_start < self.ramp_end <= self.T,
                  "ramp window must sit inside [0, T]")
         _require(self.record_stride >= 1, "record_stride must be >= 1")
+        trajectory_steps(self.dt_traj, self.T, self.T, self.record_stride)
 
 
 @dataclass
@@ -180,14 +181,15 @@ class AncillaChainConfig:
     def validate(self):
         _require(self.seed >= 0, "seed must be >= 0")
         _require(self.n >= 1, "ensemble size must be >= 1")
-        _require(self.N_prime >= 1 and self.N >= 1,
-                 "N_prime and N must be >= 1")
+        _require(min(self.N_prime, self.N, *self.N_prime_sweep) >= 1,
+                 "N_prime, N and the N_prime_sweep entries must be >= 1")
         _require(0.0 < self.t1 < self.t2, "windows must satisfy 0 < t1 < t2")
         _require(abs(self.amplitude_plus ** 2 + self.amplitude_minus ** 2 - 1.0)
                  <= 1e-6, "branch amplitudes must be normalized")
         _require(self.record_stride >= 1, "record_stride must be >= 1")
         _require(bool(self.N_prime_sweep) == bool(self.separation_sweep),
                  "N_prime_sweep and separation_sweep must be set together")
+        trajectory_steps(self.dt_traj, self.t2, self.t2, self.record_stride)
 
 
 CONFIG_TYPES = {cls.scenario: cls for cls in (

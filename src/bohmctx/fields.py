@@ -124,16 +124,10 @@ def position_std(f: FieldLike) -> np.ndarray:
     return np.array([center_width(f.density(), f.grid.axis())[1]])
 
 
-def spatial_overlap(a: ComplexField, b: ComplexField) -> float:
-    """Bhattacharyya coefficient of the two densities: integral of
-    sqrt(rho_a rho_b).  Measures shared support, not phase coherence."""
-    if a.grid != b.grid:
-        raise ConfigError("spatial overlap requires a shared grid")
-    return density_overlap(a.density(), b.density(), a.grid.dx)
-
-
 def density_overlap(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
-    """`spatial_overlap` of two densities on one grid of spacing dx."""
+    """Bhattacharyya coefficient of two densities on one grid of spacing
+    dx: the integral of sqrt(rho_a rho_b) over their norms.  Measures
+    shared support, not phase coherence."""
     na2 = np.sum(rho_a) * dx
     nb2 = np.sum(rho_b) * dx
     acc = np.sum(np.sqrt(rho_a * rho_b)) * dx

@@ -15,7 +15,7 @@ The Gaussian pair overlap of one coordinate (complex_pair_overlap) feeds
 the overlap series and the x-marginal, and the x-marginal
 (x_marginal_density) is also the density the sampler inverts.  Both
 position predictors read the side of a sum against where branch + ends
-(_sum_predictor).
+(analysis.side_label).
 
 Within a block the branch factors differ only in their centers and
 velocities, so the guidance velocity is the same for every coordinate of a
@@ -38,7 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .analysis import UNRESOLVED
+from .analysis import UNRESOLVED, side_label
+from .config import trajectory_steps
 from .errors import ConfigError
 from .schedules import PiecewiseLinear
 from .sampling import _cell_cdf, inverse_cdf_sample
@@ -108,10 +109,12 @@ class BlockModel:
     def block_tables(self, ts: np.ndarray) -> _kernels.BlockTables:
         """Coefficients of the block-mean ODE at times ts."""
         centers, vels = self.schedule_tables(ts)
-        log_amp, amp_phase = self.amplitude_parts()
+        log_amp = np.array([math.log(abs(c)) if abs(c) > 0 else -math.inf
+                            for c in self.amplitudes])
         return _kernels.block_tables(
             centers, vels, np.array([float(b.count) for b in self.blocks]),
-            np.array([b.sigma ** 2 for b in self.blocks]), log_amp, amp_phase)
+            np.array([b.sigma ** 2 for b in self.blocks]), log_amp,
+            np.angle(np.array(self.amplitudes)))
 
     def block_means(self, points: np.ndarray) -> np.ndarray:
         """Mean of each block's coordinates, (n, C) -> (n, n_blocks); an
@@ -149,12 +152,6 @@ class BlockModel:
             self.block_means(points), self.block_tables(np.array([t])), 0,
             POINTER_NODE_THRESH, 0.0)
         return v[:, self.coordinate_blocks()]
-
-    def amplitude_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        log_amp = np.array([math.log(abs(c)) if abs(c) > 0 else -math.inf
-                            for c in self.amplitudes])
-        amp_phase = np.array([float(np.angle(c)) for c in self.amplitudes])
-        return log_amp, amp_phase
 
 
 def log_single_coordinate_overlap(t: float, model: BlockModel) -> float:
@@ -285,30 +282,26 @@ def _gap_label(gap: float, labels: tuple[str, str], cut: float) -> str:
 
 
 def predictor_system(x0: float, model: BlockModel) -> str:
-    """Branch predicted from the sign of x0 about the initial system
-    midpoint, oriented by which schedule ends higher (ties pick branch +)."""
+    """Branch predicted from the side of x0 about the initial system
+    midpoint (`_plus_is_high`)."""
     blk = _find_block(model, "system")
     mid = 0.5 * float(blk.centers[0].value(0.0) + blk.centers[1].value(0.0))
-    return _sum_predictor(x0 - mid, blk, model)
+    return side_label(x0 - mid, _plus_is_high(blk, model), model.labels)
 
 
 def predictor_block_sum(q0: np.ndarray, model: BlockModel, name: str) -> str:
-    """Branch predicted from sign(sum q0) over the coordinates of the named
-    block, oriented by that block's displacement in each branch."""
-    return _sum_predictor(np.asarray(q0, dtype=float), _find_block(model, name),
-                          model)
+    """Branch predicted from the side of sum(q0) about zero over the
+    coordinates of the named block (`_plus_is_high`)."""
+    blk = _find_block(model, name)
+    return side_label(float(np.sum(q0)), _plus_is_high(blk, model),
+                      model.labels)
 
 
-def _sum_predictor(q0: np.ndarray, blk: CoordinateBlock, model: BlockModel) -> str:
-    """labels[0] when sum(q0) lies on the side where branch + ends, labels[1]
-    on the other side (ties in the end positions pick branch +),
-    "unresolved" at zero."""
-    total = float(np.sum(q0))
-    if total == 0.0:
-        return UNRESOLVED
-    end_gap = float(blk.centers[0].value(model.T) - blk.centers[1].value(model.T))
-    plus_is_high = end_gap >= 0.0
-    return model.labels[0] if ((total > 0) == plus_is_high) else model.labels[1]
+def _plus_is_high(blk: CoordinateBlock, model: BlockModel) -> bool:
+    """Whether branch + ends above branch - in the block (ties pick
+    branch +)."""
+    return float(blk.centers[0].value(model.T)
+                 - blk.centers[1].value(model.T)) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +345,11 @@ def sample_model_equilibrium(model: BlockModel, n: int, seed: int
 
 
 @dataclass
-class PointerEnsembleResult:
-    """Recorded block means of an ensemble.  Positions are rebuilt from
-    them as q0 + (m(t) - m(0))[block_id], only when asked for."""
+class PointerEnsembleResult(Sequence):
+    """Recorded block means of an ensemble, read as the read-only sequence
+    of its trajectories.  Trajectory i is rebuilt each time it is read, as
+    initial[i] + (means[i] - means[i, :1])[:, block_id], so reading the
+    ensemble one trajectory at a time holds one position table."""
     times: np.ndarray
     initial: np.ndarray    # (n, C) configurations at t = 0
     block_id: np.ndarray   # (C,) block index of each coordinate
@@ -362,27 +357,8 @@ class PointerEnsembleResult:
     reg_flags: np.ndarray  # (n, n_rec)
     node_counts: np.ndarray  # (n,)
 
-    def final_points(self) -> np.ndarray:
-        """(n, C) positions at the last recorded time."""
-        shift = self.means[:, -1] - self.means[:, 0]
-        return self.initial + shift[:, self.block_id]
-
-    def trajectories(self) -> "PointerTrajectories":
-        """One Trajectory per configuration, as a read-only sequence that
-        rebuilds trajectory i each time it is read, so reading the
-        ensemble one trajectory at a time holds one position table."""
-        return PointerTrajectories(self)
-
-
-class PointerTrajectories(Sequence):
-    """The trajectories of a PointerEnsembleResult; item i is rebuilt on
-    access as initial[i] + (means[i] - means[i, :1])[:, block_id]."""
-
-    def __init__(self, result: PointerEnsembleResult):
-        self._res = result
-
     def __len__(self) -> int:
-        return self._res.initial.shape[0]
+        return self.initial.shape[0]
 
     def __getitem__(self, i: int) -> Trajectory:
         n = len(self)
@@ -390,35 +366,34 @@ class PointerTrajectories(Sequence):
         if not -n <= i < n:
             raise IndexError("trajectory index out of range")
         i %= n
-        res = self._res
-        return Trajectory(res.times,
-                          res.initial[i] + (res.means[i] - res.means[i, :1])
-                          [:, res.block_id],
-                          node_regularization_events=int(res.node_counts[i]),
-                          regularized_flags=res.reg_flags[i])
+        return Trajectory(self.times,
+                          self.initial[i] + (self.means[i] - self.means[i, :1])
+                          [:, self.block_id],
+                          node_regularization_events=int(self.node_counts[i]),
+                          regularized_flags=self.reg_flags[i])
+
+    def final_points(self) -> np.ndarray:
+        """(n, C) positions at the last recorded time."""
+        shift = self.means[:, -1] - self.means[:, 0]
+        return self.initial + shift[:, self.block_id]
 
 
 def integrate_pointer_ensemble(model: BlockModel, initial: np.ndarray,
                                dt: float, record_stride: int = 1
                                ) -> PointerEnsembleResult:
     """RK4-integrate every configuration over [0, T] under the closed-form
-    velocity field, as the ODE of its block means."""
+    velocity field, as the ODE of its block means.  The steps follow
+    `config.trajectory_steps` with one frame spanning [0, T], so
+    record_stride 0 records the endpoints alone."""
     q0 = np.array(initial, dtype=float, ndmin=2)
     if q0.shape[1] != model.n_coords:
         raise ConfigError(
             f"initial configurations must have {model.n_coords} coordinates")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    n_steps = int(round(model.T / dt))
-    if abs(n_steps * dt - model.T) > 1e-9 * max(1.0, model.T):
-        raise ConfigError("dt must divide the total time")
-    if n_steps % record_stride != 0:
-        raise ConfigError("record_stride must divide the step count")
-
+    n_steps, stride = trajectory_steps(dt, model.T, model.T, record_stride)
     half_times = np.arange(2 * n_steps + 1) * (0.5 * dt)
     means, flags, node_counts = _kernels.block_rk4(
         model.block_means(q0), model.block_tables(half_times),
-        POINTER_NODE_THRESH, dt, n_steps, record_stride)
-    times = dt * record_stride * np.arange(means.shape[1])
+        POINTER_NODE_THRESH, dt, n_steps, stride)
+    times = dt * stride * np.arange(means.shape[1])
     return PointerEnsembleResult(times, q0, model.coordinate_blocks(), means,
                                  flags, node_counts)

@@ -114,17 +114,18 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
     n_steps is 0.  The support guard and the observer, a callable invoked
     with (step_index, t, state), see the state at the capture steps: every
     frame_stride steps, including step 0 and the final step (so
-    frame_stride must divide n_steps), or only the first and last step
-    when frame_stride is None.  No frame is stored; the result holds only
+    frame_stride must divide n_steps); frame_stride None captures the
+    first and last step only.  No frame is stored; the result holds only
     the final state.
     """
     if n_steps < 0:
         raise ConfigError("n_steps must be >= 0")
     if n_steps > 0 and dt == 0.0:
         raise ConfigError("dt must be nonzero")
-    if frame_stride is not None:
-        if frame_stride < 1 or n_steps % frame_stride != 0:
-            raise ConfigError("frame_stride must be >= 1 and divide n_steps")
+    if frame_stride is None:
+        frame_stride = max(n_steps, 1)
+    if frame_stride < 1 or n_steps % frame_stride != 0:
+        raise ConfigError("frame_stride must be >= 1 and divide n_steps")
 
     grid = state.grid
     spinor = isinstance(state, SpinorField)
@@ -163,8 +164,6 @@ def propagate(state: FieldLike, potential: PotentialSpec, dt: float, n_steps: in
             comps *= half_v
         if not np.all(np.isfinite(comps.view(np.float64))):
             raise PropagationBlowup(step)
-        if frame_stride is not None and step % frame_stride == 0:
+        if step % frame_stride == 0:
             capture(step)
-    if frame_stride is None and n_steps > 0:
-        capture(n_steps)  # guard check and observer on the final state only
     return PropagationResult(final=snapshot())

@@ -1,6 +1,7 @@
 """EnsembleReport: per-run outcomes and predictor verdicts plus aggregate
 statistics, serializable to a stable dictionary for summary.json."""
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -33,13 +34,9 @@ class EnsembleReport:
     # dropped silently either way.
 
     def _stat_mask(self) -> np.ndarray:
-        n = self.n_runs
-        mask = np.ones(n, dtype=bool)
-        if self.node_counts is not None:
-            flagged = np.asarray(self.node_counts) > 0
-            if flagged.sum() > REGULARIZED_RUN_BUDGET * n:
-                mask &= ~flagged
-        return mask
+        if self.degraded:
+            return np.asarray(self.node_counts) <= 0
+        return np.ones(self.n_runs, dtype=bool)
 
     def statistics_outcomes(self) -> list[str]:
         mask = self._stat_mask()
@@ -118,8 +115,9 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # JSON has no NaN: an indeterminate accuracy or radius is null
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

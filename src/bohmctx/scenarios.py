@@ -8,12 +8,11 @@ the quantization axis; pointer scenarios use their branch labels "+"/"-".
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import analysis, pointer
-from .analysis import UNRESOLVED, born_rule_ks, grid_cdf
+from .analysis import UNRESOLVED, born_rule_ks, grid_cdf, side_label
 from .config import (AncillaChainConfig, BeamSplitterConfig, OpticalSGConfig,
                      ScenarioConfig, SternGerlachConfig)
 from .errors import ConfigError, SeparationError, SupportGuardViolation
@@ -46,7 +45,6 @@ def _maybe_ks(endpoints, cdf):
 
 
 def run_scenario(cfg: ScenarioConfig) -> EnsembleReport:
-    cfg.validate()
     if isinstance(cfg, BeamSplitterConfig):
         return run_beam_splitter(cfg)
     if isinstance(cfg, SternGerlachConfig):
@@ -86,7 +84,8 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     positions = sample_equilibrium(psi0, cfg.n, cfg.seed)
     x0 = positions[:, 0]
     median = _density_median(grid, psi0.density())
-    final, trajs = _bs_propagate(cfg, psi0, positions, stride)
+    final, trajs = _stream_propagate(cfg, psi0, PotentialSpec.free(),
+                                     positions, stride)
     x_at_sep = np.array([tr.points[sep_rec, 0] for tr in trajs])
 
     # outcome: the detector whose branch contains the trajectory at t_sep
@@ -101,18 +100,16 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     # The stage is smooth and every kink of its schedules (t_sep, T and the
     # end of the ramp, see validate) lies on the frame grid, so it steps at
     # the frame step, not at the grid flow's dt_traj.
-    det_dt = cfg.dt * cfg.frame_stride
-    det_steps = int(round(det_tau / det_dt))
-    det_res = integrate_pointer_ensemble(det_model, det_init, det_dt,
-                                         record_stride=det_steps)
+    det_res = integrate_pointer_ensemble(det_model, det_init,
+                                         cfg.dt * cfg.frame_stride,
+                                         record_stride=0)
     det_labels = [classify_point(p, det_tau, det_model, cfg.ratio_threshold)
                   for p in det_res.final_points()]
     agree = [o == d for o, d in zip(outcomes, det_labels)
              if o != UNRESOLVED and d != UNRESOLVED]
 
     predictions = {
-        "system": ["D1" if v > median else ("D2" if v < median else UNRESOLVED)
-                   for v in x0],
+        "system": [side_label(v - median, True, ("D1", "D2")) for v in x0],
         "apparatus": [predictor_block_sum(y0[i], det_model, "apparatus")
                       for i in range(cfg.n)],
     }
@@ -169,21 +166,11 @@ def _bs_setup(cfg: BeamSplitterConfig) -> tuple:
     return grid, plus, minus, psi0
 
 
-def _bs_propagate(cfg: BeamSplitterConfig, psi0: ComplexField,
-                  positions: np.ndarray, record_stride: int) -> tuple:
-    """Final state of the free propagation of psi0 and the trajectories
-    from positions under its scalar flow, integrated while it propagates."""
-    stream, feed = _stream_observer(cfg, psi0.grid, positions, record_stride)
-    final = propagate(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
-                      frame_stride=cfg.frame_stride, observer=feed).final
-    return final, stream.flow.trajectories
-
-
 @dataclass
 class _BranchSeries:
     """Per-frame series of the two beam-splitter branch packets and their
     densities at the first separated frame."""
-    bhattacharyya: np.ndarray  # fields.spatial_overlap(plus, minus)
+    bhattacharyya: np.ndarray  # fields.density_overlap of the densities
     inner: np.ndarray          # |<plus|minus>|
     center_plus: np.ndarray
     center_minus: np.ndarray
@@ -203,7 +190,7 @@ def _bs_branch_series(cfg: BeamSplitterConfig, plus: ComplexField,
     Each branch is checked by the support guard on its own: the guard on
     the summed density would compare a leaking branch against the other
     branch's peak as well."""
-    n_frames = cfg.n_steps // cfg.frame_stride + 1
+    n_frames = len(_frame_times(cfg))
     series = _BranchSeries(*(np.empty(n_frames) for _ in range(5)))
     band = _boundary_band_mask(plus.grid)
     x, dx = plus.grid.axis(), plus.grid.dx
@@ -281,22 +268,25 @@ def _frame_times(cfg) -> np.ndarray:
         * cfg.frame_stride * cfg.dt
 
 
-def _stream_observer(cfg, grid: SpatialGrid, positions: np.ndarray,
-                     record_stride: int) -> tuple[FrameStream, Callable]:
-    """A FrameStream that integrates the ensemble from positions over the
-    frames of a propagation of cfg, and the `propagate` observer that
-    feeds it each frame's current_and_density.  The observer returns the
-    frame index."""
-    stream = FrameStream(grid, _frame_times(cfg), positions, cfg.dt_traj,
-                         record_stride)
+def _stream_propagate(cfg, state, potential: PotentialSpec,
+                      positions: np.ndarray, record_stride: int,
+                      observe=None) -> tuple:
+    """Final state of the propagation of cfg from state under potential,
+    and the trajectories from positions under its flow, integrated while
+    it propagates (a FrameStream fed each frame's current_and_density).
+    observe(f, state), if given, sees the state of every frame f."""
+    stream = FrameStream(state.grid, _frame_times(cfg), positions,
+                         cfg.dt_traj, record_stride)
 
-    def feed(step, t, state) -> int:
+    def feed(step, t, frame):
         f = step // cfg.frame_stride
-        rho, g = current_and_density(state)
-        stream.add(f, rho, g)
-        return f
+        stream.add(f, *current_and_density(frame))
+        if observe is not None:
+            observe(f, frame)
 
-    return stream, feed
+    final = propagate(state, potential, cfg.dt, cfg.n_steps,
+                      frame_stride=cfg.frame_stride, observer=feed).final
+    return final, stream.flow.trajectories
 
 
 def _branch_overlap(state: SpinorField) -> float:
@@ -336,31 +326,13 @@ def run_stern_gerlach(cfg: SternGerlachConfig) -> EnsembleReport:
     return _run_stern_gerlach_1d(cfg)
 
 
-def _sg_initial_1d(cfg) -> SpinorField:
-    grid = SpatialGrid.line(cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width)
-    g = make_gaussian(grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0))
+def _sg_spinor(cfg, z_grid: SpatialGrid) -> SpinorField:
+    """The initial spinor g(z) (alpha, beta e^{i spinor_phase}) on z_grid,
+    g the Gaussian of width cfg.sigma."""
+    g = make_gaussian(z_grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0))
     beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
-    up = ComplexField(grid, cfg.alpha * g.values)
-    down = ComplexField(grid, beta * g.values)
-    return SpinorField(up, down)
-
-
-def _sg_propagate_1d(cfg, spinor0: SpinorField, gradient: float,
-                     positions: np.ndarray, record_stride: int) -> tuple:
-    """Final state, trajectories from positions under the convective flow
-    (integrated while it propagates) and branch overlap series of the 1D
-    run under the given field gradient."""
-    stream, feed = _stream_observer(cfg, spinor0.grid, positions,
-                                    record_stride)
-    branch_overlap = np.empty(len(stream.stacks.times))
-
-    def observer(step, t, state):
-        branch_overlap[feed(step, t, state)] = _branch_overlap(state)
-
-    pot = PotentialSpec.linear_spin_dependent(gradient, cfg.offset)
-    final = propagate(spinor0, pot, cfg.dt, cfg.n_steps,
-                      frame_stride=cfg.frame_stride, observer=observer).final
-    return final, stream.flow.trajectories, branch_overlap
+    return SpinorField(ComplexField(z_grid, cfg.alpha * g.values),
+                       ComplexField(z_grid, beta * g.values))
 
 
 def _sg_z_cdf(final: SpinorField):
@@ -393,13 +365,21 @@ def _sg_check_separation(cfg, final: SpinorField) -> None:
 
 
 def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
-    spinor0 = _sg_initial_1d(cfg)
+    spinor0 = _sg_spinor(cfg, SpatialGrid.line(
+        cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width))
     positions = sample_equilibrium(spinor0, cfg.n, cfg.seed)
     z0 = positions[:, 0]
+    times = _frame_times(cfg)
 
     def one_run(gradient: float):
-        final, trajs, branch_overlap = _sg_propagate_1d(
-            cfg, spinor0, gradient, positions, 1)
+        branch_overlap = np.empty(len(times))
+
+        def observe(f, state):
+            branch_overlap[f] = _branch_overlap(state)
+
+        final, trajs = _stream_propagate(
+            cfg, spinor0, PotentialSpec.linear_spin_dependent(
+                gradient, cfg.offset), positions, 1, observe)
         _sg_check_separation(cfg, final)
         ends = endpoints(trajs)
         outcomes = _sg_outcome_labels(final, ends[:, 0], cfg.ratio_threshold)
@@ -424,7 +404,7 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=z0,
-        overlap_series={"t": _frame_times(cfg), "branch": branch_overlap},
+        overlap_series={"t": times, "branch": branch_overlap},
         node_counts=node_counts,
         audits={"crossing_violations": crossings,
                 "equivariance_ks": ks,
@@ -448,9 +428,7 @@ def _sg_system_predictions(cfg: SternGerlachConfig, z0: np.ndarray
                            ) -> list[str]:
     """Spin predicted from the side of the initial z: the spin that the
     gradient deflects upward above z = 0, the other below."""
-    spin_for_upper = "+" if cfg.gradient > 0 else "-"
-    return [(spin_for_upper if z > 0 else _flip(spin_for_upper)) if z != 0
-            else UNRESOLVED for z in z0]
+    return [side_label(z, cfg.gradient > 0, ("+", "-")) for z in z0]
 
 
 def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
@@ -488,20 +466,16 @@ def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
     y_grid = SpatialGrid.line(cfg.grid_n_y, -cfg.grid_half_width_y, cfg.grid_half_width_y)
     z_grid = SpatialGrid.line(cfg.grid_n_z, -cfg.grid_half_width_z, cfg.grid_half_width_z)
     phi0 = make_gaussian(y_grid, GaussianPacketSpec.make(0.0, cfg.sigma_y, 0.0))
-    g_z = make_gaussian(z_grid, GaussianPacketSpec.make(0.0, cfg.sigma, 0.0))
-    beta = cfg.beta * np.exp(1j * cfg.spinor_phase)
-    chi0 = SpinorField(ComplexField(z_grid, cfg.alpha * g_z.values),
-                       ComplexField(z_grid, beta * g_z.values))
+    chi0 = _sg_spinor(cfg, z_grid)
 
-    n_frames = cfg.n_steps // cfg.frame_stride + 1
-    times = np.empty(n_frames)
+    times = _frame_times(cfg)
+    n_frames = len(times)
     y_tab = np.empty((n_frames, 3, cfg.grid_n_y))  # P, J_phi, -(hbar/2m) P'
     z_tab = np.empty((n_frames, 4, cfg.grid_n_z))  # R, J_chi, S, (hbar/2m) S'
     branch_overlap = np.empty(n_frames)
 
     def y_observer(step, t, state):
         f = step // cfg.frame_stride
-        times[f] = t
         y_tab[f, 0], y_tab[f, 1] = current_and_density(state)
 
     def z_observer(step, t, state):
@@ -657,7 +631,7 @@ def _run_pointer_ensemble(model: BlockModel, cfg: PointerConfig
     # an unresolved fraction above 10% marks the run as degraded quality;
     # the report is still returned in full
     report.audits["quality_degraded"] = report.unresolved_fraction > 0.10
-    report.artifacts["result"] = res
+    report.artifacts["trajectories"] = res
     return report
 
 
@@ -666,7 +640,8 @@ def run_optical_sg(cfg: OpticalSGConfig) -> EnsembleReport:
     subs = []
     for N in cfg.N_sweep:
         rep = _run_pointer_ensemble(build_optical_sg_model(cfg, N), cfg)
-        del rep.artifacts["result"]  # no output reads a sweep entry's result
+        # no output reads a sweep entry's trajectories
+        del rep.artifacts["trajectories"]
         rep.extras["N"] = N
         rep.audits["log_overlap_exponent_exact"] = True  # by construction
         subs.append(rep)
@@ -748,7 +723,7 @@ def _run_ancilla_sweep(cfg: AncillaChainConfig) -> EnsembleReport:
         for npr in cfg.N_prime_sweep:
             model = build_ancilla_model(cfg, N_prime=npr, separation=sep)
             rep = _run_pointer_ensemble(model, cfg)
-            del rep.artifacts["result"]  # as in run_optical_sg
+            del rep.artifacts["trajectories"]  # as in run_optical_sg
             rep.extras["N_prime"] = npr
             rep.extras["system_separation"] = float(sep)
             verdict = analysis.determinant_attribution(rep)
@@ -779,7 +754,8 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
         grid, _, _, psi0 = _bs_setup(cfg)
         positions = sample_equilibrium(psi0, n, cfg.seed)
         steps, _ = cfg.trajectory_steps()
-        final, trajs = _bs_propagate(cfg, psi0, positions, steps)
+        final, trajs = _stream_propagate(cfg, psi0, PotentialSpec.free(),
+                                         positions, steps)
         ks = born_rule_ks(endpoints(trajs)[:, 0],
                           grid_cdf(grid.axis(), final.density(), grid.dx))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
@@ -790,11 +766,13 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
             (trajs,) = integrate_product_flows(
                 tables, positions, cfg.dt_traj, gordon=(1.0,))
         else:
-            spinor0 = _sg_initial_1d(cfg)
+            spinor0 = _sg_spinor(cfg, SpatialGrid.line(
+                cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width))
             positions = sample_equilibrium(spinor0, n, cfg.seed)
             steps, _ = cfg.trajectory_steps()
-            final, trajs, _ = _sg_propagate_1d(cfg, spinor0, cfg.gradient,
-                                               positions, steps)
+            final, trajs = _stream_propagate(
+                cfg, spinor0, PotentialSpec.linear_spin_dependent(
+                    cfg.gradient, cfg.offset), positions, steps)
         return {"scenario": "stern_gerlach", "n": n,
                 "ks": born_rule_ks(endpoints(trajs)[:, -1], _sg_z_cdf(final))}
     if isinstance(cfg, OpticalSGConfig):
@@ -808,8 +786,7 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
 def _pointer_born_check(model: BlockModel, cfg: PointerConfig, n: int
                         ) -> dict:
     # only the endpoints are compared, so only they are recorded
-    n_steps = max(int(round(model.T / cfg.dt_traj)), 1)
-    _, res = _pointer_sample_and_integrate(model, cfg, n, n_steps)
+    _, res = _pointer_sample_and_integrate(model, cfg, n, 0)
     ends = res.final_points()[:, 0]
     xs, dens = pointer.x_marginal_density(model, model.T)
     ks = born_rule_ks(ends, grid_cdf(xs, dens, float(xs[1] - xs[0])))

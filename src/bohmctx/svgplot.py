@@ -31,22 +31,14 @@ def _fmt(v: float) -> str:
 
 
 def line_plot(path, series, title: str = "", xlabel: str = "",
-              ylabel: str = "", ylog: bool = False) -> None:
+              ylabel: str = "") -> None:
     """series: iterable of (x array, y array, label)."""
     series = [(list(map(float, xs)), list(map(float, ys)), lab)
               for xs, ys, lab in series]
     xs_all = [v for xs, _, _ in series for v in xs]
-    ys_all = []
-    for _, ys, _ in series:
-        for v in ys:
-            if ylog:
-                ys_all.append(math.log10(max(v, 1e-300)))
-            else:
-                ys_all.append(v)
+    ys_all = [v for _, ys, _ in series for v in ys]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if ylog:
-        y_lo = max(y_lo, -60.0)  # clip log floor for readability
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -58,9 +50,7 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
         return MARGIN_L + pw * (x - x_lo) / (x_hi - x_lo)
 
     def py(y):
-        yy = math.log10(max(y, 1e-300)) if ylog else y
-        yy = max(yy, y_lo)
-        return MARGIN_T + ph * (1.0 - (yy - y_lo) / (y_hi - y_lo))
+        return MARGIN_T + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
              f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -78,12 +68,11 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
         parts.append(f'<text x="{px(tx):.1f}" y="{HEIGHT - MARGIN_B + 18}" '
                      f'text-anchor="middle" font-size="11">{_fmt(tx)}</text>')
     for ty in _ticks(y_lo, y_hi):
-        yy = MARGIN_T + ph * (1.0 - (ty - y_lo) / (y_hi - y_lo))
-        label = f"1e{_fmt(ty)}" if ylog else _fmt(ty)
+        yy = py(ty)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{yy:.1f}" x2="{MARGIN_L}" '
                      f'y2="{yy:.1f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{yy + 4:.1f}" '
-                     f'text-anchor="end" font-size="11">{label}</text>')
+                     f'text-anchor="end" font-size="11">{_fmt(ty)}</text>')
     parts.append(f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 8}" '
                  f'text-anchor="middle" font-size="12">{xlabel}</text>')
     parts.append(f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '

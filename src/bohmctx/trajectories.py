@@ -194,28 +194,25 @@ def write_trajectories_csv(path, trajectories: Sequence[Trajectory],
     end in CRLF, as the csv module writes them.  Rows are written in
     blocks of about WRITE_BLOCK_VALUES values, one %-format per block, so
     memory stays flat in the table size and in the trajectory length.  The
-    time column is formatted once for each run of trajectories that share
-    one times array, as the trajectories of one ensemble do."""
+    trajectories of one ensemble share one time base, so the time column
+    is formatted once, from the first trajectory; each trajectory's
+    regularized_flags give its last column."""
     if not trajectories:
         raise ConfigError("no trajectories to write")
+    times = list(map(repr, trajectories[0].times[::stride].tolist()))
     n_coords = trajectories[0].points.shape[1]
     names = ([f"c{i}" for i in range(n_coords)] if n_coords > 2
              else (["x"] if n_coords == 1 else ["y", "z"]))
     row_fmt = "%d,%s" + ",%r" * n_coords + ",%s\r\n"
     width = n_coords + 3
     block = max(1, WRITE_BLOCK_VALUES // width)
-    base = None  # the times array whose formatted column is `times`
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["trajectory_id", "t", *names, "regularized_flag"])
                  + "\r\n")
         for tid, traj in enumerate(trajectories):
-            if traj.times is not base:
-                base = traj.times
-                times = list(map(repr, base[::stride].tolist()))
             points = traj.points[::stride]
-            flags = (["0"] * len(times) if traj.regularized_flags is None
-                     else ["1" if f else "0"
-                           for f in traj.regularized_flags[::stride].tolist()])
+            flags = ["1" if f else "0"
+                     for f in traj.regularized_flags[::stride].tolist()]
             for r0 in range(0, len(times), block):
                 rows = min(block, len(times) - r0)
                 values = [tid] * (rows * width)  # column 0 stays tid

@@ -158,14 +158,19 @@ def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
     ("ancilla", "separation_sweep = 0, 8"),
     ("optical-sg", "seed = -1"),
     ("stern-gerlach", "seed = -1"),
+    ("ancilla", "N_prime_sweep = 0, 4\nseparation_sweep = 0"),
+    ("optical-sg", "dt_traj = 0.003"),
+    ("ancilla", "dt_traj = 0.003"),
 ], ids=["n_float", "n_word", "gordon_yes", "seed_bool", "grid_n_float",
         "sigma_word", "ancilla_N_float", "sweep_word", "osg_stride_0",
         "osg_stride_neg", "ancilla_stride_0", "bs_stride_neg",
         "N_sweep_float", "N_prime_sweep_float", "half_sweep_N_prime",
-        "half_sweep_separation", "osg_seed_neg", "sg_seed_neg"])
+        "half_sweep_separation", "osg_seed_neg", "sg_seed_neg",
+        "N_prime_sweep_zero", "osg_dt_traj", "ancilla_dt_traj"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, line):
-    # a value of the wrong type for its field, a record stride or seed out
-    # of range, or one ancilla sweep list without the other, is a config
+    # a value of the wrong type for its field, a record stride, seed or
+    # ancilla count out of range, a trajectory step that does not divide
+    # the run, or one ancilla sweep list without the other, is a config
     # error (exit 1) before anything runs: neither a Python traceback, nor
     # a silent truncation, reinterpretation or dropped sweep
     cfg_path = tmp_path / "bad.cfg"
@@ -213,6 +218,56 @@ def test_cli_stern_gerlach_outputs(tmp_path):
     assert header == ["trajectory_id", "t", "x", "regularized_flag"]
     n_times = len({line.split(",")[1] for line in lines[1:]})
     assert len(lines) - 1 == 60 * n_times
+
+
+def _strict_json(path):
+    """The JSON document at path, rejecting NaN and Infinity as strict
+    parsers do."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, lines, writes_trajectories, nulls", [
+    ("beam-splitter", "grid_n = 512\ndt_traj = 0.0005", True, ()),
+    ("stern-gerlach", "", True, ()),
+    ("optical-sg", "N_sweep = 1, 4", False, ()),
+    ("ancilla", "N_prime = 2\nN = 4", True, ()),
+    # every outcome unresolved: each accuracy and radius of the sweep
+    # tables is indeterminate and written as null
+    ("optical-sg", "N_sweep = 4\ndisplacement = 0.0\nsystem_separation = 0.0",
+     False, ("apparatus_accuracy", "apparatus_radius", "system_accuracy",
+             "system_radius")),
+    ("ancilla", "ancilla_displacement = 0.0\napparatus_displacement = 0.0\n"
+     "N_prime_sweep = 4\nseparation_sweep = 0", False,
+     ("acc_ancilla", "acc_apparatus", "acc_system")),
+], ids=["beam_splitter", "stern_gerlach", "optical_sg", "ancilla",
+        "optical_sg_unresolved", "ancilla_sweep_unresolved"])
+def test_cli_writes_strict_json_and_the_listed_outputs(
+        tmp_path, command, lines, writes_trajectories, nulls):
+    # every .json output parses without NaN or Infinity, and the manifest
+    # lists exactly the other files written; optical-sg and the sweeps
+    # write no trajectories.csv
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = {cli.SUBCOMMANDS[command]}\nn = 20\n"
+                        f"{lines}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    docs = {p.name: _strict_json(p) for p in out.glob("*.json")}
+    want = {"summary.json", "overlaps.csv"}
+    if writes_trajectories:
+        want.add("trajectories.csv")
+    assert set(docs["manifest.json"]["outputs"]) == want
+    assert {p.name for p in out.iterdir()} == want | {"manifest.json"}
+    if nulls:
+        report = docs["summary.json"]["report"]
+        assert report["unresolved_fraction"] == 1.0
+        audits = report["audits"]
+        table = audits["sweep"] if "sweep" in audits \
+            else audits["regime_table"][0]
+        assert sorted(k for k, v in table.items()
+                      if v in (None, [None])) == list(nulls)
 
 
 def test_cli_config_file_and_plot(tmp_path):

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
                      SpatialGrid, SpinorField, make_gaussian, norm, overlap)
-from bohmctx.fields import center_width, position_std, spatial_overlap
+from bohmctx.fields import center_width, density_overlap, position_std
 from bohmctx.guidance import current_and_density
 
 
@@ -99,11 +99,12 @@ def test_spinor_norm_is_joint(line_grid):
     assert abs(norm(SpinorField(up, down)) - 1.0) <= 1e-12
 
 
-def test_spatial_overlap_is_phase_blind(line_grid):
+def test_density_overlap_is_phase_blind(line_grid):
     # identical densities with very different momenta still overlap fully
     f1 = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, 5.0))
     f2 = make_gaussian(line_grid, GaussianPacketSpec.make(0.0, 1.0, -5.0))
-    assert spatial_overlap(f1, f2) == pytest.approx(1.0, abs=1e-12)
+    assert density_overlap(f1.density(), f2.density(), line_grid.dx) \
+        == pytest.approx(1.0, abs=1e-12)
     assert abs(overlap(f1, f2)) < 1e-8
 
 

@@ -45,7 +45,7 @@ def test_pointer_one_step_matches_hand_rk4():
     k4 = model.velocities(init + T * k3, T)
     expected = init + (T / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     res = integrate_pointer_ensemble(model, init, T)
-    pos = np.array([tr.points for tr in res.trajectories()])
+    pos = np.array([tr.points for tr in res])
     assert pos.shape == (100, 2, 17)
     assert np.array_equal(pos[:, 0], init)
     assert np.abs(pos[:, 1] - expected).max() <= 1e-12
@@ -276,7 +276,7 @@ def test_within_block_deviations_are_conserved():
     model = build_ancilla_model(AncillaChainConfig(N_prime=5, N=7))
     init = sample_model_equilibrium(model, 30, seed=2)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=10)
-    pos = np.array([tr.points for tr in res.trajectories()])
+    pos = np.array([tr.points for tr in res])
     assert pos.shape == (30, len(res.times), model.n_coords)
     for sl in model.block_slices().values():
         dev = pos[:, :, sl] - pos[:, :, sl].mean(axis=2, keepdims=True)

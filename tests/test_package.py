@@ -3,7 +3,11 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import bohmctx
+from bohmctx.cli import main
+from test_golden import CASES, GOLDEN
 
 
 def test_public_names_resolve_and_none_repeats():
@@ -29,3 +33,20 @@ def test_tracer_patch_targets_exist():
         params = inspect.signature(target).parameters
         for key in keys:
             assert key in params, f"{module_name}.{attr} has no {key!r}"
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_traced_golden_run_writes_the_untraced_summary(tmp_path, name):
+    # each golden config run with every perfbench/tracer.PATCHES wrapper
+    # installed exits 0 and writes the summary.json of the untraced run
+    # (the golden fixture).  Delete this test together with the tracer.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer().installed():
+        code = main([CASES[name], "--config", str(GOLDEN / f"{name}.cfg"),
+                     "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "summary.json").read_bytes() \
+        == (GOLDEN / name / "summary.json").read_bytes()

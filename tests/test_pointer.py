@@ -266,8 +266,8 @@ def test_apparatus_predictor_headline(tmp_path):
 # -- trajectories -------------------------------------------------------------
 
 def test_trajectories_sequence_rebuilds_each_trajectory():
-    # a read-only sequence whose items are bitwise the trajectories that
-    # the whole (n, n_rec, C) shift table gives
+    # the result is a read-only sequence whose items are bitwise the
+    # trajectories that the whole (n, n_rec, C) shift table gives
     model = symmetric_model(N=3)
     init = sample_model_equilibrium(model, 7, seed=4)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=8)
@@ -276,17 +276,16 @@ def test_trajectories_sequence_rebuilds_each_trajectory():
                        node_regularization_events=int(res.node_counts[i]),
                        regularized_flags=res.reg_flags[i])
             for i in range(7)]
-    got = res.trajectories()
-    assert isinstance(got, Sequence) and not isinstance(got, list)
-    assert len(got) == 7
-    assert_same_trajectories(list(got), want)
-    assert_same_trajectories([got[-1], got[-7], got[np.int64(2)]],
+    assert isinstance(res, Sequence) and not isinstance(res, list)
+    assert len(res) == 7
+    assert_same_trajectories(list(res), want)
+    assert_same_trajectories([res[-1], res[-7], res[np.int64(2)]],
                              [want[6], want[0], want[2]])
     for i in (7, -8):
         with pytest.raises(IndexError):
-            got[i]
+            res[i]
     with pytest.raises(TypeError):
-        got[0] = want[0]
+        res[0] = want[0]
 
 
 # -- sampling and marginals ---------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from scipy import fft as scipy_fft
 
 from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
-                     PotentialSpec, SpinorField,
+                     PotentialSpec, SpatialGrid, SpinorField,
                      SupportGuardViolation, make_gaussian, norm, propagate)
 from bohmctx.errors import PropagationBlowup
 from bohmctx import scenarios
@@ -251,7 +251,8 @@ def test_sg_1d_default_components_match_closed_form():
     # peak density, bound 1e-12.  Strang splitting leaves the global phase
     # f^2 T dt^2 / 24 = 5.3e-6 on both, so densities are compared
     cfg = SternGerlachConfig()
-    spinor0 = scenarios._sg_initial_1d(cfg)
+    spinor0 = scenarios._sg_spinor(cfg, SpatialGrid.line(
+        cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width))
     final = propagate(spinor0, PotentialSpec.linear_spin_dependent(
         cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps).final
     up, down, _, _ = gaussian_oracle.sg_spinor(

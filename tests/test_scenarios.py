@@ -6,7 +6,7 @@ import pytest
 from bohmctx import (ConfigError, GaussianPacketSpec, SeparationError,
                      SpatialGrid, SpinorField, SupportGuardViolation,
                      make_gaussian, norm, overlap, scenarios)
-from bohmctx.fields import spatial_overlap
+from bohmctx.fields import density_overlap
 from bohmctx.analysis import born_rule_ks, determinant_attribution, grid_cdf
 from bohmctx import _kernels, pointer
 from bohmctx.guidance import NODE_DENSITY_REL, build_stacks
@@ -76,7 +76,8 @@ def test_beam_splitter_streamed_trajectories_equal_stored_stacks(kw):
     positions = sample_equilibrium(psi0, cfg.n, cfg.seed)
     _, stride = cfg.trajectory_steps()
     assert stride > 1
-    final, trajs = scenarios._bs_propagate(cfg, psi0, positions, stride)
+    final, trajs = scenarios._stream_propagate(
+        cfg, psi0, PotentialSpec.free(), positions, stride)
     prop = propagate_frames(psi0, PotentialSpec.free(), cfg.dt, cfg.n_steps,
                             frame_stride=cfg.frame_stride)
     ref = integrate_over_stacks(
@@ -162,7 +163,8 @@ def test_beam_splitter_branch_series_equal_separate_propagations():
         mu = float(np.sum(w * x))
         return mu, np.sqrt(float(np.sum(w * (x - mu) ** 2)))
 
-    bhatt = np.array([spatial_overlap(a, b) for a, b in zip(*frames)])
+    bhatt = np.array([density_overlap(a.density(), b.density(), a.grid.dx)
+                      for a, b in zip(*frames)])
     inner = np.array([abs(overlap(a, b)) for a, b in zip(*frames)])
     c_p, width = np.array([center_width(f) for f in frames[0]]).T
     c_m, _ = np.array([center_width(f) for f in frames[1]]).T
@@ -355,6 +357,12 @@ def test_run_scenario_dispatch():
     assert rep.scenario == "stern_gerlach"
 
 
+def _sg_spinor_1d(cfg):
+    """The initial spinor of the 1D Stern-Gerlach run."""
+    return scenarios._sg_spinor(cfg, SpatialGrid.line(
+        cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["run", "twin"])
 def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
         sign):
@@ -362,13 +370,19 @@ def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
     # propagates, bitwise as integrate_over_stacks over build_stacks of the
     # stored frames
     cfg = SternGerlachConfig(n=10, seed=3, grid_n=512)
-    spinor0 = scenarios._sg_initial_1d(cfg)
+    spinor0 = _sg_spinor_1d(cfg)
     positions = sample_equilibrium(spinor0, cfg.n, cfg.seed)
-    final, trajs, branch = scenarios._sg_propagate_1d(
-        cfg, spinor0, sign * cfg.gradient, positions, 1)
-    prop = propagate_frames(spinor0, PotentialSpec.linear_spin_dependent(
-        sign * cfg.gradient, cfg.offset), cfg.dt, cfg.n_steps,
-        frame_stride=cfg.frame_stride)
+    potential = PotentialSpec.linear_spin_dependent(sign * cfg.gradient,
+                                                    cfg.offset)
+    branch = {}
+
+    def observe(f, state):
+        branch[f] = scenarios._branch_overlap(state)
+
+    final, trajs = scenarios._stream_propagate(
+        cfg, spinor0, potential, positions, 1, observe)
+    prop = propagate_frames(spinor0, potential, cfg.dt, cfg.n_steps,
+                            frame_stride=cfg.frame_stride)
     ref = integrate_over_stacks(
         build_stacks(prop.frames, prop.times),
         positions, cfg.dt_traj)
@@ -376,7 +390,8 @@ def test_sg_1d_streamed_trajectories_and_branch_overlap_equal_stored_frames(
             for f in prop.frames]
     assert np.array_equal(final.up.values, prop.final.up.values)
     assert np.array_equal(final.down.values, prop.final.down.values)
-    assert np.array_equal(branch, want)
+    assert list(branch) == list(range(len(want)))
+    assert np.array_equal(list(branch.values()), want)
     assert_same_trajectories(trajs, ref)
 
 
@@ -406,10 +421,11 @@ def test_sg_1d_grid_flow_endpoints_match_closed_form_flow():
     # (median 6.2e-4).  On a 512-point grid the maximum is 4.12e-3, so the
     # bound 2.5e-3 catches a grid that is too coarse
     cfg = SternGerlachConfig(n=50, seed=1)
-    spinor0 = scenarios._sg_initial_1d(cfg)
+    spinor0 = _sg_spinor_1d(cfg)
     positions = sample_equilibrium(spinor0, cfg.n, cfg.seed)
-    _, trajs, _ = scenarios._sg_propagate_1d(cfg, spinor0, cfg.gradient,
-                                             positions, 1)
+    _, trajs = scenarios._stream_propagate(
+        cfg, spinor0, PotentialSpec.linear_spin_dependent(
+            cfg.gradient, cfg.offset), positions, 1)
     exact = _exact_sg_1d_flow(cfg, positions[:, 0])
     assert not any(tr.failed for tr in trajs)
     assert np.abs(endpoints(trajs)[:, 0] - exact).max() <= 2.5e-3

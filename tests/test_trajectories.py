@@ -137,24 +137,24 @@ def _csv_module_reference(path, trajectories, stride):
         writer = csv.writer(fh)
         writer.writerow(["trajectory_id", "t", *names, "regularized_flag"])
         for tid, traj in enumerate(trajectories):
-            flags = traj.regularized_flags
             for r in range(0, len(traj.times), stride):
-                flag = int(bool(flags[r])) if flags is not None else 0
                 writer.writerow([tid, repr(float(traj.times[r])),
                                  *(repr(float(v)) for v in traj.points[r]),
-                                 flag])
+                                 int(bool(traj.regularized_flags[r]))])
 
 
 @pytest.mark.parametrize("dims", [1, 3])
 def test_trajectories_csv_matches_csv_module(tmp_path, dims):
+    # values of any magnitude, NaN and -0.0 read back as written, with
+    # each trajectory's own flags
     rng = np.random.default_rng(dims)
+    times = 0.1 * np.arange(11)
     trajs = []
     for i in range(4):
         pts = rng.standard_normal((11, dims)) * 10.0 ** rng.integers(-9, 9)
         pts[2, 0] = np.nan if i == 1 else -0.0
-        flags = None if i == 2 else rng.random(11) < 0.4
-        trajs.append(Trajectory(0.1 * np.arange(11), pts,
-                                regularized_flags=flags))
+        trajs.append(Trajectory(times, pts,
+                                regularized_flags=rng.random(11) < 0.4))
     for stride in (1, 3):
         write_trajectories_csv(tmp_path / "got.csv", trajs, stride=stride)
         _csv_module_reference(tmp_path / "want.csv", trajs, stride)
@@ -164,15 +164,15 @@ def test_trajectories_csv_matches_csv_module(tmp_path, dims):
 
 @pytest.mark.parametrize("block", [1, 10, 4096])
 def test_trajectories_csv_shared_time_bases(tmp_path, monkeypatch, block):
-    # trajectories that share a times array get its formatted column once;
-    # a file of two time bases, one of them coming back, and rows written
-    # in blocks of any size are the csv module's bytes
+    # the trajectories of one ensemble share one time base, whose column
+    # is formatted once; rows written in blocks of any size are the csv
+    # module's bytes
     monkeypatch.setattr(trajectories, "WRITE_BLOCK_VALUES", block)
     rng = np.random.default_rng(7)
-    bases = (0.1 * np.arange(11), 1.0 / 3.0 + 0.05 * np.arange(11))
-    trajs = [Trajectory(bases[b], rng.standard_normal((11, 3)),
+    times = 1.0 / 3.0 + 0.05 * np.arange(11)
+    trajs = [Trajectory(times, rng.standard_normal((11, 3)),
                         regularized_flags=rng.random(11) < 0.4)
-             for b in (0, 0, 1, 1, 1, 0)]
+             for _ in range(6)]
     for stride in (1, 3):
         write_trajectories_csv(tmp_path / "got.csv", trajs, stride=stride)
         _csv_module_reference(tmp_path / "want.csv", trajs, stride)
