@@ -1,7 +1,7 @@
 """Hot trajectory-integration kernels, vectorized over the ensemble in numpy.
 
-All kernels integrate classical RK4.  The grid kernel `grid_rk4` owns the
-RK4 loop, the clamping of trajectories that leave the grid, node counting
+One RK4 loop, `grid_rk4`, integrates every ensemble.  It owns the RK4
+step, the clamping of trajectories that leave the domain, node counting
 and recording, and takes its stage velocity as a parameter.  It is a
 generator that can be resumed frame by frame, so the ensemble can be
 integrated while a propagation produces the frames: each step waits until
@@ -18,17 +18,19 @@ velocities:
   only 2D flow in the package, so no 2D array is ever built; a per-point
   Gordon weight lets one call integrate the flows with and without the
   spin-curl term side by side.
+- `block_stage_velocity` follows the closed-form velocity of the
+  branched-Gaussian pointer model, where all coordinates of a block move
+  together, so the loop integrates one coordinate per block (the block
+  mean) whatever the block sizes.  The model is one frame interval
+  [0, T] with both frames present, on an unbounded domain.
 
-The pointer kernel follows the closed-form velocity of the branched-Gaussian
-model, where all coordinates of a block move together, so it integrates one
-coordinate per block (the block mean) whatever the block sizes.  Node
-handling: when the local density (or the branched-Gaussian denominator)
-falls below threshold, the trajectory reuses its last finite velocity and
-the event is counted.  A step where no stage flags a node (and, on the
-grid, no trajectory has failed) skips the node masks and counts, which
-would leave every value as it is; the results are bitwise those of the
-masked step.  Trajectories never share mutable state, so results are
-independent of thread count and scheduling.
+Node handling: when the local density (or the branched-Gaussian
+denominator) falls below threshold, the trajectory reuses its last finite
+velocity and the event is counted.  A step where no stage flags a node and
+no trajectory has failed skips the node masks and counts, which would
+leave every value as it is; the results are bitwise those of the masked
+step.  Trajectories never share mutable state, so results are independent
+of thread count and scheduling.
 """
 
 import math
@@ -42,7 +44,7 @@ NODE_ABS_FLOOR = 1e-300  # hard underflow floor for denominators
 
 
 # ---------------------------------------------------------------------------
-# Grid kernel: velocity v = G/rho with G and rho linearly interpolated in
+# Grid stage velocities: v = G/rho with G and rho linearly interpolated in
 # time between stored frames and linearly in space (per factor on the
 # (y, z) plane).  Both stage velocities take (q, t, vprev, *tables, t0,
 # frame_dt, lo, step, node_rel), with q (n_coords, n) and lo, step
@@ -141,12 +143,12 @@ def product_velocity(q, t, vprev, y_tab, z_tab, peaks, gordon, t0,
     return _guided(rho_i, (g_y, g_z), peaks, f0, w, node_rel, vprev)
 
 
-def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
+def grid_rk4(q0, velocity, args, lo, hi, step, t0, dt, n_steps,
              rec_stride, frame_dt, n_frames):
     """RK4 of points q0 (n, n_coords) under the stage velocity
-    `velocity(q, t, vprev, *args)` on the periodic grid of `shape` cells
-    of size step (n_coords, 1) from lo (n_coords, 1), over n_frames frames
-    frame_dt apart from t0.
+    `velocity(q, t, vprev, *args)` on the domain [lo, hi) of each
+    coordinate (lo, hi (n_coords, 1), infinite for an unbounded axis),
+    over n_frames frames frame_dt apart from t0.
 
     A generator: primed with next(), it is sent the index of the last
     frame present and runs every step whose stages read no later frame.
@@ -156,11 +158,10 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
     still be stored, and once the last step is done it returns the
     recorded points (n, n_rec, n_coords), per-record node flags,
     per-trajectory node counts, failure flags and exit times.  A
-    trajectory that leaves the grid is clamped inside it, marked failed
-    and no longer moved.
+    trajectory that leaves the domain is clamped into [lo, hi - 1e-9 step]
+    (step the grid spacing), marked failed and no longer moved.
     """
     n, n_coords = q0.shape
-    hi = lo + np.reshape(shape, (n_coords, 1)) * step
     n_rec = n_steps // rec_stride + 1
 
     rec = np.empty((n, n_rec, n_coords), dtype=np.float64)
@@ -175,8 +176,11 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
     rec[:, 0, :] = q.T
     step_events = np.zeros(n, dtype=np.int64)
 
-    # per-axis bounds as floats, for the exit pre-test
-    lo_ax, hi_ax = lo[:, 0].tolist(), hi[:, 0].tolist()
+    # per-axis bounds as floats, for the exit pre-test, which skips an
+    # axis unbounded both ways: no point leaves it
+    bounded = [(ax, a, b) for ax, (a, b)
+               in enumerate(zip(lo[:, 0].tolist(), hi[:, 0].tolist()))
+               if math.isfinite(a) or math.isfinite(b)]
     any_failed = False
     half_dt = 0.5 * dt
 
@@ -201,10 +205,9 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
         else:
             # no node and no failed trajectory: the masks change nothing
             vprev, q = k4, q_new
-        # failed points are clamped inside the grid, so a step with every
+        # failed points are clamped inside the domain, so a step with every
         # point inside the bounds of each axis has no new exit
-        if any(q[ax].min() < lo_ax[ax] or q[ax].max() >= hi_ax[ax]
-               for ax in range(n_coords)):
+        if any(q[ax].min() < a or q[ax].max() >= b for ax, a, b in bounded):
             out = ~failed & np.any((q < lo) | (q >= hi), axis=0)
             if np.any(out):
                 any_failed = True
@@ -220,7 +223,7 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
 
 
 # ---------------------------------------------------------------------------
-# Block-collective pointer kernel.  Two rigid Gaussian-product branches over
+# Block-collective pointer velocity.  Two rigid Gaussian-product branches over
 # coordinate blocks (block k: n_k coordinates of width sigma_k, branch centers
 # c_bk(t) moving at v_bk(t)).  In the guidance velocity the q_c terms cancel,
 # so every coordinate of block k moves with one velocity
@@ -243,8 +246,6 @@ def grid_rk4(q0, velocity, args, lo, step, shape, t0, dt, n_steps,
 # (the first because (m-c_+)^2 - (m-c_-)^2 = 2 (c_- - c_+)(m - h)), and
 # `block_tables` tabulates h, coef, base and the velocity terms once per
 # time so that an RK4 stage costs a few operations on (n, n_blocks) arrays.
-# The kernel tables carry a leading half-step time index: stage times t,
-# t+dt/2, t+dt map to 2*step, 2*step+1, 2*step+2.
 # ---------------------------------------------------------------------------
 
 class BlockTables(NamedTuple):
@@ -313,42 +314,23 @@ def block_velocity(means, tab: BlockTables, ti, node_thresh, vprev):
     return v, node
 
 
-def block_rk4(m0, tab: BlockTables, node_thresh, dt, n_steps, rec_stride):
-    """RK4 of the block means m0 (n, nb) over tables at half-step times;
-    returns the recorded means (n, n_rec, nb), per-record node flags and
-    per-trajectory node counts."""
-    n, nb = m0.shape
-    n_rec = n_steps // rec_stride + 1
-    rec = np.empty((n, n_rec, nb), dtype=np.float64)
-    reg_flags = np.zeros((n, n_rec), dtype=np.bool_)
-    node_counts = np.zeros(n, dtype=np.int64)
+def block_stage_velocity(q, t, vprev, tab: BlockTables, half_dt,
+                         node_thresh):
+    """block_velocity as a stage velocity of `grid_rk4`: block means q and
+    vprev (n_blocks, n), over tables at the half-step times
+    0, half_dt, 2 half_dt, ..., so stage time t reads row
+    round(t / half_dt)."""
+    v, node = block_velocity(q.T, tab, round(t / half_dt), node_thresh,
+                             vprev.T)
+    return v.T, node
 
-    m = m0.astype(np.float64)
-    vprev = np.zeros((n, nb))
-    rec[:, 0, :] = m
-    step_events = np.zeros(n, dtype=np.int64)
-    half_dt = 0.5 * dt
 
-    for step in range(n_steps):
-        i2 = 2 * step
-        k1, n1 = block_velocity(m, tab, i2, node_thresh, vprev)
-        k2, n2 = block_velocity(m + half_dt * k1, tab, i2 + 1, node_thresh,
-                                vprev)
-        k3, n3 = block_velocity(m + half_dt * k2, tab, i2 + 1, node_thresh,
-                                vprev)
-        k4, n4 = block_velocity(m + dt * k3, tab, i2 + 2, node_thresh, vprev)
-        if (np.count_nonzero(n1) or np.count_nonzero(n2)
-                or np.count_nonzero(n3) or np.count_nonzero(n4)):
-            nodes = n1.astype(np.int64) + n2 + n3 + n4
-            step_events += nodes
-            node_counts += nodes
-            vprev = np.where(n4[:, None], vprev, k4)
-        else:
-            vprev = k4  # no node: the mask changes nothing
-        m = m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) % rec_stride == 0:
-            r = (step + 1) // rec_stride
-            rec[:, r, :] = m
-            reg_flags[:, r] = step_events > 0
-            step_events[:] = 0
-    return rec, reg_flags, node_counts
+def run_rk4(rk4, last_frame):
+    """The result of a `grid_rk4` generator handed every frame up to
+    last_frame, its last."""
+    next(rk4)
+    try:
+        rk4.send(last_frame)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("the frames present do not cover every step")

@@ -115,40 +115,19 @@ def crossing_audit(positions: np.ndarray) -> int:
     their order at the first time.  positions has shape (n_traj, n_times).
 
     The trajectories are sorted once by initial position; then the order
-    is checked over chunks of CROSSING_CHUNK time columns.  An ensemble
-    with zero violations is sorted at every time, which is checked in
-    O(n T).  Only where a column is not sorted are the inverted pairs
-    marked, column by column, in an (n, n) table.
+    is checked over chunks of CROSSING_CHUNK time columns, each copied
+    alone.  An ensemble with zero violations is sorted at every time,
+    which is checked in O(n T).  Only where a column is not sorted are the
+    inverted pairs marked, column by column, in an (n, n) table.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2:
         raise ConfigError("positions must be (n_trajectories, n_times)")
-    return _count_crossings(pos.shape, lambda rows, lo, hi: pos[rows, lo:hi])
-
-
-def audit_trajectories(trajectories) -> int:
-    """crossing_audit of the first coordinate of trajectories that share
-    one time base, read one chunk of record columns at a time: no
-    (n, n_records) table is built."""
-    times0 = trajectories[0].times
-    for tr in trajectories:
-        if len(tr.times) != len(times0) or not np.allclose(tr.times, times0):
-            raise ConfigError("trajectories must share one time base")
-
-    def columns(rows, lo, hi):
-        return np.stack([trajectories[i].points[lo:hi, 0] for i in rows])
-    return _count_crossings((len(trajectories), len(times0)), columns)
-
-
-def _count_crossings(shape: tuple[int, int], columns) -> int:
-    """The crossing count of an (n, n_times) table that is read through
-    columns(rows, lo, hi), the (len(rows), hi - lo) positions of the
-    trajectories rows at times lo .. hi - 1."""
-    n, n_times = shape
-    order = np.argsort(columns(np.arange(n), 0, 1)[:, 0], kind="stable")
+    n, n_times = pos.shape
+    order = np.argsort(pos[:, 0], kind="stable")
     bad = None  # bad[i, j]: the pair (i, j) of sorted rows was inverted
     for lo in range(0, n_times, CROSSING_CHUNK):
-        p = columns(order, lo, min(lo + CROSSING_CHUNK, n_times))
+        p = pos[order, lo:lo + CROSSING_CHUNK]
         sorted_cols = np.all(np.diff(p, axis=0) > 0, axis=0)
         if sorted_cols.all():
             continue
@@ -158,6 +137,12 @@ def _count_crossings(shape: tuple[int, int], columns) -> int:
             col = p[:, t]
             bad |= col[None, :] <= col[:, None]
     return 0 if bad is None else int(np.count_nonzero(np.triu(bad, k=1)))
+
+
+def audit_trajectories(trajectories) -> int:
+    """crossing_audit of the first coordinate of a GridEnsembleResult,
+    read in place from its recorded points."""
+    return crossing_audit(trajectories.points[:, :, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -207,14 +207,17 @@ def _write_plots(report: EnsembleReport, out_dir: Path) -> list[Path]:
         outputs.append(path)
     sweep = report.audits.get("sweep")
     if sweep:
+        # plotted when some entry resolves a run: an indeterminate
+        # accuracy is NaN
         path = out_dir / "accuracy_vs_N.svg"
-        svgplot.line_plot(
-            path,
-            [(sweep["N"], sweep["apparatus_accuracy"], "apparatus predictor"),
-             (sweep["N"], sweep["system_accuracy"], "system predictor")],
-            title="predictor accuracy vs apparatus size", xlabel="N",
-            ylabel="accuracy")
-        outputs.append(path)
+        if svgplot.line_plot(
+                path,
+                [(sweep["N"], sweep["apparatus_accuracy"],
+                  "apparatus predictor"),
+                 (sweep["N"], sweep["system_accuracy"], "system predictor")],
+                title="predictor accuracy vs apparatus size", xlabel="N",
+                ylabel="accuracy"):
+            outputs.append(path)
         for sub in report.sub_reports:
             ts = sub.overlap_series["t"]
             path = out_dir / f"overlaps_N{sub.extras['N']}.svg"

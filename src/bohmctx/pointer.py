@@ -21,7 +21,8 @@ Within a block the branch factors differ only in their centers and
 velocities, so the guidance velocity is the same for every coordinate of a
 block and the branch weights depend on a configuration only through its
 block means.  The ensemble integrator therefore solves the (n, n_blocks)
-ODE of the block means (`_kernels.block_rk4`); every coordinate keeps its
+ODE of the block means, through the one RK4 loop `_kernels.grid_rk4`
+(stage velocity `_kernels.block_stage_velocity`); every coordinate keeps its
 t = 0 offset from its block mean, and positions are rebuilt as
 q(t) = q0 + (m(t) - m(0))[block_id] only when asked for.  Classification
 reads the log-weight gap straight from the block means
@@ -30,8 +31,6 @@ coordinate its block's velocity; neither has a per-coordinate form.
 """
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +42,7 @@ from .config import trajectory_steps
 from .errors import ConfigError
 from .schedules import PiecewiseLinear
 from .sampling import _cell_cdf, inverse_cdf_sample
-from .trajectories import Trajectory
+from .trajectories import RecordedEnsemble, Trajectory
 
 DEFAULT_RATIO_THRESHOLD = 1e6
 POINTER_NODE_THRESH = 1e-24  # on |r_+ + r_-|^2 with max branch modulus 1
@@ -345,7 +344,7 @@ def sample_model_equilibrium(model: BlockModel, n: int, seed: int
 
 
 @dataclass
-class PointerEnsembleResult(Sequence):
+class PointerEnsembleResult(RecordedEnsemble):
     """Recorded block means of an ensemble, read as the read-only sequence
     of its trajectories.  Trajectory i is rebuilt each time it is read, as
     initial[i] + (means[i] - means[i, :1])[:, block_id], so reading the
@@ -357,15 +356,7 @@ class PointerEnsembleResult(Sequence):
     reg_flags: np.ndarray  # (n, n_rec)
     node_counts: np.ndarray  # (n,)
 
-    def __len__(self) -> int:
-        return self.initial.shape[0]
-
-    def __getitem__(self, i: int) -> Trajectory:
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError("trajectory index out of range")
-        i %= n
+    def _trajectory(self, i: int) -> Trajectory:
         return Trajectory(self.times,
                           self.initial[i] + (self.means[i] - self.means[i, :1])
                           [:, self.block_id],
@@ -382,18 +373,22 @@ def integrate_pointer_ensemble(model: BlockModel, initial: np.ndarray,
                                dt: float, record_stride: int = 1
                                ) -> PointerEnsembleResult:
     """RK4-integrate every configuration over [0, T] under the closed-form
-    velocity field, as the ODE of its block means.  The steps follow
-    `config.trajectory_steps` with one frame spanning [0, T], so
-    record_stride 0 records the endpoints alone."""
+    velocity field, as the ODE of its block means.  The loop sees one frame
+    interval [0, T], both frames present, on an unbounded domain, so its
+    steps follow `config.trajectory_steps` with one frame spanning [0, T]
+    (record_stride 0 records the endpoints alone) and no trajectory
+    fails."""
     q0 = np.array(initial, dtype=float, ndmin=2)
     if q0.shape[1] != model.n_coords:
         raise ConfigError(
             f"initial configurations must have {model.n_coords} coordinates")
     n_steps, stride = trajectory_steps(dt, model.T, model.T, record_stride)
     half_times = np.arange(2 * n_steps + 1) * (0.5 * dt)
-    means, flags, node_counts = _kernels.block_rk4(
-        model.block_means(q0), model.block_tables(half_times),
-        POINTER_NODE_THRESH, dt, n_steps, stride)
+    unbounded = np.full((len(model.blocks), 1), np.inf)
+    means, flags, node_counts, _, _ = _kernels.run_rk4(_kernels.grid_rk4(
+        model.block_means(q0), _kernels.block_stage_velocity,
+        (model.block_tables(half_times), 0.5 * dt, POINTER_NODE_THRESH),
+        -unbounded, unbounded, 0.0, 0.0, dt, n_steps, stride, model.T, 2), 1)
     times = dt * stride * np.arange(means.shape[1])
     return PointerEnsembleResult(times, q0, model.coordinate_blocks(), means,
                                  flags, node_counts)

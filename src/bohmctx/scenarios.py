@@ -33,7 +33,7 @@ from .propagation import (PotentialSpec, _boundary_band_mask,
 from .report import EnsembleReport
 from .sampling import _cell_cdf, sample_equilibrium
 from .schedules import PiecewiseLinear
-from .trajectories import (FrameStream, endpoints, integrate_over_stacks,
+from .trajectories import (FrameStream, integrate_over_stacks,
                            integrate_product_flows)
 
 
@@ -86,7 +86,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     median = _density_median(grid, psi0.density())
     final, trajs = _stream_propagate(cfg, psi0, PotentialSpec.free(),
                                      positions, stride)
-    x_at_sep = np.array([tr.points[sep_rec, 0] for tr in trajs])
+    x_at_sep = trajs.points[:, sep_rec, 0]
 
     # outcome: the detector whose branch contains the trajectory at t_sep
     outcomes = _dominant_density_labels(
@@ -116,18 +116,14 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
 
     # audits: 1D no-crossing over the grid stage, no branch jumps after t_sep
     crossings = analysis.audit_trajectories(trajs)
-    jumps = 0
-    for tr in trajs:
-        seg = np.sign(tr.points[sep_rec:, 0])
-        seg = seg[seg != 0]
-        if len(seg) and np.any(seg != seg[0]):
-            jumps += 1
-    ks = _maybe_ks(endpoints(trajs)[:, 0],
+    after_sep = trajs.points[:, sep_rec:, 0]
+    jumps = int(np.count_nonzero((after_sep > 0).any(axis=1)
+                                 & (after_sep < 0).any(axis=1)))
+    ks = _maybe_ks(trajs.final_points()[:, 0],
                    grid_cdf(grid.axis(), final.density(), grid.dx))
 
-    node_counts = np.array([tr.node_regularization_events for tr in trajs]) \
-        + det_res.node_counts
-    failed = sum(1 for tr in trajs if tr.failed)
+    node_counts = trajs.node_counts + det_res.node_counts
+    failed = int(np.count_nonzero(trajs.failed))
     report = EnsembleReport(
         scenario="beam_splitter", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
@@ -381,12 +377,12 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
             cfg, spinor0, PotentialSpec.linear_spin_dependent(
                 gradient, cfg.offset), positions, 1, observe)
         _sg_check_separation(cfg, final)
-        ends = endpoints(trajs)
+        ends = trajs.final_points()
         outcomes = _sg_outcome_labels(final, ends[:, 0], cfg.ratio_threshold)
         return final, trajs, ends, outcomes, branch_overlap
 
     final, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
-    _, twin_trajs, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
+    _, _, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
 
     predictions = {"system": _sg_system_predictions(cfg, z0)}
 
@@ -398,17 +394,16 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
 
     ks = _maybe_ks(ends[:, 0], _sg_z_cdf(final))
     crossings = analysis.audit_trajectories(trajs)
-    node_counts = np.array([tr.node_regularization_events for tr in trajs])
 
     report = EnsembleReport(
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=z0,
         overlap_series={"t": times, "branch": branch_overlap},
-        node_counts=node_counts,
+        node_counts=trajs.node_counts,
         audits={"crossing_violations": crossings,
                 "equivariance_ks": ks,
-                "failed_trajectories": sum(1 for tr in trajs if tr.failed),
+                "failed_trajectories": int(np.count_nonzero(trajs.failed)),
                 "gradient_inversion": {
                     "n_compared": len(both),
                     "all_spins_swapped": swapped,
@@ -416,7 +411,6 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
     )
     report.artifacts["trajectories"] = trajs
     report.extras["twin_outcomes"] = twin_outcomes
-    report.artifacts["twin_trajectories"] = twin_trajs
     return report
 
 
@@ -521,7 +515,8 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
     trajs_on, trajs_off = integrate_product_flows(
         tables, positions, cfg.dt_traj, gordon=(1.0, 0.0))
     # the z column: the up/down ratio of a product does not depend on y
-    ends_on, ends_off = endpoints(trajs_on)[:, 1], endpoints(trajs_off)[:, 1]
+    ends_on = trajs_on.final_points()[:, 1]
+    ends_off = trajs_off.final_points()[:, 1]
     outcomes = _sg_outcome_labels(chi, ends_on, cfg.ratio_threshold)
     outcomes_off = _sg_outcome_labels(chi, ends_off, cfg.ratio_threshold)
 
@@ -531,16 +526,15 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
             in zip(outcomes, outcomes_off, ends_on, ends_off)
             if o != UNRESOLVED and f != UNRESOLVED]
     ks = _maybe_ks(ends_on, _sg_z_cdf(chi))
-    node_counts = np.array([tr.node_regularization_events for tr in trajs_on])
 
     report = EnsembleReport(
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=z0,
         overlap_series={"t": tables.times, "branch": branch_overlap},
-        node_counts=node_counts,
+        node_counts=trajs_on.node_counts,
         audits={"equivariance_ks": ks,
-                "failed_trajectories": sum(1 for tr in trajs_on if tr.failed),
+                "failed_trajectories": int(np.count_nonzero(trajs_on.failed)),
                 "gordon": {
                     "n_compared": len(both),
                     "z_side_agreement": all((e > 0) == (fe > 0)
@@ -756,7 +750,7 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
         steps, _ = cfg.trajectory_steps()
         final, trajs = _stream_propagate(cfg, psi0, PotentialSpec.free(),
                                          positions, steps)
-        ks = born_rule_ks(endpoints(trajs)[:, 0],
+        ks = born_rule_ks(trajs.final_points()[:, 0],
                           grid_cdf(grid.axis(), final.density(), grid.dx))
         return {"scenario": "beam_splitter", "n": n, "ks": ks}
     if isinstance(cfg, SternGerlachConfig):
@@ -774,7 +768,8 @@ def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
                 cfg, spinor0, PotentialSpec.linear_spin_dependent(
                     cfg.gradient, cfg.offset), positions, steps)
         return {"scenario": "stern_gerlach", "n": n,
-                "ks": born_rule_ks(endpoints(trajs)[:, -1], _sg_z_cdf(final))}
+                "ks": born_rule_ks(trajs.final_points()[:, -1],
+                                   _sg_z_cdf(final))}
     if isinstance(cfg, OpticalSGConfig):
         return _pointer_born_check(
             build_optical_sg_model(cfg, cfg.N_sweep[-1]), cfg, n)

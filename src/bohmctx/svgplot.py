@@ -31,11 +31,16 @@ def _fmt(v: float) -> str:
 
 
 def line_plot(path, series, title: str = "", xlabel: str = "",
-              ylabel: str = "") -> None:
-    """series: iterable of (x array, y array, label)."""
-    series = [(list(map(float, xs)), list(map(float, ys)), lab)
+              ylabel: str = "") -> bool:
+    """series: iterable of (x array, y array, label).  A point whose y is
+    not finite (an indeterminate accuracy) is left out; with no point left
+    nothing is written.  Returns whether the plot was written."""
+    series = [([float(x) for x, y in zip(xs, ys) if math.isfinite(y)],
+               [float(y) for y in ys if math.isfinite(y)], lab)
               for xs, ys, lab in series]
     xs_all = [v for xs, _, _ in series for v in xs]
+    if not xs_all:
+        return False
     ys_all = [v for _, ys, _ in series for v in ys]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
@@ -91,3 +96,4 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
+    return True

@@ -14,11 +14,14 @@ step that the frames present so far cover.  Over stored stacks
 by a propagation's observer, and advances its flow whenever the ring is
 full, so a run integrates its trajectories while it propagates and
 stores no (F, n) stack.  Either way each trajectory does the same arithmetic.
-Integration is delegated to the vectorized numpy kernels in `_kernels`;
-every trajectory is independent, so results are identical for any thread
-count.
+Integration is delegated to the RK4 loop `_kernels.grid_rk4`; every
+trajectory is independent, so results are identical for any thread count.
+
+A flow's result is a `GridEnsembleResult`: the loop's record arrays, read
+as the sequence of the ensemble's trajectories.
 """
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -61,9 +64,47 @@ class Trajectory:
             raise ConfigError("one point is required per time")
 
 
+class RecordedEnsemble(Sequence):
+    """An ensemble's record arrays, node_counts (n,) among them, read as
+    the read-only sequence of its trajectories: trajectory i is built by
+    `_trajectory(i)` each time it is read."""
+
+    def __len__(self) -> int:
+        return len(self.node_counts)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("trajectory index out of range")
+        return self._trajectory(i % n)
+
+
+@dataclass
+class GridEnsembleResult(RecordedEnsemble):
+    """The recorded points of a grid flow's ensemble, all on one time
+    base."""
+    times: np.ndarray        # (n_rec,)
+    points: np.ndarray       # (n, n_rec, n_coords)
+    reg_flags: np.ndarray    # (n, n_rec) a node since the previous record
+    node_counts: np.ndarray  # (n,)
+    failed: np.ndarray       # (n,) left the grid
+    exit_times: np.ndarray   # (n,) NaN where not failed
+
+    def _trajectory(self, i: int) -> Trajectory:
+        failed = bool(self.failed[i])
+        return Trajectory(self.times, self.points[i], int(self.node_counts[i]),
+                          self.reg_flags[i], failed,
+                          float(self.exit_times[i]) if failed else None)
+
+    def final_points(self) -> np.ndarray:
+        """(n, n_coords) points at the last recorded time."""
+        return self.points[:, -1]
+
+
 def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
                           dt_traj: float, record_stride: int = 1
-                          ) -> list[Trajectory]:
+                          ) -> GridEnsembleResult:
     """One trajectory per initial position under the interpolated stacks,
     which hold every frame."""
     flow = GridFlow((stacks.grid,), stacks.times, positions, dt_traj,
@@ -75,10 +116,10 @@ def integrate_over_stacks(stacks: VelocityStacks, positions: np.ndarray,
 
 def integrate_product_flows(tables: ProductTables, positions: np.ndarray,
                             dt_traj: float, gordon: tuple[float, ...]
-                            ) -> list[list[Trajectory]]:
+                            ) -> list[GridEnsembleResult]:
     """One ensemble per Gordon weight (1 with the spin-curl term, 0
     without), each from the same initial positions (n, 2), integrated
-    together in one kernel call: rows k n .. (k + 1) n - 1 follow the flow
+    together in one loop call: rows k n .. (k + 1) n - 1 follow the flow
     of gordon[k]."""
     pts = np.asarray(positions, dtype=float)
     n = len(pts)
@@ -88,8 +129,11 @@ def integrate_product_flows(tables: ProductTables, positions: np.ndarray,
                     _kernels.product_velocity,
                     (tables.y, tables.z, tables.peaks, weights))
     flow.advance(len(tables.times) - 1)
-    trajs = flow.trajectories
-    return [trajs[k * n:(k + 1) * n] for k in range(len(gordon))]
+    res = flow.trajectories
+    per_row = (res.points, res.reg_flags, res.node_counts, res.failed,
+               res.exit_times)
+    return [GridEnsembleResult(res.times, *rows)
+            for rows in zip(*(np.split(a, len(gordon)) for a in per_row))]
 
 
 class GridFlow:
@@ -101,15 +145,16 @@ class GridFlow:
     1D flow, (y, z) for a product flow.  The step and the initial
     positions are checked against the frame times and the grids on
     construction.  `trajectories` is None until the last step is done,
-    then one Trajectory per initial position."""
+    then the GridEnsembleResult of the initial positions."""
 
     def __init__(self, grids: tuple[SpatialGrid, ...], times: np.ndarray,
                  positions: np.ndarray, dt_traj: float, record_stride: int,
                  velocity, tables: tuple):
         frame_dt = float(times[1] - times[0])
         t0 = float(times[0])
-        n_steps, _ = trajectory_steps(dt_traj, frame_dt,
-                                      float(times[-1]) - t0, record_stride)
+        n_steps, stride = trajectory_steps(dt_traj, frame_dt,
+                                           float(times[-1]) - t0,
+                                           record_stride)
         pts = np.asarray(positions, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -123,26 +168,21 @@ class GridFlow:
         self._rk4 = _kernels.grid_rk4(
             pts, velocity,
             (*tables, t0, frame_dt, lo, step, NODE_DENSITY_REL),
-            lo, step, [g.n for g in grids], t0, dt_traj, n_steps,
-            record_stride, frame_dt, len(times))
+            lo, lo + np.array([[g.n] for g in grids]) * step, step, t0,
+            dt_traj, n_steps, stride, frame_dt, len(times))
         next(self._rk4)
-        self._t0, self._rec_dt = t0, dt_traj * record_stride
+        self._rec_times = t0 + dt_traj * stride * np.arange(
+            n_steps // stride + 1)
         self.first_needed = 0  # first frame that the next step reads
-        self.trajectories: list[Trajectory] | None = None
+        self.trajectories: GridEnsembleResult | None = None
 
     def advance(self, ready: int) -> None:
         """Run every step whose stages read no frame after `ready`."""
         try:
             self.first_needed = self._rk4.send(ready)
         except StopIteration as done:
-            rec, flags, counts, failed, exits = done.value
-            rec_times = self._t0 + self._rec_dt * np.arange(rec.shape[1])
-            self.trajectories = [
-                Trajectory(times=rec_times, points=rec[i],
-                           node_regularization_events=int(counts[i]),
-                           regularized_flags=flags[i], failed=bool(failed[i]),
-                           exit_time=float(exits[i]) if failed[i] else None)
-                for i in range(rec.shape[0])]
+            self.trajectories = GridEnsembleResult(self._rec_times,
+                                                   *done.value)
 
 
 class FrameStream:
@@ -178,11 +218,6 @@ class FrameStream:
         self.stacks.peaks[f] = rho.max()
         if f == len(self.stacks.times) - 1:
             self.flow.advance(f)
-
-
-def endpoints(trajectories: list[Trajectory]) -> np.ndarray:
-    """(n, n_coords) last recorded point of each trajectory."""
-    return np.array([t.points[-1] for t in trajectories])
 
 
 def write_trajectories_csv(path, trajectories: Sequence[Trajectory],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bohmctx import SpatialGrid, GaussianPacketSpec, make_gaussian, propagate
+from bohmctx.trajectories import GridEnsembleResult
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +42,15 @@ def assert_same_trajectories(got, want):
             assert np.array_equal(x, y)
         assert (a.node_regularization_events, a.failed, a.exit_time) \
             == (b.node_regularization_events, b.failed, b.exit_time)
+
+
+def grid_ensemble(times, points):
+    """The GridEnsembleResult of points (n, n_rec, n_coords) on times,
+    with no node event and no failure."""
+    n, n_rec = points.shape[:2]
+    return GridEnsembleResult(times, points, np.zeros((n, n_rec), dtype=bool),
+                              np.zeros(n, dtype=np.int64),
+                              np.zeros(n, dtype=bool), np.full(n, np.nan))
 
 
 def propagate_frames(state, potential, dt, n_steps, frame_stride, **kw):

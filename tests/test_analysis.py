@@ -10,8 +10,7 @@ from bohmctx.analysis import (AccuracyResult, AttributionThresholds,
                               audit_trajectories, born_rule_ks,
                               crossing_audit, grid_cdf, ks_statistic,
                               wilson_interval)
-from bohmctx.trajectories import Trajectory
-from conftest import traced_peak
+from conftest import grid_ensemble, traced_peak
 
 
 def gaussian_mixture_cdf(weights, centers, sigmas):
@@ -173,13 +172,13 @@ CROSSING_CASES = {
 def test_crossing_count_over_chunks(monkeypatch, case, chunk):
     # a swap in any column of any chunk, at either edge or at the last
     # record, counts as the whole-table comparison does, at every chunk
-    # width; the trajectories give the count of their stacked table
+    # width; the grid ensemble of those positions gives the same count
     pos, want = CROSSING_CASES[case]
     monkeypatch.setattr(analysis, "CROSSING_CHUNK", chunk)
     assert unchunked_crossings(pos) == want
     assert crossing_audit(pos) == want
-    times = np.arange(pos.shape[1], dtype=float)
-    trajs = [Trajectory(times, row[:, None]) for row in pos]
+    trajs = grid_ensemble(np.arange(pos.shape[1], dtype=float),
+                          pos[:, :, None])
     assert audit_trajectories(trajs) == want
 
 
@@ -189,8 +188,8 @@ def test_crossing_audit_holds_no_table_copy():
     # where stacking, reordering and differencing it took three tables
     n, n_rec = 200, 2001
     times = np.linspace(0.0, 1.0, n_rec)
-    trajs = [Trajectory(times, (0.5 * i + np.sin(times))[:, None])
-             for i in range(n)]
+    trajs = grid_ensemble(times, (0.5 * np.arange(n)[:, None]
+                                  + np.sin(times))[:, :, None])
     count, peak = traced_peak(audit_trajectories, trajs)
     assert count == 0
     assert peak < n * n_rec * 8 / 4

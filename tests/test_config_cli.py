@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bohmctx import ConfigError, cli
+from bohmctx import ConfigError, cli, svgplot
 from bohmctx.cli import _write_overlaps_csv, write_outputs
 from bohmctx.config import (CONFIG_TYPES, config_from_mapping, load_config,
                             parse_config_text, serialize_config)
@@ -268,6 +268,45 @@ def test_cli_writes_strict_json_and_the_listed_outputs(
             else audits["regime_table"][0]
         assert sorted(k for k, v in table.items()
                       if v in (None, [None])) == list(nulls)
+
+
+@pytest.mark.parametrize("lines, plots", [
+    ("N_sweep = 1, 4", {"accuracy_vs_N.svg", "overlaps_N1.svg",
+                        "overlaps_N4.svg"}),
+    # no entry resolves a run, so there is no accuracy to plot
+    ("N_sweep = 4\ndisplacement = 0.0\nsystem_separation = 0.0",
+     {"overlaps_N4.svg"}),
+], ids=["resolved", "unresolved"])
+def test_cli_plots_a_sweep_and_lists_the_files_written(tmp_path, lines,
+                                                       plots):
+    # --plot on a sweep exits 0 and the manifest lists exactly the files
+    # written besides itself
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = optical_sg\nn = 20\n{lines}\n")
+    out = tmp_path / "out"
+    assert cli.main(["optical-sg", "--config", str(cfg_path), "--out",
+                     str(out), "--plot"]) == 0
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert written == {"summary.json", "overlaps.csv", "overlaps.svg",
+                       *plots}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(written)
+
+
+def test_line_plot_leaves_out_points_that_are_not_finite(tmp_path):
+    # a NaN accuracy is left out of its series, and a plot of no finite
+    # point is not written
+    nan = float("nan")
+    assert svgplot.line_plot(tmp_path / "got.svg",
+                             [([1, 4, 16], [0.5, nan, 0.75], "a"),
+                              ([1, 4, 16], [nan, nan, nan], "b")])
+    assert svgplot.line_plot(tmp_path / "want.svg",
+                             [([1, 16], [0.5, 0.75], "a"), ([], [], "b")])
+    assert (tmp_path / "got.svg").read_bytes() \
+        == (tmp_path / "want.svg").read_bytes()
+    assert not svgplot.line_plot(tmp_path / "none.svg",
+                                 [([1, 4], [nan, nan], "a")])
+    assert not (tmp_path / "none.svg").exists()
 
 
 def test_cli_config_file_and_plot(tmp_path):

@@ -135,9 +135,9 @@ def test_grid_rk4_matches_reference_loop(events):
     step = np.reshape(grid.dx, (-1, 1))
 
     args = ((rho, g), peaks, 0.0, frame_dt, lo, step, NODE_DENSITY_REL)
-    rk4 = _kernels.grid_rk4(q0, _kernels.grid_velocity, args, lo, step,
-                            grid.shape, 0.0, dt, n_steps, 5, frame_dt,
-                            n_frames)
+    rk4 = _kernels.grid_rk4(q0, _kernels.grid_velocity, args, lo,
+                            lo + grid.n * step, step, 0.0, dt, n_steps, 5,
+                            frame_dt, n_frames)
     next(rk4)
     with pytest.raises(StopIteration) as done:
         rk4.send(n_frames - 1)  # every frame is present
@@ -347,7 +347,13 @@ def test_block_rk4_matches_reference_loop(case):
         tab = model.block_tables(np.arange(2 * n_steps + 1) * (0.5 * dt))
         if case == "node_point":
             means[5] = 0.0
-    got = _kernels.block_rk4(means, tab, POINTER_NODE_THRESH, dt, n_steps, 10)
+    # the loop as integrate_pointer_ensemble runs it: one frame interval,
+    # both frames present, on an unbounded domain
+    unbounded = np.full((2, 1), np.inf)
+    got = _kernels.run_rk4(_kernels.grid_rk4(
+        means, _kernels.block_stage_velocity,
+        (tab, 0.5 * dt, POINTER_NODE_THRESH), -unbounded, unbounded, 0.0,
+        0.0, dt, n_steps, 10, n_steps * dt, 2), 1)[:3]
     want = reference.block_rk4(means, tab, POINTER_NODE_THRESH, dt, n_steps,
                                10)
     for a, b in zip(got, want):
@@ -355,6 +361,33 @@ def test_block_rk4_matches_reference_loop(case):
     counts = got[2].tolist()
     assert counts == {"node_point": [0] * 5 + [4 * n_steps] + [0] * 6,
                       "node_time": [2] * 12, "no_node": [0] * 12}[case]
+
+
+def test_pointer_flow_never_fails_far_from_the_origin(monkeypatch):
+    # the apparatus branches end 2e100 apart and the system's 1e100: each
+    # trajectory follows one branch out there, through the grid loop on an
+    # unbounded domain, which marks no trajectory failed and gives it no
+    # exit time
+    loop = []
+
+    def spy(rk4, last_frame):
+        loop.append(real(rk4, last_frame))
+        return loop[-1]
+
+    real = _kernels.run_rk4
+    monkeypatch.setattr(_kernels, "run_rk4", spy)
+    cfg = OpticalSGConfig(displacement=1e100, system_separation=1e100)
+    model = build_optical_sg_model(cfg, 4)
+    init = sample_model_equilibrium(model, 20, seed=5)
+    res = integrate_pointer_ensemble(model, init, cfg.dt_traj)
+    (_, _, _, failed, exit_times), = loop
+    assert not failed.any() and np.isnan(exit_times).all()
+    assert not any(tr.failed for tr in res)
+    ends = model.block_means(res.final_points())
+    assert set(np.sign(ends[:, 1])) == {-1.0, 1.0}
+    assert np.array_equal(np.sign(ends[:, 0]), np.sign(ends[:, 1]))
+    assert np.abs(np.abs(ends[:, 1]) - 1e100).max() <= 1e-12 * 1e100
+    assert np.abs(ends[:, 0]).min() >= 0.49e100
 
 
 def test_optical_sg_large_apparatus():

@@ -24,7 +24,7 @@ import gaussian_oracle
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
-from bohmctx.trajectories import (GridFlow, endpoints, integrate_over_stacks,
+from bohmctx.trajectories import (GridFlow, integrate_over_stacks,
                                   integrate_product_flows)
 
 
@@ -428,7 +428,7 @@ def test_sg_1d_grid_flow_endpoints_match_closed_form_flow():
             cfg.gradient, cfg.offset), positions, 1)
     exact = _exact_sg_1d_flow(cfg, positions[:, 0])
     assert not any(tr.failed for tr in trajs)
-    assert np.abs(endpoints(trajs)[:, 0] - exact).max() <= 2.5e-3
+    assert np.abs(trajs.final_points()[:, 0] - exact).max() <= 2.5e-3
 
 
 def test_born_check_grid_scenario():
@@ -579,11 +579,11 @@ def test_sg_2d_product_flows_match_2d_stack_flows():
         flow.advance(len(tables.times) - 1)
         ref = flow.trajectories
         assert len(trajs) == len(ref) == cfg.n
-        assert np.abs(endpoints(trajs) - endpoints(ref)).max() <= 1e-12
+        assert np.abs(trajs.final_points() - ref.final_points()).max() <= 1e-12
         assert [tr.node_regularization_events for tr in trajs] \
             == [tr.node_regularization_events for tr in ref]
         assert not any(tr.failed for tr in trajs)
-    assert np.abs(endpoints(flows[0]) - endpoints(flows[1])).max() > 1e-3
+    assert np.abs(flows[0].final_points() - flows[1].final_points()).max() > 1e-3
 
 
 def test_sg_2d_setup_and_flows_hold_no_2d_stack():
@@ -669,7 +669,7 @@ def test_sg_gordon_labels_equal_2d_labels(seed):
     for labels, trajs in ((report.outcomes, "trajectories"),
                           (report.extras["outcomes_gordon_off"],
                            "trajectories_gordon_off")):
-        ends = endpoints(report.artifacts[trajs])
+        ends = report.artifacts[trajs].final_points()
         log_up, log_down = (np.log(np.maximum(gaussian_oracle.bilinear(
             np.outer(np.abs(phi) ** 2, np.abs(comp) ** 2), ends, lo[:, 0],
             step[:, 0]), 1e-300)) for comp in (up, down))
@@ -726,7 +726,7 @@ def test_gordon_term_vanishes_for_a_z_eigenstate():
     positions = sample_equilibrium((phi0, chi0), cfg.n, cfg.seed)
     on, off = integrate_product_flows(tables, positions, cfg.dt_traj,
                                       gordon=(1.0, 0.0))
-    assert np.array_equal(endpoints(on), endpoints(off))
+    assert np.array_equal(on.final_points(), off.final_points())
 
 
 @pytest.mark.parametrize("cfg", [

@@ -10,8 +10,8 @@ from bohmctx import (ComplexField, ConfigError, GaussianPacketSpec,
 from bohmctx.analysis import audit_trajectories, grid_cdf
 from bohmctx import trajectories
 from bohmctx.guidance import build_stacks, current_and_density
-from bohmctx.trajectories import (FrameStream, Trajectory, endpoints,
-                                  integrate_over_stacks,
+from bohmctx.trajectories import (FrameStream, GridEnsembleResult,
+                                  Trajectory, integrate_over_stacks,
                                   write_trajectories_csv)
 from conftest import assert_same_trajectories, propagate_frames
 
@@ -52,7 +52,7 @@ def test_equivariance_free_gaussian(line_grid, unit_gaussian):
     trajs = integrate_over_stacks(build_stacks(prop.frames, prop.times),
                                   positions, 0.01)
     ref = grid_cdf(line_grid.axis(), prop.final.density(), line_grid.dx)
-    stat = kstest(endpoints(trajs)[:, 0], ref).statistic
+    stat = kstest(trajs.final_points()[:, 0], ref).statistic
     assert stat < 0.05
 
 
@@ -80,7 +80,7 @@ def test_step_size_robustness(line_grid, unit_gaussian):
     stacks = build_stacks(prop.frames, prop.times)
     coarse = integrate_over_stacks(stacks, positions, 0.01)
     fine = integrate_over_stacks(stacks, positions, 0.005)
-    delta = np.abs(endpoints(coarse) - endpoints(fine)).max()
+    delta = np.abs(coarse.final_points() - fine.final_points()).max()
     assert delta < 1e-4
 
 
@@ -176,5 +176,38 @@ def test_trajectories_csv_shared_time_bases(tmp_path, monkeypatch, block):
     for stride in (1, 3):
         write_trajectories_csv(tmp_path / "got.csv", trajs, stride=stride)
         _csv_module_reference(tmp_path / "want.csv", trajs, stride)
+        assert (tmp_path / "got.csv").read_bytes() \
+            == (tmp_path / "want.csv").read_bytes()
+
+
+def test_grid_ensemble_reads_as_its_list_of_trajectories(tmp_path):
+    # the array-backed result reads as the list of Trajectory objects that
+    # a flow used to build from the same record arrays: length, indices
+    # from either end, an IndexError past them, the last records as
+    # final_points, and the same trajectories.csv bytes
+    rng = np.random.default_rng(4)
+    n, n_rec = 5, 9
+    times = 0.25 + 0.05 * np.arange(n_rec)
+    failed = np.array([False, True, False, False, True])
+    res = GridEnsembleResult(
+        times, rng.standard_normal((n, n_rec, 2)), rng.random((n, n_rec)) < 0.3,
+        rng.integers(0, 6, n), failed, np.where(failed, 0.6, np.nan))
+    as_list = [Trajectory(times, res.points[i],
+                          node_regularization_events=int(res.node_counts[i]),
+                          regularized_flags=res.reg_flags[i],
+                          failed=bool(failed[i]),
+                          exit_time=0.6 if failed[i] else None)
+               for i in range(n)]
+    assert len(res) == n
+    assert_same_trajectories(res, as_list)
+    assert_same_trajectories([res[-1], res[-n]], [as_list[-1], as_list[0]])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            res[i]
+    assert np.array_equal(res.final_points(),
+                          [tr.points[-1] for tr in as_list])
+    for stride in (1, 3):
+        write_trajectories_csv(tmp_path / "got.csv", res, stride=stride)
+        write_trajectories_csv(tmp_path / "want.csv", as_list, stride=stride)
         assert (tmp_path / "got.csv").read_bytes() \
             == (tmp_path / "want.csv").read_bytes()
