@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--out", type=str, default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="trajectory/overlap table format")
+                       help="trajectory table format")
         p.add_argument("--plot", action="store_true", help="emit SVG plots")
         p.add_argument("--trajectories", type=int, default=None,
                        help="ensemble size override")
@@ -115,11 +115,10 @@ def main(argv=None) -> int:
 def _run_scenario_command(args) -> int:
     scenario = SUBCOMMANDS[args.command]
     cfg = _load_scenario_config(args, scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     report = run_scenario(cfg)
     duration = time.perf_counter() - start
+    out_dir = _out_dir(args)
     outputs = write_outputs(report, cfg, out_dir, args.format, args.plot)
     manifest_path = out_dir / "manifest.json"
     _write_json(manifest_path,
@@ -134,16 +133,23 @@ def _run_scenario_command(args) -> int:
 def _run_born_check(args) -> int:
     cfg = _load_scenario_config(args, None)
     n = max(cfg.n, BORN_CHECK_N)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = run_born_check(cfg, n)
     duration = time.perf_counter() - start
+    out_dir = _out_dir(args)
     _write_json(out_dir / "summary.json", {"born_check": result})
     _write_json(out_dir / "manifest.json",
                 _manifest(cfg, duration, ["summary.json"]))
     print(f"born-check KS = {result['ks']:.5f} (n = {result['n']})")
     return 0
+
+
+def _out_dir(args) -> Path:
+    """The --out directory, created only once a run has returned, so that
+    a run stopped by an error leaves no directory behind."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def write_outputs(report: EnsembleReport, cfg, out_dir: Path, fmt: str,

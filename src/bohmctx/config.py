@@ -184,6 +184,8 @@ class AncillaChainConfig:
         _require(min(self.N_prime, self.N, *self.N_prime_sweep) >= 1,
                  "N_prime, N and the N_prime_sweep entries must be >= 1")
         _require(0.0 < self.t1 < self.t2, "windows must satisfy 0 < t1 < t2")
+        _require(self.ancilla_ramp_end <= self.t1 <= self.apparatus_ramp_start,
+                 "stage ramps must respect the coupling windows")
         _require(abs(self.amplitude_plus ** 2 + self.amplitude_minus ** 2 - 1.0)
                  <= 1e-6, "branch amplitudes must be normalized")
         _require(self.record_stride >= 1, "record_stride must be >= 1")

@@ -92,16 +92,10 @@ def norm(f: FieldLike) -> float:
     return float(np.sqrt(n2))
 
 
-def overlap(a: FieldLike, b: FieldLike) -> complex:
-    """Inner product <a|b>; spinor overlap sums both components."""
-    if isinstance(a, SpinorField) != isinstance(b, SpinorField):
-        raise ConfigError("cannot overlap a scalar field with a spinor field")
+def overlap(a: ComplexField, b: ComplexField) -> complex:
+    """Inner product <a|b> of two scalar fields on one grid."""
     if a.grid != b.grid:
         raise ConfigError("overlap requires a shared grid")
-    if isinstance(a, SpinorField):
-        acc = (_vdot(a.up.values, b.up.values)
-               + _vdot(a.down.values, b.down.values))
-        return complex(acc * a.grid.dx)
     return complex(_vdot(a.values, b.values) * a.grid.dx)
 
 

@@ -33,18 +33,12 @@ class EnsembleReport:
     # case they are excluded and the report is marked degraded; nothing is
     # dropped silently either way.
 
-    def _stat_mask(self) -> np.ndarray:
-        if self.degraded:
-            return np.asarray(self.node_counts) <= 0
-        return np.ones(self.n_runs, dtype=bool)
-
-    def statistics_outcomes(self) -> list[str]:
-        mask = self._stat_mask()
-        return [o for o, m in zip(self.outcomes, mask) if m]
-
-    def statistics_predictions(self, name: str) -> list[str]:
-        mask = self._stat_mask()
-        return [p for p, m in zip(self.predictions[name], mask) if m]
+    def _counted(self, per_run: list[str]) -> list[str]:
+        """The entries of per_run (one per run) that the statistics count."""
+        if not self.degraded:
+            return list(per_run)
+        kept = np.asarray(self.node_counts) <= 0
+        return [v for v, k in zip(per_run, kept) if k]
 
     @property
     def regularized_runs(self) -> int:
@@ -58,22 +52,22 @@ class EnsembleReport:
 
     @property
     def unresolved_fraction(self) -> float:
-        outs = self.statistics_outcomes()
+        outs = self._counted(self.outcomes)
         if not outs:
             return 0.0
         return sum(1 for o in outs if o == UNRESOLVED) / len(outs)
 
     def outcome_frequencies(self) -> dict[str, float]:
-        outs = [o for o in self.statistics_outcomes() if o != UNRESOLVED]
+        outs = [o for o in self._counted(self.outcomes) if o != UNRESOLVED]
         if not outs:
             return {}
         labels = sorted(set(outs))
         return {lab: outs.count(lab) / len(outs) for lab in labels}
 
     def accuracies(self) -> dict[str, AccuracyResult]:
-        outs = self.statistics_outcomes()
-        return {name: accuracy(outs, self.statistics_predictions(name))
-                for name in self.predictions}
+        outs = self._counted(self.outcomes)
+        return {name: accuracy(outs, self._counted(preds))
+                for name, preds in self.predictions.items()}
 
     # -- serialization -------------------------------------------------------
 
@@ -91,17 +85,15 @@ class EnsembleReport:
             "degraded": self.degraded,
             "audits": _plain(self.audits),
             "extras": _plain(self.extras),
-            "per_run": {
-                "outcome": list(self.outcomes),
-                "predictions": {k: list(v) for k, v in self.predictions.items()},
-                "initial_system": [float(v) for v in self.initial_system],
-                "initial_block_sums": {k: [float(v) for v in arr]
-                                       for k, arr in self.initial_block_sums.items()},
-            },
+            "per_run": _plain({
+                "outcome": self.outcomes,
+                "predictions": self.predictions,
+                "initial_system": self.initial_system,
+                "initial_block_sums": self.initial_block_sums,
+            }),
         }
         if self.overlap_series:
-            d["overlap_series"] = {k: [float(v) for v in arr]
-                                   for k, arr in self.overlap_series.items()}
+            d["overlap_series"] = _plain(self.overlap_series)
         if self.sub_reports:
             d["sweep"] = [r.to_dict() for r in self.sub_reports]
         return d
@@ -109,15 +101,18 @@ class EnsembleReport:
 
 def _plain(obj):
     """Recursively convert numpy and dataclass values to JSON-safe types."""
+    # the leaves first: per-run labels and series values are most calls
+    if obj is None or isinstance(obj, (str, bool, int)):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        # JSON has no NaN: an indeterminate accuracy or radius is null
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (float, np.floating)):
-        # JSON has no NaN: an indeterminate accuracy or radius is null
-        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -134,6 +129,4 @@ def _plain(obj):
             "measurement_predictor": obj.measurement_predictor,
             "thresholds": asdict(obj.thresholds),
         }
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
     return str(obj)

@@ -7,7 +7,7 @@ spin scenarios use "+" and "-" for spin projection +hbar/2 / -hbar/2 along
 the quantization axis; pointer scenarios use their branch labels "+"/"-".
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,16 +44,10 @@ def _maybe_ks(endpoints, cdf):
     return born_rule_ks(endpoints, cdf)
 
 
-def run_scenario(cfg: ScenarioConfig) -> EnsembleReport:
-    if isinstance(cfg, BeamSplitterConfig):
-        return run_beam_splitter(cfg)
-    if isinstance(cfg, SternGerlachConfig):
-        return run_stern_gerlach(cfg)
-    if isinstance(cfg, OpticalSGConfig):
-        return run_optical_sg(cfg)
-    if isinstance(cfg, AncillaChainConfig):
-        return run_ancilla_chain(cfg)
-    raise ConfigError(f"unknown scenario config {type(cfg)!r}")
+def _final_cdf(final: ComplexField | SpinorField):
+    """CDF of the density of the 1D field final on its grid."""
+    grid = final.grid
+    return grid_cdf(grid.axis(), final.density(), grid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +113,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     after_sep = trajs.points[:, sep_rec:, 0]
     jumps = int(np.count_nonzero((after_sep > 0).any(axis=1)
                                  & (after_sep < 0).any(axis=1)))
-    ks = _maybe_ks(trajs.final_points()[:, 0],
-                   grid_cdf(grid.axis(), final.density(), grid.dx))
+    ks = _maybe_ks(trajs.final_points()[:, 0], _final_cdf(final))
 
     node_counts = trajs.node_counts + det_res.node_counts
     failed = int(np.count_nonzero(trajs.failed))
@@ -147,6 +140,17 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     report.artifacts["trajectories"] = trajs
     report.artifacts["x_at_separation"] = x_at_sep
     return report
+
+
+def _bs_born_check(cfg: BeamSplitterConfig, n: int) -> tuple:
+    """Endpoints of n trajectories of the run's flow, recorded at the ends
+    alone, and the CDF of the final density."""
+    _, _, _, psi0 = _bs_setup(cfg)
+    positions = sample_equilibrium(psi0, n, cfg.seed)
+    steps, _ = cfg.trajectory_steps()
+    final, trajs = _stream_propagate(cfg, psi0, PotentialSpec.free(),
+                                     positions, steps)
+    return trajs.final_points()[:, 0], _final_cdf(final)
 
 
 def _bs_setup(cfg: BeamSplitterConfig) -> tuple:
@@ -331,12 +335,6 @@ def _sg_spinor(cfg, z_grid: SpatialGrid) -> SpinorField:
                        ComplexField(z_grid, beta * g.values))
 
 
-def _sg_z_cdf(final: SpinorField):
-    """CDF of the final density of the 1D spinor on z."""
-    grid = final.grid
-    return grid_cdf(grid.axis(), final.density(), grid.dx)
-
-
 def _sg_outcome_labels(final: SpinorField, z: np.ndarray,
                        ratio_threshold: float) -> list[str]:
     """Spin label from the dominant component of the 1D spinor final at
@@ -392,7 +390,7 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
     swapped = all(o == _flip(t) for o, t, _, _ in both) if both else True
     same_side = all((e > 0) == (te > 0) for _, _, e, te in both) if both else True
 
-    ks = _maybe_ks(ends[:, 0], _sg_z_cdf(final))
+    ks = _maybe_ks(ends[:, 0], _final_cdf(final))
     crossings = analysis.audit_trajectories(trajs)
 
     report = EnsembleReport(
@@ -412,6 +410,26 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
     report.artifacts["trajectories"] = trajs
     report.extras["twin_outcomes"] = twin_outcomes
     return report
+
+
+def _sg_born_check(cfg: SternGerlachConfig, n: int) -> tuple:
+    """z endpoints of n trajectories of the run's flow (Gordon-on when
+    gordon is set), recorded at the ends alone, and the CDF of the final
+    z marginal."""
+    if cfg.gordon:
+        phi0, chi0, final, _, tables = _sg_setup_2d(cfg)
+        positions = sample_equilibrium((phi0, chi0), n, cfg.seed)
+        (trajs,) = integrate_product_flows(
+            tables, positions, cfg.dt_traj, gordon=(1.0,))
+    else:
+        spinor0 = _sg_spinor(cfg, SpatialGrid.line(
+            cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width))
+        positions = sample_equilibrium(spinor0, n, cfg.seed)
+        steps, _ = cfg.trajectory_steps()
+        final, trajs = _stream_propagate(
+            cfg, spinor0, PotentialSpec.linear_spin_dependent(
+                cfg.gradient, cfg.offset), positions, steps)
+    return trajs.final_points()[:, -1], _final_cdf(final)
 
 
 def _flip(label: str) -> str:
@@ -525,7 +543,7 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
     both = [(o, f, e, fe) for o, f, e, fe
             in zip(outcomes, outcomes_off, ends_on, ends_off)
             if o != UNRESOLVED and f != UNRESOLVED]
-    ks = _maybe_ks(ends_on, _sg_z_cdf(chi))
+    ks = _maybe_ks(ends_on, _final_cdf(chi))
 
     report = EnsembleReport(
         scenario="stern_gerlach", seed=cfg.seed, n_runs=cfg.n,
@@ -629,17 +647,34 @@ def _run_pointer_ensemble(model: BlockModel, cfg: PointerConfig
     return report
 
 
-def run_optical_sg(cfg: OpticalSGConfig) -> EnsembleReport:
-    cfg.validate()
-    subs = []
-    for N in cfg.N_sweep:
-        rep = _run_pointer_ensemble(build_optical_sg_model(cfg, N), cfg)
-        # no output reads a sweep entry's trajectories
-        del rep.artifacts["trajectories"]
-        rep.extras["N"] = N
-        rep.audits["log_overlap_exponent_exact"] = True  # by construction
-        subs.append(rep)
+def _pointer_born_check(model: BlockModel, cfg: PointerConfig, n: int
+                        ) -> tuple:
+    """Final system coordinates of n trajectories of the run's flow,
+    recorded at the ends alone, and the CDF of the x-marginal at T."""
+    _, res = _pointer_sample_and_integrate(model, cfg, n, 0)
+    xs, dens = pointer.x_marginal_density(model, model.T)
+    return res.final_points()[:, 0], grid_cdf(xs, dens, float(xs[1] - xs[0]))
 
+
+def _sweep_entry(report: EnsembleReport) -> EnsembleReport:
+    """report as a sweep entry: without its trajectories, which no output
+    reads, so that one entry's at most are held at a time."""
+    del report.artifacts["trajectories"]
+    return report
+
+
+def _optical_sg_run(cfg: OpticalSGConfig, N: int) -> EnsembleReport:
+    report = _run_pointer_ensemble(build_optical_sg_model(cfg, N), cfg)
+    report.extras["N"] = N
+    report.audits["log_overlap_exponent_exact"] = True  # by construction
+    return report
+
+
+def run_optical_sg(cfg: OpticalSGConfig) -> EnsembleReport:
+    """One entry per N of N_sweep; the report is the last entry's, with
+    the sweep's accuracies as its audit."""
+    cfg.validate()
+    subs = [_sweep_entry(_optical_sg_run(cfg, N)) for N in cfg.N_sweep]
     head = subs[-1]
     accs = [r.accuracies() for r in subs]
     sweep_summary = {
@@ -650,23 +685,9 @@ def run_optical_sg(cfg: OpticalSGConfig) -> EnsembleReport:
         "system_radius": [a["system"].radius for a in accs],
         "unresolved_fraction": [r.unresolved_fraction for r in subs],
     }
-    report = _sweep_report(head, subs, {"sweep": sweep_summary})
-    report.extras["head_N"] = head.extras["N"]
-    return report
-
-
-def _sweep_report(head: EnsembleReport, subs: list[EnsembleReport],
-                  audits: dict) -> EnsembleReport:
-    """Top-level report of a sweep: the per-run data of its head entry,
-    the sweep audits, and every entry as a sub-report."""
-    return EnsembleReport(
-        scenario=head.scenario, seed=head.seed, n_runs=head.n_runs,
-        outcomes=head.outcomes, predictions=head.predictions,
-        initial_system=head.initial_system,
-        initial_block_sums=head.initial_block_sums,
-        overlap_series=head.overlap_series,
-        node_counts=head.node_counts,
-        audits=audits, sub_reports=subs)
+    return replace(head, audits={"sweep": sweep_summary},
+                   extras={"head_N": head.extras["N"]}, artifacts={},
+                   sub_reports=subs)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +699,6 @@ def build_ancilla_model(cfg: AncillaChainConfig, N_prime: int | None = None,
                         separation: float | None = None) -> BlockModel:
     np_count = cfg.N_prime if N_prime is None else N_prime
     sep = cfg.system_separation if separation is None else float(separation)
-    if not (cfg.ancilla_ramp_end <= cfg.t1 and cfg.apparatus_ramp_start >= cfg.t1):
-        raise ConfigError("stage ramps must respect the coupling windows")
     half = 0.5 * sep
     system = CoordinateBlock(
         "system", 1, cfg.system_sigma,
@@ -698,91 +717,67 @@ def build_ancilla_model(cfg: AncillaChainConfig, N_prime: int | None = None,
                       ("+", "-"), cfg.t2)
 
 
-def run_ancilla_chain(cfg: AncillaChainConfig) -> EnsembleReport:
-    cfg.validate()
-    if cfg.N_prime_sweep and cfg.separation_sweep:
-        return _run_ancilla_sweep(cfg)
-    report = _run_pointer_ensemble(build_ancilla_model(cfg), cfg)
-    report.extras["N_prime"] = cfg.N_prime
-    report.extras["system_separation"] = cfg.system_separation
-    verdict = analysis.determinant_attribution(report)
-    report.audits["attribution"] = verdict
+def _ancilla_run(cfg: AncillaChainConfig, N_prime: int,
+                 separation: float) -> EnsembleReport:
+    """The run of the model with N_prime ancillas and system branches
+    separation apart, with its attribution verdict."""
+    report = _run_pointer_ensemble(
+        build_ancilla_model(cfg, N_prime, separation), cfg)
+    report.extras["N_prime"] = N_prime
+    report.extras["system_separation"] = separation
+    report.audits["attribution"] = analysis.determinant_attribution(report)
     return report
 
 
-def _run_ancilla_sweep(cfg: AncillaChainConfig) -> EnsembleReport:
-    subs = []
+def run_ancilla_chain(cfg: AncillaChainConfig) -> EnsembleReport:
+    """The single run of the config's scalars, or with the sweep lists set,
+    one entry per (separation, N_prime) pair; the sweep's report is its
+    first entry's, with the regime table as its audit."""
+    cfg.validate()
+    if not cfg.N_prime_sweep:
+        return _ancilla_run(cfg, cfg.N_prime, cfg.system_separation)
+    subs = [_sweep_entry(_ancilla_run(cfg, npr, float(sep)))
+            for sep in cfg.separation_sweep for npr in cfg.N_prime_sweep]
     table = []
-    for sep in cfg.separation_sweep:
-        for npr in cfg.N_prime_sweep:
-            model = build_ancilla_model(cfg, N_prime=npr, separation=sep)
-            rep = _run_pointer_ensemble(model, cfg)
-            del rep.artifacts["trajectories"]  # as in run_optical_sg
-            rep.extras["N_prime"] = npr
-            rep.extras["system_separation"] = float(sep)
-            verdict = analysis.determinant_attribution(rep)
-            rep.audits["attribution"] = verdict
-            accs = rep.accuracies()
-            table.append({
-                "N_prime": npr,
-                "system_separation": float(sep),
-                "verdict": verdict.label,
-                "acc_system": accs["system"].fraction,
-                "acc_ancilla": accs["ancilla"].fraction,
-                "acc_apparatus": accs["apparatus"].fraction,
-                "unresolved_fraction": rep.unresolved_fraction,
-            })
-            subs.append(rep)
-    return _sweep_report(subs[0], subs, {"regime_table": table})
+    for rep in subs:
+        accs = rep.accuracies()
+        table.append({
+            "N_prime": rep.extras["N_prime"],
+            "system_separation": rep.extras["system_separation"],
+            "verdict": rep.audits["attribution"].label,
+            "acc_system": accs["system"].fraction,
+            "acc_ancilla": accs["ancilla"].fraction,
+            "acc_apparatus": accs["apparatus"].fraction,
+            "unresolved_fraction": rep.unresolved_fraction,
+        })
+    return replace(subs[0], audits={"regime_table": table}, extras={},
+                   artifacts={}, sub_reports=subs)
 
 
 # ---------------------------------------------------------------------------
-# Equivariance-only (born-check) runs
+# Entry points: one (run, born-check) pair per config type
 # ---------------------------------------------------------------------------
+
+_DRIVERS = {
+    BeamSplitterConfig: (run_beam_splitter, _bs_born_check),
+    SternGerlachConfig: (run_stern_gerlach, _sg_born_check),
+    # born-check on optical-sg checks the last N of the sweep only
+    OpticalSGConfig: (run_optical_sg, lambda cfg, n: _pointer_born_check(
+        build_optical_sg_model(cfg, cfg.N_sweep[-1]), cfg, n)),
+    AncillaChainConfig: (run_ancilla_chain, lambda cfg, n: _pointer_born_check(
+        build_ancilla_model(cfg), cfg, n)),
+}
+
+
+def run_scenario(cfg: ScenarioConfig) -> EnsembleReport:
+    run, _ = _DRIVERS[type(cfg)]
+    return run(cfg)
+
 
 def run_born_check(cfg: ScenarioConfig, n: int) -> dict:
-    """Endpoint-vs-density KS diagnostic for any scenario config."""
+    """Equivariance KS of the endpoints of n trajectories of cfg's run
+    against the final |psi|^2 marginal, for any scenario config."""
+    _, born_check = _DRIVERS[type(cfg)]
     cfg.validate()
-    # only the endpoints are compared, so only they are recorded
-    if isinstance(cfg, BeamSplitterConfig):
-        grid, _, _, psi0 = _bs_setup(cfg)
-        positions = sample_equilibrium(psi0, n, cfg.seed)
-        steps, _ = cfg.trajectory_steps()
-        final, trajs = _stream_propagate(cfg, psi0, PotentialSpec.free(),
-                                         positions, steps)
-        ks = born_rule_ks(trajs.final_points()[:, 0],
-                          grid_cdf(grid.axis(), final.density(), grid.dx))
-        return {"scenario": "beam_splitter", "n": n, "ks": ks}
-    if isinstance(cfg, SternGerlachConfig):
-        if cfg.gordon:
-            phi0, chi0, final, _, tables = _sg_setup_2d(cfg)
-            positions = sample_equilibrium((phi0, chi0), n, cfg.seed)
-            (trajs,) = integrate_product_flows(
-                tables, positions, cfg.dt_traj, gordon=(1.0,))
-        else:
-            spinor0 = _sg_spinor(cfg, SpatialGrid.line(
-                cfg.grid_n, -cfg.grid_half_width, cfg.grid_half_width))
-            positions = sample_equilibrium(spinor0, n, cfg.seed)
-            steps, _ = cfg.trajectory_steps()
-            final, trajs = _stream_propagate(
-                cfg, spinor0, PotentialSpec.linear_spin_dependent(
-                    cfg.gradient, cfg.offset), positions, steps)
-        return {"scenario": "stern_gerlach", "n": n,
-                "ks": born_rule_ks(trajs.final_points()[:, -1],
-                                   _sg_z_cdf(final))}
-    if isinstance(cfg, OpticalSGConfig):
-        return _pointer_born_check(
-            build_optical_sg_model(cfg, cfg.N_sweep[-1]), cfg, n)
-    if isinstance(cfg, AncillaChainConfig):
-        return _pointer_born_check(build_ancilla_model(cfg), cfg, n)
-    raise ConfigError(f"unknown scenario config {type(cfg)!r}")
-
-
-def _pointer_born_check(model: BlockModel, cfg: PointerConfig, n: int
-                        ) -> dict:
-    # only the endpoints are compared, so only they are recorded
-    _, res = _pointer_sample_and_integrate(model, cfg, n, 0)
-    ends = res.final_points()[:, 0]
-    xs, dens = pointer.x_marginal_density(model, model.T)
-    ks = born_rule_ks(ends, grid_cdf(xs, dens, float(xs[1] - xs[0])))
-    return {"scenario": cfg.scenario, "n": n, "ks": ks}
+    ends, cdf = born_check(cfg, n)
+    return {"scenario": cfg.scenario, "n": n, "ks": born_rule_ks(ends, cdf)}

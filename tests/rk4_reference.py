@@ -1,11 +1,14 @@
 """Plain reference loops of the two RK4 kernels, for bitwise comparison.
 
-`_kernels.grid_rk4` and `_kernels.block_rk4` take shortcuts when a step
-has no node and no failed trajectory: they skip the masking and the node
-counts, and pre-test the exit check per axis.  This module does every
-step the long way, with each mask applied on every step, and the stage
-velocities written as separate per-end arrays.  It keeps the kernels' float
-arithmetic and its order, so the kernels must match it bitwise on any
+`_kernels.grid_rk4` is the one RK4 loop: the grid flows run it with
+`_kernels.grid_velocity`, and the pointer block ODE with
+`_kernels.block_stage_velocity`.  It takes shortcuts when a step has no
+node and no failed trajectory: it skips the masking and the node counts,
+and pre-tests the exit check per axis.  This module does every step the
+long way, with each mask applied on every step, and the stage velocities
+written as separate per-end arrays: `grid_rk4` here for the grid flows,
+and `block_rk4` for the block ODE.  They keep the kernel's float
+arithmetic and its order, so the kernel must match them bitwise on any
 ensemble, nodes and exits included.
 """
 
@@ -99,8 +102,9 @@ def block_velocity(means, tab, ti, node_thresh, vprev):
 
 
 def block_rk4(m0, tab, node_thresh, dt, n_steps, rec_stride):
-    """`_kernels.block_rk4`: (recorded means, per-record node flags, node
-    counts)."""
+    """The block ODE of `_kernels.grid_rk4` under
+    `_kernels.block_stage_velocity`: (recorded means, per-record node
+    flags, node counts)."""
     n, nb = m0.shape
     n_rec = n_steps // rec_stride + 1
     rec = np.empty((n, n_rec, nb))

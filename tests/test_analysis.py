@@ -10,6 +10,7 @@ from bohmctx.analysis import (AccuracyResult, AttributionThresholds,
                               audit_trajectories, born_rule_ks,
                               crossing_audit, grid_cdf, ks_statistic,
                               wilson_interval)
+from bohmctx.report import EnsembleReport
 from conftest import grid_ensemble, traced_peak
 
 
@@ -247,3 +248,49 @@ def test_attribution_threshold_monotonicity():
         v_high = attribute(acc(a_s), acc(a_m), t_high).label
         if v_high == S_DETERMINED:
             assert v_low == S_DETERMINED
+
+
+# -- node-event exclusion -------------------------------------------------------
+
+NODE_EVENT_OUTCOMES = ["+"] * 98 + [analysis.UNRESOLVED, "-"]
+
+
+def _node_event_report(flagged: int) -> EnsembleReport:
+    """100 runs: 98 resolved "+" runs, then an unresolved run and a "-"
+    run; every run predicted "+", and the last `flagged` runs each had
+    three node events."""
+    node_counts = np.zeros(100, dtype=np.int64)
+    node_counts[100 - flagged:] = 3
+    return EnsembleReport(
+        scenario="test", seed=1, n_runs=100, outcomes=NODE_EVENT_OUTCOMES,
+        predictions={"system": ["+"] * 100}, initial_system=np.zeros(100),
+        node_counts=node_counts)
+
+
+def test_node_events_at_the_budget_keep_every_run():
+    # runs with node events at exactly 1 % of the ensemble: not degraded,
+    # and every run counts in the statistics
+    rep = _node_event_report(1)
+    assert (rep.regularized_runs, rep.degraded) == (1, False)
+    assert rep.unresolved_fraction == 0.01
+    assert rep.outcome_frequencies() == {"+": 98 / 99, "-": 1 / 99}
+    assert rep.accuracies()["system"] \
+        == accuracy(NODE_EVENT_OUTCOMES, ["+"] * 100)
+    d = rep.to_dict()
+    assert (d["regularized_runs"], d["regularization_events"],
+            d["degraded"]) == (1, 3, False)
+
+
+def test_node_events_above_the_budget_are_excluded():
+    # at 2 % the report is degraded: the flagged runs (the unresolved and
+    # the "-" run) are left out of the frequencies, the unresolved
+    # fraction and the accuracies, and still reported as flagged
+    rep = _node_event_report(2)
+    assert (rep.regularized_runs, rep.degraded) == (2, True)
+    assert rep.unresolved_fraction == 0.0
+    assert rep.outcome_frequencies() == {"+": 1.0}
+    assert rep.accuracies()["system"] == accuracy(["+"] * 98, ["+"] * 98)
+    d = rep.to_dict()
+    assert (d["regularized_runs"], d["regularization_events"],
+            d["degraded"]) == (2, 6, True)
+    assert d["per_run"]["outcome"] == NODE_EVENT_OUTCOMES

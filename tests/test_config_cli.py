@@ -161,18 +161,27 @@ def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
     ("ancilla", "N_prime_sweep = 0, 4\nseparation_sweep = 0"),
     ("optical-sg", "dt_traj = 0.003"),
     ("ancilla", "dt_traj = 0.003"),
+    ("optical-sg", "system_sigma = 0.0"),
+    ("ancilla", "ancilla_ramp_end = 0.6"),
+    ("beam-splitter", "detector_ramp_duration = 0.0"),
+    ("stern-gerlach", "grid_half_width = 2.0"),
 ], ids=["n_float", "n_word", "gordon_yes", "seed_bool", "grid_n_float",
         "sigma_word", "ancilla_N_float", "sweep_word", "osg_stride_0",
         "osg_stride_neg", "ancilla_stride_0", "bs_stride_neg",
         "N_sweep_float", "N_prime_sweep_float", "half_sweep_N_prime",
         "half_sweep_separation", "osg_seed_neg", "sg_seed_neg",
-        "N_prime_sweep_zero", "osg_dt_traj", "ancilla_dt_traj"])
+        "N_prime_sweep_zero", "osg_dt_traj", "ancilla_dt_traj",
+        "osg_system_sigma_0", "ancilla_ramp_window", "bs_detector_ramp_0",
+        "sg_narrow_grid"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, line):
     # a value of the wrong type for its field, a record stride, seed or
     # ancilla count out of range, a trajectory step that does not divide
     # the run, or one ancilla sweep list without the other, is a config
     # error (exit 1) before anything runs: neither a Python traceback, nor
-    # a silent truncation, reinterpretation or dropped sweep
+    # a silent truncation, reinterpretation or dropped sweep.  A value
+    # that only the driver rejects (a zero width, a ramp of no duration, a
+    # packet wider than its grid) exits 1 too, and no --out directory is
+    # left behind either way
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(f"scenario = {cli.SUBCOMMANDS[command]}\n{line}\n")
     assert cli.main([command, "--config", str(cfg_path),

@@ -337,6 +337,26 @@ def test_ancilla_sweep_regime_table():
     assert "S_determined" in verdicts
 
 
+def test_ancilla_sweep_entry_matches_single_run():
+    # a result does not depend on its entry point: the sweep entry for
+    # (N' = 4, separation = 8.0) is the single run of those scalars
+    single = run_ancilla_chain(AncillaChainConfig(
+        n=60, seed=2, N_prime=4, system_separation=8.0))
+    sweep = run_ancilla_chain(AncillaChainConfig(
+        n=60, seed=2, N_prime_sweep=[1, 4], separation_sweep=[0.0, 8.0]))
+    entry = sweep.sub_reports[-1]
+    assert (entry.extras["N_prime"], entry.extras["system_separation"]) \
+        == (4, 8.0)
+    assert entry.to_dict() == single.to_dict()
+
+
+def test_optical_sg_entry_does_not_depend_on_the_sweep():
+    # the N = 16 entry is the same alone and after an N = 1 entry
+    alone = run_optical_sg(OpticalSGConfig(n=60, seed=3, N_sweep=[16]))
+    after = run_optical_sg(OpticalSGConfig(n=60, seed=3, N_sweep=[1, 16]))
+    assert after.sub_reports[1].to_dict() == alone.sub_reports[0].to_dict()
+
+
 def test_ancilla_ramp_window_validation():
     cfg = AncillaChainConfig(ancilla_ramp_end=0.8, t1=0.5)
     with pytest.raises(ConfigError):
