@@ -56,14 +56,15 @@ def born_rule_ks(endpoints: np.ndarray, reference_cdf) -> float:
 # Position predictors and their accuracy
 # ---------------------------------------------------------------------------
 
-def side_label(offset: float, plus_is_high: bool, labels: tuple[str, str]
-               ) -> str:
-    """The label a position predictor reads from the side of zero that an
+def side_label(offsets: np.ndarray, plus_is_high: bool,
+               labels: tuple[str, str]) -> list[str]:
+    """The label a position predictor reads from the side of zero that each
     offset lies on: labels[0] on branch +'s side (above zero when
-    plus_is_high), labels[1] on the other side, UNRESOLVED at zero."""
-    if offset == 0:
-        return UNRESOLVED
-    return labels[0] if (offset > 0) == plus_is_high else labels[1]
+    plus_is_high), labels[1] on the other side, UNRESOLVED at +-0.  NaN is
+    not above zero: labels[1] when plus_is_high, else labels[0]."""
+    off = np.atleast_1d(np.asarray(offsets, dtype=float))
+    side = np.where(off == 0, 2, (off > 0) != plus_is_high)
+    return [(*labels, UNRESOLVED)[s] for s in side.tolist()]
 
 
 def wilson_interval(successes: int, total: int, z: float = WILSON_Z

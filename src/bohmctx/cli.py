@@ -204,13 +204,8 @@ def _write_overlaps_csv(path: Path, series: dict) -> None:
 def _write_plots(report: EnsembleReport, out_dir: Path) -> list[Path]:
     outputs = []
     if report.overlap_series:
-        ts = report.overlap_series["t"]
-        series = [(ts, report.overlap_series[k], k)
-                  for k in report.overlap_series if k != "t"]
-        path = out_dir / "overlaps.svg"
-        svgplot.line_plot(path, series, title="branch overlaps", xlabel="t",
-                          ylabel="overlap")
-        outputs.append(path)
+        outputs.append(_overlap_plot(out_dir / "overlaps.svg",
+                                     report.overlap_series, "branch overlaps"))
     sweep = report.audits.get("sweep")
     if sweep:
         # plotted when some entry resolves a run: an indeterminate
@@ -225,16 +220,18 @@ def _write_plots(report: EnsembleReport, out_dir: Path) -> list[Path]:
                 ylabel="accuracy"):
             outputs.append(path)
         for sub in report.sub_reports:
-            ts = sub.overlap_series["t"]
-            path = out_dir / f"overlaps_N{sub.extras['N']}.svg"
-            svgplot.line_plot(
-                path,
-                [(ts, sub.overlap_series[k], k)
-                 for k in sub.overlap_series if k != "t"],
-                title=f"overlaps, N = {sub.extras['N']}", xlabel="t",
-                ylabel="overlap")
-            outputs.append(path)
+            N = sub.extras["N"]
+            outputs.append(_overlap_plot(out_dir / f"overlaps_N{N}.svg",
+                                         sub.overlap_series, f"overlaps, N = {N}"))
     return outputs
+
+
+def _overlap_plot(path: Path, series: dict, title: str) -> Path:
+    """An SVG of every overlap series against series["t"]."""
+    svgplot.line_plot(path, [(series["t"], v, k) for k, v in series.items()
+                             if k != "t"],
+                      title=title, xlabel="t", ylabel="overlap")
+    return path
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -51,8 +51,10 @@ class BeamSplitterConfig:
     def validate(self):
         _require(self.seed >= 0, "seed must be >= 0")
         _require(self.n >= 1, "ensemble size must be >= 1")
-        _require(self.sigma > 0, "sigma must be positive")
-        _require(self.splitter_momentum > 0, "splitter momentum must be positive")
+        _require_grid(self, "grid_n", "grid_half_width", "sigma")
+        _require(self.detector_count >= 1, "detector_count must be >= 1")
+        _require_positive(self, "splitter_momentum", "detector_sigma",
+                          "detector_ramp_duration")
         _require(abs(self.amplitude_right ** 2 + self.amplitude_left ** 2 - 1.0)
                  <= 1e-6, "splitter amplitudes must be normalized")
         _require(self.dt > 0 and self.n_steps > 0, "dt and n_steps must be positive")
@@ -107,7 +109,11 @@ class SternGerlachConfig:
         _require(abs(self.alpha ** 2 + self.beta ** 2 - 1.0) <= 1e-6,
                  "spinor amplitudes must satisfy alpha^2 + beta^2 = 1")
         _require(self.gradient != 0.0, "gradient must be nonzero")
-        _require(self.sigma > 0, "sigma must be positive")
+        if self.gordon:
+            _require_grid(self, "grid_n_y", "grid_half_width_y", "sigma_y")
+            _require_grid(self, "grid_n_z", "grid_half_width_z", "sigma")
+        else:
+            _require_grid(self, "grid_n", "grid_half_width", "sigma")
         _require(self.n_steps > 0, "n_steps must be positive")
         _require_frame_stride(self)
         self.trajectory_steps()
@@ -146,6 +152,10 @@ class OpticalSGConfig:
                  <= 1e-6, "branch amplitudes must be normalized")
         _require(0.0 <= self.ramp_start < self.ramp_end <= self.T,
                  "ramp window must sit inside [0, T]")
+        _require_positive(self, "system_sigma", "apparatus_sigma")
+        _require(self.system_separation == 0
+                 or self.system_separation_start < self.system_separation_end,
+                 "system_separation_start must be < system_separation_end")
         _require(self.record_stride >= 1, "record_stride must be >= 1")
         trajectory_steps(self.dt_traj, self.T, self.T, self.record_stride)
 
@@ -184,8 +194,12 @@ class AncillaChainConfig:
         _require(min(self.N_prime, self.N, *self.N_prime_sweep) >= 1,
                  "N_prime, N and the N_prime_sweep entries must be >= 1")
         _require(0.0 < self.t1 < self.t2, "windows must satisfy 0 < t1 < t2")
-        _require(self.ancilla_ramp_end <= self.t1 <= self.apparatus_ramp_start,
-                 "stage ramps must respect the coupling windows")
+        _require(self.ancilla_ramp_start < self.ancilla_ramp_end <= self.t1
+                 <= self.apparatus_ramp_start < self.apparatus_ramp_end <= self.t2,
+                 "ramps must satisfy ancilla_ramp_start < ancilla_ramp_end <= t1"
+                 " <= apparatus_ramp_start < apparatus_ramp_end <= t2")
+        _require_positive(self, "system_sigma", "ancilla_sigma",
+                          "apparatus_sigma")
         _require(abs(self.amplitude_plus ** 2 + self.amplitude_minus ** 2 - 1.0)
                  <= 1e-6, "branch amplitudes must be normalized")
         _require(self.record_stride >= 1, "record_stride must be >= 1")
@@ -206,6 +220,20 @@ ScenarioConfig = (BeamSplitterConfig | SternGerlachConfig
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+def _require_positive(cfg, *keys: str) -> None:
+    for key in keys:
+        _require(getattr(cfg, key) > 0, f"{key} must be positive")
+
+
+def _require_grid(cfg, n: str, half_width: str, sigma: str) -> None:
+    """A packet of width sigma centered at 0 fits the line grid of n points
+    on +-half_width, as `fields.GaussianPacketSpec.validate_on` requires."""
+    _require_positive(cfg, sigma)
+    _require(getattr(cfg, n) >= 64, f"{n} must be >= 64")
+    _require(5 * getattr(cfg, sigma) <= getattr(cfg, half_width),
+             f"{half_width} must be at least 5 x {sigma}")
 
 
 def _require_frame_stride(cfg) -> None:

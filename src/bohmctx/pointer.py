@@ -41,7 +41,7 @@ from .analysis import UNRESOLVED, side_label
 from .config import trajectory_steps
 from .errors import ConfigError
 from .schedules import PiecewiseLinear
-from .sampling import _cell_cdf, inverse_cdf_sample
+from .sampling import _cell_cdf, _draws, inverse_cdf_sample
 from .trajectories import RecordedEnsemble, Trajectory
 
 DEFAULT_RATIO_THRESHOLD = 1e6
@@ -83,12 +83,8 @@ class BlockModel:
         return sum(b.count for b in self.blocks)
 
     def block_slices(self) -> dict[str, slice]:
-        out = {}
-        start = 0
-        for b in self.blocks:
-            out[b.name] = slice(start, start + b.count)
-            start += b.count
-        return out
+        ends = np.cumsum([b.count for b in self.blocks]).tolist()
+        return {b.name: slice(e - b.count, e) for b, e in zip(self.blocks, ends)}
 
     def coordinate_blocks(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.blocks)),
@@ -259,40 +255,35 @@ def classify_point(point: np.ndarray, t: float, model: BlockModel,
                    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> str:
     """Branch label of one configuration (C,) at time t from its log-weight
     gap, "unresolved" when the weight ratio is below ratio_threshold."""
-    gap = float(model.log_weight_gap(model.block_means(point), t)[0])
-    return _gap_label(gap, model.labels, math.log(ratio_threshold))
+    gap = model.log_weight_gap(model.block_means(point), t)
+    return labels_from_log_ratio(gap, model.labels, ratio_threshold)[0]
 
 
 def labels_from_log_ratio(log_ratio: np.ndarray, labels: tuple[str, str],
                           ratio_threshold: float) -> list[str]:
     """labels[0] where log_ratio >= log(ratio_threshold), labels[1] where
-    it is <= -log(ratio_threshold), "unresolved" in between."""
+    it is <= -log(ratio_threshold), "unresolved" in between; a NaN compares
+    false both ways and takes labels[1]."""
     cut = math.log(ratio_threshold)
-    return [_gap_label(gap, labels, cut)
+    return [UNRESOLVED if abs(gap) < cut else labels[0] if gap > 0
+            else labels[1]
             for gap in np.asarray(log_ratio, dtype=float).tolist()]
 
 
-def _gap_label(gap: float, labels: tuple[str, str], cut: float) -> str:
-    """The label of one log-weight gap against cut = log(ratio_threshold);
-    a NaN gap compares false both ways and takes labels[1]."""
-    if abs(gap) < cut:
-        return UNRESOLVED
-    return labels[0] if gap > 0 else labels[1]
-
-
-def predictor_system(x0: float, model: BlockModel) -> str:
-    """Branch predicted from the side of x0 about the initial system
-    midpoint (`_plus_is_high`)."""
+def predictor_system(x0: np.ndarray, model: BlockModel) -> list[str]:
+    """Branch predicted for each initial system coordinate of x0 (n,) from
+    its side of the initial system midpoint (`_plus_is_high`)."""
     blk = _find_block(model, "system")
     mid = 0.5 * float(blk.centers[0].value(0.0) + blk.centers[1].value(0.0))
-    return side_label(x0 - mid, _plus_is_high(blk, model), model.labels)
+    return side_label(np.subtract(x0, mid), _plus_is_high(blk, model),
+                      model.labels)
 
 
-def predictor_block_sum(q0: np.ndarray, model: BlockModel, name: str) -> str:
-    """Branch predicted from the side of sum(q0) about zero over the
-    coordinates of the named block (`_plus_is_high`)."""
-    blk = _find_block(model, name)
-    return side_label(float(np.sum(q0)), _plus_is_high(blk, model),
+def predictor_block_sum(sums: np.ndarray, model: BlockModel, name: str
+                        ) -> list[str]:
+    """Branch predicted for each initial sum (n,) over the coordinates of
+    the named block from its side of zero (`_plus_is_high`)."""
+    return side_label(sums, _plus_is_high(_find_block(model, name), model),
                       model.labels)
 
 
@@ -321,25 +312,21 @@ def sample_model_equilibrium(model: BlockModel, n: int, seed: int
         raise ConfigError("sample count must be >= 1")
     if model.blocks[0].count != 1:
         raise ConfigError("the first block must be the single system coordinate")
-    for blk in model.blocks[1:]:
-        c0 = float(blk.centers[0].value(0.0)), float(blk.centers[1].value(0.0))
-        v0 = float(blk.centers[0].velocity(0.0)), float(blk.centers[1].velocity(0.0))
-        if abs(c0[0] - c0[1]) > 1e-12 or abs(v0[0]) > 1e-12 or abs(v0[1]) > 1e-12:
+    (c0,), (v0,) = model.schedule_tables(np.zeros(1))  # (branch, block)
+    moving = (np.abs(c0[0] - c0[1]) > 1e-12) | (np.abs(v0) > 1e-12).any(axis=0)
+    for blk, bad in zip(model.blocks[1:], moving[1:]):
+        if bad:
             raise ConfigError(
                 f"block {blk.name!r} factors must coincide at t=0 for sampling")
 
     xs, dens = x_marginal_density(model, 0.0)
     dx = xs[1] - xs[0]
-    cdf = _cell_cdf(dens * dx)
+    u, z = _draws(seed, n, 1, model.n_coords - 1)
+    later = model.coordinate_blocks()[1:]
+    sigma = np.array([blk.sigma for blk in model.blocks])
     out = np.empty((n, model.n_coords))
-    for i in range(n):
-        rng = np.random.default_rng((int(seed), int(i)))
-        out[i, 0] = inverse_cdf_sample(cdf, xs[0], dx, rng.random())
-        col = 1
-        for blk in model.blocks[1:]:
-            center = float(blk.centers[0].value(0.0))
-            out[i, col:col + blk.count] = center + blk.sigma * rng.standard_normal(blk.count)
-            col += blk.count
+    out[:, 0] = inverse_cdf_sample(_cell_cdf(dens * dx), xs[0], dx, u[:, 0])
+    out[:, 1:] = c0[0, later] + sigma[later] * z
     return out
 
 

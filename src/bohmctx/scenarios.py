@@ -31,7 +31,7 @@ from .pointer import (BlockModel, CoordinateBlock, classify_point,
 from .propagation import (PotentialSpec, _boundary_band_mask,
                           check_support_guard, propagate)
 from .report import EnsembleReport
-from .sampling import _cell_cdf, sample_equilibrium
+from .sampling import _cell_cdf, _draws, sample_equilibrium
 from .schedules import PiecewiseLinear
 from .trajectories import (FrameStream, integrate_over_stacks,
                            integrate_product_flows)
@@ -73,7 +73,6 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
         raise ConfigError("record grid must contain the separation time")
 
     det_model = _bs_detector_model(cfg, branches)
-    det_tau = det_model.T
 
     positions = sample_equilibrium(psi0, cfg.n, cfg.seed)
     x0 = positions[:, 0]
@@ -97,15 +96,15 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
     det_res = integrate_pointer_ensemble(det_model, det_init,
                                          cfg.dt * cfg.frame_stride,
                                          record_stride=0)
-    det_labels = [classify_point(p, det_tau, det_model, cfg.ratio_threshold)
+    det_labels = [classify_point(p, det_model.T, det_model, cfg.ratio_threshold)
                   for p in det_res.final_points()]
     agree = [o == d for o, d in zip(outcomes, det_labels)
              if o != UNRESOLVED and d != UNRESOLVED]
 
+    y0_sums = y0.sum(axis=1)
     predictions = {
-        "system": [side_label(v - median, True, ("D1", "D2")) for v in x0],
-        "apparatus": [predictor_block_sum(y0[i], det_model, "apparatus")
-                      for i in range(cfg.n)],
+        "system": side_label(x0 - median, True, ("D1", "D2")),
+        "apparatus": predictor_block_sum(y0_sums, det_model, "apparatus"),
     }
 
     # audits: 1D no-crossing over the grid stage, no branch jumps after t_sep
@@ -121,7 +120,7 @@ def run_beam_splitter(cfg: BeamSplitterConfig) -> EnsembleReport:
         scenario="beam_splitter", seed=cfg.seed, n_runs=cfg.n,
         outcomes=outcomes, predictions=predictions,
         initial_system=x0,
-        initial_block_sums={"apparatus": y0.sum(axis=1)},
+        initial_block_sums={"apparatus": y0_sums},
         overlap_series={"t": times, "system_spatial": branches.bhattacharyya,
                         "system_inner": branches.inner,
                         "detector": pointer.block_overlap(
@@ -231,7 +230,9 @@ def _bs_detector_model(cfg: BeamSplitterConfig,
     det_tau = float(times[-1]) - float(times[sep_idx])
     c_sep = float(branches.center_plus[sep_idx])
     sig_sep = float(branches.width[sep_idx])
-    det_model = BlockModel(
+    if det_tau <= cfg.detector_ramp_duration:
+        raise ConfigError("detector ramp does not fit between separation and T")
+    return BlockModel(
         blocks=(
             CoordinateBlock("system", 1, sig_sep,
                             (PiecewiseLinear((-1.0, det_tau),
@@ -246,19 +247,13 @@ def _bs_detector_model(cfg: BeamSplitterConfig,
         ),
         amplitudes=(complex(cfg.amplitude_right), complex(cfg.amplitude_left)),
         labels=("D1", "D2"), T=det_tau)
-    if det_tau <= cfg.detector_ramp_duration:
-        raise ConfigError("detector ramp does not fit between separation and T")
-    return det_model
 
 
 def _bs_detector_offsets(cfg: BeamSplitterConfig) -> np.ndarray:
     """(n, detector_count) detector coordinates at t_sep, sampled fresh
-    around zero displacement, one seeded stream per trajectory."""
-    y0 = np.empty((cfg.n, cfg.detector_count))
-    for i in range(cfg.n):
-        rng = np.random.default_rng((int(cfg.seed), int(i), 1))
-        y0[i] = cfg.detector_sigma * rng.standard_normal(cfg.detector_count)
-    return y0
+    around zero displacement from the streams (seed, i, 1)."""
+    _, z = _draws(cfg.seed, cfg.n, 0, cfg.detector_count, stream=(1,))
+    return cfg.detector_sigma * z
 
 
 def _frame_times(cfg) -> np.ndarray:
@@ -321,9 +316,7 @@ def _dominant_density_labels(grid: SpatialGrid, rho_a: np.ndarray,
 
 def run_stern_gerlach(cfg: SternGerlachConfig) -> EnsembleReport:
     cfg.validate()
-    if cfg.gordon:
-        return _run_stern_gerlach_2d(cfg)
-    return _run_stern_gerlach_1d(cfg)
+    return (_run_stern_gerlach_2d if cfg.gordon else _run_stern_gerlach_1d)(cfg)
 
 
 def _sg_spinor(cfg, z_grid: SpatialGrid) -> SpinorField:
@@ -382,13 +375,15 @@ def _run_stern_gerlach_1d(cfg: SternGerlachConfig) -> EnsembleReport:
     final, trajs, ends, outcomes, branch_overlap = one_run(cfg.gradient)
     _, _, twin_ends, twin_outcomes, _ = one_run(-cfg.gradient)
 
-    predictions = {"system": _sg_system_predictions(cfg, z0)}
+    # the spin the gradient deflects upward is predicted above z = 0
+    predictions = {"system": side_label(z0, cfg.gradient > 0, ("+", "-"))}
 
     both = [(o, t, e, te) for o, t, e, te
             in zip(outcomes, twin_outcomes, ends[:, 0], twin_ends[:, 0])
             if o != UNRESOLVED and t != UNRESOLVED]
-    swapped = all(o == _flip(t) for o, t, _, _ in both) if both else True
-    same_side = all((e > 0) == (te > 0) for _, _, e, te in both) if both else True
+    # both runs resolved, so a swapped spin is a differing label
+    swapped = all(o != t for o, t, _, _ in both)
+    same_side = all((e > 0) == (te > 0) for _, _, e, te in both)
 
     ks = _maybe_ks(ends[:, 0], _final_cdf(final))
     crossings = analysis.audit_trajectories(trajs)
@@ -430,17 +425,6 @@ def _sg_born_check(cfg: SternGerlachConfig, n: int) -> tuple:
             cfg, spinor0, PotentialSpec.linear_spin_dependent(
                 cfg.gradient, cfg.offset), positions, steps)
     return trajs.final_points()[:, -1], _final_cdf(final)
-
-
-def _flip(label: str) -> str:
-    return "-" if label == "+" else "+"
-
-
-def _sg_system_predictions(cfg: SternGerlachConfig, z0: np.ndarray
-                           ) -> list[str]:
-    """Spin predicted from the side of the initial z: the spin that the
-    gradient deflects upward above z = 0, the other below."""
-    return [side_label(z, cfg.gradient > 0, ("+", "-")) for z in z0]
 
 
 def _sg_setup_2d(cfg: SternGerlachConfig) -> tuple:
@@ -538,7 +522,8 @@ def _run_stern_gerlach_2d(cfg: SternGerlachConfig) -> EnsembleReport:
     outcomes = _sg_outcome_labels(chi, ends_on, cfg.ratio_threshold)
     outcomes_off = _sg_outcome_labels(chi, ends_off, cfg.ratio_threshold)
 
-    predictions = {"system": _sg_system_predictions(cfg, z0)}
+    # the spin the gradient deflects upward is predicted above z = 0
+    predictions = {"system": side_label(z0, cfg.gradient > 0, ("+", "-"))}
 
     both = [(o, f, e, fe) for o, f, e, fe
             in zip(outcomes, outcomes_off, ends_on, ends_off)
@@ -612,20 +597,14 @@ def _run_pointer_ensemble(model: BlockModel, cfg: PointerConfig
     T = model.T
     outcomes = [classify_point(p, T, model, ratio_threshold) for p in ends]
     # sensitivity of the unresolved fraction to the classification threshold
-    sensitivity = {}
-    for factor in (0.1, 1.0, 10.0):
-        labels = [classify_point(p, T, model, ratio_threshold * factor)
-                  for p in ends]
-        sensitivity[f"x{factor:g}"] = labels.count(UNRESOLVED) / n
-    slices = model.block_slices()
-    predictions = {"system": [predictor_system(init[i, 0], model)
-                              for i in range(n)]}
-    sums = {}
-    for blk in model.blocks[1:]:
-        sl = slices[blk.name]
-        sums[blk.name] = init[:, sl].sum(axis=1)
-        predictions[blk.name] = [predictor_block_sum(init[i, sl], model, blk.name)
-                                 for i in range(n)]
+    sensitivity = {f"x{factor:g}": [
+        classify_point(p, T, model, ratio_threshold * factor) for p in ends
+    ].count(UNRESOLVED) / n for factor in (0.1, 1.0, 10.0)}
+    sums = {name: init[:, sl].sum(axis=1)
+            for name, sl in list(model.block_slices().items())[1:]}
+    predictions = {"system": predictor_system(init[:, 0], model),
+                   **{name: predictor_block_sum(s, model, name)
+                      for name, s in sums.items()}}
 
     ts = res.times
     series = {"t": ts, "system": pointer.system_overlap(ts, model)}

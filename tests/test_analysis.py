@@ -9,7 +9,7 @@ from bohmctx.analysis import (AccuracyResult, AttributionThresholds,
                               S_DETERMINED, accuracy, attribute,
                               audit_trajectories, born_rule_ks,
                               crossing_audit, grid_cdf, ks_statistic,
-                              wilson_interval)
+                              side_label, UNRESOLVED, wilson_interval)
 from bohmctx.report import EnsembleReport
 from conftest import grid_ensemble, traced_peak
 
@@ -92,6 +92,16 @@ def test_accuracy_skips_unresolved_outcomes():
 def test_accuracy_zero_resolved_is_indeterminate():
     res = accuracy(["unresolved"] * 3, ["+"] * 3)
     assert res.indeterminate
+
+
+def test_side_label_zero_either_sign_and_nan():
+    # zero of either sign is unresolved; NaN is not above zero, so it takes
+    # the label of the side below zero
+    off = np.array([0.0, -0.0, np.nan, 2.0, -2.0])
+    assert side_label(off, True, ("a", "b")) \
+        == [UNRESOLVED, UNRESOLVED, "b", "a", "b"]
+    assert side_label(off, False, ("a", "b")) \
+        == [UNRESOLVED, UNRESOLVED, "a", "b", "a"]
 
 
 def test_wilson_interval_properties():

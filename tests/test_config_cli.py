@@ -139,6 +139,39 @@ def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
     assert "dt_traj must not exceed the frame spacing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("beam-splitter", "detector_ramp_duration = 0.0", "detector_ramp_duration"),
+    ("beam-splitter", "detector_sigma = 0.0", "detector_sigma"),
+    ("beam-splitter", "grid_half_width = 4.0", "grid_half_width"),
+    ("stern-gerlach", "grid_half_width = 2.0", "grid_half_width"),
+    ("stern-gerlach", "gordon = true\ngrid_n_z = 32", "grid_n_z"),
+    ("optical-sg", "system_sigma = 0.0", "system_sigma"),
+    ("optical-sg", "system_separation_start = 1.0", "system_separation_start"),
+    ("ancilla", "ancilla_sigma = 0.0", "ancilla_sigma"),
+    ("ancilla", "apparatus_ramp_end = 1.2", "apparatus_ramp_end"),
+], ids=["bs_detector_ramp_0", "bs_detector_sigma_0", "bs_narrow_grid",
+        "sg_narrow_grid", "gordon_grid_n_z_32", "osg_system_sigma_0",
+        "osg_separation_window", "ancilla_sigma_0", "apparatus_ramp_past_t2"])
+def test_cli_names_the_key_before_propagating_or_sampling(
+        tmp_path, monkeypatch, capsys, command, line, key):
+    # a width, count, ramp or grid that the model or the grid would reject
+    # is rejected by validate, naming its key, before any propagation or
+    # equilibrium sampling
+    from bohmctx import cli, scenarios
+
+    def never(*args, **kwargs):
+        raise AssertionError("propagation or sampling called")
+
+    for name in ("propagate", "sample_equilibrium", "sample_model_equilibrium"):
+        monkeypatch.setattr(scenarios, name, never)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"scenario = {cli.SUBCOMMANDS[command]}\n{line}\n")
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 @pytest.mark.parametrize("command, line", [
     ("stern-gerlach", "n = 20.5"),
     ("stern-gerlach", "n = abc"),
@@ -165,6 +198,24 @@ def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
     ("ancilla", "ancilla_ramp_end = 0.6"),
     ("beam-splitter", "detector_ramp_duration = 0.0"),
     ("stern-gerlach", "grid_half_width = 2.0"),
+    ("beam-splitter", "detector_sigma = 0.0"),
+    ("beam-splitter", "detector_count = 0"),
+    ("beam-splitter", "grid_n = 32"),
+    ("beam-splitter", "grid_half_width = 4.0"),
+    ("optical-sg", "apparatus_sigma = 0.0"),
+    ("optical-sg", "system_separation_start = 1.0"),
+    ("ancilla", "system_sigma = 0.0"),
+    ("ancilla", "ancilla_sigma = 0.0"),
+    ("ancilla", "apparatus_sigma = -1.0"),
+    ("ancilla", "ancilla_ramp_start = 0.45"),
+    ("ancilla", "apparatus_ramp_end = 0.5"),
+    ("ancilla", "apparatus_ramp_end = 1.2"),
+    ("stern-gerlach", "grid_n = 32"),
+    ("stern-gerlach", "gordon = true\nsigma_y = 0.0"),
+    ("stern-gerlach", "gordon = true\ngrid_n_y = 32"),
+    ("stern-gerlach", "gordon = true\ngrid_half_width_y = 8.0"),
+    ("stern-gerlach", "gordon = true\ngrid_n_z = 32"),
+    ("stern-gerlach", "gordon = true\ngrid_half_width_z = 4.0"),
 ], ids=["n_float", "n_word", "gordon_yes", "seed_bool", "grid_n_float",
         "sigma_word", "ancilla_N_float", "sweep_word", "osg_stride_0",
         "osg_stride_neg", "ancilla_stride_0", "bs_stride_neg",
@@ -172,7 +223,14 @@ def test_cli_rejects_trajectory_step_before_propagating(tmp_path,
         "half_sweep_separation", "osg_seed_neg", "sg_seed_neg",
         "N_prime_sweep_zero", "osg_dt_traj", "ancilla_dt_traj",
         "osg_system_sigma_0", "ancilla_ramp_window", "bs_detector_ramp_0",
-        "sg_narrow_grid"])
+        "sg_narrow_grid", "bs_detector_sigma_0", "bs_detector_count_0",
+        "bs_grid_n_32", "bs_narrow_grid", "osg_apparatus_sigma_0",
+        "osg_separation_window", "ancilla_system_sigma_0",
+        "ancilla_sigma_0", "ancilla_apparatus_sigma_neg",
+        "ancilla_ramp_empty", "apparatus_ramp_empty",
+        "apparatus_ramp_past_t2", "sg_grid_n_32", "gordon_sigma_y_0",
+        "gordon_grid_n_y_32", "gordon_narrow_y", "gordon_grid_n_z_32",
+        "gordon_narrow_z"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, line):
     # a value of the wrong type for its field, a record stride, seed or
     # ancilla count out of range, a trajectory step that does not divide

@@ -16,6 +16,15 @@ def test_public_names_resolve_and_none_repeats():
         getattr(bohmctx, name)  # AttributeError if the name is stale
 
 
+def test_only_the_sampler_seeds_generators():
+    # every random draw comes from sampling._draws, one generator per
+    # (seed, index, *stream), so no other module may seed one
+    src = Path(bohmctx.__file__).resolve().parent
+    seeding = sorted(str(p.relative_to(src)) for p in src.rglob("*.py")
+                     if "default_rng" in p.read_text())
+    assert seeding == ["sampling.py"]
+
+
 def test_tracer_patch_targets_exist():
     # perfbench/tracer.py wraps functions by module and attribute name and
     # its counters read their arguments by parameter name, so a rename in

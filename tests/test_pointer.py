@@ -227,16 +227,16 @@ def test_classify_threshold_sensitivity():
 
 def test_predictor_apparatus_sign():
     model = symmetric_model()
-    for y0, want in (([0.5, 0.1, 0.2, 0.3], "+"),
-                     ([-0.5, -0.1, -0.2, -0.3], "-"), (np.zeros(4), UNRESOLVED)):
-        assert predictor_block_sum(np.array(y0), model, "apparatus") == want
+    y0 = np.array([[0.5, 0.1, 0.2, 0.3], [-0.5, -0.1, -0.2, -0.3],
+                   np.zeros(4)])
+    assert predictor_block_sum(y0.sum(axis=1), model, "apparatus") \
+        == ["+", "-", UNRESOLVED]
 
 
 def test_predictor_system_midpoint_tie():
     model = separated_model()
-    assert predictor_system(0.0, model) == UNRESOLVED
-    assert predictor_system(0.7, model) == "+"
-    assert predictor_system(-0.7, model) == "-"
+    assert predictor_system(np.array([0.0, 0.7, -0.7]), model) \
+        == [UNRESOLVED, "+", "-"]
 
 
 def test_unresolved_fraction_small_at_large_N():
@@ -252,13 +252,14 @@ def test_apparatus_predictor_headline(tmp_path):
     init = sample_model_equilibrium(model, 300, seed=6)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=4)
     final = res.final_points()
+    app = predictor_block_sum(init[:, 1:].sum(axis=1), model, "apparatus")
     hits = total = 0
     for i in range(300):
         out = classify_point(final[i], 1.0, model)
         if out == UNRESOLVED:
             continue
         total += 1
-        hits += out == predictor_block_sum(init[i, 1:], model, "apparatus")
+        hits += out == app[i]
     assert total > 250
     assert hits / total >= 0.99
 
@@ -327,14 +328,16 @@ def test_pre_separated_regime_inversion():
     init = sample_model_equilibrium(model, 300, seed=9)
     res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=4)
     final = res.final_points()
+    sys_pred = predictor_system(init[:, 0], model)
+    app = predictor_block_sum(init[:, 1:].sum(axis=1), model, "apparatus")
     s_hits = a_hits = total = 0
     for i in range(300):
         out = classify_point(final[i], 1.0, model)
         if out == UNRESOLVED:
             continue
         total += 1
-        s_hits += out == predictor_system(init[i, 0], model)
-        a_hits += out == predictor_block_sum(init[i, 1:], model, "apparatus")
+        s_hits += out == sys_pred[i]
+        a_hits += out == app[i]
     assert total == 300
     assert s_hits / total == 1.0
     assert abs(a_hits / total - 0.5) <= 0.08
@@ -350,15 +353,16 @@ def test_monotone_apparatus_dominance():
         init = sample_model_equilibrium(model, 300, seed=10)
         res = integrate_pointer_ensemble(model, init, 0.0025, record_stride=4)
         final = res.final_points()
+        app = predictor_block_sum(init[:, 1:].sum(axis=1), model, "apparatus")
+        sys_pred = predictor_system(init[:, 0], model)
         a_hits = s_hits = total = 0
         for i in range(300):
             out = classify_point(final[i], 1.0, model)
             if out == UNRESOLVED:
                 continue
             total += 1
-            a_hits += out == predictor_block_sum(init[i, 1:], model,
-                                                 "apparatus")
-            s_hits += out == predictor_system(init[i, 0], model)
+            a_hits += out == app[i]
+            s_hits += out == sys_pred[i]
         accs.append(a_hits / total)
         sys_accs.append(s_hits / total)
     assert all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
@@ -443,6 +447,5 @@ def test_predictor_system_inverted_schedules():
     model = pointer_model(2, PiecewiseLinear.ramp(0.0, 0.5, 2.0),
                           (PiecewiseLinear.ramp(0.0, 1.0, -3.0, start=1.5),
                            PiecewiseLinear.ramp(0.0, 1.0, 3.0, start=-0.5)))
-    assert predictor_system(0.5, model) == UNRESOLVED
-    assert predictor_system(0.6, model) == "-"
-    assert predictor_system(0.4, model) == "+"
+    assert predictor_system(np.array([0.5, 0.6, 0.4]), model) \
+        == [UNRESOLVED, "-", "+"]

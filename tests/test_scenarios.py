@@ -17,10 +17,10 @@ from bohmctx.propagation import (GUARD_BAND_CELLS, GUARD_DENSITY_RATIO,
 from bohmctx.config import (AncillaChainConfig, BeamSplitterConfig,
                             OpticalSGConfig, SternGerlachConfig)
 from bohmctx.report import _plain
-from bohmctx.sampling import (_cell_cdf, _stream, inverse_cdf_sample,
-                              sample_equilibrium)
+from bohmctx.sampling import _cell_cdf, sample_equilibrium
 from conftest import assert_same_trajectories, propagate_frames, traced_peak
 import gaussian_oracle
+from sampling_reference import inverse_cdf_sample, stream
 from bohmctx.scenarios import (run_ancilla_chain, run_beam_splitter,
                                run_born_check, run_optical_sg,
                                run_stern_gerlach, run_scenario)
@@ -647,7 +647,7 @@ def _sample_2d(rho, lo, dx, n, seed):
     row_cdf = _cell_cdf(rho.sum(axis=1) * dx[0] * dx[1])
     out = np.empty((n, 2))
     for i in range(n):
-        u1, u2 = _stream(seed, i).random(2)
+        u1, u2 = stream(seed, i).random(2)
         out[i, 0] = inverse_cdf_sample(row_cdf, lo[0], dx[0], u1)
         j = min(max(int(round((out[i, 0] - lo[0]) / dx[0])), 0), len(rho) - 1)
         out[i, 1] = inverse_cdf_sample(
